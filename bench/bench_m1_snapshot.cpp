@@ -14,8 +14,13 @@
 // abort/rerun and checkpoint/resume policies. Batching makes the
 // deadline jobs wait out the background batch; abort/rerun holds the
 // deadlines but re-pays the evicted compute; checkpoint/resume holds
-// the deadlines at a strictly smaller makespan. Writes
+// the deadlines at a strictly smaller makespan.
+//
+// The history rows save and restore a whole-service snapshot after 2k,
+// 8k and 32k served jobs: the stream carries every ledger record and
+// timeline transaction, so its size and cost grow with history. Writes
 // BENCH_snapshot.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -106,6 +111,56 @@ void submit_serve_mix(serve::JobService& s, int jobs) {
              make_job(tenant, config, i, (i % 5 + 1) * util::kMicrosecond))
         .value_or_throw();
   }
+}
+
+struct HistoryRow {
+  int jobs = 0;
+  std::size_t bytes = 0;
+  double save_us = 0.0;
+  double restore_us = 0.0;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Whole-service snapshot after `jobs` served jobs: save, then open and
+/// load into an identically submitted twin. Medians of five rounds.
+HistoryRow measure_history(int jobs) {
+  const serve::ServeOptions options;
+  World served(options, 2, nullptr);
+  submit_serve_mix(*served.service, jobs);
+  served.service->run();
+  World twin(options, 2, nullptr);
+  submit_serve_mix(*twin.service, jobs);
+
+  HistoryRow row;
+  row.jobs = jobs;
+  std::vector<double> save_us;
+  std::vector<double> restore_us;
+  for (int round = 0; round < 5; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    sim::SnapshotWriter w;
+    served.service->save_state(w);
+    std::vector<std::uint8_t> bytes = std::move(w).take();
+    const auto t1 = std::chrono::steady_clock::now();
+    row.bytes = bytes.size();
+    auto opened = sim::SnapshotReader::open(std::move(bytes));
+    if (!opened.ok()) {
+      bench::expect(false, "history snapshot reopens");
+      return row;
+    }
+    twin.service->load_state(opened.value());
+    const auto t2 = std::chrono::steady_clock::now();
+    save_us.push_back(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    restore_us.push_back(
+        std::chrono::duration<double, std::micro>(t2 - t1).count());
+  }
+  row.save_us = median(save_us);
+  row.restore_us = median(restore_us);
+  return row;
 }
 
 struct PolicyCell {
@@ -354,6 +409,35 @@ int main() {
                       (warm_identical ? "true" : "false") + "}";
   }
 
+  // --- part 1.75: snapshot cost against served history ----------------
+  const std::vector<int> history_jobs =
+      bench::smoke() ? std::vector<int>{500, 2000}
+                     : std::vector<int>{2000, 8000, 32000};
+  std::vector<HistoryRow> history;
+  for (const int jobs : history_jobs) history.push_back(measure_history(jobs));
+
+  util::Table ht("whole-service snapshot vs served history (2-board crate, "
+                 "median of 5)");
+  ht.set_header({"jobs served", "stream (bytes)", "save (us)",
+                 "restore (us)", "save MB/s"});
+  std::string history_json = ",\n  \"history\": [";
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    const HistoryRow& h = history[i];
+    const double mb_per_s = static_cast<double>(h.bytes) / h.save_us;
+    ht.add_row({std::to_string(h.jobs), std::to_string(h.bytes),
+                util::Table::fmt(h.save_us, 1),
+                util::Table::fmt(h.restore_us, 1),
+                util::Table::fmt(mb_per_s, 0)});
+    history_json += std::string(i == 0 ? "" : ",") + "\n    {\"jobs\": " +
+                    std::to_string(h.jobs) +
+                    ", \"bytes\": " + std::to_string(h.bytes) +
+                    ", \"save_us\": " + std::to_string(h.save_us) +
+                    ", \"restore_us\": " + std::to_string(h.restore_us) +
+                    ", \"save_mb_per_s\": " + std::to_string(mb_per_s) + "}";
+  }
+  history_json += "\n  ]";
+  ht.print();
+
   // --- part 2: scheduling policies on the deadline mix -----------------
   const PolicyCell batched = run_policy("batched", serve::Policy::kBatched);
   const PolicyCell rerun =
@@ -390,7 +474,7 @@ int main() {
        << ",\n  \"save_us\": " << save_us
        << ",\n  \"restore_us\": " << restore_us
        << ",\n  \"restore_identical\": " << (identical ? "true" : "false")
-       << warm_start_json << ",\n  \"policies\": [";
+       << warm_start_json << history_json << ",\n  \"policies\": [";
   bool first = true;
   for (const PolicyCell* c : {&batched, &rerun, &resume}) {
     json << (first ? "" : ",") << "\n    {\"policy\": \"" << c->name

@@ -177,8 +177,12 @@ void Supervisor::retry_transient_failures() {
 
 void Supervisor::make_checkpoint() {
   sim::SnapshotWriter w;
+  // History only grows between checkpoints: headroom over the last one
+  // lets the save run without reallocating.
+  w.reserve(checkpoint_.size() + checkpoint_.size() / 8);
   service_.save_state(w);
-  checkpoint_ = w.bytes();
+  checkpoint_ = std::move(w).take();
+  checkpoint_jobs_ = service_.jobs().size();
   checkpoint_tick_ = report_.ticks;
   migrated_since_checkpoint_ = false;
   ++report_.checkpoints;
@@ -240,8 +244,13 @@ void Supervisor::rebaseline() {
 void Supervisor::tick() {
   // Genesis checkpoint: crash recovery must always have a floor to
   // restore to, even when checkpoint_every == 0 (the abort/rerun
-  // baseline replays the whole run from here).
-  if (options_.enable_checkpoints && checkpoint_.empty()) make_checkpoint();
+  // baseline replays the whole run from here). Jobs submitted since the
+  // last checkpoint (between run() calls) move the floor up: load_state
+  // refuses a snapshot whose ledger is shorter than the service's.
+  if (options_.enable_checkpoints &&
+      (checkpoint_.empty() || service_.jobs().size() != checkpoint_jobs_)) {
+    make_checkpoint();
+  }
   ++report_.ticks;
   const util::Picoseconds tick_start = now();
 

@@ -26,7 +26,9 @@
 //     7. re-open jobs that resolved with transient errors (board died
 //        mid-batch, retry budget exhausted) up to `max_job_retries`;
 //     8. every `checkpoint_every` ticks — and unconditionally after any
-//        tick that migrated jobs — snapshot the whole service; then
+//        tick that migrated jobs, or before a tick when jobs were
+//        submitted since the last checkpoint — snapshot the whole
+//        service; then
 //        draw the kServiceCrash fault and, on a hit, restore the last
 //        good checkpoint and replay from it.
 //
@@ -196,6 +198,7 @@ class Supervisor {
   std::vector<BoardSupervision> boards_;
   SupervisorReport report_;
   std::vector<std::uint8_t> checkpoint_;  // last good service snapshot
+  std::size_t checkpoint_jobs_ = 0;       // ledger size checkpoint_ holds
   std::uint64_t checkpoint_tick_ = 0;
   bool migrated_since_checkpoint_ = false;
   /// Highest kServiceCrash opportunity ordinal already recovered from.

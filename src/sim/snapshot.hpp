@@ -35,9 +35,17 @@
 // meaning of existing bytes changes. open() fails with
 // ErrorCode::kSnapshotVersion on a foreign major and with
 // ErrorCode::kSnapshotCorrupt on truncation or a CRC mismatch.
+//
+// Speed: a typed put or get is one inline check plus one memcpy of the
+// host representation. That is the stream encoding because the host is
+// little-endian (asserted below). The CRC folds sixteen bytes per step
+// through slice-by-16 tables; the byte-at-a-time loop only finishes the
+// tail.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -45,6 +53,10 @@
 #include "util/status.hpp"
 
 namespace atlantis::sim {
+
+static_assert(std::endian::native == std::endian::little,
+              "snapshot puts and gets copy host integers as the "
+              "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
 inline constexpr std::uint16_t kSnapshotMajor = 1;
@@ -60,31 +72,60 @@ class SnapshotWriter {
  public:
   SnapshotWriter();
 
+  /// Pre-sizes the buffer for a stream of about `bytes` bytes, so a save
+  /// of that size never reallocates. The stream itself is unaffected.
+  void reserve(std::size_t bytes);
+
   void begin_section(const std::string& tag);
   void end_section();
   bool in_section() const { return open_; }
 
-  void put_u8(std::uint8_t v);
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_i64(std::int64_t v);
-  void put_f64(double v);
+  void put_u8(std::uint8_t v) { put(v); }
+  void put_u16(std::uint16_t v) { put(v); }
+  void put_u32(std::uint32_t v) { put(v); }
+  void put_u64(std::uint64_t v) { put(v); }
+  void put_i64(std::int64_t v) { put(v); }
+  void put_f64(double v) { put(v); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_string(const std::string& s);
+  void put_string(const std::string& s) {
+    put(static_cast<std::uint32_t>(s.size()));
+    append(s.data(), s.size());
+  }
   /// u64 count followed by the words.
-  void put_words(const std::vector<std::uint64_t>& words);
+  void put_words(const std::vector<std::uint64_t>& words) {
+    put(static_cast<std::uint64_t>(words.size()));
+    append(words.data(), words.size() * sizeof(std::uint64_t));
+  }
   /// Raw bytes, no count prefix (caller frames them).
-  void put_bytes(const std::uint8_t* data, std::size_t len);
+  void put_bytes(const std::uint8_t* data, std::size_t len) {
+    ATLANTIS_CHECK(open_, "snapshot put outside a section");
+    append(data, len);
+  }
 
   /// The finished stream; requires no section be open.
-  const std::vector<std::uint8_t>& bytes() const;
-  std::size_t size() const { return buf_.size(); }
+  const std::vector<std::uint8_t>& bytes();
+  /// Moves the finished stream out; the writer is spent afterwards.
+  std::vector<std::uint8_t> take() &&;
+  std::size_t size() const { return used_; }
 
  private:
-  void raw(const void* p, std::size_t n);
+  template <typename T>
+  void put(T v) {
+    ATLANTIS_CHECK(open_, "snapshot put outside a section");
+    append(&v, sizeof(v));
+  }
+  void append(const void* p, std::size_t n) {
+    if (n == 0) return;
+    if (buf_.size() - used_ < n) grow(n);
+    std::memcpy(buf_.data() + used_, p, n);
+    used_ += n;
+  }
+  void grow(std::size_t n);
 
+  // The stream is buf_[0, used_); the rest of buf_ is room to append
+  // into, trimmed off when the stream is handed out.
   std::vector<std::uint8_t> buf_;
+  std::size_t used_ = 0;
   std::size_t frame_at_ = 0;    // offset of the open section's frame start
   std::size_t len_at_ = 0;      // offset of the open section's length field
   std::size_t payload_at_ = 0;  // offset of the open section's payload
@@ -117,12 +158,12 @@ class SnapshotReader {
   /// Selects section `i` in stream order.
   void select_index(std::size_t i);
 
-  std::uint8_t get_u8();
-  std::uint16_t get_u16();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
-  std::int64_t get_i64();
-  double get_f64();
+  std::uint8_t get_u8() { return get<std::uint8_t>(); }
+  std::uint16_t get_u16() { return get<std::uint16_t>(); }
+  std::uint32_t get_u32() { return get<std::uint32_t>(); }
+  std::uint64_t get_u64() { return get<std::uint64_t>(); }
+  std::int64_t get_i64() { return get<std::int64_t>(); }
+  double get_f64() { return get<double>(); }
   bool get_bool() { return get_u8() != 0; }
   std::string get_string();
   std::vector<std::uint64_t> get_words();
@@ -139,7 +180,18 @@ class SnapshotReader {
   };
 
   SnapshotReader() = default;
-  void need(std::size_t n) const;
+  template <typename T>
+  T get() {
+    need(sizeof(T));
+    T v{};
+    std::memcpy(&v, data_.data() + cursor_, sizeof(v));
+    cursor_ += sizeof(v);
+    return v;
+  }
+  void need(std::size_t n) const {
+    if (end_ - cursor_ < n) throw_overread();
+  }
+  [[noreturn]] static void throw_overread();
 
   std::vector<std::uint8_t> data_;
   std::vector<Section> sections_;

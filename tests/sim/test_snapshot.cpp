@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/system.hpp"
+#include "serve/jobservice.hpp"
 #include "sim/fault.hpp"
 #include "sim/timeline.hpp"
 #include "util/status.hpp"
@@ -17,8 +19,7 @@
 namespace atlantis::sim {
 namespace {
 
-std::vector<std::uint8_t> one_section_stream() {
-  SnapshotWriter w;
+void write_one_section(SnapshotWriter& w) {
   w.begin_section("test/section");
   w.put_u8(0xAB);
   w.put_u16(0xBEEF);
@@ -30,6 +31,11 @@ std::vector<std::uint8_t> one_section_stream() {
   w.put_string("hello snapshot");
   w.put_words({1, 2, 3, 0xFFFFFFFFFFFFFFFFull});
   w.end_section();
+}
+
+std::vector<std::uint8_t> one_section_stream() {
+  SnapshotWriter w;
+  write_one_section(w);
   return w.bytes();
 }
 
@@ -174,6 +180,110 @@ TEST(SnapshotStream, WordCountOverflowIsRejected) {
   SnapshotReader reader = std::move(r.value());
   reader.select("lying");
   EXPECT_THROW(reader.get_words(), util::Error);
+}
+
+// --- Stream bytes ------------------------------------------------------
+
+// CRC-32 by its definition, one bit at a time: the reference the
+// table-driven crc32 must agree with.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SnapshotStream, Crc32KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(SnapshotStream, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0-300 from every start offset 0-15: each alignment of
+  // the sixteen-byte steps and every tail length.
+  std::vector<std::uint8_t> buf(16 + 300);
+  std::uint64_t x = 0x243F6A8885A308D3ull;
+  for (std::uint8_t& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x >> 32);
+  }
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(crc32(buf.data() + offset, len),
+                crc32_bitwise(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(SnapshotStream, ReserveAndTakeLeaveTheBytesUnchanged) {
+  const std::vector<std::uint8_t> want = one_section_stream();
+  SnapshotWriter w;
+  w.reserve(1 << 16);
+  write_one_section(w);
+  EXPECT_EQ(w.size(), want.size());
+  EXPECT_EQ(std::move(w).take(), want);
+}
+
+TEST(SnapshotStream, GoldenStreamBytes) {
+  // Fingerprints of two fixed streams: every primitive type in one
+  // section, and a 2-board service paused mid-run under a fault plan
+  // (system, board, timeline, fault and ledger sections). Any change to
+  // a byte a save writes — framing, field order, encoding or CRC —
+  // changes them. The constants were recorded with the byte-at-a-time
+  // writer and CRC that the memcpy writer and sliced CRC replaced.
+  EXPECT_EQ(serve::digest(one_section_stream()), 0x19b892734efe19c1ull);
+
+  FaultPlan plan;
+  plan.seed = 20260808;
+  plan.with_rate(FaultKind::kDmaStall, 0.10);
+  FaultInjector injector(plan);
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  sys.add_acb("acb1");
+  sys.set_fault_injector(&injector);
+  std::vector<std::uint8_t> bytes;
+  {
+    serve::JobService service(sys);
+    service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+    service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    for (int i = 0; i < 24; ++i) {
+      serve::JobSpec job;
+      job.tenant = i % 3 == 0 ? "atlas" : "cms";
+      job.kind = serve::JobKind::kCustom;
+      job.config = i % 2 == 0 ? "alpha" : "beta";
+      job.deadline = i % 4 == 0 ? 2 * util::kMillisecond : 0;
+      job.work = [i] {
+        serve::JobOutcome out;
+        out.detail = "job " + std::to_string(i);
+        out.checksum = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
+        out.value = 0.25 * i;
+        out.compute_time = (i % 5 + 1) * util::kMicrosecond;
+        out.dma_in_bytes = 1024;
+        out.dma_out_bytes = 256;
+        return out;
+      };
+      (void)service.submit(std::move(job)).value();
+    }
+    serve::RunOptions three_steps;
+    three_steps.max_dispatches = 3;
+    service.run(three_steps);
+    SnapshotWriter w;
+    service.save_state(w);
+    bytes = w.bytes();
+  }
+  sys.set_fault_injector(nullptr);
+  EXPECT_EQ(bytes.size(), 12798u);
+  EXPECT_EQ(serve::digest(bytes), 0x48f82d00eadad3d9ull);
 }
 
 // --- Timeline ----------------------------------------------------------
