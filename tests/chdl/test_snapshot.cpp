@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -250,6 +251,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotFuzz,
 // --- FpgaDevice round trips ----------------------------------------------
 
 namespace atlantis::hw {
+
+// Print a family parameter by name. The default printer shows the
+// pointer, whose value moves with address-space randomisation, so the
+// case names ctest discovers would change from one build to the next.
+static void PrintTo(const FpgaFamily* family, std::ostream* os) {
+  *os << family->name;
+}
+
 namespace {
 
 const chdl::Design& dev_design() {
