@@ -1,8 +1,8 @@
 // A5 — simulator speed: the evaluation backends (full-sweep reference,
 // event-driven dirty worklist, threaded region superops) and the
-// netlist optimizer, plus parallel multi-FPGA stepping of an ACB
-// matrix. The headline claims: on the quiescent-heavy TRT histogrammer
-// workload (sparse straw pushes separated by idle cycles — how the core
+// netlist optimizer, plus lockstep multi-FPGA stepping of an ACB matrix.
+// The headline claims: on the quiescent-heavy TRT histogrammer workload
+// (sparse straw pushes separated by idle cycles — how the core
 // actually behaves between hits) the dirty-worklist evaluator is >= 3x
 // faster in cycles/sec than full sweep, the threaded backend is >= 3x
 // faster again than event-driven, all bit-identical; and the optimizer
@@ -11,9 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +27,6 @@
 #include "trt/trt_core.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/worker_pool.hpp"
 
 namespace {
 
@@ -123,24 +120,11 @@ std::int64_t pass_rewrites(const OptimizeReport& r, const char* name) {
   return p == nullptr ? 0 : p->rewrites;
 }
 
-std::vector<int> worker_counts_from_env() {
-  std::vector<int> counts;
-  const char* env = std::getenv("A5_WORKERS");
-  std::stringstream ss(env != nullptr ? env : "1,2,4");
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const int v = std::atoi(item.c_str());
-    if (v >= 1) counts.push_back(v);
-  }
-  if (counts.empty()) counts = {1, 2, 4};
-  return counts;
-}
-
 }  // namespace
 
 int main() {
   using namespace atlantis;
-  bench::banner("A5", "simulator speed: event-driven + optimizer + parallel");
+  bench::banner("A5", "simulator speed: event-driven + optimizer + threaded");
 
   std::ofstream json("BENCH_simspeed.json");
   json << "{\n";
@@ -237,56 +221,23 @@ int main() {
   const double conv_thr_speedup =
       conv_thr.cycles_per_sec / conv_opt.cycles_per_sec;
 
-  // --- ACB matrix: worker-count sweep --------------------------------------
+  // --- ACB matrix ------------------------------------------------------------
   // Four TRT cores on one board, all kept in full-sweep mode so every
-  // simulator has real per-edge work for the pool to overlap. The sweep
-  // steps the same matrix with pools of 1/2/4 workers (override with
-  // A5_WORKERS=comma-separated counts).
+  // simulator has real per-edge work, stepped in lockstep with the link
+  // exchange between edges.
   trt::PatternBank small_bank(geo, 64);
   chdl::Design node_design("trt_node");
   trt::build_trt_core(node_design, small_bank);
   const int kMatrixCycles = smoke ? 400 : 2000;
-  auto run_matrix = [&](bool parallel, util::WorkerPool* pool) {
-    core::AcbBoard board(parallel ? "acb_par" : "acb_ser");
-    const hw::Bitstream bs = hw::Bitstream::from_design(node_design);
-    for (int i = 0; i < core::AcbBoard::kFpgaCount; ++i) {
-      board.fpga(i).configure(bs);
-      board.fpga(i).sim()->set_eval_mode(EvalMode::kFullSweep);
-      board.fpga(i).sim()->peek_u64("host_rdata");
-    }
-    double secs = seconds(
-        [&] { board.step_matrix(kMatrixCycles, parallel, false, pool); });
-    return std::pair<double, double>{kMatrixCycles / secs, secs};
-  };
-  const double matrix_serial_cps = run_matrix(false, nullptr).first;
-  struct MatrixRow {
-    int workers = 0;
-    double cps = 0;
-    // Per-worker share of the wall clock spent inside simulator steps
-    // (index 0 = the calling thread). A flat-lined pool shows up here as
-    // helpers stuck near zero while worker 0 does everything.
-    std::vector<double> util;
-    std::vector<std::uint64_t> tasks;
-  };
-  std::vector<MatrixRow> matrix_rows;
-  double matrix_best_cps = 0;
-  for (const int w : worker_counts_from_env()) {
-    util::WorkerPool pool(w);
-    pool.reset_worker_stats();
-    const auto [cps, secs] = run_matrix(true, &pool);
-    MatrixRow mr;
-    mr.workers = pool.size();
-    mr.cps = cps;
-    for (const util::WorkerPool::WorkerStats& ws : pool.worker_stats()) {
-      mr.util.push_back(secs > 0
-                            ? static_cast<double>(ws.busy_ns) / (secs * 1e9)
-                            : 0.0);
-      mr.tasks.push_back(ws.tasks);
-    }
-    matrix_rows.push_back(std::move(mr));
-    if (cps > matrix_best_cps) matrix_best_cps = cps;
+  core::AcbBoard board("acb");
+  const hw::Bitstream node_bs = hw::Bitstream::from_design(node_design);
+  for (int i = 0; i < core::AcbBoard::kFpgaCount; ++i) {
+    board.fpga(i).configure(node_bs);
+    board.fpga(i).sim()->set_eval_mode(EvalMode::kFullSweep);
+    board.fpga(i).sim()->peek_u64("host_rdata");
   }
-  const double matrix_speedup = matrix_best_cps / matrix_serial_cps;
+  const double matrix_cps =
+      kMatrixCycles / seconds([&] { board.step_matrix(kMatrixCycles); });
 
   // --- report ---------------------------------------------------------------
   util::Table t("A5: cycles/sec by evaluation policy");
@@ -313,19 +264,9 @@ int main() {
       trt_auto, trt_thr_speedup);
   row("3x3 conv (pixel every clock)", conv_full, conv_raw, conv_opt, conv_thr,
       conv_auto, conv_thr_speedup);
-  for (const MatrixRow& mr : matrix_rows) {
-    std::string util_s;
-    for (std::size_t i = 0; i < mr.util.size(); ++i) {
-      if (i != 0) util_s += "/";
-      util_s += std::to_string(static_cast<int>(mr.util[i] * 100 + 0.5));
-      util_s += "%";
-    }
-    t.add_row({"ACB 2x2 matrix, pool x" + std::to_string(mr.workers),
-               std::to_string(static_cast<long long>(matrix_serial_cps)),
-               "-", std::to_string(static_cast<long long>(mr.cps)), "-", "-",
-               std::to_string(mr.cps / matrix_serial_cps).substr(0, 5),
-               "-", "util " + util_s});
-  }
+  t.add_row({"ACB 2x2 matrix (full sweep)",
+             std::to_string(static_cast<long long>(matrix_cps)), "-", "-",
+             "-", "-", "-", "-", "-"});
   t.add_note("threaded = region-superop backend (" +
              std::string(chdl::threaded_uses_computed_goto()
                              ? "computed-goto"
@@ -337,9 +278,6 @@ int main() {
   t.add_note("tape ops column: comb ops as elaborated -> ops compiled after "
              "fold/dce/cse/fuse; pass column counts ops removed (fuse: "
              "rewrites)");
-  t.add_note("matrix rows compare serial stepping vs a worker pool of the "
-             "given size; util = per-worker share of wall time inside "
-             "simulator steps (worker 0 = caller)");
   t.print();
 
   const char* dispatch =
@@ -393,23 +331,7 @@ int main() {
                 conv_auto, conv_speedup, conv_thr_speedup, true);
   json << "  \"acb_matrix\": {\"cycles\": " << kMatrixCycles
        << ", \"sims\": " << core::AcbBoard::kFpgaCount
-       << ", \"serial_cps\": " << matrix_serial_cps
-       << ", \"parallel_cps\": " << matrix_best_cps
-       << ", \"speedup\": " << matrix_speedup << ", \"sweep\": [";
-  for (std::size_t i = 0; i < matrix_rows.size(); ++i) {
-    const MatrixRow& mr = matrix_rows[i];
-    json << (i != 0 ? ", " : "") << "{\"workers\": " << mr.workers
-         << ", \"parallel_cps\": " << mr.cps << ", \"worker_util\": [";
-    for (std::size_t wi = 0; wi < mr.util.size(); ++wi) {
-      json << (wi != 0 ? ", " : "") << mr.util[wi];
-    }
-    json << "], \"worker_tasks\": [";
-    for (std::size_t wi = 0; wi < mr.tasks.size(); ++wi) {
-      json << (wi != 0 ? ", " : "") << mr.tasks[wi];
-    }
-    json << "]}";
-  }
-  json << "]}\n";
+       << ", \"serial_cps\": " << matrix_cps << "}\n";
   json << "}\n";
   json.close();
   std::printf("\nwrote BENCH_simspeed.json\n");
@@ -453,17 +375,6 @@ int main() {
                                       conv_thr.cycles_per_sec),
                   "auto policy within 5% of the best pinned backend on conv");
   }
-  bool stats_cover_pool = !matrix_rows.empty();
-  for (const MatrixRow& mr : matrix_rows) {
-    std::uint64_t total_tasks = 0;
-    for (const std::uint64_t tk : mr.tasks) total_tasks += tk;
-    stats_cover_pool = stats_cover_pool &&
-                       static_cast<int>(mr.tasks.size()) == mr.workers &&
-                       total_tasks > 0;
-  }
-  bench::expect(stats_cover_pool,
-                "per-worker utilization covers every pool worker and "
-                "records executed chunks");
   bench::expect(trt_opt.comp_evals * 5 < trt_full.comp_evals,
                 "dirty worklist skips most evaluations on sparse input");
   bench::expect(trt_opt.tape_ops <
@@ -472,7 +383,6 @@ int main() {
   bench::expect(conv_opt.tape_ops <
                     static_cast<std::size_t>(conv_opt.opt.ops_before),
                 "optimizer shrinks the conv op tape");
-  bench::expect(matrix_best_cps > 0 && matrix_serial_cps > 0,
-                "parallel ACB stepping reported");
+  bench::expect(matrix_cps > 0, "ACB matrix stepping reported");
   return bench::finish();
 }

@@ -28,12 +28,15 @@
 // determinism gate: the consistent_hash row is re-run under worker
 // pools of 1, 2 and 4 threads and must produce the identical digest
 // (the cluster schedule is a function of the request stream, never of
-// host parallelism).
+// host parallelism). Those re-runs also record host time per served job
+// (submit plus run, wall clock) for each pool: the shards drain
+// concurrently, one pool task per shard.
 //
 // Shape expectations (CI guards read them from BENCH_cluster.json):
 // consistent_hash p99 < random p99, and sharded p99 < single_shard p99
 // at the same offered load.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -167,6 +170,7 @@ struct ClusterCell {
   double makespan_ms = 0.0;
   std::uint64_t schedule_digest = 0;
   std::uint64_t func_digest = 0;
+  double host_ns_per_job = 0.0;  // wall clock of submit + run, per served job
 };
 
 /// Replays the stream in `waves` submission bursts (run() drains the
@@ -207,6 +211,7 @@ ClusterCell run_cell(const std::string& name, int shards,
 
   serve::RunOptions run_options;
   run_options.pool = pool;
+  const auto t0 = std::chrono::steady_clock::now();
   for (int w = 0; w < waves; ++w) {
     const std::size_t lo = static_cast<std::size_t>(w) * per_wave;
     const std::size_t hi = std::min(stream.size(), lo + per_wave);
@@ -215,6 +220,9 @@ ClusterCell run_cell(const std::string& name, int shards,
     }
     cluster.run(run_options);
   }
+  const double host_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
 
   if (std::getenv("C1_DEBUG") != nullptr) {
     std::map<std::pair<int, int>, int> slow;  // (wave, shard) -> count
@@ -287,6 +295,8 @@ ClusterCell run_cell(const std::string& name, int shards,
   cell.partial_reconfigs = partials;
   cell.schedule_digest = cluster.schedule_digest();
   cell.func_digest = cluster.functional_digest();
+  cell.host_ns_per_job =
+      cell.served > 0 ? host_ns / static_cast<double>(cell.served) : 0.0;
   return cell;
 }
 
@@ -327,7 +337,10 @@ int main() {
                stream, waves);
 
   // Determinism: the fleet schedule may not depend on host parallelism.
+  // Host time is recorded per pool, never asserted (wall clock on a
+  // shared host is too noisy for a gate).
   bool pool_identical = true;
+  std::vector<std::pair<int, double>> pool_sweep;  // threads, host ns/job
   for (const int threads : {1, 2, 4}) {
     util::WorkerPool pool(threads);
     const ClusterCell again =
@@ -336,6 +349,7 @@ int main() {
                  stream, waves, &pool);
     pool_identical =
         pool_identical && again.schedule_digest == hashed.schedule_digest;
+    pool_sweep.emplace_back(threads, again.host_ns_per_job);
   }
 
   util::Table table("cluster policies at equal offered load");
@@ -352,6 +366,15 @@ int main() {
          std::to_string(c->partial_reconfigs)});
   }
   table.print();
+
+  util::Table host("consistent_hash host time by worker pool (shards drain "
+                   "concurrently)");
+  host.set_header({"pool threads", "host ns/job", "vs pool 1"});
+  for (const auto& [threads, ns] : pool_sweep) {
+    host.add_row({std::to_string(threads), util::Table::fmt(ns, 0),
+                  util::Table::fmt(pool_sweep.front().second / ns, 2) + "x"});
+  }
+  host.print();
 
   bench::expect(pool_identical,
                 "cluster schedule bit-identical across worker pools 1/2/4");
@@ -392,7 +415,12 @@ int main() {
          << ", \"func_digest\": " << c->func_digest << "}";
     first = false;
   }
-  json << "\n  ]\n}\n";
+  json << "\n  ],\n  \"pool_sweep\": [";
+  for (std::size_t i = 0; i < pool_sweep.size(); ++i) {
+    json << (i != 0 ? ", " : "") << "{\"threads\": " << pool_sweep[i].first
+         << ", \"host_ns_per_job\": " << pool_sweep[i].second << "}";
+  }
+  json << "]\n}\n";
   json.close();
   std::printf("\nwrote BENCH_cluster.json\n");
 

@@ -1,7 +1,6 @@
 #include "core/acb.hpp"
 
 #include "util/status.hpp"
-#include "util/worker_pool.hpp"
 
 namespace atlantis::core {
 namespace {
@@ -190,9 +189,7 @@ util::Result<util::Picoseconds> AcbBoard::try_configure_all(
   return total;
 }
 
-AcbMatrixReport AcbBoard::step_matrix(int cycles, bool parallel,
-                                      bool record_trace,
-                                      util::WorkerPool* pool_override) {
+AcbMatrixReport AcbBoard::step_matrix(int cycles, bool record_trace) {
   ATLANTIS_CHECK(cycles >= 0, "negative cycle count");
   AcbMatrixReport report;
 
@@ -233,25 +230,11 @@ AcbMatrixReport AcbBoard::step_matrix(int cycles, bool parallel,
   }
   report.links = static_cast<int>(links.size());
 
-  util::WorkerPool& pool =
-      pool_override != nullptr ? *pool_override : util::WorkerPool::shared();
-  const int n = static_cast<int>(active.size());
   for (int c = 0; c < cycles; ++c) {
-    // Edge: each simulator advances one clock. The simulators share no
-    // mutable state, so they may run concurrently; the chunked dispatch
-    // hands each worker a slice of sims (one mutex round-trip per worker
-    // per cycle, not per sim — a single event-driven step is ~100 ns,
-    // far below the per-index handout cost) and its return is the
-    // barrier.
-    if (parallel && n > 1) {
-      pool.parallel_for_chunked(n, [&](int k) {
-        sims[static_cast<std::size_t>(active[static_cast<std::size_t>(k)])]
-            ->step();
-      });
-    } else {
-      for (const std::int32_t i : active) {
-        sims[static_cast<std::size_t>(i)]->step();
-      }
+    // Edge: each simulator advances one clock. A step is ~100 ns, far
+    // below a worker-pool handoff, so the sims step serially.
+    for (const std::int32_t i : active) {
+      sims[static_cast<std::size_t>(i)]->step();
     }
     // Exchange: move post-edge link outputs into the neighbours' input
     // ports so the next edge latches them (registered-link protocol).

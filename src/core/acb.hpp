@@ -27,10 +27,6 @@
 #include "sim/timeline.hpp"
 #include "util/units.hpp"
 
-namespace atlantis::util {
-class WorkerPool;
-}
-
 namespace atlantis::core {
 
 /// Role of an FPGA's logical I/O port, fixed by board position.
@@ -53,8 +49,7 @@ struct AcbPortSpec {
 };
 
 /// One value carried over a neighbour link after a clock edge (the
-/// traffic trace lets tests prove parallel and serial stepping are
-/// cycle-identical).
+/// traffic trace lets tests prove stepping is cycle-exact).
 struct AcbLinkTransfer {
   std::uint64_t cycle = 0;
   std::int32_t from = 0;  // source FPGA index
@@ -119,17 +114,11 @@ class AcbBoard {
   /// Ports are <= 72 bits (the paper's neighbour-port width) and both
   /// ends must agree on the width. Because the links are registered at
   /// board level (designs latch h_in/v_in into flip-flops), a per-edge
-  /// exchange preserves cycle accuracy, which is what makes the
-  /// `parallel` mode legal: the four simulators step concurrently on the
-  /// shared worker pool with a barrier at each edge, then link values are
-  /// exchanged before the next edge.
+  /// exchange preserves cycle accuracy: every simulator steps one edge,
+  /// then link values are exchanged before the next edge.
   ///
   /// `record_trace` captures every link transfer for cross-checking.
-  /// `pool` selects the worker pool used in parallel mode (benchmarks
-  /// sweep pools of different sizes); nullptr uses the shared pool.
-  AcbMatrixReport step_matrix(int cycles, bool parallel = false,
-                              bool record_trace = false,
-                              util::WorkerPool* pool = nullptr);
+  AcbMatrixReport step_matrix(int cycles, bool record_trace = false);
 
   hw::Plx9080& pci() { return pci_; }
   hw::ClockGenerator& local_clock() { return local_clock_; }

@@ -98,12 +98,12 @@ std::vector<HealthProbe> AtlantisSystem::probe_health() {
   return probes;
 }
 
-std::uint64_t AtlantisSystem::step_acbs(int cycles, bool parallel) {
+std::uint64_t AtlantisSystem::step_acbs(int cycles) {
   ATLANTIS_CHECK(cycles >= 0, "negative cycle count");
   std::uint64_t edges = 0;
   for (int c = 0; c < cycles; ++c) {
     for (auto& b : acbs_) {
-      const AcbMatrixReport r = b->step_matrix(1, parallel);
+      const AcbMatrixReport r = b->step_matrix(1);
       edges += r.cycles * static_cast<std::uint64_t>(r.sims);
     }
   }

@@ -70,10 +70,9 @@ class AtlantisSystem : public sim::Snapshottable {
 
   /// Steps every ACB's FPGA matrix `cycles` edges in lockstep (boards
   /// advance one edge at a time so multi-board designs stay cycle-
-  /// synchronous). With `parallel` set, each board's per-FPGA simulators
-  /// step concurrently on the shared worker pool. Returns the total
-  /// number of simulator edges applied across the crate.
-  std::uint64_t step_acbs(int cycles, bool parallel = false);
+  /// synchronous). Returns the total number of simulator edges applied
+  /// across the crate.
+  std::uint64_t step_acbs(int cycles);
 
   // --- fault injection --------------------------------------------------
   /// Wires a fault injector through every board in the crate; boards

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/stats.hpp"
+#include "util/worker_pool.hpp"
 
 namespace atlantis::serve {
 
@@ -276,6 +277,30 @@ util::Result<JobId> Cluster::submit(JobSpec spec) {
 }
 
 const ClusterReport& Cluster::run(const RunOptions& options) {
+  // Shards drain concurrently, so no two live shards may reach one
+  // mutable object: a shared fault injector would make fault draws
+  // depend on thread timing, and a migration target or spare that is
+  // another shard's service (or a spare two shards share) would be
+  // written from two threads. Refused before anything moves.
+  std::vector<Shard*> live;
+  std::map<const void*, const Shard*> reached_by;
+  for (Shard& s : shards_) {
+    if (s.retired) continue;
+    live.push_back(&s);
+    const void* reach[] = {
+        s.service.get(), s.system->fault_injector(),
+        s.service->migration_target(),
+        s.supervisor != nullptr ? s.supervisor->spare() : nullptr};
+    for (const void* object : reach) {
+      if (object == nullptr) continue;
+      const auto [it, fresh] = reached_by.emplace(object, &s);
+      ATLANTIS_CHECK(fresh || it->second == &s,
+                     s.name + " and " + it->second->name +
+                         " reach one fault injector or service; shards "
+                         "drain concurrently and must share nothing");
+    }
+  }
+
   report_ = ClusterReport{};
   report_.submitted = window_submitted_;
   report_.rejected_admission = window_rejected_;
@@ -310,16 +335,20 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
     if (!shards_[i].retired) base[i] = counters(shards_[i]);
   }
 
-  // Drain every live shard. Each crate has its own timeline, so the
-  // visit order cannot leak into any schedule or result.
-  for (Shard& s : shards_) {
-    if (s.retired) continue;
+  // Drain the live shards concurrently, one pool task each. Each crate
+  // has its own timeline, so neither the order nor the threads the pool
+  // runs them on can leak into any schedule or result; the batches
+  // inside a drain evaluate inline on its thread.
+  util::WorkerPool& pool =
+      options.pool != nullptr ? *options.pool : util::WorkerPool::shared();
+  pool.parallel_for(static_cast<int>(live.size()), [&](int i) {
+    Shard& s = *live[static_cast<std::size_t>(i)];
     if (s.supervisor != nullptr) {
       s.supervisor->run();
     } else {
       s.service->run(options);
     }
-  }
+  });
 
   // Merge the window: job-level outcomes from the ledgers, crate-level
   // reconfiguration traffic from the counter deltas.

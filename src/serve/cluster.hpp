@@ -49,10 +49,10 @@
 // Determinism contract (inherited from JobService and tested at this
 // level): placement, admission verdicts, every shard's schedule and
 // every job result are bit-identical across worker-pool sizes AND
-// across shard iteration orders — shards share no timeline, so the
-// order run() visits them cannot leak into any result. With fault
-// injectors attached per shard, a replay under the same plans
-// reproduces every refusal and every failure bit-for-bit.
+// across shard iteration orders — shards share no timeline, so neither
+// the order nor the threads on which run() drains them can leak into
+// any result. With fault injectors attached per shard, a replay under
+// the same plans reproduces every refusal and every failure bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -190,11 +190,14 @@ class Cluster : public sim::Snapshottable {
   /// kShardOverload (every candidate shard's bounded queue full).
   util::Result<JobId> submit(JobSpec spec);
 
-  /// Drains every live shard (each on its own timeline; visit order
-  /// cannot leak into results) and merges the window's report.
-  /// options.max_dispatches bounds each shard's drain separately;
-  /// options.pool sizes functional evaluation only. Supervised shards
-  /// drain through their Supervisor instead.
+  /// Drains every live shard concurrently, one task per shard on
+  /// options.pool (nullptr = the shared pool; each shard's batches then
+  /// evaluate inline on its thread), and merges the window's report in
+  /// shard-id order. options.max_dispatches bounds each shard's drain
+  /// separately; supervised shards drain through their Supervisor. Fails
+  /// an ATLANTIS_CHECK, before any shard moves, when two live shards
+  /// share a fault injector or one's migration target or spare is
+  /// another's service (or both use one spare).
   const ClusterReport& run(const RunOptions& options = {});
 
   const ClusterReport& report() const { return report_; }

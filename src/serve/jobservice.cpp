@@ -258,7 +258,7 @@ void JobService::run_batched(util::WorkerPool& pool,
                              const RunOptions& options) {
   std::size_t dispatches = 0;
   while (!queues_.empty()) {
-    if (paused(options, dispatches++)) return;  // bounded run: paused
+    if (dispatches++ >= options.max_dispatches) return;  // bounded: paused
     BoardState* board = pick_board();
     if (board == nullptr) {
       // All schedulable boards are merely quarantined: leave the work
@@ -317,7 +317,7 @@ void JobService::run_preemptive(const RunOptions& options) {
     return false;
   };
   while (!queues_.empty() || any_active()) {
-    if (paused(options, dispatches++)) return;  // bounded run: paused
+    if (dispatches++ >= options.max_dispatches) return;  // bounded: paused
 
     // Advance the alive board with the smallest cursor that has either a
     // job mid-compute or, when idle, work to pick up. Deterministic:
@@ -543,7 +543,8 @@ void JobService::serve_batch(BoardState& board, const std::string& config,
                              const std::deque<JobId>& batch,
                              util::WorkerPool& pool) {
   // Functional evaluation: pure job functors, results addressed by
-  // index. This is the ONLY thing the pool size touches.
+  // index. This is the ONLY thing the pool size touches; inside a
+  // cluster's shard drain the call runs inline on the drain's thread.
   std::vector<JobOutcome> outcomes(batch.size());
   pool.parallel_for(static_cast<int>(batch.size()), [&](int i) {
     outcomes[static_cast<std::size_t>(i)] =

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -53,15 +52,12 @@ namespace atlantis::serve {
 /// Default-constructed it drains everything, like the old run();
 /// max_dispatches bounds the scheduling steps (batches under kBatched,
 /// slices under the preemptive policies), like the old run_bounded();
-/// stop_when pauses the drain as soon as the predicate turns true
-/// (checked before every scheduling step, on the scheduling thread, so
-/// it cannot perturb determinism); pool sizes the functional evaluation
-/// only — the schedule and the results are bit-identical for any pool.
+/// pool sizes the functional evaluation only — the schedule and the
+/// results are bit-identical for any pool.
 struct RunOptions {
   static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
   std::size_t max_dispatches = kUnbounded;
   util::WorkerPool* pool = nullptr;  // nullptr = the shared pool
-  std::function<bool()> stop_when;   // empty = never stop early
 };
 
 /// Per-tenant service quality over one run() — the numbers a
@@ -136,8 +132,8 @@ class JobService : public sim::Snapshottable {
 
   /// THE one entry point for making progress: drains every queue across
   /// the alive boards — all of it by default, or up to
-  /// options.max_dispatches scheduling steps / until options.stop_when
-  /// fires, leaving the remaining work queued / mid-job. A later run()
+  /// options.max_dispatches scheduling steps, leaving the remaining work
+  /// queued / mid-job. A later run()
   /// — on this service or on a twin restored from save_state —
   /// continues exactly where it stopped (the snapshot tests save
   /// mid-stream at such a pause). Under Policy::kPreemptive /
@@ -288,11 +284,6 @@ class JobService : public sim::Snapshottable {
   /// True when at least one alive board is sidelined by the quarantine
   /// gate — the "no board" condition is then the supervisor's to fix.
   bool any_quarantined_alive() const;
-  /// True when the bounded run should pause before the next step.
-  bool paused(const RunOptions& options, std::size_t dispatches) const {
-    return dispatches >= options.max_dispatches ||
-           (options.stop_when && options.stop_when());
-  }
   void run_batched(util::WorkerPool& pool, const RunOptions& options);
   void run_preemptive(const RunOptions& options);
   void serve_batch(BoardState& board, const std::string& config,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace atlantis::util {
 
@@ -15,10 +16,14 @@ std::uint64_t now_ns() {
 }
 
 // Yield iterations a helper burns waiting for the next job before it
-// sleeps on the condition variable. Lockstep stepping posts a job every
+// sleeps on the condition variable. Back-to-back batches post a job every
 // few microseconds; staying runnable across that gap avoids a futex
-// sleep/wake round-trip per simulated cycle.
+// sleep/wake round-trip per batch.
 constexpr int kIdleSpins = 512;
+
+// Set while this thread runs a pool task (of any pool): a parallel_for
+// issued from inside the task runs inline instead of posting a job.
+thread_local bool t_in_task = false;
 
 }  // namespace
 
@@ -56,64 +61,49 @@ void WorkerPool::reset_worker_stats() {
 
 void WorkerPool::parallel_for(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  if (helpers_.empty() || n == 1) {
-    const std::uint64_t t0 = now_ns();
+  if (t_in_task) {  // nested: the enclosing task's thread runs it all
     for (int i = 0; i < n; ++i) fn(i);
-    const std::uint64_t dt = now_ns() - t0;
-    std::lock_guard<std::mutex> lk(mutex_);
-    stats_[0].tasks += static_cast<std::uint64_t>(n);
-    stats_[0].busy_ns += dt;
     return;
   }
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    job_ = &fn;
-    job_n_ = n;
-    next_index_ = 0;
-    remaining_ = n;
-    ++job_seq_;
-    job_gen_.fetch_add(1, std::memory_order_release);
-  }
-  start_cv_.notify_all();
-  work(fn);
   std::unique_lock<std::mutex> lk(mutex_);
+  job_ = &fn;
+  job_n_ = n;
+  next_index_ = 0;
+  remaining_ = n;
+  if (!helpers_.empty() && n > 1) {
+    job_gen_.fetch_add(1, std::memory_order_release);
+    lk.unlock();
+    start_cv_.notify_all();
+    lk.lock();
+  }
+  drain(0, lk);
   done_cv_.wait(lk, [&] { return remaining_ == 0; });
   job_ = nullptr;  // fn's frame is about to die; helpers are idle again
+  const std::exception_ptr error = std::exchange(error_, nullptr);
+  lk.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
-void WorkerPool::parallel_for_chunked(int n,
-                                      const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  const int workers = std::min(n, size());
-  if (workers <= 1) {
-    parallel_for(n, fn);
-    return;
-  }
-  const int chunk = (n + workers - 1) / workers;
-  parallel_for(workers, [&](int w) {
-    const int lo = w * chunk;
-    const int hi = std::min(n, lo + chunk);
-    for (int i = lo; i < hi; ++i) fn(i);
-  });
-}
-
-void WorkerPool::work(const std::function<void(int)>& fn) {
-  for (;;) {
-    int i;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (next_index_ >= job_n_) return;
-      i = next_index_++;
-    }
+void WorkerPool::drain(int wid, std::unique_lock<std::mutex>& lk) {
+  while (job_ != nullptr && next_index_ < job_n_) {
+    const std::function<void(int)>& fn = *job_;
+    const int i = next_index_++;
+    lk.unlock();
     const std::uint64_t t0 = now_ns();
-    fn(i);
-    const std::uint64_t dt = now_ns() - t0;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      stats_[0].tasks += 1;
-      stats_[0].busy_ns += dt;
-      if (--remaining_ == 0) done_cv_.notify_all();
+    std::exception_ptr error;
+    t_in_task = true;
+    try {
+      fn(i);
+    } catch (...) {
+      error = std::current_exception();
     }
+    t_in_task = false;
+    const std::uint64_t dt = now_ns() - t0;
+    lk.lock();
+    if (error && !error_) error_ = std::move(error);
+    stats_[static_cast<std::size_t>(wid)].tasks += 1;
+    stats_[static_cast<std::size_t>(wid)].busy_ns += dt;
+    if (--remaining_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -137,18 +127,7 @@ void WorkerPool::worker_loop(int wid) {
     start_cv_.wait(
         lk, [&] { return stop_ || (job_ != nullptr && next_index_ < job_n_); });
     if (stop_) return;
-    const std::function<void(int)>* fn = job_;
-    while (job_ != nullptr && next_index_ < job_n_) {
-      const int i = next_index_++;
-      lk.unlock();
-      const std::uint64_t t0 = now_ns();
-      (*fn)(i);
-      const std::uint64_t dt = now_ns() - t0;
-      lk.lock();
-      stats_[static_cast<std::size_t>(wid)].tasks += 1;
-      stats_[static_cast<std::size_t>(wid)].busy_ns += dt;
-      if (--remaining_ == 0) done_cv_.notify_all();
-    }
+    drain(wid, lk);
   }
 }
 

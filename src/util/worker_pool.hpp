@@ -1,26 +1,37 @@
-// Small fixed worker pool for stepping independent simulators in
-// lockstep (per-FPGA cycle simulators on a board, per-board TRT slices).
+// Small fixed worker pool for coarse independent tasks: whole cluster
+// shards (serve::Cluster::run), a batch's job functors
+// (JobService::serve_batch) and per-board TRT slices.
 //
 // parallel_for(n, fn) runs fn(0..n-1) across the workers and the calling
 // thread and returns when every index has completed — the return is the
-// barrier the board-level stepping protocol relies on. The pool is
-// deliberately simple: one job at a time, indices handed out by an
-// atomic cursor, completion signalled through a condition variable, so
-// it is easy to reason about under TSan.
+// barrier callers rely on. The pool is deliberately simple: one job at a
+// time, indices handed out under one mutex, completion signalled through
+// a condition variable, so it is easy to reason about under TSan.
 //
-// Granularity: per-index handout costs one mutex round-trip, which
-// swamps sub-microsecond tasks (the ACB matrix steps four ~100ns event
-// sims per cycle). parallel_for_chunked() hands each worker one
-// contiguous slice instead, and helpers briefly spin for the next job
-// before sleeping on the condition variable, so back-to-back
-// parallel_for calls don't pay a futex wake per cycle. Per-worker
-// utilization counters (worker_stats) make the granularity visible in
-// the benches instead of leaving a silent flat-line.
+// Nesting: a parallel_for issued from inside a running task (of any
+// pool) runs its indices inline on that thread, in index order, and
+// leaves the worker counters alone. The task already holds its share of
+// the machine, so a shard drain's batches evaluate serially inside the
+// drain while a top-level caller's batches still spread over the pool.
+//
+// Exceptions: a task that throws does not stop the others. Every index
+// still runs, and once all have finished the first exception caught is
+// rethrown on the caller; the pool stays usable. A nested inline call is
+// a plain loop, so a throw there leaves it at once for the enclosing
+// task.
+//
+// Granularity: each index costs one mutex round-trip and, when helpers
+// sleep, a futex wake — microseconds — so a task must be far larger
+// than that: a shard drain or a gate-level job, never one ~100 ns
+// simulator step. Helpers briefly spin for the next job before
+// sleeping, and per-worker utilization counters (worker_stats) make the
+// grain visible in the benches.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -33,7 +44,7 @@ class WorkerPool {
   /// Work done by one worker since the last reset_worker_stats().
   /// Worker 0 is the calling thread; 1..size()-1 are the helpers.
   struct WorkerStats {
-    std::uint64_t tasks = 0;    // indices (or chunks) executed
+    std::uint64_t tasks = 0;    // indices executed
     std::uint64_t busy_ns = 0;  // wall time spent inside the functor
   };
 
@@ -49,28 +60,24 @@ class WorkerPool {
   int size() const { return static_cast<int>(helpers_.size()) + 1; }
 
   /// Runs fn(i) for every i in [0, n); returns when all have finished.
-  /// The calling thread participates. Must not be called re-entrantly
-  /// from inside a task.
+  /// The calling thread participates. Called from inside a task, runs
+  /// inline (file comment); rethrows the first exception a task threw.
   void parallel_for(int n, const std::function<void(int)>& fn);
-
-  /// Same contract, but indices are handed out as at most size()
-  /// contiguous chunks — one mutex round-trip per worker instead of per
-  /// index. Use for many small uniform tasks; results are identical to
-  /// parallel_for whenever fn(i) calls are independent (which the
-  /// barrier contract already requires).
-  void parallel_for_chunked(int n, const std::function<void(int)>& fn);
 
   /// Per-worker counters since the last reset (snapshot; call while no
   /// parallel_for is in flight for exact totals). Index 0 = caller.
   std::vector<WorkerStats> worker_stats() const;
   void reset_worker_stats();
 
-  /// Process-wide pool shared by board stepping and multiboard runs.
+  /// Process-wide pool shared by the cluster, the job service and
+  /// multiboard runs.
   static WorkerPool& shared();
 
  private:
   void worker_loop(int wid);
-  void work(const std::function<void(int)>& fn);
+  /// Runs indices of the current job as worker `wid` until none are left
+  /// to hand out. Called and returns with `lk` held.
+  void drain(int wid, std::unique_lock<std::mutex>& lk);
 
   std::vector<std::thread> helpers_;
   mutable std::mutex mutex_;
@@ -80,7 +87,7 @@ class WorkerPool {
   int job_n_ = 0;
   int next_index_ = 0;       // guarded by mutex_
   int remaining_ = 0;        // indices not yet completed
-  std::uint64_t job_seq_ = 0;
+  std::exception_ptr error_;  // first throw of the job; guarded by mutex_
   bool stop_ = false;
   std::vector<WorkerStats> stats_;  // guarded by mutex_
   // Lock-free signals for the helpers' pre-sleep spin: bumped/set under

@@ -1,8 +1,7 @@
-// Parallel stepping of the 2x2 FPGA matrix must be indistinguishable
-// from serial stepping: identical neighbour-link traffic, identical RAM
-// contents, identical port values. The four node designs exchange LFSR
-// streams over the h/v links and fold what they receive into a RAM, so
-// any ordering bug in the worker-pool barrier shows up as a diff.
+// Stepping the 2x2 FPGA matrix must be cycle-exact: the four node
+// designs exchange LFSR streams over the h/v links and fold what they
+// receive into a RAM, so a link value delivered one edge early or late
+// shows up as a diff in the traffic trace, the RAM images or the ports.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,14 +51,27 @@ struct MatrixRun {
   std::vector<std::uint64_t> pattern;
 };
 
-MatrixRun run_matrix(const std::vector<Design>& nodes, bool parallel) {
-  AcbBoard board(parallel ? "acb_par" : "acb_ser");
+/// Steps a fresh board through `slices` consecutive step_matrix calls
+/// and returns the trace (cycles renumbered across calls) plus the final
+/// architectural state.
+MatrixRun run_matrix(const std::vector<Design>& nodes,
+                     const std::vector<int>& slices) {
+  AcbBoard board("acb");
   for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
     board.fpga(i).configure(
         hw::Bitstream::from_design(nodes[static_cast<std::size_t>(i)]));
   }
   MatrixRun r;
-  r.report = board.step_matrix(200, parallel, /*record_trace=*/true);
+  for (const int cycles : slices) {
+    AcbMatrixReport part = board.step_matrix(cycles, /*record_trace=*/true);
+    for (AcbLinkTransfer& t : part.trace) {
+      t.cycle += r.report.cycles;
+      r.report.trace.push_back(std::move(t));
+    }
+    r.report.cycles += part.cycles;
+    r.report.sims = part.sims;
+    r.report.links = part.links;
+  }
   for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
     chdl::Simulator* sim = board.fpga(i).sim();
     std::vector<BitVec> words;
@@ -71,43 +83,45 @@ MatrixRun run_matrix(const std::vector<Design>& nodes, bool parallel) {
   return r;
 }
 
-TEST(AcbMatrix, ParallelSteppingMatchesSerial) {
+TEST(AcbMatrix, SlicedSteppingMatchesOneCall) {
   std::vector<Design> nodes;
   for (int i = 0; i < AcbBoard::kFpgaCount; ++i) nodes.push_back(make_node(i));
 
-  const MatrixRun serial = run_matrix(nodes, false);
-  const MatrixRun parallel = run_matrix(nodes, true);
+  // The registered-link exchange must carry across call boundaries:
+  // 200 edges in one call and in three slices are the same 200 edges.
+  const MatrixRun whole = run_matrix(nodes, {200});
+  const MatrixRun sliced = run_matrix(nodes, {1, 119, 80});
 
-  EXPECT_EQ(serial.report.sims, 4);
-  EXPECT_EQ(serial.report.links, 8);  // 4 nodes x (h + v)
-  EXPECT_EQ(serial.report.cycles, 200u);
-  EXPECT_EQ(parallel.report.sims, serial.report.sims);
-  EXPECT_EQ(parallel.report.links, serial.report.links);
-  EXPECT_EQ(parallel.report.cycles, serial.report.cycles);
+  EXPECT_EQ(whole.report.sims, 4);
+  EXPECT_EQ(whole.report.links, 8);  // 4 nodes x (h + v)
+  EXPECT_EQ(whole.report.cycles, 200u);
+  EXPECT_EQ(sliced.report.sims, whole.report.sims);
+  EXPECT_EQ(sliced.report.links, whole.report.links);
+  EXPECT_EQ(sliced.report.cycles, whole.report.cycles);
 
   // The link traffic is live (the LFSRs run), not a constant stream.
-  ASSERT_FALSE(serial.report.trace.empty());
-  EXPECT_NE(serial.report.trace.front().value,
-            serial.report.trace.back().value);
+  ASSERT_FALSE(whole.report.trace.empty());
+  EXPECT_NE(whole.report.trace.front().value,
+            whole.report.trace.back().value);
 
   // Cycle-exact traffic equality, transfer by transfer.
-  ASSERT_EQ(serial.report.trace.size(), parallel.report.trace.size());
-  for (std::size_t k = 0; k < serial.report.trace.size(); ++k) {
-    const AcbLinkTransfer& s = serial.report.trace[k];
-    const AcbLinkTransfer& p = parallel.report.trace[k];
-    EXPECT_EQ(s.cycle, p.cycle) << "transfer " << k;
-    EXPECT_EQ(s.from, p.from) << "transfer " << k;
-    EXPECT_EQ(s.to, p.to) << "transfer " << k;
-    EXPECT_EQ(s.value, p.value) << "transfer " << k;
+  ASSERT_EQ(whole.report.trace.size(), sliced.report.trace.size());
+  for (std::size_t k = 0; k < whole.report.trace.size(); ++k) {
+    const AcbLinkTransfer& w = whole.report.trace[k];
+    const AcbLinkTransfer& s = sliced.report.trace[k];
+    EXPECT_EQ(w.cycle, s.cycle) << "transfer " << k;
+    EXPECT_EQ(w.from, s.from) << "transfer " << k;
+    EXPECT_EQ(w.to, s.to) << "transfer " << k;
+    EXPECT_EQ(w.value, s.value) << "transfer " << k;
   }
 
   // Final architectural state: RAM images and port values.
   for (int i = 0; i < AcbBoard::kFpgaCount; ++i) {
     const auto fi = static_cast<std::size_t>(i);
-    EXPECT_EQ(serial.mix[fi], parallel.mix[fi]) << "fpga " << i;
-    EXPECT_EQ(serial.pattern[fi], parallel.pattern[fi]) << "fpga " << i;
+    EXPECT_EQ(whole.mix[fi], sliced.mix[fi]) << "fpga " << i;
+    EXPECT_EQ(whole.pattern[fi], sliced.pattern[fi]) << "fpga " << i;
     for (std::size_t a = 0; a < 16; ++a) {
-      EXPECT_EQ(serial.ram[fi][a], parallel.ram[fi][a])
+      EXPECT_EQ(whole.ram[fi][a], sliced.ram[fi][a])
           << "fpga " << i << " RAM word " << a;
     }
   }
@@ -119,7 +133,7 @@ TEST(AcbMatrix, DiagonalPairHasNoLinks) {
   AcbBoard board("acb_diag");
   board.fpga(0).configure(hw::Bitstream::from_design(nodes[0]));
   board.fpga(3).configure(hw::Bitstream::from_design(nodes[3]));
-  const AcbMatrixReport r = board.step_matrix(5, /*parallel=*/true);
+  const AcbMatrixReport r = board.step_matrix(5);
   EXPECT_EQ(r.sims, 2);
   EXPECT_EQ(r.links, 0);  // FPGAs 0 and 3 are not matrix neighbours
   EXPECT_EQ(r.cycles, 5u);
@@ -138,7 +152,7 @@ TEST(AcbMatrix, SystemStepsAllBoards) {
     }
   }
   // 10 cycles x 2 boards x 4 sims = 80 simulator edges.
-  EXPECT_EQ(sys.step_acbs(10, /*parallel=*/true), 80u);
+  EXPECT_EQ(sys.step_acbs(10), 80u);
   EXPECT_EQ(sys.acb(b0).fpga(0).sim()->cycles(), 10u);
 }
 

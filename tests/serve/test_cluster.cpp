@@ -1,8 +1,10 @@
 // The cluster front-end's contracts: placement determinism across
-// worker pools and shard iteration orders, elastic add/remove with the
-// functional ledger preserved, replay-identical admission verdicts
-// under a fault plan, weighted-fair QoS, SLO admission, bounded-queue
-// backpressure and the whole-cluster snapshot round trip.
+// worker pools and shard iteration orders (supervised shards included),
+// the share-nothing refusals that make concurrent shard drains safe,
+// elastic add/remove with the functional ledger preserved,
+// replay-identical admission verdicts under a fault plan, weighted-fair
+// QoS, SLO admission, bounded-queue backpressure and the whole-cluster
+// snapshot round trip.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -104,6 +106,100 @@ TEST(Cluster, ScheduleBitIdenticalAcrossShardIterationOrder) {
 
   EXPECT_EQ(forward->schedule_digest(), reverse->schedule_digest());
   EXPECT_EQ(forward->functional_digest(), reverse->functional_digest());
+}
+
+TEST(Cluster, SupervisedScheduleBitIdenticalAcrossWorkerPools) {
+  // Every shard under its own Supervisor and fault injector: seeded DMA
+  // stalls everywhere and a crash pinned on the busiest shard, so
+  // checkpoints and a restore run while the other shards drain.
+  std::uint64_t schedule = 0, functional = 0;
+  for (const int threads : {1, 2, 4}) {
+    serve::ClusterOptions options;
+    options.supervised = true;
+    options.serve.max_batch = 2;
+    options.supervisor.dispatches_per_tick = 1;
+    options.supervisor.checkpoint_every = 2;
+    auto cluster = make_cluster(3, 6, options);
+    submit_wave(*cluster, 48, 6);
+    int busiest = 0;
+    for (int s = 1; s < 3; ++s) {
+      if (cluster->service(s).pending() > cluster->service(busiest).pending()) {
+        busiest = s;
+      }
+    }
+    std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
+    for (int s = 0; s < 3; ++s) {
+      sim::FaultPlan plan;
+      plan.seed = 0xC1u + static_cast<std::uint64_t>(s);
+      plan.with_rate(sim::FaultKind::kDmaStall, 0.05);
+      if (s == busiest) {
+        plan.inject(sim::FaultKind::kServiceCrash,
+                    "serve/cluster/shard" + std::to_string(s), /*nth=*/4);
+      }
+      injectors.push_back(std::make_unique<sim::FaultInjector>(plan));
+      cluster->system(s).set_fault_injector(injectors.back().get());
+    }
+
+    util::WorkerPool pool(threads);
+    serve::RunOptions run;
+    run.pool = &pool;
+    cluster->run(run);
+    EXPECT_EQ(cluster->supervisor(busiest)->report().restores, 1u);
+    submit_wave(*cluster, 24, 6, /*first_index=*/48);  // checkpoint on growth
+    cluster->run(run);
+    EXPECT_EQ(cluster->pending(), 0u);
+
+    if (threads == 1) {
+      schedule = cluster->schedule_digest();
+      functional = cluster->functional_digest();
+    } else {
+      EXPECT_EQ(cluster->schedule_digest(), schedule)
+          << "pool size " << threads << " changed the supervised schedule";
+      EXPECT_EQ(cluster->functional_digest(), functional)
+          << "pool size " << threads << " changed a supervised result";
+    }
+    for (int s = 0; s < 3; ++s) cluster->system(s).set_fault_injector(nullptr);
+  }
+}
+
+TEST(Cluster, RunRefusesShardsSharingAFaultInjector) {
+  auto cluster = make_cluster(2, 2);
+  sim::FaultInjector shared{sim::FaultPlan{}};
+  sim::FaultInjector own{sim::FaultPlan{}};
+  cluster->system(0).set_fault_injector(&shared);
+  cluster->system(1).set_fault_injector(&shared);
+  submit_wave(*cluster, 8, 2);
+  // Fault draws would depend on which shard's thread got there first.
+  EXPECT_THROW(cluster->run(), util::Error);
+  EXPECT_EQ(cluster->pending(), 8u) << "a refused run drained a shard";
+
+  cluster->system(1).set_fault_injector(&own);  // one injector per shard
+  cluster->run();
+  EXPECT_EQ(cluster->report().served, 8u);
+  cluster->system(0).set_fault_injector(nullptr);
+  cluster->system(1).set_fault_injector(nullptr);
+}
+
+TEST(Cluster, RunRefusesAMigrationTargetOrSpareOnAnotherLiveShard) {
+  auto plain = make_cluster(2, 2);
+  plain->service(0).set_migration_target(&plain->service(1));
+  submit_wave(*plain, 8, 2);
+  EXPECT_THROW(plain->run(), util::Error);
+  EXPECT_EQ(plain->pending(), 8u) << "a refused run drained a shard";
+  plain->service(0).set_migration_target(nullptr);
+  plain->run();
+  EXPECT_EQ(plain->report().served, 8u);
+
+  serve::ClusterOptions options;
+  options.supervised = true;
+  auto supervised = make_cluster(2, 2, options);
+  supervised->supervisor(1)->set_spare(&supervised->service(0));
+  supervised->service(1).set_migration_target(nullptr);  // spare() only
+  submit_wave(*supervised, 8, 2);
+  EXPECT_THROW(supervised->run(), util::Error);
+  supervised->supervisor(1)->set_spare(nullptr);
+  supervised->run();
+  EXPECT_EQ(supervised->report().served, 8u);
 }
 
 TEST(Cluster, ConsistentHashKeepsConfigurationsHome) {

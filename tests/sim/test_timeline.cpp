@@ -18,13 +18,13 @@ TEST(Timeline, UncontendedStartsExactlyAtNotBefore) {
   Timeline tl;
   const ResourceId bus = tl.add_resource("bus");
   const TrackId t = tl.add_track("actor");
-  const Transaction& a = tl.post(t, TxnKind::kPciDma, "a", bus, 100, 50);
+  const Transaction a = tl.post(t, TxnKind::kPciDma, "a", bus, 100, 50);
   EXPECT_EQ(a.start, 100);
   EXPECT_EQ(a.end, 150);
   EXPECT_EQ(a.queue_delay(), 0);
   // Sequential chaining end-to-start stays exact: this is what makes the
   // driver's cursor bit-identical to the old scalar ledger.
-  const Transaction& b = tl.post(t, TxnKind::kPciDma, "b", bus, a.end, 30);
+  const Transaction b = tl.post(t, TxnKind::kPciDma, "b", bus, a.end, 30);
   EXPECT_EQ(b.start, 150);
   EXPECT_EQ(b.end, 180);
   EXPECT_EQ(tl.horizon(), 180);
@@ -35,8 +35,8 @@ TEST(Timeline, ContentionQueuesFifo) {
   const ResourceId bus = tl.add_resource("bus");
   const TrackId t0 = tl.add_track("board0");
   const TrackId t1 = tl.add_track("board1");
-  const Transaction& a = tl.post(t0, TxnKind::kPciDma, "a", bus, 0, 100);
-  const Transaction& b = tl.post(t1, TxnKind::kPciDma, "b", bus, 0, 100);
+  const Transaction a = tl.post(t0, TxnKind::kPciDma, "a", bus, 0, 100);
+  const Transaction b = tl.post(t1, TxnKind::kPciDma, "b", bus, 0, 100);
   EXPECT_EQ(a.start, 0);
   EXPECT_EQ(b.start, 100);  // second requester waits for the segment
   EXPECT_EQ(b.queue_delay(), 100);
@@ -51,9 +51,9 @@ TEST(Timeline, MultiChannelResourceServesConcurrently) {
   Timeline tl;
   const ResourceId banks = tl.add_resource("sdram", 2);
   const TrackId t = tl.add_track("actor");
-  const Transaction& a = tl.post(t, TxnKind::kSdramBurst, "a", banks, 0, 100);
-  const Transaction& b = tl.post(t, TxnKind::kSdramBurst, "b", banks, 0, 100);
-  const Transaction& c = tl.post(t, TxnKind::kSdramBurst, "c", banks, 0, 100);
+  const Transaction a = tl.post(t, TxnKind::kSdramBurst, "a", banks, 0, 100);
+  const Transaction b = tl.post(t, TxnKind::kSdramBurst, "b", banks, 0, 100);
+  const Transaction c = tl.post(t, TxnKind::kSdramBurst, "c", banks, 0, 100);
   EXPECT_EQ(a.start, 0);
   EXPECT_EQ(b.start, 0);    // second bank
   EXPECT_EQ(c.start, 100);  // both banks busy; earliest-free grant
@@ -63,7 +63,7 @@ TEST(Timeline, MultiChannelResourceServesConcurrently) {
 TEST(Timeline, ResourcelessTransactionNeverQueues) {
   Timeline tl;
   const TrackId t = tl.add_track("actor");
-  const Transaction& a =
+  const Transaction a =
       tl.post(t, TxnKind::kReconfig, "configure", ResourceId{}, 42, 10);
   EXPECT_EQ(a.start, 42);
   EXPECT_EQ(a.end, 52);
@@ -77,8 +77,8 @@ TEST(Timeline, OverlapJoinsAtMaxNotSum) {
   const ResourceId bus = tl.add_resource("bus");
   const ResourceId design = tl.add_resource("design");
   const TrackId t = tl.add_track("driver");
-  const Transaction& dma = tl.post(t, TxnKind::kPciDma, "in", bus, 0, 80);
-  const Transaction& scan =
+  const Transaction dma = tl.post(t, TxnKind::kPciDma, "in", bus, 0, 80);
+  const Transaction scan =
       tl.post(t, TxnKind::kCompute, "scan", design, 0, 100);
   const util::Picoseconds join = std::max(dma.end, scan.end);
   EXPECT_EQ(join, 100);
@@ -102,12 +102,12 @@ TEST(Timeline, StatsAccumulateBytesAndUtilization) {
 TEST(Timeline, ReconfigTransactionsCarryRegionCounts) {
   Timeline tl;
   const TrackId t = tl.add_track("switcher");
-  const Transaction& full =
+  const Transaction full =
       tl.post(t, TxnKind::kReconfig, "full load", ResourceId{}, 0, 100);
   EXPECT_EQ(full.regions, 0u);  // monolithic load: no region count
-  const Transaction& diff = tl.post(t, TxnKind::kReconfig, "diff load",
-                                    ResourceId{}, 100, 10, /*bytes=*/512,
-                                    /*regions=*/4);
+  const Transaction diff = tl.post(t, TxnKind::kReconfig, "diff load",
+                                   ResourceId{}, 100, 10, /*bytes=*/512,
+                                   /*regions=*/4);
   EXPECT_EQ(diff.regions, 4u);
   EXPECT_EQ(tl.txn(diff.id).regions, 4u);  // survives in the ledger
 }
