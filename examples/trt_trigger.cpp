@@ -51,7 +51,7 @@ int main() {
   for (int e = 0; e < kEvents; ++e) events.push_back(gen.generate());
 
   serve::JobService service(sys);
-  service.register_config(hw::Bitstream{"trt_lut", {}, nullptr, 1.0});
+  service.register_config(hw::Bitstream{"trt_lut", {}, nullptr, 1.0, {}});
   for (const trt::Event& ev : events) {
     (void)service
         .submit(trt::make_histogram_job(bank, ev, cfg, "trigger", "trt_lut"))

@@ -38,8 +38,8 @@ struct ClockId {
   std::int32_t id = 0;
 };
 
-/// Component kinds. Combinational kinds are evaluated in levelized order;
-/// Reg and Ram latch on clock edges.
+/// Component kinds. Combinational kinds are evaluated in creation
+/// (topological) order; Reg and Ram latch on clock edges.
 enum class CompKind : std::uint8_t {
   kConst,
   kNot,

@@ -10,7 +10,7 @@ namespace atlantis::chdl {
 namespace {
 
 /// Combinational kinds: everything the simulator compiles onto the op
-/// tape (mirrors Simulator::levelize's classification).
+/// tape (mirrors Simulator::split_components' classification).
 bool is_comb(CompKind k) {
   switch (k) {
     case CompKind::kReg:

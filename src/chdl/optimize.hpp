@@ -1,7 +1,7 @@
 // CHDL netlist optimizer.
 //
 // A compiler-style pass pipeline that runs over the elaborated Design
-// graph before the Simulator levelizes and compiles its op tape:
+// graph before the Simulator compiles its op tape:
 //
 //   1. fold — constant propagation/folding. A component whose inputs are
 //      all constants becomes a constant; a mux with a constant select

@@ -1,7 +1,7 @@
-// Region compiler for the threaded execution backend (chdl/threaded.hpp).
+// Region compiler for the threaded execution engine (chdl/threaded.hpp).
 //
-// The levelized op tape evaluates one opcode per dispatch; the threaded
-// backend instead executes whole *regions* — single-entry cones of
+// Rather than scheduling the op tape one opcode at a time, the threaded
+// engine executes whole *regions* — single-entry cones of
 // combinational logic between register / RAM / port boundaries — as
 // straight-line superop blocks. This header holds the region
 // partitioning itself, kept free of Simulator internals so the
@@ -12,7 +12,7 @@
 // region exactly when that producer is the region's current tail and the
 // producer's output has no other tape consumer; otherwise it opens a new
 // region. Regions are therefore maximal single-consumer chains (capped
-// at `max_region_ops`), which gives two structural guarantees:
+// at `kMaxRegionOps`), which gives two structural guarantees:
 //
 //   * single entry / single exit: only the tail op's output is ever
 //     consumed by another region, so a region can be executed start to
@@ -20,7 +20,7 @@
 //     can be tracked by diffing region outputs only;
 //   * the region DAG is acyclic and region levels (longest inter-region
 //     path) strictly increase along every edge, so a level-bucketed
-//     dirty worklist drains in one pass, exactly like the per-op tape.
+//     dirty worklist drains in one pass.
 //
 // Intermediate (non-tail) wires may still feed sequential elements or be
 // observed by peeks/VCD; wires with sequential consumers are listed as
@@ -50,12 +50,10 @@ struct RegionGraph {
   }
 };
 
-struct RegionBuildOptions {
-  /// Upper bound on ops per region. Longer chains amortize dispatch
-  /// better but re-execute more ops when an input in the middle of the
-  /// chain wiggles; 64 keeps the worst-case inflation bounded.
-  int max_region_ops = 64;
-};
+/// Upper bound on ops per region. Longer chains amortize dispatch
+/// better but re-execute more ops when an input in the middle of the
+/// chain wiggles; 64 keeps the worst-case inflation bounded.
+inline constexpr int kMaxRegionOps = 64;
 
 /// One compiled region: a slice of `RegionPlan::op_order` executed
 /// straight-line, plus the slice of `RegionPlan::out_wires` diffed after
@@ -83,10 +81,9 @@ struct RegionPlan {
   }
 };
 
-/// Partitions the graph. Pure function of its inputs: identical graphs
-/// and options produce identical plans (asserted by the determinism test
-/// in tests/chdl/test_threaded.cpp).
-RegionPlan build_region_plan(const RegionGraph& graph,
-                             const RegionBuildOptions& opts = {});
+/// Partitions the graph. Pure function of its input: identical graphs
+/// produce identical plans (asserted by the determinism test in
+/// tests/chdl/test_threaded.cpp).
+RegionPlan build_region_plan(const RegionGraph& graph);
 
 }  // namespace atlantis::chdl

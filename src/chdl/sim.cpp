@@ -41,12 +41,55 @@ void copy_bits(std::uint64_t* dst, int dst_lo, const std::uint64_t* src,
   for (int i = 0; i < n; ++i) set_bit(dst, dst_lo + i, get_bit(src, src_lo + i));
 }
 
+/// Opcode of a peephole-fused op (chdl/optimize.hpp).
+TCode fused_code(FusedOp op) {
+  switch (op) {
+    case FusedOp::kAndNot:   return TCode::kAndNot;
+    case FusedOp::kOrNot:    return TCode::kOrNot;
+    case FusedOp::kEqImm:    return TCode::kEqImm;
+    case FusedOp::kNeImm:    return TCode::kNeImm;
+    case FusedOp::kUltImm:   return TCode::kUltImm;
+    case FusedOp::kImmUlt:   return TCode::kImmUlt;
+    case FusedOp::kAddImm:   return TCode::kAddImm;
+    case FusedOp::kSubImm:   return TCode::kSubImm;
+    case FusedOp::kAndImm:   return TCode::kAndImm;
+    case FusedOp::kOrImm:    return TCode::kOrImm;
+    case FusedOp::kXorImm:   return TCode::kXorImm;
+    case FusedOp::kSliceImm: return TCode::kSliceImm;
+    case FusedOp::kNone:     break;
+  }
+  ATLANTIS_CHECK(false, "fused tape op without an opcode");
+  return TCode::kWide;
+}
+
+/// Single-word fast-path opcode of a component kind; kWide for kinds
+/// that only the general path evaluates.
+TCode single_code(CompKind kind) {
+  switch (kind) {
+    case CompKind::kNot:       return TCode::kNot;
+    case CompKind::kAnd:       return TCode::kAnd;
+    case CompKind::kOr:        return TCode::kOr;
+    case CompKind::kXor:       return TCode::kXor;
+    case CompKind::kMux:       return TCode::kMux;
+    case CompKind::kAdd:       return TCode::kAdd;
+    case CompKind::kSub:       return TCode::kSub;
+    case CompKind::kEq:        return TCode::kEq;
+    case CompKind::kUlt:       return TCode::kUlt;
+    case CompKind::kReduceAnd: return TCode::kReduceAnd;
+    case CompKind::kReduceOr:  return TCode::kReduceOr;
+    case CompKind::kReduceXor: return TCode::kReduceXor;
+    case CompKind::kSlice:     return TCode::kSlice;
+    case CompKind::kConcat:    return TCode::kConcat2;
+    case CompKind::kShl:       return TCode::kShl;
+    case CompKind::kShr:       return TCode::kShr;
+    default:                   return TCode::kWide;  // kMuxN, ...
+  }
+}
+
 }  // namespace
 
 Simulator::Simulator(const Design& design, const SimOptions& options)
-    : design_(design), mode_(options.mode),
-      auto_threaded_min_ops_(options.auto_threaded_min_ops),
-      region_opts_(options.region) {
+    : design_(design), mode_(options.mode) {
   design.check_complete();
   if (options.optimize) opt_.emplace(optimize(design, options.opt));
   // Allocate one flat slot per wire. A wire the optimizer forwarded
@@ -55,7 +98,6 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
   // dumps then observe optimized-away wires with zero extra machinery.
   slots_.resize(static_cast<std::size_t>(design.wire_count()));
   std::int32_t offset = 0;
-  std::int32_t max_words = 1;
   for (std::int32_t id = 0; id < design.wire_count(); ++id) {
     auto& s = slots_[static_cast<std::size_t>(id)];
     if (opt_) {
@@ -69,12 +111,10 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
     s.offset = offset;
     s.width = width;
     s.words = words_for(width);
-    max_words = std::max(max_words, s.words);
     offset += s.words;
   }
   values_.assign(static_cast<std::size_t>(offset), 0);
   stage_.assign(static_cast<std::size_t>(offset), 0);
-  scratch_.assign(static_cast<std::size_t>(max_words), 0);
 
   is_input_.assign(slots_.size(), 0);
   for (const auto& [name, w] : design.inputs()) {
@@ -92,7 +132,7 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
   }
 
   cycle_count_.assign(static_cast<std::size_t>(design.clock_count()), 0);
-  levelize();
+  split_components();
   if (opt_) {
     // An aliased component's output shares its representative's storage
     // slot, so the full sweep must never evaluate it: kinds that
@@ -103,15 +143,8 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
       const Wire w = design.components()[static_cast<std::size_t>(i)].out;
       return opt_->forward[static_cast<std::size_t>(w.id)] != w.id;
     });
-    // CSE can alias a wire to a representative that is *not* among its
-    // transitive dependencies (two independent duplicate computations),
-    // so the Kahn order of the original graph no longer sequences the
-    // representative's producer before the alias's consumers. Creation
-    // order does: every input wire id precedes its consumer's output id,
-    // and the optimizer only ever rewrites inputs to earlier wires.
-    std::sort(comb_order_.begin(), comb_order_.end());
   }
-  compile_tape();
+  const std::vector<TOp> tape = compile_tape();
 
   // Dead-but-observable logic: comb components the optimizer dropped
   // from the tape without replacing their output (not aliased, not
@@ -130,52 +163,21 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
       wire_lazy_[static_cast<std::size_t>(id)] = 1;
     }
   }
-  if (mode_ == EvalMode::kAuto) mode_ = resolve_auto();
-  if (mode_ == EvalMode::kThreaded) ensure_threaded();
+  threaded_ = std::make_unique<ThreadedBackend>(*this, tape);
   reset();
-}
-
-EvalMode Simulator::resolve_auto() const {
-  return tape_.size() >= auto_threaded_min_ops_ ? EvalMode::kThreaded
-                                                : EvalMode::kEventDriven;
 }
 
 Simulator::~Simulator() = default;
 
-void Simulator::ensure_threaded() {
-  if (!threaded_) {
-    threaded_ = std::make_unique<ThreadedBackend>(*this, region_opts_);
-  }
-}
+const RegionPlan& Simulator::region_plan() const { return threaded_->plan(); }
 
-RegionGraph Simulator::region_graph() const {
-  RegionGraph g;
-  g.wire_count = design_.wire_count();
-  g.in_begin = tape_in_begin_;
-  g.in_wires = tape_in_wires_;
-  g.out_wire.reserve(tape_.size());
-  for (const Op& op : tape_) g.out_wire.push_back(op.out_wire);
-  g.wire_seq_consumed.assign(slots_.size(), 0);
+void Simulator::split_components() {
+  // Creation order is topological for combinational logic: add_comp only
+  // accepts wires that already exist, so every comb input id is smaller
+  // than its component's output id. Only a register or RAM port closes a
+  // feedback loop; the check below keeps that an invariant of the
+  // simulator, not just of today's Design API.
   const auto& comps = design_.components();
-  for (const std::int32_t i : seq_comps_) {
-    for (const Wire w : comps[static_cast<std::size_t>(i)].in) {
-      if (!w.valid()) continue;
-      const Wire r = opt_ ? opt_->rep(w) : w;
-      g.wire_seq_consumed[static_cast<std::size_t>(r.id)] = 1;
-    }
-  }
-  return g;
-}
-
-const RegionPlan* Simulator::region_plan() const {
-  return threaded_ ? &threaded_->plan() : nullptr;
-}
-
-void Simulator::levelize() {
-  const auto& comps = design_.components();
-  // Producer component for each wire (combinational components only).
-  std::vector<std::int32_t> producer(slots_.size(), -1);
-  std::vector<std::int32_t> comb;
   for (std::int32_t i = 0; i < static_cast<std::int32_t>(comps.size()); ++i) {
     const Component& c = comps[static_cast<std::size_t>(i)];
     switch (c.kind) {
@@ -189,236 +191,135 @@ void Simulator::levelize() {
       case CompKind::kOutput:
         break;
       default:
-        comb.push_back(i);
-        if (c.out.valid()) producer[static_cast<std::size_t>(c.out.id)] = i;
+        for (const Wire w : c.in) {
+          if (w.valid() && w.id >= c.out.id) {
+            throw util::Error("combinational cycle in design '" +
+                              design_.name() + "' involving component #" +
+                              std::to_string(i));
+          }
+        }
+        comb_order_.push_back(i);
         break;
-    }
-  }
-  // Kahn's algorithm over the comb-only dependency graph.
-  std::vector<std::int32_t> indegree(comps.size(), 0);
-  std::vector<std::vector<std::int32_t>> dependents(comps.size());
-  for (const std::int32_t i : comb) {
-    const Component& c = comps[static_cast<std::size_t>(i)];
-    for (const Wire w : c.in) {
-      if (!w.valid()) continue;
-      const std::int32_t p = producer[static_cast<std::size_t>(w.id)];
-      if (p >= 0) {
-        ++indegree[static_cast<std::size_t>(i)];
-        dependents[static_cast<std::size_t>(p)].push_back(i);
-      }
-    }
-  }
-  std::vector<std::int32_t> ready;
-  for (const std::int32_t i : comb) {
-    if (indegree[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
-  }
-  comb_order_.clear();
-  comb_order_.reserve(comb.size());
-  while (!ready.empty()) {
-    const std::int32_t i = ready.back();
-    ready.pop_back();
-    comb_order_.push_back(i);
-    for (const std::int32_t d : dependents[static_cast<std::size_t>(i)]) {
-      if (--indegree[static_cast<std::size_t>(d)] == 0) ready.push_back(d);
-    }
-  }
-  if (comb_order_.size() != comb.size()) {
-    // Find one offender for the message.
-    for (const std::int32_t i : comb) {
-      if (indegree[static_cast<std::size_t>(i)] > 0) {
-        throw util::Error("combinational cycle in design '" + design_.name() +
-                          "' involving component #" + std::to_string(i));
-      }
     }
   }
 }
 
-void Simulator::compile_tape() {
+std::vector<TOp> Simulator::compile_tape() {
+  // The tape is laid down in component-creation order, which stays
+  // topological after optimization because every rewrite (alias, CSE
+  // representative, fused operand) points at an earlier-created wire.
+  // Each op's inputs, resolved through the optimizer's forwarding map
+  // (or the fused operands when the peephole pass rewrote the op), go
+  // into graph_ so the region compiler partitions the optimized graph.
   const auto& comps = design_.components();
-  // Topological level of each comb component's producing op.
-  std::vector<std::int32_t> level_of_wire(slots_.size(), -1);
-  tape_.clear();
-  tape_.reserve(comb_order_.size());
-  // Effective inputs per tape op: the component's inputs resolved
-  // through the optimizer's forwarding map, or the fused operands when
-  // the peephole pass rewrote the op. Used for levels, word offsets and
-  // the fanout table so dirtiness propagates along the optimized graph.
-  std::vector<std::vector<Wire>> tape_ins;
-  tape_ins.reserve(comb_order_.size());
-  int max_level = 0;
-  // The tape is laid down in component-creation order, NOT comb_order_:
-  // creation order is topological for the elaborated graph (a
-  // component's inputs always exist before it), and it stays topological
-  // after optimization because every rewrite (alias, CSE representative,
-  // fused operand) points at an earlier-created wire. comb_order_ is
-  // only a topological order of the *original* graph — a CSE
-  // representative need not precede its merged twin's consumers there.
-  std::vector<std::int32_t> creation_order(comb_order_);
-  std::sort(creation_order.begin(), creation_order.end());
-  for (const std::int32_t i : creation_order) {
+  std::vector<TOp> tape;
+  tape.reserve(comb_order_.size());
+  graph_.wire_count = design_.wire_count();
+  graph_.in_begin.assign(1, 0);
+  graph_.out_wire.reserve(comb_order_.size());
+  for (const std::int32_t i : comb_order_) {
     if (opt_ && !opt_->comp_alive[static_cast<std::size_t>(i)]) continue;
     const Component& c = comps[static_cast<std::size_t>(i)];
     const WireSlot& out = slots_[static_cast<std::size_t>(c.out.id)];
-    Op op;
-    op.kind = c.kind;
-    op.comp = i;
-    op.out_wire = c.out.id;
-    op.out_off = out.offset;
-    op.out_words = out.words;
-    op.out_mask = width_mask(out.width);
-
     const FusedComp* fc = nullptr;
     if (opt_) {
       const auto it = opt_->fused.find(i);
       if (it != opt_->fused.end()) fc = &it->second;
     }
-    std::vector<Wire> ins;
+    const std::size_t first = graph_.in_wires.size();
     if (fc != nullptr) {
-      ins.push_back(fc->in0);
-      if (fc->in1.valid()) ins.push_back(fc->in1);
+      graph_.in_wires.push_back(fc->in0.id);
+      if (fc->in1.valid()) graph_.in_wires.push_back(fc->in1.id);
     } else {
-      ins.reserve(c.in.size());
       for (const Wire w : c.in) {
-        if (!w.valid()) continue;
-        ins.push_back(opt_ ? opt_->rep(w) : w);
+        if (w.valid()) graph_.in_wires.push_back(opt_ ? opt_->rep(w).id : w.id);
       }
     }
-    for (const Wire w : ins) {
-      const std::int32_t lw = level_of_wire[static_cast<std::size_t>(w.id)];
-      op.level = std::max(op.level, lw + 1);
-    }
-    level_of_wire[static_cast<std::size_t>(c.out.id)] = op.level;
-    max_level = std::max(max_level, op.level);
+    const std::int32_t* ins = graph_.in_wires.data() + first;
+    const std::size_t n_ins = graph_.in_wires.size() - first;
+    graph_.in_begin.push_back(static_cast<std::int32_t>(graph_.in_wires.size()));
+    graph_.out_wire.push_back(c.out.id);
 
+    TOp op;
+    op.code = TCode::kWide;
+    op.out = out.offset;
+    op.mask = width_mask(out.width);
     // Single-word fast path: output and every input fit one word and the
-    // operand layout maps onto the fixed in0/in1/in2 offsets.
-    auto all_single = [&] {
-      if (out.words != 1) return false;
-      for (const Wire w : ins) {
-        if (slots_[static_cast<std::size_t>(w.id)].words != 1) return false;
-      }
-      return true;
-    };
+    // operand layout maps onto the fixed in0/in1/in2 offsets. Anything
+    // else runs eval_comp's general path (TCode::kWide).
+    bool single = out.words == 1;
+    for (std::size_t k = 0; k < n_ins; ++k) {
+      single = single && slots_[static_cast<std::size_t>(ins[k])].words == 1;
+    }
     if (fc != nullptr) {
       // Fused opcodes are produced only for single-word operands.
-      op.fused = fc->op;
+      op.code = fused_code(fc->op);
       op.imm = fc->imm;
-      op.single = true;
-    } else {
+    } else if (single) {
+      op.code = single_code(c.kind);
       switch (c.kind) {
-        case CompKind::kNot:
-        case CompKind::kAnd:
-        case CompKind::kOr:
-        case CompKind::kXor:
-        case CompKind::kMux:
-        case CompKind::kAdd:
-        case CompKind::kSub:
-        case CompKind::kEq:
-        case CompKind::kUlt:
-        case CompKind::kReduceAnd:
-        case CompKind::kReduceOr:
-        case CompKind::kReduceXor:
-          op.single = all_single();
-          break;
         case CompKind::kSlice:
         case CompKind::kShl:
         case CompKind::kShr:
           // c.a >= 64 would make the word shift UB; the general path
           // handles those (they are all-zero results anyway).
-          op.single = all_single() && c.a < 64;
+          if (c.a >= 64) op.code = TCode::kWide;
           op.a = c.a;
           break;
         case CompKind::kConcat:
           // Two-part {hi, lo} concat compiles to shift+or; `a` holds the
           // low part's width.
-          op.single = all_single() && ins.size() == 2;
-          if (op.single) op.a = ins[1].width;
+          if (n_ins == 2) {
+            op.a = design_.wire_width(ins[1]);
+          } else {
+            op.code = TCode::kWide;
+          }
+          break;
+        case CompKind::kReduceAnd:
+          op.imm = width_mask(design_.wire_width(ins[0]));
           break;
         default:
-          break;  // kMuxN and anything else stays on the general path
+          break;
       }
     }
-    if (op.single) {
-      auto off = [&](std::size_t k) {
-        return slots_[static_cast<std::size_t>(ins[k].id)].offset;
+    if (op.code == TCode::kWide) {
+      op.comp = i;
+    } else {
+      const auto off = [&](std::size_t k) {
+        return k < n_ins ? slots_[static_cast<std::size_t>(ins[k])].offset : 0;
       };
-      if (ins.size() > 0) op.in0 = off(0);
-      if (ins.size() > 1) op.in1 = off(1);
-      if (ins.size() > 2) op.in2 = off(2);
-      if (fc == nullptr && c.kind == CompKind::kReduceAnd) {
-        op.in_mask = width_mask(ins[0].width);
-      }
+      op.in0 = off(0);
+      op.in1 = off(1);
+      op.in2 = off(2);
     }
-    tape_.push_back(op);
-    tape_ins.push_back(std::move(ins));
+    tape.push_back(op);
   }
-  level_queue_.assign(static_cast<std::size_t>(max_level + 1), {});
-  queued_.assign(tape_.size(), 0);
-
-  // Retain the per-op input wires as a CSR: the threaded backend's
-  // region compiler consumes them (Simulator::region_graph).
-  tape_in_begin_.assign(tape_.size() + 1, 0);
-  tape_in_wires_.clear();
-  for (std::size_t t = 0; t < tape_ins.size(); ++t) {
-    for (const Wire w : tape_ins[t]) tape_in_wires_.push_back(w.id);
-    tape_in_begin_[t + 1] = static_cast<std::int32_t>(tape_in_wires_.size());
-  }
-
-  // Per-wire fanout CSR: wire id -> tape ops that consume it.
-  std::vector<std::int32_t> counts(slots_.size() + 1, 0);
-  for (const auto& ins : tape_ins) {
-    for (const Wire w : ins) ++counts[static_cast<std::size_t>(w.id)];
-  }
-  fan_begin_.assign(slots_.size() + 1, 0);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    fan_begin_[i + 1] = fan_begin_[i] + counts[i];
-  }
-  fan_ops_.assign(static_cast<std::size_t>(fan_begin_.back()), 0);
-  std::vector<std::int32_t> cursor(fan_begin_.begin(), fan_begin_.end() - 1);
-  for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size()); ++t) {
-    for (const Wire w : tape_ins[static_cast<std::size_t>(t)]) {
-      fan_ops_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(w.id)]++)] = t;
+  // Per wire: consumed by a sequential element, so the region compiler
+  // diffs it even when no other region reads it.
+  graph_.wire_seq_consumed.assign(slots_.size(), 0);
+  for (const std::int32_t i : seq_comps_) {
+    for (const Wire w : comps[static_cast<std::size_t>(i)].in) {
+      if (!w.valid()) continue;
+      const Wire r = opt_ ? opt_->rep(w) : w;
+      graph_.wire_seq_consumed[static_cast<std::size_t>(r.id)] = 1;
     }
   }
-}
-
-void Simulator::mark_wire_dirty(std::int32_t wire_id) {
-  const std::int32_t begin = fan_begin_[static_cast<std::size_t>(wire_id)];
-  const std::int32_t end = fan_begin_[static_cast<std::size_t>(wire_id) + 1];
-  for (std::int32_t i = begin; i < end; ++i) {
-    const std::int32_t t = fan_ops_[static_cast<std::size_t>(i)];
-    if (!queued_[static_cast<std::size_t>(t)]) {
-      queued_[static_cast<std::size_t>(t)] = 1;
-      level_queue_[static_cast<std::size_t>(
-          tape_[static_cast<std::size_t>(t)].level)].push_back(t);
-      ++dirty_count_;
-    }
-  }
+  return tape;
 }
 
 void Simulator::mark_all_dirty() {
-  for (auto& q : level_queue_) q.clear();
-  std::fill(queued_.begin(), queued_.end(), 1);
-  for (std::int32_t t = 0; t < static_cast<std::int32_t>(tape_.size()); ++t) {
-    level_queue_[static_cast<std::size_t>(
-        tape_[static_cast<std::size_t>(t)].level)].push_back(t);
-  }
-  dirty_count_ = static_cast<std::int64_t>(tape_.size());
   comb_dirty_ = true;
   lazy_stale_ = true;
-  if (threaded_) threaded_->mark_all();
+  threaded_->mark_all();
 }
 
 void Simulator::set_eval_mode(EvalMode mode) {
-  if (mode == EvalMode::kAuto) mode = resolve_auto();
   if (mode == mode_) return;
   mode_ = mode;
-  if (mode == EvalMode::kThreaded) ensure_threaded();
   // Everything is re-evaluated on the next peek/step so stale values
-  // cannot leak across the policy switch: marks only land on the active
-  // backend's worklists while a mode runs, so the rebuild here is what
-  // makes a mid-run switch sound.
+  // cannot leak across the policy switch: marks only land on the
+  // threaded engine's worklists while it runs, so the rebuild here is
+  // what makes a mid-run switch sound.
   mark_all_dirty();
 }
 
@@ -465,7 +366,7 @@ void Simulator::save_state(sim::SnapshotWriter& w) const {
   w.put_string(design_.name());
   w.put_words(values_);
   w.put_u32(static_cast<std::uint32_t>(ram_data_.size()));
-  for (const std::vector<std::uint64_t>& ram : ram_data_) w.put_words(ram);
+  for (const auto& ram : ram_data_) w.put_words(ram);
   w.put_words(cycle_count_);
   w.put_u64(activity_.comp_evals);
   w.put_u64(activity_.comp_changes);
@@ -492,16 +393,18 @@ void Simulator::load_state(sim::SnapshotReader& r) {
   std::vector<std::uint64_t> cycles = r.get_words();
   ATLANTIS_CHECK(cycles.size() == cycle_count_.size(),
                  "snapshot clock domain count mismatch");
-  values_ = std::move(values);
-  ram_data_ = std::move(rams);
-  cycle_count_ = std::move(cycles);
+  values_.assign(values.begin(), values.end());
+  for (std::size_t i = 0; i < rams.size(); ++i) {
+    ram_data_[i].assign(rams[i].begin(), rams[i].end());
+  }
+  cycle_count_.assign(cycles.begin(), cycles.end());
   activity_.comp_evals = r.get_u64();
   activity_.comp_changes = r.get_u64();
   activity_.edges = r.get_u64();
   // Re-derive everything else: with all ops marked dirty, the next
   // evaluation recomputes every combinational value from the restored
-  // wires — a pure function of them — so all three backends converge to
-  // the same fixed point the saved simulator held.
+  // wires — a pure function of them — so either policy converges to the
+  // same fixed point the saved simulator held.
   mark_all_dirty();
 }
 
@@ -531,11 +434,7 @@ void Simulator::poke(Wire input, const BitVec& value) {
     return;  // unchanged input: nothing downstream can change
   }
   std::copy(value.words().begin(), value.words().end(), dst);
-  if (mode_ == EvalMode::kThreaded) {
-    threaded_->mark_wire(input.id);
-  } else {
-    mark_wire_dirty(input.id);
-  }
+  if (mode_ == EvalMode::kThreaded) threaded_->mark_wire(input.id);
   comb_dirty_ = true;
   lazy_stale_ = true;
 }
@@ -575,165 +474,18 @@ std::uint64_t Simulator::peek_u64(const std::string& port) {
 void Simulator::eval_comb() {
   if (mode_ == EvalMode::kThreaded) {
     threaded_->eval();
-    comb_dirty_ = false;
     return;
   }
-  if (mode_ == EvalMode::kFullSweep) {
-    if (!comb_dirty_) return;
-    const auto& comps = design_.components();
-    for (const std::int32_t i : comb_order_) {
-      const Component& c = comps[static_cast<std::size_t>(i)];
-      eval_comp(c, values_.data() +
-                       slots_[static_cast<std::size_t>(c.out.id)].offset);
-    }
-    activity_.comp_evals += comb_order_.size();
-    comb_dirty_ = false;
-    lazy_stale_ = false;  // the sweep covers DCE'd components too
-    // The worklist may still hold entries from pokes/commits; they are
-    // all up to date now.
-    for (auto& q : level_queue_) q.clear();
-    std::fill(queued_.begin(), queued_.end(), 0);
-    dirty_count_ = 0;
-    return;
+  if (!comb_dirty_) return;
+  const auto& comps = design_.components();
+  for (const std::int32_t i : comb_order_) {
+    const Component& c = comps[static_cast<std::size_t>(i)];
+    eval_comp(c, values_.data() +
+                     slots_[static_cast<std::size_t>(c.out.id)].offset);
   }
-  if (dirty_count_ == 0) return;
-  for (auto& q : level_queue_) {
-    // Dependents always live at strictly higher levels, so this queue
-    // cannot grow while it is being drained.
-    for (const std::int32_t t : q) {
-      queued_[static_cast<std::size_t>(t)] = 0;
-      const Op& op = tape_[static_cast<std::size_t>(t)];
-      if (eval_op(op)) {
-        ++activity_.comp_changes;
-        mark_wire_dirty(op.out_wire);
-      }
-    }
-    q.clear();
-  }
-  dirty_count_ = 0;
+  activity_.comp_evals += comb_order_.size();
   comb_dirty_ = false;
-}
-
-bool Simulator::eval_op(const Op& op) {
-  ++activity_.comp_evals;
-  if (op.fused != FusedOp::kNone) {
-    // Peephole-fused single-word opcodes (see chdl/optimize.hpp).
-    const std::uint64_t* v = values_.data();
-    std::uint64_t r = 0;
-    switch (op.fused) {
-      case FusedOp::kAndNot:
-        r = v[op.in0] & ~v[op.in1] & op.out_mask;
-        break;
-      case FusedOp::kOrNot:
-        r = (v[op.in0] | ~v[op.in1]) & op.out_mask;
-        break;
-      case FusedOp::kEqImm:
-        r = v[op.in0] == op.imm ? 1 : 0;
-        break;
-      case FusedOp::kNeImm:
-        r = v[op.in0] != op.imm ? 1 : 0;
-        break;
-      case FusedOp::kUltImm:
-        r = v[op.in0] < op.imm ? 1 : 0;
-        break;
-      case FusedOp::kImmUlt:
-        r = op.imm < v[op.in0] ? 1 : 0;
-        break;
-      case FusedOp::kAddImm:
-        r = (v[op.in0] + op.imm) & op.out_mask;
-        break;
-      case FusedOp::kSubImm:
-        r = (v[op.in0] - op.imm) & op.out_mask;
-        break;
-      case FusedOp::kAndImm:
-        r = v[op.in0] & op.imm;
-        break;
-      case FusedOp::kOrImm:
-        r = v[op.in0] | op.imm;
-        break;
-      case FusedOp::kXorImm:
-        r = v[op.in0] ^ op.imm;
-        break;
-      case FusedOp::kSliceImm:
-        r = (v[op.in0] >> op.imm) & op.out_mask;
-        break;
-      case FusedOp::kNone:
-        break;
-    }
-    std::uint64_t& out = values_[static_cast<std::size_t>(op.out_off)];
-    if (out == r) return false;
-    out = r;
-    return true;
-  }
-  if (op.single) {
-    const std::uint64_t* v = values_.data();
-    std::uint64_t r = 0;
-    switch (op.kind) {
-      case CompKind::kNot:
-        r = ~v[op.in0] & op.out_mask;
-        break;
-      case CompKind::kAnd:
-        r = v[op.in0] & v[op.in1];
-        break;
-      case CompKind::kOr:
-        r = v[op.in0] | v[op.in1];
-        break;
-      case CompKind::kXor:
-        r = v[op.in0] ^ v[op.in1];
-        break;
-      case CompKind::kMux:
-        r = (v[op.in0] & 1) != 0 ? v[op.in1] : v[op.in2];
-        break;
-      case CompKind::kAdd:
-        r = (v[op.in0] + v[op.in1]) & op.out_mask;
-        break;
-      case CompKind::kSub:
-        r = (v[op.in0] - v[op.in1]) & op.out_mask;
-        break;
-      case CompKind::kEq:
-        r = v[op.in0] == v[op.in1] ? 1 : 0;
-        break;
-      case CompKind::kUlt:
-        r = v[op.in0] < v[op.in1] ? 1 : 0;
-        break;
-      case CompKind::kReduceAnd:
-        r = v[op.in0] == op.in_mask ? 1 : 0;
-        break;
-      case CompKind::kReduceOr:
-        r = v[op.in0] != 0 ? 1 : 0;
-        break;
-      case CompKind::kReduceXor:
-        r = static_cast<std::uint64_t>(std::popcount(v[op.in0]) & 1);
-        break;
-      case CompKind::kSlice:
-        r = (v[op.in0] >> op.a) & op.out_mask;
-        break;
-      case CompKind::kConcat:
-        r = ((v[op.in0] << op.a) | v[op.in1]) & op.out_mask;
-        break;
-      case CompKind::kShl:
-        r = (v[op.in0] << op.a) & op.out_mask;
-        break;
-      case CompKind::kShr:
-        r = v[op.in0] >> op.a;
-        break;
-      default:
-        break;
-    }
-    std::uint64_t& out = values_[static_cast<std::size_t>(op.out_off)];
-    if (out == r) return false;
-    out = r;
-    return true;
-  }
-  // General path: evaluate into scratch, commit only on change.
-  const Component& c = design_.components()[static_cast<std::size_t>(op.comp)];
-  eval_comp(c, scratch_.data());
-  std::uint64_t* dst = values_.data() + op.out_off;
-  if (std::equal(scratch_.data(), scratch_.data() + op.out_words, dst)) {
-    return false;
-  }
-  std::copy(scratch_.data(), scratch_.data() + op.out_words, dst);
-  return true;
+  lazy_stale_ = false;  // the sweep covers DCE'd components too
 }
 
 void Simulator::eval_comp(const Component& c, std::uint64_t* dst) {
@@ -906,8 +658,8 @@ void Simulator::step(ClockId clock) {
     threaded_->commit_edge(clock);
   } else {
     commit_edge(clock);
+    comb_dirty_ = true;
   }
-  if (mode_ == EvalMode::kFullSweep) comb_dirty_ = true;
   eval_comb();
   ++cycle_count_[static_cast<std::size_t>(clock.id)];
   ++activity_.edges;
@@ -1000,18 +752,11 @@ void Simulator::commit_edge(ClockId clock) {
     const std::uint64_t* d = wire_ptr(w.src_wire);
     std::copy(d, d + stride, mem);
   }
-  // Phase 3: commit register / read-port outputs. Only wires whose
-  // staged value differs from the pre-edge value dirty their fanout —
-  // quiescent registers (disabled enables, held resets, stable D) cost
-  // nothing downstream.
+  // Phase 3: commit register / read-port outputs.
   for (const std::int32_t id : touched) {
     const WireSlot& s = slots_[static_cast<std::size_t>(id)];
-    const std::uint64_t* st = stage_.data() + s.offset;
-    std::uint64_t* dst = values_.data() + s.offset;
-    if (std::equal(st, st + s.words, dst)) continue;
-    std::copy(st, st + s.words, dst);
-    mark_wire_dirty(id);
-    lazy_stale_ = true;
+    std::copy(stage_.data() + s.offset, stage_.data() + s.offset + s.words,
+              values_.data() + s.offset);
   }
 }
 
@@ -1026,7 +771,7 @@ void Simulator::write_ram(int ram, std::int64_t addr, const BitVec& value) {
                 static_cast<std::ptrdiff_t>(addr) *
                     ram_stride_[static_cast<std::size_t>(ram)]);
   // The change is visible through the RAM's synchronous read ports on
-  // their next edge; arm them so the event-driven edge tape re-reads.
+  // their next edge; arm them so the threaded edge tape re-reads.
   if (mode_ == EvalMode::kThreaded) threaded_->note_ram_written(ram);
 }
 

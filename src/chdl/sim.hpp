@@ -1,4 +1,4 @@
-// Levelized cycle simulator for CHDL designs.
+// Cycle simulator for CHDL designs.
 //
 // The simulator keeps every wire's value in one flat word array (no
 // allocation on the evaluation path) and latches registers and RAM ports
@@ -6,25 +6,21 @@
 // memory contents when an address is written on the same edge
 // (read-before-write).
 //
-// Three evaluation policies are available:
+// Two evaluation policies are available:
 //
-//  * kEventDriven (default): during elaboration the combinational
-//    netlist is levelized and compiled into a flat "op tape" of POD
-//    records (opcode, input/output word offsets, width mask), and a
-//    per-wire fanout table is built. Pokes and edge commits mark only
-//    the fanout of wires whose value actually changed; evaluation
-//    drains a level-bucketed dirty worklist, and a component's change
-//    propagates onward only if its output changed. Quiescent logic
-//    costs nothing.
-//  * kThreaded: the op tape is re-compiled into region superops
-//    executed by a computed-goto threaded dispatcher, and sequential
-//    commits become event-driven too (see chdl/threaded.hpp). Fastest
-//    backend; bit-identical to the other two by construction and by
-//    the differential fuzzers.
-//  * kFullSweep: the original policy — every combinational component is
-//    re-evaluated in topological order whenever anything might have
-//    changed. Kept as an independent cross-check implementation for
-//    differential testing (see tests/chdl/test_fuzz.cpp).
+//  * kThreaded (default, the production engine): elaboration compiles
+//    the combinational netlist into a tape of decoded TOp records,
+//    groups it into region superops run by a computed-goto threaded
+//    dispatcher, and compiles the sequential components into an
+//    event-driven edge tape (see chdl/threaded.hpp). Pokes and edge
+//    commits wake only the regions and sequential components that read
+//    a changed wire, so quiescent logic costs nothing.
+//  * kFullSweep: the reference — every combinational component is
+//    re-evaluated in creation order through the general evaluator
+//    whenever anything might have changed, and every sequential
+//    component latches on every edge. It shares the storage layout but
+//    no scheduling code with kThreaded, so the differential tests (see
+//    tests/chdl/test_fuzz.cpp) compare the two.
 //
 // The application drives the design directly — poke inputs, clock, peek
 // outputs — which is the CHDL workflow: the C++ program that will operate
@@ -42,35 +38,26 @@
 #include "chdl/optimize.hpp"
 #include "chdl/region.hpp"
 #include "sim/snapshot.hpp"
+#include "util/cacheline.hpp"
 
 namespace atlantis::chdl {
 
 class ThreadedBackend;
+struct TOp;
 
 /// Combinational evaluation policy.
 enum class EvalMode {
-  kEventDriven,  // dirty-worklist over the compiled op tape
-  kThreaded,     // region superops + computed-goto dispatch
-  kFullSweep,    // re-evaluate everything (reference cross-check path)
-  kAuto,         // pick threaded vs event-driven by compiled tape size
+  kThreaded,   // region superops + computed-goto dispatch (production)
+  kFullSweep,  // re-evaluate everything (reference cross-check path)
 };
 
 /// Simulator construction options. The netlist optimizer
-/// (chdl/optimize.hpp) is on by default; `optimize = false` is the
-/// escape hatch that compiles the tape 1:1 from the elaborated design.
+/// (chdl/optimize.hpp) is on by default; `optimize = false` compiles the
+/// tape 1:1 from the elaborated design (the differential reference).
 struct SimOptions {
-  EvalMode mode = EvalMode::kEventDriven;
+  EvalMode mode = EvalMode::kThreaded;
   bool optimize = true;
   OptimizeOptions opt{};
-  /// Region partitioning knobs for EvalMode::kThreaded.
-  RegionBuildOptions region{};
-  /// EvalMode::kAuto threshold: tapes with at least this many compiled
-  /// ops get the threaded region-superop engine; smaller tapes stay on
-  /// the event-driven worklist, whose per-op dispatch is cheaper than a
-  /// region plan that can barely amortize its shadow-diff checks
-  /// (BENCH_simspeed: the 46-op conv tape runs ~6% faster event-driven,
-  /// the 2860-op TRT tape ~10x faster threaded).
-  std::size_t auto_threaded_min_ops = 256;
 };
 
 /// Work counters for speed reporting and activity-based tuning.
@@ -80,27 +67,26 @@ struct SimActivity {
   std::uint64_t edges = 0;         // clock edges applied
 };
 
-class Simulator {
+// Cache-line aligned, like the buffers it writes while stepping
+// (util/cacheline.hpp): simulators built back to back and stepped on
+// different threads share no line.
+class alignas(util::kCacheLine) Simulator {
  public:
   /// Elaborates the design: runs the netlist optimizer (unless
-  /// disabled), levelizes combinational logic (throwing util::Error on
-  /// a combinational cycle), compiles the op tape, allocates flat
-  /// storage and applies power-up values.
+  /// disabled), checks that combinational logic is acyclic (throwing
+  /// util::Error otherwise), compiles the op tape and the threaded
+  /// engine, allocates flat storage and applies power-up values.
   Simulator(const Design& design, const SimOptions& options);
   explicit Simulator(const Design& design,
-                     EvalMode mode = EvalMode::kEventDriven)
+                     EvalMode mode = EvalMode::kThreaded)
       : Simulator(design, SimOptions{.mode = mode}) {}
   ~Simulator();
 
   const Design& design() const { return design_; }
 
-  /// The resolved evaluation policy — never kAuto: auto resolves to
-  /// kThreaded or kEventDriven against the compiled tape at
-  /// construction (or inside set_eval_mode).
   EvalMode eval_mode() const { return mode_; }
   /// Switches the evaluation policy; all combinational state is
   /// re-evaluated on the next peek/step, so results are unaffected.
-  /// kAuto re-resolves against the tape size.
   void set_eval_mode(EvalMode mode);
 
   const SimActivity& activity() const { return activity_; }
@@ -151,20 +137,16 @@ class Simulator {
   /// cycle counts and the activity counters — into the caller's open
   /// section. Worklist/backend state is *not* serialized: it is derived,
   /// and load_state re-derives it by marking everything dirty, which
-  /// converges to the identical fixed point on all three eval backends
+  /// converges to the identical fixed point under either policy
   /// (evaluation is a pure function of the restored values). load_state
   /// requires a simulator constructed over the same design and throws
   /// util::Error on a shape mismatch.
   void save_state(sim::SnapshotWriter& w) const;
   void load_state(sim::SnapshotReader& r);
 
-  /// Levelization depth of the combinational netlist (longest
-  /// comb path, in components).
-  int comb_levels() const { return static_cast<int>(level_queue_.size()); }
-
-  /// Number of ops compiled onto the event-driven tape (after the
-  /// optimizer, when enabled).
-  std::size_t tape_ops() const { return tape_.size(); }
+  /// Number of ops compiled onto the tape (after the optimizer, when
+  /// enabled).
+  std::size_t tape_ops() const { return graph_.out_wire.size(); }
   /// True when the netlist optimizer ran at construction.
   bool optimized() const { return opt_.has_value(); }
   /// Per-pass optimizer accounting; nullptr when the optimizer is off.
@@ -176,35 +158,15 @@ class Simulator {
   /// resolved through the optimizer), as consumed by the threaded
   /// backend's region compiler. Exposed so tests can check the region
   /// partitioning invariants against the real tape.
-  RegionGraph region_graph() const;
-  /// The threaded backend's region plan; nullptr until kThreaded has
-  /// been selected at construction or via set_eval_mode.
-  const RegionPlan* region_plan() const;
+  const RegionGraph& region_graph() const { return graph_; }
+  /// The threaded engine's region plan.
+  const RegionPlan& region_plan() const;
 
  private:
   struct WireSlot {
     std::int32_t offset = 0;  // index into values_
     std::int32_t words = 0;
     std::int32_t width = 0;
-  };
-
-  /// One compiled combinational component. `single` marks the ≤64-bit
-  /// fast path: all inputs and the output are one word, so the hot loop
-  /// is a switch over POD fields with no Component/Wire chasing.
-  struct Op {
-    CompKind kind = CompKind::kConst;
-    FusedOp fused = FusedOp::kNone;  // != kNone: fused fast-path opcode
-    bool single = false;
-    std::int32_t comp = -1;      // index into design_.components()
-    std::int32_t out_wire = -1;
-    std::int32_t out_off = 0;
-    std::int32_t out_words = 0;
-    std::int32_t in0 = 0, in1 = 0, in2 = 0;  // input word offsets
-    std::int32_t a = 0;          // slice lo / shift amount / concat lo width
-    std::uint64_t out_mask = ~std::uint64_t{0};
-    std::uint64_t in_mask = ~std::uint64_t{0};  // kReduceAnd input mask
-    std::uint64_t imm = 0;                      // fused immediate / shift
-    std::int32_t level = 0;
   };
 
   std::uint64_t* wire_ptr(std::int32_t id) {
@@ -218,15 +180,11 @@ class Simulator {
 
   void eval_comb();
   void eval_comp(const Component& c, std::uint64_t* dst);
-  bool eval_op(const Op& op);
   void refresh_lazy();
   void commit_edge(ClockId clock);
-  void levelize();
-  void compile_tape();
-  void mark_wire_dirty(std::int32_t wire_id);
+  void split_components();
+  std::vector<TOp> compile_tape();
   void mark_all_dirty();
-  void ensure_threaded();
-  EvalMode resolve_auto() const;
   void store(Wire w, const BitVec& v);
   BitVec load(Wire w) const;
 
@@ -234,27 +192,18 @@ class Simulator {
   EvalMode mode_;
   std::optional<OptimizedNetlist> opt_;  // engaged iff optimizer enabled
   std::vector<WireSlot> slots_;
-  std::vector<std::uint64_t> values_;
-  std::vector<std::int32_t> comb_order_;   // component indices, topological
+  util::CacheLineVector<std::uint64_t> values_;
+  std::vector<std::int32_t> comb_order_;   // comb component indices, creation order
   std::vector<std::int32_t> seq_comps_;    // kReg / kRamRead / kRamWrite
-  std::vector<std::vector<std::uint64_t>> ram_data_;  // flat words per RAM
+  std::vector<util::CacheLineVector<std::uint64_t>> ram_data_;  // per RAM
   std::vector<std::int32_t> ram_stride_;   // words per RAM entry
-  std::vector<std::uint64_t> cycle_count_;
+  util::CacheLineVector<std::uint64_t> cycle_count_;
   // Staging for next register / RAM-read values (avoids ordering hazards).
-  std::vector<std::uint64_t> stage_;
+  util::CacheLineVector<std::uint64_t> stage_;
   bool comb_dirty_ = true;                 // full-sweep mode only
   EdgeHook edge_hook_;
 
-  // Event-driven machinery.
-  std::vector<Op> tape_;                   // comb ops in comb_order_ order
-  std::vector<std::int32_t> fan_begin_;    // wire id -> [begin,end) CSR ...
-  std::vector<std::int32_t> fan_ops_;      // ... over dependent tape indices
-  std::vector<std::int32_t> tape_in_begin_;  // tape op -> input wires CSR ...
-  std::vector<std::int32_t> tape_in_wires_;  // ... (optimizer-resolved ids)
-  std::vector<std::vector<std::int32_t>> level_queue_;  // dirty worklist
-  std::vector<std::uint8_t> queued_;       // per tape op
-  std::int64_t dirty_count_ = 0;
-  std::vector<std::uint64_t> scratch_;     // general-path output buffer
+  RegionGraph graph_;                      // the compiled tape's dependencies
   std::vector<std::uint8_t> is_input_;     // per wire: design input?
   // DCE'd-but-observable logic: kept off the tape, re-evaluated only
   // when a peek asks for one of its wires (keeps peeks bit-identical).
@@ -263,11 +212,8 @@ class Simulator {
   bool lazy_stale_ = true;
   SimActivity activity_;
 
-  std::size_t auto_threaded_min_ops_ = 256;
-
-  // Threaded backend (chdl/threaded.hpp); built lazily on first use of
-  // EvalMode::kThreaded and kept across mode switches.
-  RegionBuildOptions region_opts_{};
+  // The production engine (chdl/threaded.hpp), built at construction and
+  // kept across mode switches.
   std::unique_ptr<ThreadedBackend> threaded_;
 };
 

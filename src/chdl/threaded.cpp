@@ -26,9 +26,10 @@ bool threaded_uses_computed_goto() {
 
 // Single-word handler bodies, written once and expanded into both the
 // computed-goto handlers and the switch cases so the two dispatch paths
-// cannot drift. Every body is the exact expression Simulator::eval_op
-// computes for the corresponding opcode; order must match TCode (the
-// label table is static_assert'd against TCode::kCount_).
+// cannot drift. Each body is the one-word form of what
+// Simulator::eval_comp computes for the corresponding component kind;
+// order must match TCode (the label table is static_assert'd against
+// TCode::kCount_).
 #define ATLANTIS_THREADED_OPS(X)                                         \
   X(kNot, ~v[op->in0] & op->mask)                                        \
   X(kAnd, v[op->in0] & v[op->in1])                                       \
@@ -59,79 +60,23 @@ bool threaded_uses_computed_goto() {
   X(kXorImm, v[op->in0] ^ op->imm)                                       \
   X(kSliceImm, (v[op->in0] >> op->imm) & op->mask)
 
-ThreadedBackend::ThreadedBackend(Simulator& sim,
-                                 const RegionBuildOptions& opts)
-    : sim_(sim), plan_(build_region_plan(sim.region_graph(), opts)) {
-  decode_tape();
+ThreadedBackend::ThreadedBackend(Simulator& sim, const std::vector<TOp>& tape)
+    : sim_(sim), plan_(build_region_plan(sim.graph_)) {
+  layout_code(tape);
   build_seq_tape();
   shadow_.assign(sim_.values_.size(), 0);
   buckets_.assign(static_cast<std::size_t>(plan_.max_level) + 1, {});
   region_queued_.assign(plan_.regions.size(), 0);
-  mark_all();
 }
 
-void ThreadedBackend::decode_tape() {
+void ThreadedBackend::layout_code(const std::vector<TOp>& tape) {
   code_begin_.reserve(plan_.regions.size());
   code_.reserve(plan_.op_order.size() + plan_.regions.size());
   for (const Region& region : plan_.regions) {
     code_begin_.push_back(static_cast<std::int32_t>(code_.size()));
     for (std::int32_t i = region.ops_begin; i < region.ops_end; ++i) {
-      const std::int32_t t = plan_.op_order[static_cast<std::size_t>(i)];
-      const Simulator::Op& src = sim_.tape_[static_cast<std::size_t>(t)];
-      TOp d;
-      d.out = src.out_off;
-      d.mask = src.out_mask;
-      d.in0 = src.in0;
-      d.in1 = src.in1;
-      d.in2 = src.in2;
-      d.a = src.a;
-      d.imm = src.imm;
-      if (src.fused != FusedOp::kNone) {
-        switch (src.fused) {
-          case FusedOp::kAndNot:   d.code = TCode::kAndNot; break;
-          case FusedOp::kOrNot:    d.code = TCode::kOrNot; break;
-          case FusedOp::kEqImm:    d.code = TCode::kEqImm; break;
-          case FusedOp::kNeImm:    d.code = TCode::kNeImm; break;
-          case FusedOp::kUltImm:   d.code = TCode::kUltImm; break;
-          case FusedOp::kImmUlt:   d.code = TCode::kImmUlt; break;
-          case FusedOp::kAddImm:   d.code = TCode::kAddImm; break;
-          case FusedOp::kSubImm:   d.code = TCode::kSubImm; break;
-          case FusedOp::kAndImm:   d.code = TCode::kAndImm; break;
-          case FusedOp::kOrImm:    d.code = TCode::kOrImm; break;
-          case FusedOp::kXorImm:   d.code = TCode::kXorImm; break;
-          case FusedOp::kSliceImm: d.code = TCode::kSliceImm; break;
-          case FusedOp::kNone:     break;
-        }
-      } else if (src.single) {
-        switch (src.kind) {
-          case CompKind::kNot:       d.code = TCode::kNot; break;
-          case CompKind::kAnd:       d.code = TCode::kAnd; break;
-          case CompKind::kOr:        d.code = TCode::kOr; break;
-          case CompKind::kXor:       d.code = TCode::kXor; break;
-          case CompKind::kMux:       d.code = TCode::kMux; break;
-          case CompKind::kAdd:       d.code = TCode::kAdd; break;
-          case CompKind::kSub:       d.code = TCode::kSub; break;
-          case CompKind::kEq:        d.code = TCode::kEq; break;
-          case CompKind::kUlt:       d.code = TCode::kUlt; break;
-          case CompKind::kReduceAnd:
-            d.code = TCode::kReduceAnd;
-            d.imm = src.in_mask;  // compare-against mask rides in imm
-            break;
-          case CompKind::kReduceOr:  d.code = TCode::kReduceOr; break;
-          case CompKind::kReduceXor: d.code = TCode::kReduceXor; break;
-          case CompKind::kSlice:     d.code = TCode::kSlice; break;
-          case CompKind::kConcat:    d.code = TCode::kConcat2; break;
-          case CompKind::kShl:       d.code = TCode::kShl; break;
-          case CompKind::kShr:       d.code = TCode::kShr; break;
-          default:
-            ATLANTIS_CHECK(false, "unexpected single-word tape op kind");
-            break;
-        }
-      } else {
-        d.code = TCode::kWide;
-        d.comp = src.comp;
-      }
-      code_.push_back(d);
+      code_.push_back(tape[static_cast<std::size_t>(
+          plan_.op_order[static_cast<std::size_t>(i)])]);
     }
     code_.push_back(TOp{});  // TCode::kEnd terminator
   }
@@ -151,7 +96,6 @@ void ThreadedBackend::build_seq_tape() {
     const Component& c = comps[static_cast<std::size_t>(i)];
     const std::int32_t si = static_cast<std::int32_t>(seq_ops_.size());
     SeqOp s;
-    s.comp = i;
     s.clock = c.clock;
     const auto watch = [&](Wire w) {
       if (w.valid()) edges.emplace_back(rep(w).id, si);
@@ -358,14 +302,13 @@ L_End:;
 void ThreadedBackend::commit_edge(ClockId clock) {
   auto& list = seq_dirty_[static_cast<std::size_t>(clock.id)];
   if (list.empty()) return;
-  commit_order_.assign(list.begin(), list.end());
+  // Take this edge's dirty list; re-arms issued while committing land on
+  // the (cleared) swapped-in list for the next edge.
+  committing_.swap(list);
   list.clear();
-  for (const std::int32_t s : commit_order_) {
+  for (const std::int32_t s : committing_) {
     seq_queued_[static_cast<std::size_t>(s)] = 0;
   }
-  // Commit in component-creation order so multi-port RAM writes keep the
-  // reference engine's last-write-wins ordering.
-  std::sort(commit_order_.begin(), commit_order_.end());
   pending_writes_.clear();
   touched_.clear();
 
@@ -374,7 +317,7 @@ void ThreadedBackend::commit_edge(ClockId clock) {
   const auto& rams = sim_.design_.rams();
   // Phase 1: stage next register / read-port values from pre-edge state;
   // collect asserted write ports.
-  for (const std::int32_t si : commit_order_) {
+  for (const std::int32_t si : committing_) {
     const SeqOp& s = seq_ops_[static_cast<std::size_t>(si)];
     switch (s.kind) {
       case SeqOp::kReg1: {
@@ -424,7 +367,7 @@ void ThreadedBackend::commit_edge(ClockId clock) {
           const RamBlock& blk = rams[static_cast<std::size_t>(s.ram)];
           const auto addr = static_cast<std::int64_t>(
               v[s.addr_off] % static_cast<std::uint64_t>(blk.words));
-          pending_writes_.push_back({s.ram, addr, s.d_off, s.out_words});
+          pending_writes_.push_back({si, s.ram, addr, s.d_off, s.out_words});
           // Sticky: an asserted port writes again next edge even if its
           // inputs hold (another port may overwrite the word meanwhile).
           mark_seq(si);
@@ -433,9 +376,15 @@ void ThreadedBackend::commit_edge(ClockId clock) {
       }
     }
   }
-  // Phase 2: commit RAM writes after all reads sampled old contents. A
-  // word that actually changed re-arms the RAM's read ports (the change
-  // becomes visible through them on their next edge).
+  // Phase 2: commit RAM writes after all reads sampled old contents, in
+  // port creation order so that the later-created of two ports writing
+  // one word wins, as in the reference. A word that actually changed
+  // re-arms the RAM's read ports (the change becomes visible through
+  // them on their next edge).
+  std::sort(pending_writes_.begin(), pending_writes_.end(),
+            [](const PendingWrite& a, const PendingWrite& b) {
+              return a.port < b.port;
+            });
   for (const PendingWrite& w : pending_writes_) {
     std::uint64_t* mem =
         sim_.ram_data_[static_cast<std::size_t>(w.ram)].data() +

@@ -1,15 +1,15 @@
-// Threaded-code execution backend for the CHDL op tape.
+// The production execution engine for the CHDL op tape.
 //
-// The event-driven engine (chdl/sim.cpp) pays a double switch
-// (op.fused, then op.kind) plus worklist bookkeeping for every single
-// op it touches, and its edge commit sweeps every sequential component
-// whether or not anything changed. This backend removes both costs,
-// QEMU-TCG-style, while keeping the interpreter bit-identical as the
-// differential reference:
+// Simulator elaboration compiles the combinational netlist straight into
+// TOp records; this engine schedules them. It keeps the full-sweep
+// reference bit-identical while paying only for what changed,
+// QEMU-TCG-style:
 //
-//  * flat opcode space — the tape is re-decoded once into TOp records
-//    whose single `code` byte covers plain, single-word-fast-path and
-//    peephole-fused forms alike, so dispatch is one indirection;
+//  * flat opcode space — one `code` byte per TOp covers the
+//    single-word fast paths, the peephole-fused forms and the general
+//    multi-word path (kWide, Simulator::eval_comp), so dispatch is one
+//    indirection and the single-word semantics are written once
+//    (ATLANTIS_THREADED_OPS in threaded.cpp);
 //  * computed-goto dispatch — on GCC/Clang each opcode's handler jumps
 //    straight to the next op through a `&&label` table (one indirect
 //    branch per op, predicted per-opcode); elsewhere, or when
@@ -25,10 +25,11 @@
 //    asserted RAM write port re-arms itself; a RAM word change re-arms
 //    the RAM's read ports). A quiescent design commits an edge in O(1).
 //
-// Scheduling stays deterministic: regions drain level-by-level exactly
-// like the per-op worklist, and dirty sequential components commit in
-// component-creation order, preserving the reference's last-write-wins
-// ordering for multi-port RAM writes.
+// Scheduling stays deterministic: dirty regions drain level by level
+// (regions within a level are independent), dirty sequential components
+// latch in the order they were marked, and RAM writes landing on one
+// edge commit in component-creation order, preserving the reference's
+// last-write-wins ordering for multi-port RAM writes.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@
 
 #include "chdl/design.hpp"
 #include "chdl/region.hpp"
+#include "util/cacheline.hpp"
 
 namespace atlantis::chdl {
 
@@ -51,7 +53,7 @@ bool threaded_uses_computed_goto();
 enum class TCode : std::uint8_t {
   kEnd = 0,    // region terminator
   kWide,       // multi-word / general op: delegate to Simulator::eval_comp
-  // Single-word CompKind fast paths (semantics of Simulator::eval_op).
+  // Single-word CompKind fast paths.
   kNot,
   kAnd,
   kOr,
@@ -96,13 +98,16 @@ struct TOp {
   std::uint64_t imm = 0;     // fused immediate; kReduceAnd input mask
 };
 
-/// The compiled backend for one Simulator. Owns the region plan, the
-/// decoded superop blocks, the shadow value copy and the sequential
-/// edge tape; the Simulator forwards poke/eval/step/write_ram events
-/// here when its mode is EvalMode::kThreaded.
-class ThreadedBackend {
+/// The compiled engine for one Simulator. Owns the region plan, the
+/// superop blocks, the shadow value copy and the sequential edge tape;
+/// the Simulator forwards poke/eval/step/write_ram events here when its
+/// mode is EvalMode::kThreaded. Everything it writes while stepping sits
+/// on cache lines of its own (util/cacheline.hpp).
+class alignas(util::kCacheLine) ThreadedBackend {
  public:
-  ThreadedBackend(Simulator& sim, const RegionBuildOptions& opts);
+  /// Lays `tape` (Simulator::compile_tape, in tape order) out as region
+  /// blocks. Nothing is queued until the Simulator's reset() marks all.
+  ThreadedBackend(Simulator& sim, const std::vector<TOp>& tape);
 
   /// Marks everything dirty: every region queued, every sequential
   /// component armed for its next edge. Used on mode switches / reset.
@@ -126,7 +131,6 @@ class ThreadedBackend {
   struct SeqOp {
     enum Kind : std::uint8_t { kReg1, kRegN, kRamRead, kRamWrite };
     Kind kind = kReg1;
-    std::int32_t comp = -1;      // design component index (commit order key)
     std::int32_t clock = 0;
     std::int32_t out_wire = -1;
     std::int32_t out_off = 0;
@@ -139,7 +143,7 @@ class ThreadedBackend {
     const std::uint64_t* init = nullptr;  // register reset/init words
   };
 
-  void decode_tape();
+  void layout_code(const std::vector<TOp>& tape);
   void build_seq_tape();
   void execute_region(std::int32_t r);
   void mark_region(std::int32_t r);
@@ -150,31 +154,32 @@ class ThreadedBackend {
   std::vector<TOp> code_;                  // superop blocks, kEnd-terminated
   std::vector<std::int32_t> code_begin_;   // region -> first TOp
   // Last value each region output propagated; diffing against it is the
-  // single change check that replaces per-op change propagation.
-  std::vector<std::uint64_t> shadow_;
+  // one change check per region.
+  util::CacheLineVector<std::uint64_t> shadow_;
 
-  // Region worklist (mirrors the per-op level_queue_).
-  std::vector<std::vector<std::int32_t>> buckets_;  // by region level
-  std::vector<std::uint8_t> region_queued_;
+  // Region worklist, bucketed by region level.
+  util::CacheLineVector<util::CacheLineVector<std::int32_t>> buckets_;
+  util::CacheLineVector<std::uint8_t> region_queued_;
   std::int64_t dirty_regions_ = 0;
 
   // Sequential edge tape.
   std::vector<SeqOp> seq_ops_;
-  std::vector<std::vector<std::int32_t>> seq_dirty_;  // per clock domain
-  std::vector<std::uint8_t> seq_queued_;
+  util::CacheLineVector<util::CacheLineVector<std::int32_t>> seq_dirty_;
+  util::CacheLineVector<std::uint8_t> seq_queued_;
   std::vector<std::int32_t> seq_fan_begin_;  // wire -> consuming SeqOps CSR
   std::vector<std::int32_t> seq_fan_ops_;
   std::vector<std::vector<std::int32_t>> ram_readers_;  // ram -> SeqOp ids
   // Commit scratch (kept here so commits stay allocation-free).
-  std::vector<std::int32_t> commit_order_;
+  util::CacheLineVector<std::int32_t> committing_;  // edge's dirty list
   struct PendingWrite {
+    std::int32_t port;  // SeqOp index: creation order among RAM ports
     std::int32_t ram;
     std::int64_t addr;
     std::int32_t src_off;
     std::int32_t words;
   };
-  std::vector<PendingWrite> pending_writes_;
-  std::vector<std::int32_t> touched_;
+  util::CacheLineVector<PendingWrite> pending_writes_;
+  util::CacheLineVector<std::int32_t> touched_;
 };
 
 }  // namespace atlantis::chdl

@@ -88,14 +88,9 @@ std::string wire_name(const Design& d, std::int32_t wire_id) {
 namespace {
 
 std::string side_label(const SimOptions& so) {
-  std::string s;
-  switch (so.mode) {
-    case EvalMode::kEventDriven: s = "event"; break;
-    case EvalMode::kThreaded:    s = "threaded"; break;
-    case EvalMode::kFullSweep:   s = "full-sweep"; break;
-    case EvalMode::kAuto:        s = "auto"; break;
-  }
-  return s + (so.optimize ? "+opt" : "");
+  return std::string(so.mode == EvalMode::kThreaded ? "threaded"
+                                                    : "full-sweep") +
+         (so.optimize ? "+opt" : "");
 }
 
 }  // namespace
@@ -104,15 +99,9 @@ BackendCheckReport check_backends(const Design& d,
                                   const BackendCheckOptions& opts) {
   std::vector<SimOptions> sides = opts.sides;
   if (sides.empty()) {
-    SimOptions threaded;
-    threaded.mode = EvalMode::kThreaded;
-    SimOptions event;
-    event.mode = EvalMode::kEventDriven;
-    event.optimize = false;
-    SimOptions full;
-    full.mode = EvalMode::kFullSweep;
-    full.optimize = false;
-    sides = {threaded, event, full};
+    sides = {SimOptions{.mode = EvalMode::kFullSweep, .optimize = false},
+             SimOptions{.mode = EvalMode::kThreaded, .optimize = false},
+             SimOptions{}};
   }
   ATLANTIS_CHECK(sides.size() >= 2, "check_backends needs at least 2 sides");
 

@@ -59,8 +59,8 @@ struct BackendCheckOptions {
   int cycles = 500;
   std::uint64_t seed = 0xA11CE;
   /// Simulators to pit against each other; side 0 is the reference.
-  /// Empty selects the default three-way check: threaded+optimizer vs
-  /// event-driven vs unoptimized full sweep.
+  /// Empty selects the default three-way check: unoptimized full sweep
+  /// vs unoptimized threaded vs threaded+optimizer.
   std::vector<SimOptions> sides;
 };
 

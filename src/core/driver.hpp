@@ -40,9 +40,9 @@ namespace atlantis::core {
 class TaskSwitcher;
 
 /// What AtlantisDriver::reset() clears. The scopes nest upward: kStats
-/// implies kTime (per-phase accounting always restarts the ledger, the
-/// behaviour the deprecated reset_stats() always had); kAll is every
-/// scope including the crate's fault-injector replay state.
+/// implies kTime (per-phase accounting always restarts the ledger);
+/// kAll is every scope including the crate's fault-injector replay
+/// state.
 enum class ResetScope {
   kTime,    // elapsed() ledger only (epoch moves to the cursor)
   kStats,   // ledger + PLX lifetime counters + driver recovery counters
@@ -59,7 +59,7 @@ class AtlantisDriver {
   AtlantisSystem& system() { return system_; }
 
   // --- time ledger -----------------------------------------------------
-  /// Elapsed hardware time since construction (or the last reset_time):
+  /// Elapsed hardware time since construction (or the last reset):
   /// the timeline horizon of this driver's transactions, as a scalar.
   util::Picoseconds elapsed() const { return now_ - epoch_; }
   /// This driver's cursor on the crate timeline (absolute).
@@ -70,17 +70,6 @@ class AtlantisDriver {
   /// reset(kFaults) rewinds the crate's fault injector for bit-identical
   /// replay; reset(kAll) does all of the above.
   void reset(ResetScope scope);
-
-  /// Deprecated: use reset(ResetScope::kTime). Thin forwarder kept so
-  /// existing call sites compile and behave identically; in-tree use
-  /// fails the -Werror=deprecated-declarations CI leg.
-  [[deprecated("use reset(ResetScope::kTime)")]]
-  void reset_time() { reset(ResetScope::kTime); }
-  /// Deprecated: use reset(ResetScope::kStats). Thin forwarder kept so
-  /// existing call sites compile and behave identically; in-tree use
-  /// fails the -Werror=deprecated-declarations CI leg.
-  [[deprecated("use reset(ResetScope::kStats)")]]
-  void reset_stats() { reset(ResetScope::kStats); }
   /// Adds externally-computed hardware time (e.g. N design clocks),
   /// posted as a design-clock compute transaction. `label` names the
   /// transaction in traces (the serve layer labels jobs).
@@ -154,7 +143,7 @@ class AtlantisDriver {
   void set_retry_policy(const sim::RetryPolicy& policy) { policy_ = policy; }
   const sim::RetryPolicy& retry_policy() const { return policy_; }
 
-  /// Recovery statistics since construction (or the last reset_stats()).
+  /// Recovery statistics since construction (or the last reset(kStats)).
   std::uint64_t dma_faults() const { return dma_faults_; }
   std::uint64_t dma_retries() const { return dma_retries_; }
   std::uint64_t config_retries() const { return config_retries_; }

@@ -93,12 +93,8 @@ int region_diff_count(const std::vector<std::uint64_t>& a,
   return n;
 }
 
-chdl::SimOptions& FpgaDevice::default_sim_options() {
-  static chdl::SimOptions options = [] {
-    chdl::SimOptions o;
-    o.mode = chdl::EvalMode::kAuto;
-    return o;
-  }();
+const chdl::SimOptions& FpgaDevice::default_sim_options() {
+  static const chdl::SimOptions options;
   return options;
 }
 
@@ -181,7 +177,7 @@ void FpgaDevice::install(const Bitstream& bs) {
   if (!same_design) {
     sim_.reset();
     if (bs.design != nullptr) {
-      sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+      sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
     }
   }
 }
@@ -199,7 +195,7 @@ util::Picoseconds FpgaDevice::configure(const Bitstream& bs) {
   design_name_ = bs.name;
   sim_.reset();
   if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+    sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
   }
   resident_sigs_ = bs.region_sigs;
   return config_time(family_->config_bits);
@@ -224,13 +220,13 @@ util::Picoseconds FpgaDevice::partial_reconfigure(const Bitstream& bs) {
   design_name_ = bs.name;
   sim_.reset();
   if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+    sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
   }
   resident_sigs_ = bs.region_sigs;
   return spent;
 }
 
-ReconfigOutcome FpgaDevice::load_regions(const std::vector<int>& regions,
+ReconfigOutcome FpgaDevice::load_regions(int regions,
                                          int max_region_attempts,
                                          bool differential) {
   ATLANTIS_CHECK(max_region_attempts >= 1,
@@ -239,7 +235,7 @@ ReconfigOutcome FpgaDevice::load_regions(const std::vector<int>& regions,
   outcome.regions_total = family_->config_regions;
   outcome.differential = differential;
   const util::Picoseconds frame = region_time();
-  for (int region : regions) {
+  for (int region = 0; region < regions; ++region) {
     bool loaded = false;
     for (int attempt = 1; attempt <= max_region_attempts; ++attempt) {
       outcome.time += frame;
@@ -323,7 +319,8 @@ ReconfigOutcome FpgaDevice::reconfigure_diff(const Bitstream& bs,
   }
 
   ReconfigOutcome outcome =
-      load_regions(changed, max_region_attempts, comparable);
+      load_regions(static_cast<int>(changed.size()), max_region_attempts,
+                   comparable);
   if (!outcome.ok) return outcome;
   ++partial_reconfigs_;
   upset_pending_ = false;
@@ -345,7 +342,7 @@ ReconfigOutcome FpgaDevice::self_reconfigure_region(int region,
   }
   // The resident design re-shifts one of its own frames from the staged
   // configuration data. The design (and its live state) stays put.
-  ReconfigOutcome outcome = load_regions({region}, max_region_attempts, true);
+  ReconfigOutcome outcome = load_regions(1, max_region_attempts, true);
   if (!outcome.ok) return outcome;
   ++self_reconfigs_;
   if (upset_pending_ && upset_region_ == region) {
@@ -369,7 +366,7 @@ util::Picoseconds FpgaDevice::activate(const Bitstream& bs,
   design_name_ = bs.name;
   sim_.reset();
   if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, sim_options_);
+    sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
   }
   resident_sigs_ = bs.region_sigs;
   return config_time(static_cast<std::int64_t>(

@@ -106,27 +106,14 @@ struct ReconfigOutcome {
 class FpgaDevice {
  public:
   FpgaDevice(std::string instance_name, const FpgaFamily& family)
-      : name_(std::move(instance_name)), family_(&family),
-        sim_options_(default_sim_options()) {}
+      : name_(std::move(instance_name)), family_(&family) {}
 
-  /// Process-wide default SimOptions for simulators built by
-  /// configure()/partial_reconfigure()/activate(). Ships with
-  /// EvalMode::kAuto — per-design backend selection that picks the
-  /// threaded region-superop engine for large tapes and the lighter
-  /// event-driven engine for small ones (chdl/sim.hpp) — while plain
-  /// `chdl::Simulator` construction elsewhere keeps the event-driven
-  /// default. Mutate the reference (e.g. in a benchmark harness) to
-  /// change the fleet-wide policy; per-device overrides go through
-  /// set_sim_options().
-  static chdl::SimOptions& default_sim_options();
-
-  /// Per-device override; applies to the NEXT (re)configuration — an
-  /// already-loaded simulator keeps its engine until the design is
-  /// loaded again (use sim()->set_eval_mode for a live switch).
-  void set_sim_options(const chdl::SimOptions& options) {
-    sim_options_ = options;
-  }
-  const chdl::SimOptions& sim_options() const { return sim_options_; }
+  /// The SimOptions of every simulator configure()/partial_reconfigure()/
+  /// activate() builds: the production threaded engine with the netlist
+  /// optimizer on (chdl/sim.hpp). Harnesses that build simulators beside
+  /// a device use it to run the same engine the device runs; a live
+  /// simulator can still switch with sim()->set_eval_mode.
+  static const chdl::SimOptions& default_sim_options();
 
   const std::string& name() const { return name_; }
   const FpgaFamily& family() const { return *family_; }
@@ -246,17 +233,16 @@ class FpgaDevice {
  private:
   void check_fit(const chdl::NetlistStats& stats) const;
   bool draw_crc_failure();
-  /// Loads the listed regions frame by frame with per-region CRC retry;
+  /// Loads `regions` region frames one by one with per-frame CRC retry;
   /// shared tail of reconfigure_diff / self_reconfigure_region.
-  ReconfigOutcome load_regions(const std::vector<int>& regions,
-                               int max_region_attempts, bool differential);
+  ReconfigOutcome load_regions(int regions, int max_region_attempts,
+                               bool differential);
   void install(const Bitstream& bs);
 
   std::string name_;
   const FpgaFamily* family_;
   bool configured_ = false;
   std::string design_name_;
-  chdl::SimOptions sim_options_;
   std::unique_ptr<chdl::Simulator> sim_;
   std::vector<std::uint64_t> resident_sigs_;
   bool crc_ok_ = true;

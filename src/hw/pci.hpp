@@ -83,8 +83,8 @@ class Plx9080 {
     total_bytes_ += t.bytes;
     total_time_ += t.duration;
   }
-  /// Clears the lifetime DMA counters (the chip-reset path reset_stats()
-  /// on the driver goes through).
+  /// Clears the lifetime DMA counters (the chip-reset path the driver's
+  /// reset(ResetScope::kStats) goes through).
   void reset_counters() {
     total_bytes_ = 0;
     total_time_ = 0;

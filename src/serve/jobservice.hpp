@@ -49,11 +49,10 @@ class WorkerPool;
 namespace atlantis::serve {
 
 /// How far one run() call may go — the single entry point's knobs.
-/// Default-constructed it drains everything, like the old run();
-/// max_dispatches bounds the scheduling steps (batches under kBatched,
-/// slices under the preemptive policies), like the old run_bounded();
-/// pool sizes the functional evaluation only — the schedule and the
-/// results are bit-identical for any pool.
+/// Default-constructed it drains everything; max_dispatches bounds the
+/// scheduling steps (batches under kBatched, slices under the preemptive
+/// policies); pool sizes the functional evaluation only — the schedule
+/// and the results are bit-identical for any pool.
 struct RunOptions {
   static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
   std::size_t max_dispatches = kUnbounded;
@@ -141,25 +140,6 @@ class JobService : public sim::Snapshottable {
   /// instead of batched. Returns the run's report.
   const ServiceReport& run(const RunOptions& options = {});
 
-  /// Deprecated: use run({.pool = pool}). Thin forwarder kept so
-  /// existing call sites compile and behave identically; in-tree use
-  /// fails the -Werror=deprecated-declarations CI leg.
-  [[deprecated("use run(const RunOptions&)")]]
-  const ServiceReport& run(util::WorkerPool* pool) {
-    RunOptions options;
-    options.pool = pool;
-    return run(options);
-  }
-  /// Deprecated: use run({.max_dispatches = n, .pool = pool}).
-  [[deprecated("use run(const RunOptions&)")]]
-  const ServiceReport& run_bounded(std::size_t max_dispatches,
-                                   util::WorkerPool* pool = nullptr) {
-    RunOptions options;
-    options.max_dispatches = max_dispatches;
-    options.pool = pool;
-    return run(options);
-  }
-
   // --- checkpoint / restore / migration --------------------------------
   /// Freezes one pending job (queued or preempted mid-compute) into a
   /// portable checkpoint and removes it from this service's scheduling
@@ -216,7 +196,7 @@ class JobService : public sim::Snapshottable {
 
   std::size_t pending() const { return queues_.total(); }
   /// True while any board holds a job mid-compute (preemptive policies
-  /// paused by run_bounded).
+  /// paused by a bounded run()).
   bool has_active_jobs() const;
   /// Per-board switcher (cache stats, current task) for inspection.
   const core::TaskSwitcher& switcher(int board_index) const;

@@ -8,7 +8,7 @@
 //
 //   run():  while work remains:
 //     1. let the service make a bounded amount of progress
-//        (JobService::run_bounded, `dispatches_per_tick` steps);
+//        (JobService::run with max_dispatches = `dispatches_per_tick`);
 //     2. probe every board (core::HealthProbe + driver/switcher
 //        counters) and diff against the previous window;
 //     3. feed the per-board reconfig and DMA circuit breakers

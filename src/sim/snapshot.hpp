@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,7 +93,7 @@ class SnapshotWriter {
     append(s.data(), s.size());
   }
   /// u64 count followed by the words.
-  void put_words(const std::vector<std::uint64_t>& words) {
+  void put_words(std::span<const std::uint64_t> words) {
     put(static_cast<std::uint64_t>(words.size()));
     append(words.data(), words.size() * sizeof(std::uint64_t));
   }

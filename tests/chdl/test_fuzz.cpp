@@ -1,6 +1,6 @@
 // Randomized netlist fuzzing: build random combinational DAGs, then
-// compare the levelized Simulator against an independent recursive
-// BitVec interpreter over the same component list. Any disagreement is a
+// compare the Simulator against an independent recursive BitVec
+// interpreter over the same component list. Any disagreement is a
 // kernel bug — this is the strongest single check on the CHDL simulator.
 #include <gtest/gtest.h>
 
@@ -191,7 +191,7 @@ TEST_P(NetlistFuzz, SimulatorMatchesInterpreter) {
   util::Rng rng(GetParam());
   const Design d = random_design(rng, 120);
   Simulator sim(d);
-  Simulator threaded(d, EvalMode::kThreaded);
+  Simulator raw(d, SimOptions{.optimize = false});
   for (int vector = 0; vector < 25; ++vector) {
     std::map<std::string, BitVec> inputs;
     for (const auto& [name, w] : d.inputs()) {
@@ -200,15 +200,15 @@ TEST_P(NetlistFuzz, SimulatorMatchesInterpreter) {
       v = v & BitVec::ones(w.width);
       inputs[name] = v;
       sim.poke(w, v);
-      threaded.poke(w, v);
+      raw.poke(w, v);
     }
     Interpreter ref(d, inputs);
     for (const auto& [name, w] : d.outputs()) {
       EXPECT_EQ(sim.peek(w), ref.eval(w))
           << "output '" << name << "', vector " << vector << ", seed "
           << GetParam();
-      EXPECT_EQ(threaded.peek(w), ref.eval(w))
-          << "threaded output '" << name << "', vector " << vector
+      EXPECT_EQ(raw.peek(w), ref.eval(w))
+          << "unoptimized output '" << name << "', vector " << vector
           << ", seed " << GetParam();
     }
   }
@@ -219,11 +219,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetlistFuzz,
                                            10u, 11u, 12u));
 
 // ---------------------------------------------------------------------------
-// Differential mode fuzz: the event-driven worklist evaluator against the
+// Differential mode fuzz: the event-driven threaded engine against the
 // full-sweep reference path, over SEQUENTIAL designs (registers with
 // enable/reset, feedback counters, RAM read/write ports) clocked for many
 // cycles with random pokes. The two policies share storage layout but no
-// evaluation code, so bit-identical results across every wire, RAM word
+// scheduling code, so bit-identical results across every wire, RAM word
 // and VCD byte is strong evidence the incremental dirty tracking is sound.
 
 BitVec random_bits(util::Rng& rng, int width) {
@@ -360,49 +360,25 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
   util::Rng rng(GetParam() * 7919 + 13);
   const Design d = random_seq_design(rng, 140);
 
-  // Five evaluation policies against one reference: the unoptimized
-  // full sweep. "event" exercises the dirty worklist alone; "opted"
-  // additionally runs the fold/dce/cse/fuse netlist optimizer, so this
-  // test is the bit-exactness proof for every optimizer rewrite; the
-  // two threaded sides cover the region superop compiler and the
-  // event-driven edge tape, with and without the optimizer underneath.
-  SimOptions ref_opts;
-  ref_opts.mode = EvalMode::kFullSweep;
-  ref_opts.optimize = false;
-  SimOptions raw_opts;
-  raw_opts.mode = EvalMode::kEventDriven;
-  raw_opts.optimize = false;
-  SimOptions opt_opts;
-  opt_opts.mode = EvalMode::kEventDriven;
-  opt_opts.optimize = true;
-  SimOptions thr_raw_opts;
-  thr_raw_opts.mode = EvalMode::kThreaded;
-  thr_raw_opts.optimize = false;
-  SimOptions thr_opt_opts;
-  thr_opt_opts.mode = EvalMode::kThreaded;
-  thr_opt_opts.optimize = true;
-  Simulator full(d, ref_opts);
-  Simulator event(d, raw_opts);
-  Simulator opted(d, opt_opts);
-  Simulator thr_raw(d, thr_raw_opts);
-  Simulator thr_opt(d, thr_opt_opts);
+  // Three configurations: the unoptimized full sweep is the reference;
+  // "raw" runs the threaded engine (region superops and the event-driven
+  // edge tape) on the elaborated netlist; "opt" adds the fold/dce/cse/fuse
+  // netlist optimizer underneath, so this test is also the bit-exactness
+  // proof for every optimizer rewrite.
+  Simulator full(d, SimOptions{.mode = EvalMode::kFullSweep, .optimize = false});
+  Simulator raw(d, SimOptions{.optimize = false});
+  Simulator opt(d);
   const std::string tag = std::to_string(GetParam());
   const std::string full_vcd =
       ::testing::TempDir() + "/fuzz_full_" + tag + ".vcd";
-  const std::string event_vcd =
-      ::testing::TempDir() + "/fuzz_event_" + tag + ".vcd";
-  const std::string opted_vcd =
-      ::testing::TempDir() + "/fuzz_opted_" + tag + ".vcd";
-  const std::string thr_raw_vcd =
-      ::testing::TempDir() + "/fuzz_thr_raw_" + tag + ".vcd";
-  const std::string thr_opt_vcd =
-      ::testing::TempDir() + "/fuzz_thr_opt_" + tag + ".vcd";
+  const std::string raw_vcd =
+      ::testing::TempDir() + "/fuzz_raw_" + tag + ".vcd";
+  const std::string opt_vcd =
+      ::testing::TempDir() + "/fuzz_opt_" + tag + ".vcd";
   {
     VcdWriter wf(full, full_vcd);
-    VcdWriter we(event, event_vcd);
-    VcdWriter wo(opted, opted_vcd);
-    VcdWriter wtr(thr_raw, thr_raw_vcd);
-    VcdWriter wto(thr_opt, thr_opt_vcd);
+    VcdWriter wr(raw, raw_vcd);
+    VcdWriter wo(opt, opt_vcd);
     for (int cycle = 0; cycle < 50; ++cycle) {
       // Random pokes, identical on all sides; skipping inputs some
       // cycles leaves quiescent islands for the worklist to skip.
@@ -410,59 +386,40 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
         if (rng.next_below(2) == 0) continue;
         const BitVec v = random_bits(rng, w.width);
         full.poke(w, v);
-        event.poke(w, v);
-        opted.poke(w, v);
-        thr_raw.poke(w, v);
-        thr_opt.poke(w, v);
+        raw.poke(w, v);
+        opt.poke(w, v);
       }
       // Every wire in the design, not just the ports — including wires
       // the optimizer aliased, folded or dead-code-eliminated.
       for (std::int32_t id = 0; id < d.wire_count(); ++id) {
         const Wire w{id, d.wire_width(id)};
-        ASSERT_EQ(full.peek(w), event.peek(w))
+        ASSERT_EQ(full.peek(w), raw.peek(w))
             << "wire " << id << ", cycle " << cycle << ", seed "
             << GetParam();
-        ASSERT_EQ(full.peek(w), opted.peek(w))
+        ASSERT_EQ(full.peek(w), opt.peek(w))
             << "optimized wire " << id << ", cycle " << cycle << ", seed "
             << GetParam();
-        ASSERT_EQ(full.peek(w), thr_raw.peek(w))
-            << "threaded wire " << id << ", cycle " << cycle << ", seed "
-            << GetParam();
-        ASSERT_EQ(full.peek(w), thr_opt.peek(w))
-            << "threaded+opt wire " << id << ", cycle " << cycle
-            << ", seed " << GetParam();
       }
       full.step();
-      event.step();
-      opted.step();
-      thr_raw.step();
-      thr_opt.step();
+      raw.step();
+      opt.step();
     }
   }
   // Memory images must agree word for word.
   for (std::int64_t a = 0; a < 32; ++a) {
-    EXPECT_EQ(full.read_ram(0, a), event.read_ram(0, a))
+    EXPECT_EQ(full.read_ram(0, a), raw.read_ram(0, a))
         << "RAM word " << a << ", seed " << GetParam();
-    EXPECT_EQ(full.read_ram(0, a), opted.read_ram(0, a))
+    EXPECT_EQ(full.read_ram(0, a), opt.read_ram(0, a))
         << "optimized RAM word " << a << ", seed " << GetParam();
-    EXPECT_EQ(full.read_ram(0, a), thr_raw.read_ram(0, a))
-        << "threaded RAM word " << a << ", seed " << GetParam();
-    EXPECT_EQ(full.read_ram(0, a), thr_opt.read_ram(0, a))
-        << "threaded+opt RAM word " << a << ", seed " << GetParam();
   }
   // Identical samples => byte-identical waveforms.
   const std::string full_bytes = slurp(full_vcd);
   ASSERT_FALSE(full_bytes.empty());
-  EXPECT_EQ(full_bytes, slurp(event_vcd)) << "seed " << GetParam();
-  EXPECT_EQ(full_bytes, slurp(opted_vcd)) << "optimized seed " << GetParam();
-  EXPECT_EQ(full_bytes, slurp(thr_raw_vcd)) << "threaded seed " << GetParam();
-  EXPECT_EQ(full_bytes, slurp(thr_opt_vcd))
-      << "threaded+opt seed " << GetParam();
+  EXPECT_EQ(full_bytes, slurp(raw_vcd)) << "seed " << GetParam();
+  EXPECT_EQ(full_bytes, slurp(opt_vcd)) << "optimized seed " << GetParam();
   std::remove(full_vcd.c_str());
-  std::remove(event_vcd.c_str());
-  std::remove(opted_vcd.c_str());
-  std::remove(thr_raw_vcd.c_str());
-  std::remove(thr_opt_vcd.c_str());
+  std::remove(raw_vcd.c_str());
+  std::remove(opt_vcd.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SequentialFuzz,
@@ -486,32 +443,32 @@ TEST(SequentialFuzz, QuiescentRegistersCostNoEvaluations) {
   for (int i = 0; i < 50; ++i) x = d.add(x, q);  // 51*q
   d.output("y", x);
 
-  Simulator event(d, EvalMode::kEventDriven);
+  Simulator threaded(d);
   Simulator full(d, EvalMode::kFullSweep);
-  for (Simulator* s : {&event, &full}) {
+  for (Simulator* s : {&threaded, &full}) {
     s->poke("d", 123);
     EXPECT_EQ(s->peek_u64("y"), 51u * 7u);
     s->reset_activity();
   }
-  event.run(1000);
+  threaded.run(1000);
   full.run(1000);
-  // Enable low and D stable: the event-driven core does no comb work.
-  EXPECT_EQ(event.activity().comp_evals, 0u);
+  // Enable low and D stable: the threaded engine does no comb work.
+  EXPECT_EQ(threaded.activity().comp_evals, 0u);
   EXPECT_GT(full.activity().comp_evals, 10000u);
 
   // Reset asserted while the register already holds its init value:
   // still no change, still free.
-  event.poke("rst", 1);
-  event.run(100);
-  EXPECT_EQ(event.activity().comp_evals, 0u);
-  EXPECT_EQ(event.peek_u64("y"), 51u * 7u);
+  threaded.poke("rst", 1);
+  threaded.run(100);
+  EXPECT_EQ(threaded.activity().comp_evals, 0u);
+  EXPECT_EQ(threaded.peek_u64("y"), 51u * 7u);
 
   // Releasing reset and enabling finally moves data through.
-  event.poke("rst", 0);
-  event.poke("en", 1);
-  event.run(1);
-  EXPECT_GT(event.activity().comp_evals, 0u);
-  EXPECT_EQ(event.peek_u64("y"), 51u * 123u);
+  threaded.poke("rst", 0);
+  threaded.poke("en", 1);
+  threaded.run(1);
+  EXPECT_GT(threaded.activity().comp_evals, 0u);
+  EXPECT_EQ(threaded.peek_u64("y"), 51u * 123u);
   full.poke("rst", 0);
   full.poke("en", 1);
   full.run(1);

@@ -1,9 +1,9 @@
 // Simulator snapshot round-trips: save a live simulation mid-run,
 // restore it into a twin, and demand bit-identical behaviour from then
-// on — across all three evaluation backends (the snapshot carries no
-// backend state, so a stream saved under one backend must restore
-// under any other) and through the FpgaDevice wrapper for both FPGA
-// families. The randomized cases reuse the fuzz generator idea:
+// on — across both evaluation policies, with and without the optimizer
+// (the snapshot carries no engine state, so a stream saved under one
+// configuration must restore under any other) and through the
+// FpgaDevice wrapper for both FPGA families. The randomized cases reuse the fuzz generator idea:
 // random combinational DAGs driven by random vectors, with a twin
 // that never saw the save/load as the reference.
 #include <gtest/gtest.h>
@@ -25,8 +25,26 @@
 namespace atlantis::chdl {
 namespace {
 
-constexpr EvalMode kModes[] = {EvalMode::kEventDriven, EvalMode::kThreaded,
-                               EvalMode::kFullSweep};
+/// The simulator configurations every round trip runs under: the
+/// production engine, the same engine without the optimizer, and the
+/// unoptimized full-sweep reference. A stream restores only into a
+/// simulator with the same storage layout; seq_design gives the
+/// optimizer nothing to forward, so all three share one.
+enum class Side { kProduction, kThreadedRaw, kFullSweepRaw };
+constexpr Side kSides[] = {Side::kProduction, Side::kThreadedRaw,
+                           Side::kFullSweepRaw};
+
+SimOptions options(Side side) {
+  switch (side) {
+    case Side::kThreadedRaw:
+      return {.optimize = false};
+    case Side::kFullSweepRaw:
+      return {.mode = EvalMode::kFullSweep, .optimize = false};
+    case Side::kProduction:
+      break;
+  }
+  return {};
+}
 
 /// Sequential design with every kind of live state: a counter, an
 /// accumulator register and a RAM written while the clock runs.
@@ -86,10 +104,10 @@ void run_twins(Simulator& a, Simulator& b, std::uint64_t seed, int steps) {
   EXPECT_EQ(a.cycles(), b.cycles());
 }
 
-class SimSnapshot : public ::testing::TestWithParam<EvalMode> {};
+class SimSnapshot : public ::testing::TestWithParam<Side> {};
 
 TEST_P(SimSnapshot, MidRunRoundTripContinuesIdentically) {
-  Simulator live(seq_design(), GetParam());
+  Simulator live(seq_design(), options(GetParam()));
   util::Rng rng(7);
   for (int i = 0; i < 40; ++i) {
     live.poke("en", rng.next_below(2));
@@ -98,7 +116,7 @@ TEST_P(SimSnapshot, MidRunRoundTripContinuesIdentically) {
   }
   const std::vector<std::uint8_t> bytes = save_sim(live);
 
-  Simulator twin(seq_design(), GetParam());
+  Simulator twin(seq_design(), options(GetParam()));
   load_sim(twin, bytes);
   EXPECT_EQ(twin.cycles(), live.cycles());
   for (const char* port : {"cnt", "acc", "rd"}) {
@@ -113,9 +131,9 @@ TEST_P(SimSnapshot, MidRunRoundTripContinuesIdentically) {
 }
 
 TEST_P(SimSnapshot, RestoresAcrossBackends) {
-  // A stream saved under any backend restores under every other one:
-  // the snapshot holds values only, never worklists or superops.
-  Simulator live(seq_design(), GetParam());
+  // A stream saved under any configuration restores under every other
+  // one: the snapshot holds values only, never worklists or superops.
+  Simulator live(seq_design(), options(GetParam()));
   util::Rng rng(13);
   for (int i = 0; i < 25; ++i) {
     live.poke("en", 1);
@@ -123,18 +141,18 @@ TEST_P(SimSnapshot, RestoresAcrossBackends) {
     live.step();
   }
   const std::vector<std::uint8_t> bytes = save_sim(live);
-  for (EvalMode other : kModes) {
+  for (const Side other : kSides) {
     SCOPED_TRACE(static_cast<int>(other));
-    Simulator twin(seq_design(), other);
+    Simulator twin(seq_design(), options(other));
     load_sim(twin, bytes);
     run_twins(live, twin, 17, 30);
-    // Rewind `live` back to the checkpoint for the next backend.
+    // Rewind `live` back to the checkpoint for the next configuration.
     load_sim(live, bytes);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SimSnapshot,
-                         ::testing::ValuesIn(kModes));
+                         ::testing::ValuesIn(kSides));
 
 TEST(SimSnapshotErrors, LoadRejectsDifferentDesignShape) {
   Simulator live(seq_design());
@@ -221,7 +239,7 @@ TEST_P(SnapshotFuzz, RestoredTwinMatchesUndisturbedOriginal) {
   for (int i = 0; i < 10; ++i) drive(live, stim);
   const std::vector<std::uint8_t> bytes = save_sim(live);
 
-  for (EvalMode mode : kModes) {
+  for (const EvalMode mode : {EvalMode::kThreaded, EvalMode::kFullSweep}) {
     SCOPED_TRACE(static_cast<int>(mode));
     Simulator twin(d, mode);
     load_sim(twin, bytes);

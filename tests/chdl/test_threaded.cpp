@@ -1,9 +1,9 @@
-// Threaded backend: region partitioning invariants, region-output
-// diffing, the set_eval_mode/reset contract, and the quiescent-cost
-// bound on the real TRT core. The bit-exactness of the backend itself
-// is proven by the five-way differential fuzz in test_fuzz.cpp; these
-// tests pin the structural properties the executor's correctness
-// argument rests on.
+// Threaded engine: region partitioning invariants, region-output
+// diffing, the set_eval_mode/reset contract, multi-port RAM write
+// ordering, and the quiescent cost on the real TRT core. The
+// bit-exactness of the engine itself is proven by the three-way
+// differential fuzz in test_fuzz.cpp; these tests pin the structural
+// properties the executor's correctness argument rests on.
 #include "chdl/threaded.hpp"
 
 #include <gtest/gtest.h>
@@ -44,24 +44,20 @@ Design plan_fixture() {
 
 TEST(Region, PlanIsDeterministic) {
   const Design d = plan_fixture();
-  SimOptions so;
-  so.mode = EvalMode::kThreaded;
-  Simulator s1(d, so);
-  Simulator s2(d, so);
-  const RegionPlan* p1 = s1.region_plan();
-  const RegionPlan* p2 = s2.region_plan();
-  ASSERT_NE(p1, nullptr);
-  ASSERT_NE(p2, nullptr);
-  EXPECT_EQ(p1->op_order, p2->op_order);
-  EXPECT_EQ(p1->out_wires, p2->out_wires);
-  EXPECT_EQ(p1->op_region, p2->op_region);
-  EXPECT_EQ(p1->fan_begin, p2->fan_begin);
-  EXPECT_EQ(p1->fan_regions, p2->fan_regions);
-  ASSERT_EQ(p1->regions.size(), p2->regions.size());
-  for (std::size_t r = 0; r < p1->regions.size(); ++r) {
-    EXPECT_EQ(p1->regions[r].ops_begin, p2->regions[r].ops_begin);
-    EXPECT_EQ(p1->regions[r].ops_end, p2->regions[r].ops_end);
-    EXPECT_EQ(p1->regions[r].level, p2->regions[r].level);
+  Simulator s1(d);
+  Simulator s2(d);
+  const RegionPlan& p1 = s1.region_plan();
+  const RegionPlan& p2 = s2.region_plan();
+  EXPECT_EQ(p1.op_order, p2.op_order);
+  EXPECT_EQ(p1.out_wires, p2.out_wires);
+  EXPECT_EQ(p1.op_region, p2.op_region);
+  EXPECT_EQ(p1.fan_begin, p2.fan_begin);
+  EXPECT_EQ(p1.fan_regions, p2.fan_regions);
+  ASSERT_EQ(p1.regions.size(), p2.regions.size());
+  for (std::size_t r = 0; r < p1.regions.size(); ++r) {
+    EXPECT_EQ(p1.regions[r].ops_begin, p2.regions[r].ops_begin);
+    EXPECT_EQ(p1.regions[r].ops_end, p2.regions[r].ops_end);
+    EXPECT_EQ(p1.regions[r].level, p2.regions[r].level);
   }
 }
 
@@ -74,10 +70,9 @@ TEST(Region, PlanIsDeterministic) {
 /// consumed and sequentially consumed wires.
 TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
   const Design d = plan_fixture();
-  Simulator sim(d, SimOptions{.mode = EvalMode::kThreaded});
-  const RegionGraph g = sim.region_graph();
-  const RegionPlan* plan = sim.region_plan();
-  ASSERT_NE(plan, nullptr);
+  Simulator sim(d);
+  const RegionGraph& g = sim.region_graph();
+  const RegionPlan* plan = &sim.region_plan();
 
   // (1) op_order is a permutation of the tape, each op owned once.
   ASSERT_EQ(plan->op_order.size(), static_cast<std::size_t>(g.op_count()));
@@ -136,29 +131,27 @@ TEST(Region, SingleEntryInvariantsHoldOnRealTape) {
 }
 
 TEST(Region, MaxRegionOpsCapsChains) {
+  // A 100-op single-consumer chain splits at the cap: 64 + 36 ops, and
+  // the split chain still computes the right value.
   Design d("chain");
   Wire x = d.input("x", 32);
   const Wire one = d.input("k", 32);
   for (int i = 0; i < 100; ++i) x = d.add(x, one);
   d.output("y", x);
-  SimOptions so;
-  so.mode = EvalMode::kThreaded;
-  so.optimize = false;
-  so.region.max_region_ops = 8;
-  Simulator sim(d, so);
-  const RegionPlan* plan = sim.region_plan();
-  ASSERT_NE(plan, nullptr);
-  for (const Region& r : plan->regions) {
-    EXPECT_LE(r.ops_end - r.ops_begin, 8);
+  Simulator sim(d, SimOptions{.optimize = false});
+  std::vector<std::int32_t> sizes;
+  for (const Region& r : sim.region_plan().regions) {
+    sizes.push_back(r.ops_end - r.ops_begin);
   }
+  EXPECT_EQ(sizes, (std::vector<std::int32_t>{kMaxRegionOps, 100 - kMaxRegionOps}));
   sim.poke("x", 5);
   sim.poke("k", 3);
   EXPECT_EQ(sim.peek_u64("y"), (5ull + 100ull * 3ull) & 0xFFFFFFFFull);
 }
 
 // A region whose output does not change must not wake its consumers:
-// the single change check at region outputs preserves the event-driven
-// engine's short-circuit property at region granularity.
+// the single change check at region outputs short-circuits propagation
+// at region granularity.
 TEST(Threaded, RegionOutputDiffShortCircuits) {
   Design d("diamond");
   const Wire a = d.input("a", 8);
@@ -166,10 +159,7 @@ TEST(Threaded, RegionOutputDiffShortCircuits) {
   const Wire m = d.band(a, b);  // two consumers: a one-op region
   d.output("y1", d.bor(m, d.input("c", 8)));
   d.output("y2", d.bxor(m, d.input("e", 8)));
-  SimOptions so;
-  so.mode = EvalMode::kThreaded;
-  so.optimize = false;
-  Simulator sim(d, so);
+  Simulator sim(d, SimOptions{.optimize = false});
   sim.poke("a", 0x0F);
   sim.poke("b", 0xF0);  // m = 0
   sim.peek_u64("y1");
@@ -195,8 +185,8 @@ TEST(Threaded, DispatchFlavorMatchesBuild) {
 #else
   EXPECT_FALSE(threaded_uses_computed_goto());
 #endif
-  // Whichever dispatch this build uses, it must agree with the other
-  // two backends on every wire (three-way check, threaded reference).
+  // Whichever dispatch this build uses, it must agree with the full-sweep
+  // reference on every wire (the default three-way check).
   const Design d = plan_fixture();
   BackendCheckOptions opts;
   opts.cycles = 200;
@@ -208,8 +198,7 @@ TEST(Threaded, DispatchFlavorMatchesBuild) {
 // all state re-marked, results identical to a freshly built simulator.
 TEST(Threaded, ResetClearsActivityAndRebuildsDirtyState) {
   const Design d = plan_fixture();
-  for (const EvalMode mode :
-       {EvalMode::kEventDriven, EvalMode::kThreaded, EvalMode::kFullSweep}) {
+  for (const EvalMode mode : {EvalMode::kThreaded, EvalMode::kFullSweep}) {
     Simulator sim(d, mode);
     sim.poke("a", 123);
     sim.poke("b", 77);
@@ -240,34 +229,32 @@ TEST(Threaded, ResetClearsActivityAndRebuildsDirtyState) {
 // leak) and a same-mode switch must be a no-op.
 TEST(Threaded, MidRunModeSwitchIsBitIdentical) {
   const Design d = plan_fixture();
-  Simulator switching(d, EvalMode::kEventDriven);
-  Simulator event(d, EvalMode::kEventDriven);
-  Simulator threaded(d, EvalMode::kThreaded);
+  Simulator switching(d);
+  Simulator full(d, EvalMode::kFullSweep);
+  Simulator threaded(d);
   util::Rng rng(99);
-  const EvalMode schedule[] = {EvalMode::kEventDriven, EvalMode::kThreaded,
-                               EvalMode::kFullSweep, EvalMode::kThreaded,
-                               EvalMode::kEventDriven};
+  const EvalMode schedule[] = {EvalMode::kFullSweep, EvalMode::kThreaded};
   int phase = 0;
   for (int cycle = 0; cycle < 100; ++cycle) {
     if (cycle % 20 == 10) {
       // Poke while dirty, THEN switch: the rebuild must pick it up.
-      switching.set_eval_mode(schedule[phase++ % 5]);
+      switching.set_eval_mode(schedule[phase++ % 2]);
     }
     const std::uint64_t va = rng.next_u64() & 0xFFFF;
     const std::uint64_t vb = rng.next_u64() & 0xFFFF;
-    for (Simulator* s : {&switching, &event, &threaded}) {
+    for (Simulator* s : {&switching, &full, &threaded}) {
       s->poke("a", va);
       s->poke("b", vb);
     }
     for (std::int32_t id = 0; id < d.wire_count(); ++id) {
       const Wire w{id, d.wire_width(id)};
-      ASSERT_EQ(switching.peek(w), event.peek(w))
+      ASSERT_EQ(switching.peek(w), full.peek(w))
           << "wire " << wire_name(d, id) << " cycle " << cycle;
-      ASSERT_EQ(threaded.peek(w), event.peek(w))
+      ASSERT_EQ(threaded.peek(w), full.peek(w))
           << "wire " << wire_name(d, id) << " cycle " << cycle;
     }
     switching.step();
-    event.step();
+    full.step();
     threaded.step();
   }
 
@@ -279,9 +266,61 @@ TEST(Threaded, MidRunModeSwitchIsBitIdentical) {
   EXPECT_EQ(threaded.activity().comp_evals, 0u);
 }
 
+// Two write ports on one RAM hitting one word on one edge: the
+// later-created port lands, as in the reference. The engine latches
+// dirty ports in marking order, so the later port's inputs are poked
+// first here; the commit must still order the writes by creation. On
+// the next edge the later port's enable drops while the earlier port's
+// inputs hold: only its sticky re-arm makes the earlier port write.
+TEST(Threaded, MultiPortRamWriteLastWriteWins) {
+  Design d("two_ports");
+  const Wire addr0 = d.input("addr0", 4);
+  const Wire data0 = d.input("data0", 8);
+  const Wire we0 = d.input("we0", 1);
+  const Wire addr1 = d.input("addr1", 4);
+  const Wire data1 = d.input("data1", 8);
+  const Wire we1 = d.input("we1", 1);
+  const int ram = d.add_ram("m", 16, 8);
+  d.ram_write(ram, addr0, data0, we0);  // earlier-created port
+  d.ram_write(ram, addr1, data1, we1);  // later-created port
+  d.output("q", d.ram_read(ram, d.input("raddr", 4)));
+
+  Simulator threaded(d);
+  Simulator full(d, SimOptions{.mode = EvalMode::kFullSweep, .optimize = false});
+  const auto both = [&](const char* port, std::uint64_t v) {
+    threaded.poke(port, v);
+    full.poke(port, v);
+  };
+  both("raddr", 3);
+  threaded.step();  // settle: nothing armed after this edge
+  full.step();
+
+  both("addr1", 3);
+  both("data1", 0xBB);
+  both("we1", 1);
+  both("addr0", 3);
+  both("data0", 0xAA);
+  both("we0", 1);
+  threaded.step();
+  full.step();
+  EXPECT_EQ(full.read_ram(ram, 3).to_u64(), 0xBBu);
+  EXPECT_EQ(threaded.read_ram(ram, 3).to_u64(), 0xBBu);
+
+  both("we1", 0);
+  threaded.step();
+  full.step();
+  EXPECT_EQ(full.read_ram(ram, 3).to_u64(), 0xAAu);
+  EXPECT_EQ(threaded.read_ram(ram, 3).to_u64(), 0xAAu);
+
+  threaded.step();  // the read port sees the landed word
+  full.step();
+  EXPECT_EQ(threaded.peek_u64("q"), 0xAAu);
+  EXPECT_EQ(full.peek_u64("q"), 0xAAu);
+}
+
 // The headline property behind the bench_a5 speedup: an idle TRT cycle
-// costs (nearly) nothing in BOTH event and threaded mode. comp_evals
-// must not regress past 1.05x of the event engine's count.
+// costs nothing — no combinational evaluation at all once the core is
+// quiescent.
 TEST(Threaded, QuiescentTrtCycleCostMatchesEventMode) {
   trt::DetectorGeometry geo;
   geo.layers = 8;
@@ -290,20 +329,14 @@ TEST(Threaded, QuiescentTrtCycleCostMatchesEventMode) {
   Design d("trt_quiescent");
   trt::build_trt_core(d, bank);
 
-  const auto idle_evals = [&](EvalMode mode) {
-    Simulator sim(d, mode);
-    HostInterface host(sim);
-    host.write(0x01, 5);  // one hit, then let the core go quiescent
-    host.idle(50);
-    sim.reset_activity();
-    host.idle(1000);  // measured region: pure idle cycles
-    return sim.activity().comp_evals;
-  };
-  const std::uint64_t event = idle_evals(EvalMode::kEventDriven);
-  const std::uint64_t threaded = idle_evals(EvalMode::kThreaded);
-  EXPECT_LE(static_cast<double>(threaded),
-            1.05 * static_cast<double>(event) + 1.0)
-      << "threaded idle cost " << threaded << " vs event " << event;
+  Simulator sim(d);
+  HostInterface host(sim);
+  host.write(0x01, 5);  // one hit, then let the core go quiescent
+  host.idle(50);
+  sim.reset_activity();
+  host.idle(1000);  // measured region: pure idle cycles
+  EXPECT_EQ(sim.activity().comp_evals, 0u);
+  EXPECT_EQ(sim.activity().edges, 1000u);
 }
 
 TEST(Verify, CheckBackendsReportsDivergentWireByName) {
@@ -337,66 +370,6 @@ TEST(Verify, CheckBackendsPinsExplicitSides) {
   full.mode = EvalMode::kFullSweep;
   full.optimize = false;
   opts.sides = {full, thr_raw, thr_opt};
-  const BackendCheckReport rep = check_backends(d, opts);
-  EXPECT_TRUE(rep) << rep.mismatch;
-}
-
-/// A combinational chain long enough to clear the kAuto threshold.
-Design wide_fixture(int chain_length) {
-  Design d("wide");
-  const Wire a = d.input("a", 16);
-  Wire acc = a;
-  for (int i = 0; i < chain_length; ++i) {
-    acc = d.bxor(d.add(acc, a), d.constant(16, static_cast<std::uint64_t>(i)));
-  }
-  d.output("y", acc);
-  return d;
-}
-
-TEST(Auto, SmallTapeResolvesToEventDriven) {
-  // plan_fixture compiles to a few dozen ops — far below the threshold,
-  // where the event-driven engine wins (BENCH_simspeed conv workload).
-  const Design d = plan_fixture();
-  Simulator sim(d, SimOptions{.mode = EvalMode::kAuto});
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kEventDriven);
-  EXPECT_EQ(sim.region_plan(), nullptr);  // no threaded engine was built
-}
-
-TEST(Auto, LargeTapeResolvesToThreaded) {
-  const Design d = wide_fixture(300);  // ≥ 600 compiled ops
-  Simulator sim(d, SimOptions{.mode = EvalMode::kAuto});
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);
-  EXPECT_NE(sim.region_plan(), nullptr);
-}
-
-TEST(Auto, ThresholdIsTunable) {
-  const Design d = plan_fixture();
-  SimOptions so;
-  so.mode = EvalMode::kAuto;
-  so.auto_threaded_min_ops = 1;  // everything is "large"
-  Simulator sim(d, so);
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);
-}
-
-TEST(Auto, SetEvalModeReResolves) {
-  const Design d = wide_fixture(300);
-  Simulator sim(d, EvalMode::kEventDriven);
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kEventDriven);
-  sim.set_eval_mode(EvalMode::kAuto);
-  EXPECT_EQ(sim.eval_mode(), EvalMode::kThreaded);  // never reports kAuto
-}
-
-TEST(Auto, MatchesPinnedBackendsBitForBit) {
-  const Design d = plan_fixture();
-  BackendCheckOptions opts;
-  opts.cycles = 200;
-  SimOptions aut;
-  aut.mode = EvalMode::kAuto;
-  SimOptions event;
-  event.mode = EvalMode::kEventDriven;
-  SimOptions thr;
-  thr.mode = EvalMode::kThreaded;
-  opts.sides = {aut, event, thr};
   const BackendCheckReport rep = check_backends(d, opts);
   EXPECT_TRUE(rep) << rep.mismatch;
 }

@@ -1,7 +1,6 @@
-// The unified API surface of this PR: reset(ResetScope) and its
-// deprecated forwarders, the Result<T> duals (self test, board
-// configure, S-Link fragment), try_switch_task, and the kOverloaded
-// error code.
+// The unified API surface: reset(ResetScope), the Result<T> duals (self
+// test, board configure, S-Link fragment), try_switch_task, and the
+// kOverloaded error code.
 #include <gtest/gtest.h>
 
 #include "core/driver.hpp"
@@ -14,43 +13,6 @@
 
 namespace atlantis {
 namespace {
-
-// These two tests exist to pin the deprecated forwarders' behaviour;
-// calling them here is the point, so the deprecation diagnostic (fatal
-// on the -Werror=deprecated-declarations CI leg) is silenced locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(ResetScope, KTimeMatchesDeprecatedResetTime) {
-  core::AtlantisSystem sys_a("a"), sys_b("b");
-  core::AtlantisDriver a(sys_a, sys_a.add_acb("acb0"));
-  core::AtlantisDriver b(sys_b, sys_b.add_acb("acb0"));
-  a.dma_write(4096);
-  b.dma_write(4096);
-  a.reset(core::ResetScope::kTime);
-  b.reset_time();  // deprecated forwarder must behave identically
-  EXPECT_EQ(a.elapsed(), b.elapsed());
-  EXPECT_EQ(a.elapsed(), 0);
-  // kTime does not touch the PLX lifetime counters.
-  EXPECT_EQ(a.board().pci().total_bytes(), 4096u);
-}
-
-TEST(ResetScope, KStatsMatchesDeprecatedResetStats) {
-  core::AtlantisSystem sys_a("a"), sys_b("b");
-  core::AtlantisDriver a(sys_a, sys_a.add_acb("acb0"));
-  core::AtlantisDriver b(sys_b, sys_b.add_acb("acb0"));
-  a.dma_write(4096);
-  b.dma_write(4096);
-  a.reset(core::ResetScope::kStats);
-  b.reset_stats();
-  EXPECT_EQ(a.elapsed(), 0);  // kStats implies kTime (legacy behaviour)
-  EXPECT_EQ(b.elapsed(), 0);
-  EXPECT_EQ(a.board().pci().total_bytes(), 0u);
-  EXPECT_EQ(b.board().pci().total_bytes(), 0u);
-  EXPECT_EQ(a.dma_faults(), 0u);
-}
-
-#pragma GCC diagnostic pop
 
 TEST(ResetScope, KFaultsRewindsTheInjector) {
   sim::FaultPlan plan;

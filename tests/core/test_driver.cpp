@@ -177,10 +177,10 @@ TEST(Driver, AsyncDmaOverlapsCompute) {
 }
 
 TEST(Driver, ResetTimeKeepsPciLifetimeCounters) {
-  // Regression: reset_time() resets ONLY the elapsed() ledger. The PLX
+  // Regression: reset(kTime) resets ONLY the elapsed() ledger. The PLX
   // 9080 lifetime DMA counters keep accumulating (they model the
-  // device's statistics registers) — reset_stats() is the call that
-  // clears both.
+  // device's statistics registers) — reset(kStats) is the call that
+  // clears both, along with the driver's recovery counters.
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   drv.dma_write(64 * util::kKiB);
@@ -189,7 +189,7 @@ TEST(Driver, ResetTimeKeepsPciLifetimeCounters) {
   drv.reset(core::ResetScope::kTime);
   EXPECT_EQ(drv.elapsed(), 0);
   EXPECT_EQ(drv.board().pci().total_bytes(), bytes_before)
-      << "reset_time() must not clear PLX lifetime counters";
+      << "reset(kTime) must not clear PLX lifetime counters";
   EXPECT_GT(drv.board().pci().total_time(), 0);
 
   drv.dma_read(32 * util::kKiB);
@@ -199,6 +199,7 @@ TEST(Driver, ResetTimeKeepsPciLifetimeCounters) {
   EXPECT_EQ(drv.elapsed(), 0);
   EXPECT_EQ(drv.board().pci().total_bytes(), 0u);
   EXPECT_EQ(drv.board().pci().total_time(), 0);
+  EXPECT_EQ(drv.dma_faults(), 0u);
 }
 
 TEST(Driver, CrateTraceExportsValidJson) {

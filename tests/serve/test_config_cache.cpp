@@ -63,9 +63,9 @@ class CachedSwitcherTest : public ::testing::Test {
  protected:
   CachedSwitcherTest()
       : device_("dev0", hw::orca_3t125()),
-        alpha_{"alpha", {}, nullptr, 1.0},
-        beta_{"beta", {}, nullptr, 1.0},
-        gamma_{"gamma", {}, nullptr, 1.0} {}
+        alpha_{"alpha", {}, nullptr, 1.0, {}},
+        beta_{"beta", {}, nullptr, 1.0, {}},
+        gamma_{"gamma", {}, nullptr, 1.0, {}} {}
 
   hw::FpgaDevice device_;
   hw::Bitstream alpha_, beta_, gamma_;

@@ -29,7 +29,7 @@ void write_one_section(SnapshotWriter& w) {
   w.put_f64(3.25);
   w.put_bool(true);
   w.put_string("hello snapshot");
-  w.put_words({1, 2, 3, 0xFFFFFFFFFFFFFFFFull});
+  w.put_words(std::vector<std::uint64_t>{1, 2, 3, 0xFFFFFFFFFFFFFFFFull});
   w.end_section();
 }
 
