@@ -29,7 +29,6 @@
 #include "util/cfloat.hpp"
 #include "util/fixed_point.hpp"
 #include "util/image.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"

@@ -25,6 +25,15 @@ chdl::Wire find_port(const chdl::Design& d, const std::string& name,
   return chdl::Wire{};
 }
 
+/// A clock's state is its programmed frequency; a load reprograms it
+/// through set_mhz, which range-checks the stream's value.
+template <typename Clock, typename Stream>
+void walk_clock(Clock& clock, Stream& s) {
+  double mhz = clock.mhz();
+  s.f64(mhz);
+  if constexpr (Stream::kLoading) clock.set_mhz(mhz);
+}
+
 }  // namespace
 
 AcbBoard::AcbBoard(std::string name)
@@ -256,53 +265,26 @@ hw::ClockGenerator& AcbBoard::io_clock(int fpga_index) {
   return io_clocks_[static_cast<std::size_t>(fpga_index)];
 }
 
-void AcbBoard::save_state(sim::SnapshotWriter& w) const {
-  w.put_string(name_);
-  w.put_bool(alive_);
-  w.put_f64(local_clock_.mhz());
-  w.put_u32(static_cast<std::uint32_t>(io_clocks_.size()));
-  for (const auto& c : io_clocks_) w.put_f64(c.mhz());
-  pci_.save_state(w);
-  slink_.save_state(w);
-  for (const auto& f : fpgas_) f->save_state(w);
-  w.put_u32(static_cast<std::uint32_t>(modules_.size()));
-  for (const auto& m : modules_) {
-    w.put_u8(static_cast<std::uint8_t>(m.kind()));
-    if (m.sram() != nullptr) m.sram()->save_state(w);
-    if (m.sdram() != nullptr) m.sdram()->save_state(w);
+template <typename Self, typename Stream>
+void AcbBoard::walk(Self& self, Stream& s) {
+  s.expect_string(self.name_, "board name");
+  s.boolean(self.alive_);
+  walk_clock(self.local_clock_, s);
+  s.expect_u32(self.io_clocks_.size(), "board I/O clock count");
+  for (auto& c : self.io_clocks_) walk_clock(c, s);
+  s.state(self.pci_);
+  s.state(self.slink_);
+  for (auto& f : self.fpgas_) s.state(*f);
+  s.expect_u32(self.modules_.size(), "board memory module count");
+  for (auto& m : self.modules_) {
+    s.expect_u8(m.kind(), "board memory module kind");
+    if (m.sram() != nullptr) s.state(*m.sram());
+    if (m.sdram() != nullptr) s.state(*m.sdram());
   }
 }
 
-void AcbBoard::load_state(sim::SnapshotReader& r) {
-  const std::string name = r.get_string();
-  if (name != name_) {
-    throw util::StateError("board snapshot is for '" + name + "', not '" +
-                           name_ + "'");
-  }
-  alive_ = r.get_bool();
-  local_clock_.set_mhz(r.get_f64());
-  const std::uint32_t n_io = r.get_u32();
-  ATLANTIS_CHECK(n_io == io_clocks_.size(),
-                 "board snapshot I/O clock count mismatch");
-  for (auto& c : io_clocks_) c.set_mhz(r.get_f64());
-  pci_.load_state(r);
-  slink_.load_state(r);
-  for (auto& f : fpgas_) f->load_state(r);
-  const std::uint32_t n_mod = r.get_u32();
-  if (n_mod != modules_.size()) {
-    throw util::StateError("board snapshot has " + std::to_string(n_mod) +
-                           " memory modules; " + name_ + " has " +
-                           std::to_string(modules_.size()));
-  }
-  for (auto& m : modules_) {
-    const auto kind = static_cast<MemModuleKind>(r.get_u8());
-    if (kind != m.kind()) {
-      throw util::StateError("board snapshot memory-module kind mismatch on " +
-                             m.name());
-    }
-    if (m.sram() != nullptr) m.sram()->load_state(r);
-    if (m.sdram() != nullptr) m.sdram()->load_state(r);
-  }
-}
+void AcbBoard::save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
+
+void AcbBoard::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 }  // namespace atlantis::core

@@ -175,6 +175,9 @@ class AcbBoard {
   void load_state(sim::SnapshotReader& r);
 
  private:
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
+
   std::string name_;
   std::vector<std::unique_ptr<hw::FpgaDevice>> fpgas_;
   std::vector<std::optional<int>> module_of_fpga_;  // index into modules_

@@ -20,26 +20,24 @@ void ConfigCache::insert(const std::string& name,
   const auto it = index_.find(name);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    if (!sigs.empty()) sigs_[name] = std::move(sigs);
+    if (!sigs.empty()) it->second->sigs = std::move(sigs);
     return;
   }
   if (lru_.size() >= capacity_) {
-    sigs_.erase(lru_.back());
-    index_.erase(lru_.back());
+    index_.erase(lru_.back().name);
     lru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(name);
+  lru_.push_front(Entry{name, std::move(sigs)});
   index_[name] = lru_.begin();
-  if (!sigs.empty()) sigs_[name] = std::move(sigs);
   ++stats_.insertions;
 }
 
 const std::vector<std::uint64_t>& ConfigCache::signatures(
     const std::string& name) const {
   static const std::vector<std::uint64_t> kEmpty;
-  const auto it = sigs_.find(name);
-  return it == sigs_.end() ? kEmpty : it->second;
+  const auto it = index_.find(name);
+  return it == index_.end() ? kEmpty : it->second->sigs;
 }
 
 void ConfigCache::erase(const std::string& name) {
@@ -47,48 +45,38 @@ void ConfigCache::erase(const std::string& name) {
   if (it == index_.end()) return;
   lru_.erase(it->second);
   index_.erase(it);
-  sigs_.erase(name);
 }
 
 void ConfigCache::clear() {
   lru_.clear();
   index_.clear();
-  sigs_.clear();
 }
 
 std::vector<std::string> ConfigCache::contents() const {
-  return {lru_.begin(), lru_.end()};
+  std::vector<std::string> names;
+  names.reserve(lru_.size());
+  for (const Entry& e : lru_) names.push_back(e.name);
+  return names;
 }
 
-void ConfigCache::save_state(sim::SnapshotWriter& w) const {
-  w.put_u32(static_cast<std::uint32_t>(lru_.size()));
-  for (const std::string& name : lru_) {  // MRU -> LRU
-    w.put_string(name);
-    const auto it = sigs_.find(name);
-    w.put_words(it == sigs_.end() ? std::vector<std::uint64_t>{}
-                                  : it->second);
-  }
-  w.put_u64(stats_.hits);
-  w.put_u64(stats_.misses);
-  w.put_u64(stats_.insertions);
-  w.put_u64(stats_.evictions);
+template <typename Self, typename Stream>
+void ConfigCache::walk(Self& self, Stream& s) {
+  s.seq32(self.lru_, [&](auto& e) {  // MRU -> LRU
+    s.string(e.name);
+    s.words(e.sigs);
+  });
+  s.u64(self.stats_.hits);
+  s.u64(self.stats_.misses);
+  s.u64(self.stats_.insertions);
+  s.u64(self.stats_.evictions);
 }
+
+void ConfigCache::save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
 
 void ConfigCache::load_state(sim::SnapshotReader& r) {
-  clear();
-  const std::uint32_t n = r.get_u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name = r.get_string();
-    std::vector<std::uint64_t> sigs = r.get_words();
-    // Entries arrive MRU-first; appending at the back preserves order.
-    lru_.push_back(name);
-    index_[name] = std::prev(lru_.end());
-    if (!sigs.empty()) sigs_[std::move(name)] = std::move(sigs);
-  }
-  stats_.hits = r.get_u64();
-  stats_.misses = r.get_u64();
-  stats_.insertions = r.get_u64();
-  stats_.evictions = r.get_u64();
+  walk(*this, r);
+  index_.clear();
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) index_[it->name] = it;
 }
 
 }  // namespace atlantis::core

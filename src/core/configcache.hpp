@@ -88,10 +88,17 @@ class ConfigCache {
   void load_state(sim::SnapshotReader& r);
 
  private:
+  struct Entry {
+    std::string name;
+    std::vector<std::uint64_t> sigs;  // region signatures, may be empty
+  };
+
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
+
   std::size_t capacity_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
-  std::unordered_map<std::string, std::vector<std::uint64_t>> sigs_;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   ConfigCacheStats stats_;
 };
 

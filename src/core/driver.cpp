@@ -46,28 +46,22 @@ void AtlantisDriver::reset(ResetScope scope) {
   }
 }
 
-void AtlantisDriver::save_state(sim::SnapshotWriter& w) const {
-  w.put_i64(now_);
-  w.put_i64(epoch_);
-  w.put_u32(static_cast<std::uint32_t>(pending_.size()));
-  for (const util::Picoseconds t : pending_) w.put_i64(t);
-  w.put_u64(dma_faults_);
-  w.put_u64(dma_retries_);
-  w.put_u64(config_retries_);
-  w.put_i64(recovery_time_);
+template <typename Self, typename Stream>
+void AtlantisDriver::walk(Self& self, Stream& s) {
+  s.i64(self.now_);
+  s.i64(self.epoch_);
+  s.seq32(self.pending_, [&](auto& t) { s.i64(t); });
+  s.u64(self.dma_faults_);
+  s.u64(self.dma_retries_);
+  s.u64(self.config_retries_);
+  s.i64(self.recovery_time_);
 }
 
-void AtlantisDriver::load_state(sim::SnapshotReader& r) {
-  now_ = r.get_i64();
-  epoch_ = r.get_i64();
-  const std::uint32_t n_pending = r.get_u32();
-  pending_.assign(n_pending, 0);
-  for (util::Picoseconds& t : pending_) t = r.get_i64();
-  dma_faults_ = r.get_u64();
-  dma_retries_ = r.get_u64();
-  config_retries_ = r.get_u64();
-  recovery_time_ = r.get_i64();
+void AtlantisDriver::save_state(sim::SnapshotWriter& w) const {
+  walk(*this, w);
 }
+
+void AtlantisDriver::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 util::Result<util::Picoseconds> AtlantisDriver::try_switch_task(
     TaskSwitcher& switcher, const std::string& name) {

@@ -182,6 +182,8 @@ class AtlantisDriver {
   void post_compute(util::Picoseconds t, const char* label);
   util::Result<hw::DmaTransfer> try_dma(hw::DmaDirection dir,
                                         std::uint64_t bytes);
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
 
   AtlantisSystem& system_;
   AcbBoard& board_;

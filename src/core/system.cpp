@@ -110,47 +110,33 @@ std::uint64_t AtlantisSystem::step_acbs(int cycles) {
   return edges;
 }
 
-void AtlantisSystem::save_state(sim::SnapshotWriter& w) const {
-  w.begin_section("system");
-  w.put_string(name_);
-  w.put_u32(static_cast<std::uint32_t>(acbs_.size()));
-  w.put_u32(static_cast<std::uint32_t>(aibs_.size()));
-  w.put_bool(injector_ != nullptr);
-  w.end_section();
-  timeline_->save_state(w);
-  if (injector_ != nullptr) injector_->save_state(w);
-  for (const auto& b : acbs_) {
-    w.begin_section("board/" + b->name());
-    b->save_state(w);
-    w.end_section();
-  }
-}
-
-void AtlantisSystem::load_state(sim::SnapshotReader& r) {
-  r.select("system");
-  r.get_string();  // crate name is informational; twins may be renamed
-  const std::uint32_t n_acb = r.get_u32();
-  const std::uint32_t n_aib = r.get_u32();
-  const bool had_injector = r.get_bool();
-  if (n_acb != acbs_.size() || n_aib != aibs_.size()) {
-    throw util::StateError("system snapshot board census mismatch: " +
-                           std::to_string(n_acb) + " ACB / " +
-                           std::to_string(n_aib) + " AIB saved vs " +
-                           std::to_string(acbs_.size()) + " / " +
-                           std::to_string(aibs_.size()) + " assembled");
-  }
-  if (had_injector && injector_ == nullptr) {
+template <typename Self, typename Stream>
+void AtlantisSystem::walk(Self& self, Stream& s) {
+  bool has_injector = self.injector_ != nullptr;
+  s.section("system", [&] {
+    std::string name = self.name_;  // informational; twins may be renamed
+    s.string(name);
+    s.expect_u32(self.acbs_.size(), "system ACB count");
+    s.expect_u32(self.aibs_.size(), "system AIB count");
+    s.boolean(has_injector);
+  });
+  if (has_injector && self.injector_ == nullptr) {
     throw util::StateError(
         "system snapshot carries fault-injector state but no injector is "
         "attached");
   }
-  timeline_->load_state(r);
-  if (had_injector && injector_ != nullptr) injector_->load_state(r);
-  for (auto& b : acbs_) {
-    r.select("board/" + b->name());
-    b->load_state(r);
+  s.state(*self.timeline_);
+  if (has_injector) s.state(*self.injector_);
+  for (auto& b : self.acbs_) {
+    s.section("board/" + b->name(), [&] { s.state(*b); });
   }
 }
+
+void AtlantisSystem::save_state(sim::SnapshotWriter& w) const {
+  walk(*this, w);
+}
+
+void AtlantisSystem::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 std::int64_t AtlantisSystem::total_gate_capacity() const {
   std::int64_t total = 0;

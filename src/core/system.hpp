@@ -95,6 +95,8 @@ class AtlantisSystem : public sim::Snapshottable {
 
  private:
   int take_slot(const std::string& what);
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
 
   std::string name_;
   hw::HostCpuModel host_;

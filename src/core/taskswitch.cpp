@@ -208,47 +208,38 @@ bool TaskSwitcher::scrub() {
   return repaired;
 }
 
-void TaskSwitcher::save_state(sim::SnapshotWriter& w) const {
-  w.put_string(current_);
-  w.put_u64(switches_);
-  w.put_i64(total_time_);
-  w.put_i64(last_time_);
-  w.put_u64(reconfig_retries_);
-  w.put_u64(scrubs_);
-  w.put_u64(upsets_corrected_);
-  w.put_u64(partial_switches_);
-  w.put_u64(regions_loaded_);
-  w.put_i64(partial_time_);
-  w.put_i64(last_regions_);
-  w.put_u64(region_scrubs_);
-  w.put_bool(differential_);
-  w.put_f64(cache_hit_fraction_);
-  w.put_i64(cursor_);
-  cache_.save_state(w);
-}
-
-void TaskSwitcher::load_state(sim::SnapshotReader& r) {
-  std::string current = r.get_string();
-  if (!current.empty() && tasks_.find(current) == tasks_.end()) {
+template <typename Self, typename Stream>
+void TaskSwitcher::walk(Self& self, Stream& s) {
+  // The current task is checked against the registrations before it
+  // replaces the live one.
+  std::string current = self.current_;
+  s.string(current);
+  if (!current.empty() && self.tasks_.find(current) == self.tasks_.end()) {
     throw util::StateError("snapshot current task '" + current +
                            "' is not registered on this switcher");
   }
-  current_ = std::move(current);
-  switches_ = r.get_u64();
-  total_time_ = r.get_i64();
-  last_time_ = r.get_i64();
-  reconfig_retries_ = r.get_u64();
-  scrubs_ = r.get_u64();
-  upsets_corrected_ = r.get_u64();
-  partial_switches_ = r.get_u64();
-  regions_loaded_ = r.get_u64();
-  partial_time_ = r.get_i64();
-  last_regions_ = static_cast<int>(r.get_i64());
-  region_scrubs_ = r.get_u64();
-  differential_ = r.get_bool();
-  cache_hit_fraction_ = r.get_f64();
-  cursor_ = r.get_i64();
-  cache_.load_state(r);
+  if constexpr (Stream::kLoading) self.current_ = std::move(current);
+  s.u64(self.switches_);
+  s.i64(self.total_time_);
+  s.i64(self.last_time_);
+  s.u64(self.reconfig_retries_);
+  s.u64(self.scrubs_);
+  s.u64(self.upsets_corrected_);
+  s.u64(self.partial_switches_);
+  s.u64(self.regions_loaded_);
+  s.i64(self.partial_time_);
+  s.i64(self.last_regions_);
+  s.u64(self.region_scrubs_);
+  s.boolean(self.differential_);
+  s.f64(self.cache_hit_fraction_);
+  s.i64(self.cursor_);
+  s.state(self.cache_);
 }
+
+void TaskSwitcher::save_state(sim::SnapshotWriter& w) const {
+  walk(*this, w);
+}
+
+void TaskSwitcher::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 }  // namespace atlantis::core

@@ -134,6 +134,8 @@ class TaskSwitcher {
   util::Picoseconds post_reconfig(const std::string& label,
                                   util::Picoseconds t, std::uint32_t regions = 0);
   bool diff_applicable(const hw::Bitstream& bs) const;
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
 
   hw::FpgaDevice& device_;
   std::map<std::string, hw::Bitstream> tasks_;

@@ -95,18 +95,8 @@ class Plx9080 {
   /// Snapshottable leaf: the lifetime DMA counters, written into the
   /// caller's open section (bindings and the injector are wiring, not
   /// state).
-  void save_state(sim::SnapshotWriter& w) const {
-    w.put_u64(total_bytes_);
-    w.put_i64(total_time_);
-    w.put_u64(dma_stalls_);
-    w.put_u64(dma_aborts_);
-  }
-  void load_state(sim::SnapshotReader& r) {
-    total_bytes_ = r.get_u64();
-    total_time_ = r.get_i64();
-    dma_stalls_ = r.get_u64();
-    dma_aborts_ = r.get_u64();
-  }
+  void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
+  void load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
   // --- fault injection --------------------------------------------------
   /// Attaches a fault injector. `site` names this bridge's injection
@@ -155,6 +145,14 @@ class Plx9080 {
                                              std::string label = {});
 
  private:
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s) {
+    s.u64(self.total_bytes_);
+    s.i64(self.total_time_);
+    s.u64(self.dma_stalls_);
+    s.u64(self.dma_aborts_);
+  }
+
   PciParams params_;
   std::uint64_t total_bytes_ = 0;
   util::Picoseconds total_time_ = 0;

@@ -61,22 +61,8 @@ class Sdram {
 
   /// Snapshottable leaf: per-bank open rows and the access/ECC counters,
   /// written into the caller's open section.
-  void save_state(sim::SnapshotWriter& w) const {
-    w.put_u32(static_cast<std::uint32_t>(open_row_.size()));
-    for (const std::int64_t row : open_row_) w.put_i64(row);
-    w.put_u64(accesses_);
-    w.put_u64(hits_);
-    w.put_u64(ecc_corrections_);
-  }
-  void load_state(sim::SnapshotReader& r) {
-    const std::uint32_t banks = r.get_u32();
-    ATLANTIS_CHECK(banks == open_row_.size(),
-                   "snapshot SDRAM bank count mismatch");
-    for (std::int64_t& row : open_row_) row = r.get_i64();
-    accesses_ = r.get_u64();
-    hits_ = r.get_u64();
-    ecc_corrections_ = r.get_u64();
-  }
+  void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
+  void load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
   // --- fault injection --------------------------------------------------
   /// Attaches a fault injector; the injection site is "sdram/<name>".
@@ -108,6 +94,15 @@ class Sdram {
                                      std::string label = {});
 
  private:
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s) {
+    s.expect_u32(self.open_row_.size(), "SDRAM bank count");
+    for (auto& row : self.open_row_) s.i64(row);
+    s.u64(self.accesses_);
+    s.u64(self.hits_);
+    s.u64(self.ecc_corrections_);
+  }
+
   std::string name_;
   SdramConfig cfg_;
   std::vector<std::int64_t> open_row_;  // -1 = closed

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,40 +69,8 @@ class SlinkChannel {
   /// Snapshottable leaf: FIFO contents (compacted from head_) plus the
   /// link counters and any in-progress injected XOFF burst, written into
   /// the caller's open section.
-  void save_state(sim::SnapshotWriter& w) const {
-    w.put_u64(buffered());
-    for (std::size_t i = head_; i < fifo_.size(); ++i) {
-      const SlinkWord& word = fifo_[i];
-      w.put_u32(word.payload);
-      w.put_bool(word.control);
-      w.put_bool(word.lderr);
-    }
-    w.put_u64(sent_);
-    w.put_u64(refused_);
-    w.put_u64(link_errors_);
-    w.put_u64(truncated_frames_);
-    w.put_u64(retransmissions_);
-    w.put_u64(forced_xoff_);
-  }
-  void load_state(sim::SnapshotReader& r) {
-    const std::uint64_t n = r.get_u64();
-    fifo_.clear();
-    fifo_.reserve(n);
-    head_ = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      SlinkWord word;
-      word.payload = r.get_u32();
-      word.control = r.get_bool();
-      word.lderr = r.get_bool();
-      fifo_.push_back(word);
-    }
-    sent_ = r.get_u64();
-    refused_ = r.get_u64();
-    link_errors_ = r.get_u64();
-    truncated_frames_ = r.get_u64();
-    retransmissions_ = r.get_u64();
-    forced_xoff_ = r.get_u64();
-  }
+  void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
+  void load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
   /// Link-level statistics.
   std::uint64_t words_sent() const { return sent_; }
@@ -158,6 +127,28 @@ class SlinkChannel {
   static constexpr std::uint32_t kEndFragment = 0xE0F00000;
 
  private:
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s) {
+    const auto each_word = [&s](auto& word) {
+      s.u32(word.payload);
+      s.boolean(word.control);
+      s.boolean(word.lderr);
+    };
+    // The live words start at head_; the reader refills from index 0.
+    if constexpr (Stream::kLoading) {
+      self.head_ = 0;
+      s.seq64(self.fifo_, each_word);
+    } else {
+      s.seq64(std::span(self.fifo_).subspan(self.head_), each_word);
+    }
+    s.u64(self.sent_);
+    s.u64(self.refused_);
+    s.u64(self.link_errors_);
+    s.u64(self.truncated_frames_);
+    s.u64(self.retransmissions_);
+    s.u64(self.forced_xoff_);
+  }
+
   std::string name_;
   std::size_t fifo_depth_;
   double clock_mhz_;

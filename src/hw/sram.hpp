@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,17 +74,8 @@ class SyncSram {
 
   /// Snapshottable leaf: the full word array and the SEU counter, written
   /// into the caller's open section. load_state requires the same shape.
-  void save_state(sim::SnapshotWriter& w) const {
-    w.put_words(data_);
-    w.put_u64(seu_flips_);
-  }
-  void load_state(sim::SnapshotReader& r) {
-    std::vector<std::uint64_t> data = r.get_words();
-    ATLANTIS_CHECK(data.size() == data_.size(),
-                   "snapshot SRAM shape mismatch");
-    data_ = std::move(data);
-    seu_flips_ = r.get_u64();
-  }
+  void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
+  void load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
   /// Timing: `accesses` single-word transactions spread over the banks.
   /// Synchronous SRAM is fully pipelined — one access per bank per cycle.
@@ -118,6 +110,12 @@ class SyncSram {
                                      std::string label = {});
 
  private:
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s) {
+    s.words(std::span(self.data_));  // a span keeps the shape
+    s.u64(self.seu_flips_);
+  }
+
   std::size_t index(int bank, std::int64_t addr) const;
 
   std::string name_;

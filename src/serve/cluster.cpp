@@ -31,7 +31,7 @@ bool job_done(const JobRecord& rec) {
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
-    : options_(std::move(options)), ring_(options_.ring_replicas) {
+    : options_(std::move(options)) {
   ATLANTIS_CHECK(options_.boards_per_shard >= 1,
                  "a shard needs at least one computing board");
   ATLANTIS_CHECK(options_.max_placement_attempts >= 1,
@@ -515,42 +515,42 @@ std::uint64_t Cluster::functional_digest() const {
   return sum;
 }
 
-void Cluster::save_state(sim::SnapshotWriter& w) const {
-  w.begin_section("serve/cluster");
-  w.put_u32(static_cast<std::uint32_t>(shards_.size()));
-  for (const Shard& s : shards_) {
-    w.put_string(s.name);
-    w.put_bool(s.retired);
-    w.put_i64(s.ewma_service);
-    w.put_u64(s.admitted_window);
-  }
-  w.put_u64(static_cast<std::uint64_t>(records_.size()));
-  for (const ClusterRecord& rec : records_) {
-    w.put_string(rec.tenant);
-    w.put_string(rec.config);
-    w.put_u32(static_cast<std::uint32_t>(rec.shard));
-    w.put_u64(rec.local);
-    w.put_u32(static_cast<std::uint32_t>(rec.attempts));
-  }
-  w.put_u64(static_cast<std::uint64_t>(refusals_.size()));
-  for (const util::ErrorCode code : refusals_) {
-    w.put_u16(static_cast<std::uint16_t>(code));
-  }
-  w.put_u64(static_cast<std::uint64_t>(in_flight_.size()));
-  for (const auto& [tenant, n] : in_flight_) {
-    w.put_string(tenant);
-    w.put_u64(n);
-  }
-  w.put_u64(static_cast<std::uint64_t>(window_ids_.size()));
-  for (const JobId id : window_ids_) w.put_u64(id);
-  w.put_u64(window_submitted_);
-  w.put_u64(window_rejected_);
-  w.put_u64(window_shed_);
-  w.put_u64(window_overflowed_);
-  w.put_u64(window_drained_);
-  w.put_u64(spray_counter_);
-  w.end_section();
+template <typename Self, typename Stream>
+void Cluster::walk(Self& self, Stream& s) {
+  s.section("serve/cluster", [&] {
+    // The twin must replay the same add/remove history.
+    s.expect_u32(self.shards_.size(), "cluster shard count");
+    for (auto& shard : self.shards_) {
+      s.expect_string(shard.name, "cluster shard name");
+      s.expect_u8(shard.retired, "cluster shard retirement");
+      s.i64(shard.ewma_service);
+      s.u64(shard.admitted_window);
+    }
+    // A record's cluster id is its ledger index; it is not stored.
+    s.seq64(self.records_, [&](auto& rec) {
+      s.string(rec.tenant);
+      s.string(rec.config);
+      s.u32(rec.shard);
+      s.u64(rec.local);
+      s.u32(rec.attempts);
+    });
+    s.seq64(self.refusals_, [&](auto& code) { s.u16(code); });
+    s.seq64(self.in_flight_, [&](auto& tenant) {
+      s.string(tenant.first);
+      s.u64(tenant.second);
+    });
+    s.seq64(self.window_ids_, [&](auto& id) { s.u64(id); });
+    s.u64(self.window_submitted_);
+    s.u64(self.window_rejected_);
+    s.u64(self.window_shed_);
+    s.u64(self.window_overflowed_);
+    s.u64(self.window_drained_);
+    s.u64(self.spray_counter_);
+  });
+}
 
+void Cluster::save_state(sim::SnapshotWriter& w) const {
+  walk(*this, w);
   // Each live shard's complete service snapshot rides as a nested
   // stream in its own uniquely tagged section — select() addresses the
   // first occurrence of a tag, so the shards' internal tags ("system",
@@ -568,65 +568,15 @@ void Cluster::save_state(sim::SnapshotWriter& w) const {
 }
 
 void Cluster::load_state(sim::SnapshotReader& r) {
-  r.select("serve/cluster");
-  const std::uint32_t n_shards = r.get_u32();
-  if (n_shards != shards_.size()) {
-    throw util::StateError(
-        "cluster snapshot fleet census mismatch: " +
-        std::to_string(n_shards) + " shards saved vs " +
-        std::to_string(shards_.size()) + " assembled");
+  walk(*this, r);
+  // Derived from the ledger: the cluster ids and each shard's local ->
+  // cluster id map.
+  for (Shard& s : shards_) s.cluster_id.clear();
+  for (JobId id = 0; id < records_.size(); ++id) {
+    ClusterRecord& rec = records_[id];
+    rec.id = id;
+    shards_.at(static_cast<std::size_t>(rec.shard)).cluster_id[rec.local] = id;
   }
-  for (Shard& s : shards_) {
-    const std::string name = r.get_string();
-    const bool retired = r.get_bool();
-    if (name != s.name || retired != s.retired) {
-      throw util::StateError(
-          "cluster snapshot shard mismatch: saved '" + name +
-          "' (retired=" + std::to_string(retired) + ") vs assembled '" +
-          s.name + "' (retired=" + std::to_string(s.retired) +
-          ") — the twin must replay the same add/remove history");
-    }
-    s.ewma_service = r.get_i64();
-    s.admitted_window = r.get_u64();
-    s.cluster_id.clear();
-  }
-  const std::uint64_t n_records = r.get_u64();
-  records_.clear();
-  records_.reserve(n_records);
-  for (std::uint64_t i = 0; i < n_records; ++i) {
-    ClusterRecord rec;
-    rec.id = i;
-    rec.tenant = r.get_string();
-    rec.config = r.get_string();
-    rec.shard = static_cast<int>(r.get_u32());
-    rec.local = r.get_u64();
-    rec.attempts = static_cast<int>(r.get_u32());
-    shards_.at(static_cast<std::size_t>(rec.shard))
-        .cluster_id[rec.local] = rec.id;
-    records_.push_back(std::move(rec));
-  }
-  const std::uint64_t n_refusals = r.get_u64();
-  refusals_.clear();
-  for (std::uint64_t i = 0; i < n_refusals; ++i) {
-    refusals_.push_back(static_cast<util::ErrorCode>(r.get_u16()));
-  }
-  const std::uint64_t n_tenants = r.get_u64();
-  in_flight_.clear();
-  for (std::uint64_t i = 0; i < n_tenants; ++i) {
-    std::string tenant = r.get_string();
-    in_flight_[std::move(tenant)] = r.get_u64();
-  }
-  const std::uint64_t n_window = r.get_u64();
-  window_ids_.clear();
-  for (std::uint64_t i = 0; i < n_window; ++i) {
-    window_ids_.push_back(r.get_u64());
-  }
-  window_submitted_ = r.get_u64();
-  window_rejected_ = r.get_u64();
-  window_shed_ = r.get_u64();
-  window_overflowed_ = r.get_u64();
-  window_drained_ = r.get_u64();
-  spray_counter_ = r.get_u64();
 
   for (Shard& s : shards_) {
     if (s.retired) continue;

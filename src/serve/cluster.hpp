@@ -74,8 +74,6 @@ namespace atlantis::serve {
 struct ClusterOptions {
   /// Computing boards assembled into each shard's crate.
   int boards_per_shard = 2;
-  /// Virtual nodes per shard on the placement ring.
-  int ring_replicas = 64;
   PlacementPolicy placement = PlacementPolicy::kConsistentHash;
   /// Per-shard service options (cache capacity, policy, batching...).
   ServeOptions serve;
@@ -257,6 +255,9 @@ class Cluster : public sim::Snapshottable {
   /// Weighted-fair share of the cluster's queue capacity for `tenant`.
   std::uint64_t tenant_quota(const std::string& tenant) const;
   util::Result<JobId> refuse(util::ErrorCode code, const std::string& why);
+  /// The "serve/cluster" section; the shards' nested streams follow it.
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
 
   ClusterOptions options_;
   HashRing ring_;

@@ -10,6 +10,68 @@
 #include "util/worker_pool.hpp"
 
 namespace atlantis::serve {
+namespace {
+
+// --- stream layouts shared by save_state / load_state and the
+// --- "serve/job" checkpoints (sim/snapshot.hpp, "Field walks") --------
+
+template <typename Outcome, typename Stream>
+void walk_outcome(Outcome& o, Stream& s) {
+  s.boolean(o.ok);
+  s.string(o.detail);
+  s.u64(o.checksum);
+  s.f64(o.value);
+  s.i64(o.compute_time);
+  s.u64(o.dma_in_bytes);
+  s.u64(o.dma_out_bytes);
+}
+
+/// What a touched job still owes: the service's progress entries and a
+/// checkpoint both carry it.
+template <typename Progress, typename Stream>
+void walk_progress(Progress& p, Stream& s) {
+  s.i64(p.remaining);
+  s.boolean(p.input_done);
+  s.u32(p.preemptions);
+  walk_outcome(p.outcome, s);
+}
+
+/// One ledger entry. A twin replays the same submissions, so the
+/// reader checks the entry's identity instead of taking it.
+template <typename Record, typename Stream>
+void walk_record(Record& rec, Stream& s) {
+  s.expect_u64(rec.id, "ledger job id");
+  s.expect_string(rec.tenant, "ledger job tenant");
+  s.u8(rec.kind);
+  s.expect_string(rec.config, "ledger job configuration");
+  s.i64(rec.board);
+  s.i64(rec.arrival);
+  s.i64(rec.start);
+  s.i64(rec.finish);
+  s.i64(rec.queue_wait);
+  s.i64(rec.deadline);
+  s.u32(rec.preemptions);
+  s.boolean(rec.migrated);
+  s.u32(rec.error);
+  walk_outcome(rec.outcome, s);
+}
+
+/// A checkpoint stream: the job's identity, its timing envelope and its
+/// progress, in a "serve/job" section of its own.
+template <typename Record, typename Progress, typename Stream>
+void walk_checkpoint(Record& rec, Progress& prog, Stream& s) {
+  s.section("serve/job", [&] {
+    s.u64(rec.id);
+    s.string(rec.tenant);
+    s.u8(rec.kind);
+    s.string(rec.config);
+    s.i64(rec.arrival);
+    s.i64(rec.deadline);
+    walk_progress(prog, s);
+  });
+}
+
+}  // namespace
 
 JobService::JobService(core::AtlantisSystem& system, ServeOptions options)
     : system_(system), options_(std::move(options)) {
@@ -26,8 +88,7 @@ JobService::JobService(core::AtlantisSystem& system, ServeOptions options)
     // (try_switch_task), so each board has exactly one notion of "now".
     state.switcher =
         std::make_unique<core::TaskSwitcher>(system_.acb(i).fpga(0));
-    state.switcher->enable_cache(options_.cache_capacity,
-                                 options_.cache_hit_fraction);
+    state.switcher->enable_cache(options_.cache_capacity);
     state.switcher->set_differential(options_.differential_reconfig);
     boards_.push_back(std::move(state));
   }
@@ -170,12 +231,13 @@ sim::TrackId JobService::tenant_track(const std::string& tenant) {
 JobService::BoardState* JobService::pick_board() {
   BoardState* best = nullptr;
   for (BoardState& board : boards_) {
-    if (board.dead || board.quarantined) continue;
+    if (board.dead) continue;
     if (!system_.acb(board.index).alive()) {  // killed from outside
-      board.dead = true;
-      board.switcher->invalidate_cache();
+      lose_board(board);
       continue;
     }
+    if (board.quarantined) continue;
+    if (!board.active && queues_.empty()) continue;  // nothing to advance
     if (best == nullptr || board.driver->now() < best->driver->now()) {
       best = &board;  // ties keep the lowest index (iteration order)
     }
@@ -319,22 +381,7 @@ void JobService::run_preemptive(const RunOptions& options) {
   while (!queues_.empty() || any_active()) {
     if (dispatches++ >= options.max_dispatches) return;  // bounded: paused
 
-    // Advance the alive board with the smallest cursor that has either a
-    // job mid-compute or, when idle, work to pick up. Deterministic:
-    // cursor ties keep the lowest board index.
-    BoardState* board = nullptr;
-    for (BoardState& b : boards_) {
-      if (b.dead) continue;
-      if (!system_.acb(b.index).alive()) {  // killed from outside
-        lose_board(b);
-        continue;
-      }
-      if (b.quarantined) continue;
-      if (!b.active && queues_.empty()) continue;
-      if (board == nullptr || b.driver->now() < board->driver->now()) {
-        board = &b;
-      }
-    }
+    BoardState* board = pick_board();
     if (board == nullptr) {
       if (any_active()) continue;  // boards were lost in the scan above
       if (any_quarantined_alive()) return;  // supervisor owns the next step
@@ -570,26 +617,12 @@ void JobService::serve_batch(BoardState& board, const std::string& config,
     const std::string label =
         std::string(job_kind_name(rec.kind)) + " " + rec.tenant + "#" +
         std::to_string(id);
+    // Input streams in while the board computes; join at the max.
+    if (out.dma_in_bytes > 0) drv.dma_write_async(out.dma_in_bytes);
+    if (out.compute_time > 0) drv.advance(out.compute_time, label.c_str());
+    drv.wait();
     bool io_ok = true;
-    if (out.dma_in_bytes > 0 && options_.overlap_io) {
-      // Input streams in while the board computes; join at the max.
-      drv.dma_write_async(out.dma_in_bytes);
-      if (out.compute_time > 0) drv.advance(out.compute_time, label.c_str());
-      drv.wait();
-    } else {
-      if (out.dma_in_bytes > 0) {
-        const util::Result<hw::DmaTransfer> w =
-            drv.try_dma_write(out.dma_in_bytes);
-        if (!w.ok()) {
-          rec.error = w.error();
-          io_ok = false;
-        }
-      }
-      if (io_ok && out.compute_time > 0) {
-        drv.advance(out.compute_time, label.c_str());
-      }
-    }
-    if (io_ok && out.dma_out_bytes > 0) {
+    if (out.dma_out_bytes > 0) {
       const util::Result<hw::DmaTransfer> r =
           drv.try_dma_read(out.dma_out_bytes);
       if (!r.ok()) {
@@ -637,26 +670,8 @@ void JobService::fail_remaining(util::ErrorCode code) {
 JobCheckpoint JobService::make_checkpoint(JobId id) {
   ensure_progress(id);
   const JobRecord& rec = records_[id];
-  const JobProgress& prog = progress_.at(id);
   sim::SnapshotWriter w;
-  w.begin_section("serve/job");
-  w.put_u64(rec.id);
-  w.put_string(rec.tenant);
-  w.put_u8(static_cast<std::uint8_t>(rec.kind));
-  w.put_string(rec.config);
-  w.put_i64(rec.arrival);
-  w.put_i64(rec.deadline);
-  w.put_i64(prog.remaining);
-  w.put_bool(prog.input_done);
-  w.put_u32(prog.preemptions);
-  w.put_bool(prog.outcome.ok);
-  w.put_string(prog.outcome.detail);
-  w.put_u64(prog.outcome.checksum);
-  w.put_f64(prog.outcome.value);
-  w.put_i64(prog.outcome.compute_time);
-  w.put_u64(prog.outcome.dma_in_bytes);
-  w.put_u64(prog.outcome.dma_out_bytes);
-  w.end_section();
+  walk_checkpoint(rec, std::as_const(progress_).at(id), w);
   JobCheckpoint ckpt;
   ckpt.id = rec.id;
   ckpt.tenant = rec.tenant;
@@ -712,73 +727,55 @@ util::Result<JobId> JobService::restore_job(const JobCheckpoint& ckpt) {
     return util::Result<JobId>::failure(util::ErrorCode::kSnapshotCorrupt,
                                         "checkpoint has no job section");
   }
-  r.select("serve/job");
-  const JobId saved_id = r.get_u64();
-  std::string tenant = r.get_string();
-  const JobKind kind = static_cast<JobKind>(r.get_u8());
-  std::string config = r.get_string();
-  const util::Picoseconds arrival = r.get_i64();
-  const util::Picoseconds deadline = r.get_i64();
+  // Parsed into fresh values, so a refusal below leaves this service
+  // untouched.
+  JobRecord rec;
   JobProgress prog;
+  walk_checkpoint(rec, prog, r);
   prog.outcome_ready = true;  // a checkpoint always carries the outcome
-  prog.remaining = r.get_i64();
-  prog.input_done = r.get_bool();
-  prog.preemptions = r.get_u32();
-  prog.outcome.ok = r.get_bool();
-  prog.outcome.detail = r.get_string();
-  prog.outcome.checksum = r.get_u64();
-  prog.outcome.value = r.get_f64();
-  prog.outcome.compute_time = r.get_i64();
-  prog.outcome.dma_in_bytes = r.get_u64();
-  prog.outcome.dma_out_bytes = r.get_u64();
-  if (configs_.count(config) == 0) {
+  if (configs_.count(rec.config) == 0) {
     return util::Result<JobId>::failure(
         util::ErrorCode::kAdmissionReject,
-        "checkpointed job needs configuration '" + config +
+        "checkpointed job needs configuration '" + rec.config +
             "', which was never registered with this service");
   }
 
   // Back home: the service that produced the checkpoint revives the
   // original id (ledger continuity for preempt-and-resume).
+  const JobId saved_id = rec.id;
   if (saved_id < records_.size() && checkpointed_out_.count(saved_id) != 0 &&
-      records_[saved_id].tenant == tenant &&
-      records_[saved_id].config == config) {
+      records_[saved_id].tenant == rec.tenant &&
+      records_[saved_id].config == rec.config) {
     checkpointed_out_.erase(saved_id);
     records_[saved_id].migrated = false;
     progress_[saved_id] = std::move(prog);
-    queues_.push_back(config, saved_id);
-    ++pending_by_tenant_[tenant];
+    queues_.push_back(rec.config, saved_id);
+    ++pending_by_tenant_[rec.tenant];
     return saved_id;
   }
 
-  std::uint64_t& pending = pending_by_tenant_[tenant];
+  std::uint64_t& pending = pending_by_tenant_[rec.tenant];
   if (pending >= options_.max_queued_per_tenant) {
     return util::Result<JobId>::failure(
         util::ErrorCode::kOverloaded,
-        "tenant '" + tenant + "' already holds " + std::to_string(pending) +
-            " queued jobs");
+        "tenant '" + rec.tenant + "' already holds " +
+            std::to_string(pending) + " queued jobs");
   }
   const JobId id = static_cast<JobId>(records_.size());
-  JobRecord rec;
-  rec.id = id;
-  rec.tenant = tenant;
-  rec.kind = kind;
-  rec.config = config;
-  rec.arrival = arrival;
-  rec.deadline = deadline;
-  rec.preemptions = prog.preemptions;
-  records_.push_back(std::move(rec));
   JobSpec spec;
-  spec.tenant = std::move(tenant);
-  spec.kind = kind;
-  spec.config = config;
-  spec.arrival = arrival;
-  spec.deadline = deadline;
-  const JobOutcome outcome = prog.outcome;
-  spec.work = [outcome] { return outcome; };  // the data replaces the functor
+  spec.tenant = rec.tenant;
+  spec.kind = rec.kind;
+  spec.config = rec.config;
+  spec.arrival = rec.arrival;
+  spec.deadline = rec.deadline;
+  // The data replaces the functor.
+  spec.work = [outcome = prog.outcome] { return outcome; };
   specs_.push_back(std::move(spec));
+  rec.id = id;
+  rec.preemptions = prog.preemptions;
+  queues_.push_back(rec.config, id);
+  records_.push_back(std::move(rec));
   progress_[id] = std::move(prog);
-  queues_.push_back(config, id);
   ++pending;
   return id;
 }
@@ -814,78 +811,62 @@ void JobService::migrate_out(JobId id) {
   ++report_.migrated;
 }
 
+template <typename Self, typename Stream>
+void JobService::walk(Self& self, Stream& s) {
+  s.expect_u32(self.boards_.size(), "service board count");
+  for (auto& b : self.boards_) {
+    s.boolean(b.dead);
+    bool has_active = b.active.has_value();
+    JobId active = b.active.value_or(0);
+    s.boolean(has_active);
+    s.u64(active);
+    if constexpr (Stream::kLoading) {
+      b.active = has_active ? std::optional<JobId>(active) : std::nullopt;
+    }
+    s.state(*b.driver);
+    s.state(*b.switcher);
+  }
+  s.expect_u64(self.records_.size(),
+               "service ledger size (a twin replays the same submissions "
+               "before load_state)");
+  for (auto& rec : self.records_) walk_record(rec, s);
+  // The queues travel as (configuration, job) pairs in queue order; the
+  // reader rebuilds the per-configuration FIFOs from them.
+  std::vector<std::pair<std::string, JobId>> queued;
+  if constexpr (!Stream::kLoading) queued = self.queues_.all();
+  s.seq64(queued, [&](auto& q) {
+    s.string(q.first);
+    s.u64(q.second);
+  });
+  if constexpr (Stream::kLoading) {
+    self.queues_ = ConfigQueues{};
+    for (const auto& [config, id] : queued) self.queues_.push_back(config, id);
+  }
+  s.seq32(self.pending_by_tenant_, [&](auto& tenant) {
+    s.string(tenant.first);
+    s.u64(tenant.second);
+  });
+  // Tenant tracks are created lazily on the shared timeline; the mapping
+  // must survive so a restored twin keeps posting on the same tracks.
+  s.seq32(self.tenant_tracks_, [&](auto& tenant) {
+    s.string(tenant.first);
+    s.u32(tenant.second.value);
+  });
+  s.seq32(self.progress_, [&](auto& job) {
+    s.u64(job.first);
+    s.boolean(job.second.outcome_ready);
+    walk_progress(job.second, s);
+  });
+  s.seq32(self.checkpointed_out_, [&](auto& id) { s.u64(id); });
+}
+
 void JobService::save_state(sim::SnapshotWriter& w) const {
   system_.save_state(w);
   w.begin_section("serve/service");
-  w.put_u32(static_cast<std::uint32_t>(boards_.size()));
-  for (const BoardState& b : boards_) {
-    w.put_bool(b.dead);
-    w.put_bool(b.active.has_value());
-    w.put_u64(b.active.value_or(0));
-    b.driver->save_state(w);
-    b.switcher->save_state(w);
-  }
-  w.put_u64(records_.size());
-  for (const JobRecord& rec : records_) {
-    w.put_u64(rec.id);
-    w.put_string(rec.tenant);
-    w.put_u8(static_cast<std::uint8_t>(rec.kind));
-    w.put_string(rec.config);
-    w.put_i64(rec.board);
-    w.put_i64(rec.arrival);
-    w.put_i64(rec.start);
-    w.put_i64(rec.finish);
-    w.put_i64(rec.queue_wait);
-    w.put_i64(rec.deadline);
-    w.put_u32(rec.preemptions);
-    w.put_bool(rec.migrated);
-    w.put_u32(static_cast<std::uint32_t>(rec.error));
-    w.put_bool(rec.outcome.ok);
-    w.put_string(rec.outcome.detail);
-    w.put_u64(rec.outcome.checksum);
-    w.put_f64(rec.outcome.value);
-    w.put_i64(rec.outcome.compute_time);
-    w.put_u64(rec.outcome.dma_in_bytes);
-    w.put_u64(rec.outcome.dma_out_bytes);
-  }
-  const auto queued = queues_.all();
-  w.put_u64(queued.size());
-  for (const auto& [config, id] : queued) {
-    w.put_string(config);
-    w.put_u64(id);
-  }
-  w.put_u32(static_cast<std::uint32_t>(pending_by_tenant_.size()));
-  for (const auto& [tenant, n] : pending_by_tenant_) {
-    w.put_string(tenant);
-    w.put_u64(n);
-  }
-  // Tenant tracks are created lazily on the shared timeline; the mapping
-  // must survive so a restored twin keeps posting on the same tracks.
-  w.put_u32(static_cast<std::uint32_t>(tenant_tracks_.size()));
-  for (const auto& [tenant, track] : tenant_tracks_) {
-    w.put_string(tenant);
-    w.put_u32(static_cast<std::uint32_t>(track.value));
-  }
-  w.put_u32(static_cast<std::uint32_t>(progress_.size()));
-  for (const auto& [id, prog] : progress_) {
-    w.put_u64(id);
-    w.put_bool(prog.outcome_ready);
-    w.put_i64(prog.remaining);
-    w.put_bool(prog.input_done);
-    w.put_u32(prog.preemptions);
-    w.put_bool(prog.outcome.ok);
-    w.put_string(prog.outcome.detail);
-    w.put_u64(prog.outcome.checksum);
-    w.put_f64(prog.outcome.value);
-    w.put_i64(prog.outcome.compute_time);
-    w.put_u64(prog.outcome.dma_in_bytes);
-    w.put_u64(prog.outcome.dma_out_bytes);
-  }
-  w.put_u32(static_cast<std::uint32_t>(checkpointed_out_.size()));
-  for (const JobId id : checkpointed_out_) w.put_u64(id);
+  walk(*this, w);
   // Appended in minor 1: the quarantine bitmask. Kept at the section
   // tail so minor-0 readers simply never reach it and minor-0 streams
-  // load with no board quarantined (remaining() == 0 below).
+  // load with no board quarantined (load_state finds no bytes left).
   ATLANTIS_CHECK(boards_.size() <= 64,
                  "quarantine mask carries at most 64 boards");
   std::uint64_t quarantine_mask = 0;
@@ -899,96 +880,7 @@ void JobService::save_state(sim::SnapshotWriter& w) const {
 void JobService::load_state(sim::SnapshotReader& r) {
   system_.load_state(r);
   r.select("serve/service");
-  const std::uint32_t n_boards = r.get_u32();
-  if (n_boards != boards_.size()) {
-    throw util::StateError("service snapshot board count mismatch");
-  }
-  for (BoardState& b : boards_) {
-    b.dead = r.get_bool();
-    const bool has_active = r.get_bool();
-    const JobId active = r.get_u64();
-    b.active = has_active ? std::optional<JobId>(active) : std::nullopt;
-    b.driver->load_state(r);
-    b.switcher->load_state(r);
-  }
-  const std::uint64_t n_records = r.get_u64();
-  if (n_records != records_.size()) {
-    throw util::StateError(
-        "service snapshot has " + std::to_string(n_records) +
-        " jobs; this service has " + std::to_string(records_.size()) +
-        " — a twin must replay the same submissions before load_state");
-  }
-  for (JobRecord& rec : records_) {
-    const JobId id = r.get_u64();
-    std::string tenant = r.get_string();
-    const JobKind kind = static_cast<JobKind>(r.get_u8());
-    std::string config = r.get_string();
-    if (rec.id != id || rec.tenant != tenant || rec.config != config) {
-      throw util::StateError(
-          "service snapshot ledger entry " + std::to_string(id) +
-          " does not match this service's submission order");
-    }
-    rec.kind = kind;
-    rec.board = static_cast<int>(r.get_i64());
-    rec.arrival = r.get_i64();
-    rec.start = r.get_i64();
-    rec.finish = r.get_i64();
-    rec.queue_wait = r.get_i64();
-    rec.deadline = r.get_i64();
-    rec.preemptions = r.get_u32();
-    rec.migrated = r.get_bool();
-    rec.error = static_cast<util::ErrorCode>(r.get_u32());
-    rec.outcome.ok = r.get_bool();
-    rec.outcome.detail = r.get_string();
-    rec.outcome.checksum = r.get_u64();
-    rec.outcome.value = r.get_f64();
-    rec.outcome.compute_time = r.get_i64();
-    rec.outcome.dma_in_bytes = r.get_u64();
-    rec.outcome.dma_out_bytes = r.get_u64();
-  }
-  queues_ = ConfigQueues{};
-  const std::uint64_t n_queued = r.get_u64();
-  for (std::uint64_t i = 0; i < n_queued; ++i) {
-    std::string config = r.get_string();
-    const JobId id = r.get_u64();
-    queues_.push_back(config, id);
-  }
-  pending_by_tenant_.clear();
-  const std::uint32_t n_tenants = r.get_u32();
-  for (std::uint32_t i = 0; i < n_tenants; ++i) {
-    std::string tenant = r.get_string();
-    pending_by_tenant_[std::move(tenant)] = r.get_u64();
-  }
-  tenant_tracks_.clear();
-  const std::uint32_t n_tracks = r.get_u32();
-  for (std::uint32_t i = 0; i < n_tracks; ++i) {
-    std::string tenant = r.get_string();
-    tenant_tracks_[std::move(tenant)] =
-        sim::TrackId{static_cast<int>(r.get_u32())};
-  }
-  progress_.clear();
-  const std::uint32_t n_progress = r.get_u32();
-  for (std::uint32_t i = 0; i < n_progress; ++i) {
-    const JobId id = r.get_u64();
-    JobProgress prog;
-    prog.outcome_ready = r.get_bool();
-    prog.remaining = r.get_i64();
-    prog.input_done = r.get_bool();
-    prog.preemptions = r.get_u32();
-    prog.outcome.ok = r.get_bool();
-    prog.outcome.detail = r.get_string();
-    prog.outcome.checksum = r.get_u64();
-    prog.outcome.value = r.get_f64();
-    prog.outcome.compute_time = r.get_i64();
-    prog.outcome.dma_in_bytes = r.get_u64();
-    prog.outcome.dma_out_bytes = r.get_u64();
-    progress_[id] = std::move(prog);
-  }
-  checkpointed_out_.clear();
-  const std::uint32_t n_out = r.get_u32();
-  for (std::uint32_t i = 0; i < n_out; ++i) {
-    checkpointed_out_.insert(r.get_u64());
-  }
+  walk(*this, r);
   const std::uint64_t quarantine_mask =
       r.remaining() >= sizeof(std::uint64_t) ? r.get_u64() : 0;
   for (std::size_t i = 0; i < boards_.size(); ++i) {

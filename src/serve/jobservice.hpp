@@ -260,6 +260,10 @@ class JobService : public sim::Snapshottable {
   };
 
   sim::TrackId tenant_track(const std::string& tenant);
+  /// The one board scan of both policies: the alive, enabled board with
+  /// the smallest cursor that has a job mid-compute or, when idle, work
+  /// to pick up (cursor ties keep the lowest index). A board killed from
+  /// outside the service is lost here, so it joins report().dead_boards.
   BoardState* pick_board();
   /// True when at least one alive board is sidelined by the quarantine
   /// gate — the "no board" condition is then the supervisor's to fix.
@@ -287,6 +291,9 @@ class JobService : public sim::Snapshottable {
   void migrate_out(JobId id);
   void fail_remaining(util::ErrorCode code);
   void finalize_report();
+  /// The "serve/service" section up to its minor-1 quarantine tail.
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
 
   core::AtlantisSystem& system_;
   ServeOptions options_;

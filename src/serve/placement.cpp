@@ -32,13 +32,9 @@ const char* placement_policy_name(PlacementPolicy policy) {
   return "consistent_hash";
 }
 
-HashRing::HashRing(int replicas) : replicas_(replicas) {
-  ATLANTIS_CHECK(replicas >= 1, "a ring node needs at least one replica");
-}
-
 void HashRing::add_node(int shard, const std::string& name) {
-  ring_.reserve(ring_.size() + static_cast<std::size_t>(replicas_));
-  for (int r = 0; r < replicas_; ++r) {
+  ring_.reserve(ring_.size() + static_cast<std::size_t>(kReplicas));
+  for (int r = 0; r < kReplicas; ++r) {
     ring_.push_back({placement_hash(name + "#" + std::to_string(r)), shard});
   }
   std::sort(ring_.begin(), ring_.end());

@@ -41,14 +41,14 @@ enum class PlacementPolicy {
 
 const char* placement_policy_name(PlacementPolicy policy);
 
-/// The consistent-hash ring: `replicas` virtual nodes per shard, each
+/// The consistent-hash ring: kReplicas virtual nodes per shard, each
 /// at placement_hash("<shard-name>#<replica>"), sorted; a key is owned
 /// by the first virtual node clockwise from its hash. More replicas =
-/// smoother load split (the cluster default of 64 keeps the max/min
-/// shard imbalance under ~2x for a handful of shards).
+/// smoother load split (64 keeps the max/min shard imbalance under ~2x
+/// for a handful of shards).
 class HashRing {
  public:
-  explicit HashRing(int replicas = 64);
+  static constexpr int kReplicas = 64;
 
   /// Adds a shard's virtual nodes. `shard` is the caller's stable index
   /// (the cluster's shard id); `name` seeds the node positions and must
@@ -78,7 +78,6 @@ class HashRing {
     }
   };
 
-  int replicas_;
   std::vector<VNode> ring_;  // sorted
 };
 

@@ -44,13 +44,10 @@ struct ServeOptions {
   /// Admission control: pending (queued, not yet dispatched) jobs one
   /// tenant may hold; submit() past it fails with kOverloaded.
   std::uint64_t max_queued_per_tenant = 1'000'000;
-  /// Per-board bitstream cache capacity (0 disables the cache).
+  /// Per-board bitstream cache capacity (0 disables the cache). A hit
+  /// activates the staged context at TaskSwitcher's default fraction
+  /// of a full configuration (1/64).
   std::size_t cache_capacity = 4;
-  /// Fraction of a full configuration a cache-hit activation costs.
-  double cache_hit_fraction = 1.0 / 64.0;
-  /// Stream each job's input DMA asynchronously so it overlaps the
-  /// previous compute (the driver's dma_*_async path).
-  bool overlap_io = true;
   /// Serve strictly in submission order instead of draining one
   /// configuration's queue at a time — the reconfigure-per-job baseline
   /// the serving benchmark compares batching against.

@@ -175,74 +175,39 @@ void FaultInjector::reset() {
   load_state(r.value());
 }
 
-void FaultInjector::save_state(SnapshotWriter& w) const {
-  w.begin_section("sim/fault");
-  w.put_u64(plan_.seed);
-  for (const double rate : plan_.rates) w.put_f64(rate);
-  w.put_u32(static_cast<std::uint32_t>(plan_.scheduled.size()));
-  for (const ScheduledFault& sf : plan_.scheduled) {
-    w.put_u8(static_cast<std::uint8_t>(sf.kind));
-    w.put_string(sf.site);
-    w.put_u64(sf.nth);
-    w.put_u64(sf.param);
-  }
-  for (const std::uint64_t n : injected_) w.put_u64(n);
-  w.put_u64(log_.size());
-  for (const FaultRecord& rec : log_) {
-    w.put_u8(static_cast<std::uint8_t>(rec.kind));
-    w.put_string(rec.site);
-    w.put_u64(rec.opportunity);
-    w.put_u64(rec.param);
-  }
-  w.put_u32(static_cast<std::uint32_t>(sites_.size()));
-  for (const auto& [key, st] : sites_) {
-    w.put_u32(static_cast<std::uint32_t>(key.first));
-    w.put_string(key.second);
-    w.put_u64(st.opportunities);
-    for (const std::uint64_t word : st.rng.save_state()) w.put_u64(word);
-  }
-  w.end_section();
+template <typename Self, typename Stream>
+void FaultInjector::walk(Self& self, Stream& s) {
+  s.section("sim/fault", [&] {
+    s.u64(self.plan_.seed);
+    for (auto& rate : self.plan_.rates) s.f64(rate);
+    s.seq32(self.plan_.scheduled, [&](auto& sf) {
+      s.u8(sf.kind);
+      s.string(sf.site);
+      s.u64(sf.nth);
+      s.u64(sf.param);
+    });
+    for (auto& n : self.injected_) s.u64(n);
+    s.seq64(self.log_, [&](auto& rec) {
+      s.u8(rec.kind);
+      s.string(rec.site);
+      s.u64(rec.opportunity);
+      s.u64(rec.param);
+    });
+    s.seq32(self.sites_, [&](auto& site) {
+      auto& [key, st] = site;
+      s.u32(key.first);
+      s.string(key.second);
+      s.u64(st.opportunities);
+      // The stream position travels as the generator's six state words.
+      std::array<std::uint64_t, 6> rng = st.rng.save_state();
+      for (auto& word : rng) s.u64(word);
+      if constexpr (Stream::kLoading) st.rng.load_state(rng);
+    });
+  });
 }
 
-void FaultInjector::load_state(SnapshotReader& r) {
-  r.select("sim/fault");
-  plan_.seed = r.get_u64();
-  for (double& rate : plan_.rates) rate = r.get_f64();
-  const std::uint32_t n_sched = r.get_u32();
-  plan_.scheduled.clear();
-  plan_.scheduled.reserve(n_sched);
-  for (std::uint32_t i = 0; i < n_sched; ++i) {
-    ScheduledFault sf;
-    sf.kind = static_cast<FaultKind>(r.get_u8());
-    sf.site = r.get_string();
-    sf.nth = r.get_u64();
-    sf.param = r.get_u64();
-    plan_.scheduled.push_back(std::move(sf));
-  }
-  for (std::uint64_t& n : injected_) n = r.get_u64();
-  const std::uint64_t n_log = r.get_u64();
-  log_.clear();
-  log_.reserve(n_log);
-  for (std::uint64_t i = 0; i < n_log; ++i) {
-    FaultRecord rec;
-    rec.kind = static_cast<FaultKind>(r.get_u8());
-    rec.site = r.get_string();
-    rec.opportunity = r.get_u64();
-    rec.param = r.get_u64();
-    log_.push_back(std::move(rec));
-  }
-  const std::uint32_t n_sites = r.get_u32();
-  sites_.clear();
-  for (std::uint32_t i = 0; i < n_sites; ++i) {
-    const int kind = static_cast<int>(r.get_u32());
-    std::string site = r.get_string();
-    SiteState st;
-    st.opportunities = r.get_u64();
-    std::array<std::uint64_t, 6> rng_state{};
-    for (std::uint64_t& word : rng_state) word = r.get_u64();
-    st.rng.load_state(rng_state);
-    sites_.emplace(SiteKey{kind, std::move(site)}, std::move(st));
-  }
-}
+void FaultInjector::save_state(SnapshotWriter& w) const { walk(*this, w); }
+
+void FaultInjector::load_state(SnapshotReader& r) { walk(*this, r); }
 
 }  // namespace atlantis::sim

@@ -182,6 +182,8 @@ class FaultInjector : public Snapshottable {
   using SiteKey = std::pair<int, std::string>;
 
   SiteState& site_state(FaultKind kind, const std::string& site);
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
 
   FaultPlan plan_;
   std::map<SiteKey, SiteState> sites_;

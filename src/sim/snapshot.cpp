@@ -215,6 +215,18 @@ void SnapshotReader::throw_overread() {
   throw util::Error("snapshot section overread");
 }
 
+void SnapshotReader::mismatch(const char* what, const std::string& got,
+                              const std::string& live) {
+  throw util::StateError(std::string("snapshot ") + what +
+                         " mismatch: the stream holds " + got +
+                         ", this twin " + live);
+}
+
+void SnapshotReader::expect_string(const std::string& s, const char* what) {
+  const std::string got = get_string();
+  if (got != s) mismatch(what, "'" + got + "'", "'" + s + "'");
+}
+
 std::string SnapshotReader::get_string() {
   const std::uint32_t len = get_u32();
   need(len);
@@ -230,6 +242,12 @@ std::vector<std::uint64_t> SnapshotReader::get_words() {
   get_bytes(reinterpret_cast<std::uint8_t*>(words.data()),
             words.size() * sizeof(std::uint64_t));
   return words;
+}
+
+void SnapshotReader::words(std::span<std::uint64_t> w) {
+  expect(get_u64(), std::uint64_t{w.size()}, "word count");
+  get_bytes(reinterpret_cast<std::uint8_t*>(w.data()),
+            w.size() * sizeof(std::uint64_t));
 }
 
 void SnapshotReader::get_bytes(std::uint8_t* out, std::size_t len) {

@@ -30,6 +30,25 @@
 // typed reads; an overread within a section throws util::Error (that is
 // a programming error, not a recoverable stream condition).
 //
+// Field walks: each layout is stated once, in a private template that
+// save_state runs with a SnapshotWriter (appending each field) and
+// load_state with a SnapshotReader (assigning it):
+//
+//   template <typename Self, typename Stream>
+//   static void walk(Self& self, Stream& s) {
+//     s.u64(self.total_bytes_);
+//     s.seq32(self.pending_, [&](auto& t) { s.i64(t); });
+//   }
+//
+// The verbs are named by stream encoding: u8/u16/u32/u64/i64 (integral
+// or enum fields), f64, boolean, string, words; seq32/seq64 (a u32/u64
+// count, then each element; the reader rebuilds the container);
+// expect_* (a value the twin's construction fixes: the reader compares
+// and throws util::StateError); section (a tagged section); state (a
+// nested component). Stream::kLoading guards the few steps only one
+// direction has. FpgaDevice and chdl::Simulator validate a whole load
+// before committing any of it, so they keep separate save and load code.
+//
 // Versioning rules: bump kSnapshotMinor when adding sections or
 // appending fields readers may skip; bump kSnapshotMajor when the
 // meaning of existing bytes changes. open() fails with
@@ -44,11 +63,14 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/status.hpp"
@@ -66,6 +88,10 @@ inline constexpr std::uint16_t kSnapshotMinor = 1;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);
+
+/// A field the integer verbs accept; it is cast to and from the encoding.
+template <typename T>
+concept Integer = std::integral<T> || std::is_enum_v<T>;
 
 /// Appends a header + tagged sections to a growable byte buffer.
 /// Typed puts are only legal between begin_section()/end_section().
@@ -103,6 +129,39 @@ class SnapshotWriter {
     append(data, len);
   }
 
+  // --- field verbs, spelled the same on SnapshotReader ("Field walks")
+  static constexpr bool kLoading = false;
+  template <Integer T> void u8(T v) { put(static_cast<std::uint8_t>(v)); }
+  template <Integer T> void u16(T v) { put(static_cast<std::uint16_t>(v)); }
+  template <Integer T> void u32(T v) { put(static_cast<std::uint32_t>(v)); }
+  template <Integer T> void u64(T v) { put(static_cast<std::uint64_t>(v)); }
+  template <Integer T> void i64(T v) { put(static_cast<std::int64_t>(v)); }
+  void f64(double v) { put(v); }
+  void boolean(bool v) { put_bool(v); }
+  void string(const std::string& s) { put_string(s); }
+  void words(std::span<const std::uint64_t> w) { put_words(w); }
+  template <typename Seq, typename Each>
+  void seq32(const Seq& items, Each&& each) {
+    u32(items.size());
+    for (const auto& item : items) each(item);
+  }
+  template <typename Seq, typename Each>
+  void seq64(const Seq& items, Each&& each) {
+    u64(items.size());
+    for (const auto& item : items) each(item);
+  }
+  template <Integer T> void expect_u8(T v, const char*) { u8(v); }
+  template <Integer T> void expect_u32(T v, const char*) { u32(v); }
+  template <Integer T> void expect_u64(T v, const char*) { u64(v); }
+  void expect_string(const std::string& s, const char*) { put_string(s); }
+  template <typename Body>
+  void section(const std::string& tag, Body&& body) {
+    begin_section(tag);
+    body();
+    end_section();
+  }
+  template <typename C> void state(const C& c) { c.save_state(*this); }
+
   /// The finished stream; requires no section be open.
   const std::vector<std::uint8_t>& bytes();
   /// Moves the finished stream out; the writer is spent afterwards.
@@ -137,7 +196,8 @@ class SnapshotWriter {
 /// section frame and every CRC are checked up front, so load_state
 /// implementations never see a torn stream. Duplicate tags keep their
 /// stream order; select() addresses the first occurrence and
-/// select_index() any of them.
+/// select_index() any of them. Typed gets and the field verbs throw
+/// util::Error on an overread within the selected section.
 class SnapshotReader {
  public:
   /// Validates the stream. Fails with kSnapshotVersion on an unknown
@@ -173,7 +233,76 @@ class SnapshotReader {
   /// Bytes left in the selected section.
   std::size_t remaining() const { return end_ - cursor_; }
 
+  // --- field verbs, spelled the same on SnapshotWriter ("Field walks")
+  static constexpr bool kLoading = true;
+  template <Integer T> void u8(T& v) { v = static_cast<T>(get_u8()); }
+  template <Integer T> void u16(T& v) { v = static_cast<T>(get_u16()); }
+  template <Integer T> void u32(T& v) { v = static_cast<T>(get_u32()); }
+  template <Integer T> void u64(T& v) { v = static_cast<T>(get_u64()); }
+  template <Integer T> void i64(T& v) { v = static_cast<T>(get_i64()); }
+  void f64(double& v) { v = get_f64(); }
+  void boolean(bool& v) { v = get_bool(); }
+  // Exact-size buffers, as get_string/get_words allocate them: assigning
+  // into a fresh string would round its capacity up.
+  void string(std::string& s) { s = get_string(); }
+  void words(std::vector<std::uint64_t>& w) { w = get_words(); }
+  void words(std::span<std::uint64_t> w);  // must match the stream's length
+  template <typename Seq, typename Each>
+  void seq32(Seq& items, Each&& each) { seq(get_u32(), items, each); }
+  template <typename Seq, typename Each>
+  void seq64(Seq& items, Each&& each) { seq(get_u64(), items, each); }
+  template <Integer T> void expect_u8(T v, const char* what) {
+    expect(get_u8(), static_cast<std::uint8_t>(v), what);
+  }
+  template <Integer T> void expect_u32(T v, const char* what) {
+    expect(get_u32(), static_cast<std::uint32_t>(v), what);
+  }
+  template <Integer T> void expect_u64(T v, const char* what) {
+    expect(get_u64(), static_cast<std::uint64_t>(v), what);
+  }
+  void expect_string(const std::string& s, const char* what);
+  template <typename Body>
+  void section(const std::string& tag, Body&& body) {
+    select(tag);
+    body();
+  }
+  template <typename C> void state(C& c) { c.load_state(*this); }
+
  private:
+  // A sequence's stored elements are rebuilt in place; an associative
+  // container's (saved in key order) are read into a mutable key or
+  // key/value pair and appended.
+  template <typename Seq>
+  struct Element {
+    using type = typename Seq::key_type;
+  };
+  template <typename Seq>
+    requires requires { typename Seq::mapped_type; }
+  struct Element<Seq> {
+    using type = std::pair<typename Seq::key_type, typename Seq::mapped_type>;
+  };
+  template <typename Seq, typename Each>
+  void seq(std::uint64_t n, Seq& items, Each& each) {
+    if (n > remaining()) throw_overread();  // elements take >= 1 byte
+    items.clear();
+    if constexpr (requires { typename Seq::key_type; }) {
+      for (std::uint64_t i = 0; i < n; ++i) {
+        typename Element<Seq>::type item{};
+        each(item);
+        items.emplace_hint(items.end(), std::move(item));
+      }
+    } else {
+      items.resize(n);
+      for (auto& item : items) each(item);
+    }
+  }
+  template <typename V>
+  void expect(V got, V live, const char* what) {
+    if (got != live) mismatch(what, std::to_string(got), std::to_string(live));
+  }
+  [[noreturn]] static void mismatch(const char* what, const std::string& got,
+                                    const std::string& live);
+
   struct Section {
     std::string tag;
     std::size_t begin = 0;  // payload offset into data_

@@ -140,99 +140,53 @@ void Timeline::reset_stats() {
   }
 }
 
-void Timeline::save_state(SnapshotWriter& w) const {
-  w.begin_section("sim/timeline");
-  w.put_u32(static_cast<std::uint32_t>(resources_.size()));
-  for (const Resource& r : resources_) {
-    w.put_string(r.name);
-    w.put_u32(static_cast<std::uint32_t>(r.free_at.size()));
-    for (const util::Picoseconds t : r.free_at) w.put_i64(t);
-    const ResourceStats& s = r.stats;
-    w.put_u64(s.transactions);
-    w.put_u64(s.bytes);
-    w.put_i64(s.busy);
-    w.put_i64(s.queue_delay);
-    w.put_i64(s.first_start);
-    w.put_i64(s.last_end);
-    w.put_u64(s.faults);
-    w.put_u64(s.retries);
-    w.put_i64(s.retry_time);
-  }
-  w.put_u32(static_cast<std::uint32_t>(tracks_.size()));
-  for (const Track& t : tracks_) {
-    w.put_string(t.name);
-    w.put_i64(t.horizon);
-  }
-  w.put_u64(txns_.size());
-  for (const Transaction& t : txns_) {
-    w.put_u64(t.id);
-    w.put_u8(static_cast<std::uint8_t>(t.kind));
-    w.put_string(t.label);
-    w.put_u32(static_cast<std::uint32_t>(t.track.value));
-    w.put_u32(static_cast<std::uint32_t>(t.resource.value));
-    w.put_i64(t.post);
-    w.put_i64(t.start);
-    w.put_i64(t.end);
-    w.put_u64(t.bytes);
-    w.put_u32(t.regions);
-  }
-  w.put_i64(horizon_);
-  w.end_section();
+template <typename Self, typename Stream>
+void Timeline::walk(Self& self, Stream& s) {
+  s.section("sim/timeline", [&] {
+    s.expect_u32(self.resources_.size(), "timeline resource count");
+    for (auto& res : self.resources_) {
+      s.expect_string(res.name, "timeline resource");
+      s.expect_u32(res.free_at.size(), "timeline channel count");
+      for (auto& t : res.free_at) s.i64(t);
+      auto& st = res.stats;
+      s.u64(st.transactions);
+      s.u64(st.bytes);
+      s.i64(st.busy);
+      s.i64(st.queue_delay);
+      s.i64(st.first_start);
+      s.i64(st.last_end);
+      s.u64(st.faults);
+      s.u64(st.retries);
+      s.i64(st.retry_time);
+    }
+    // Tracks grow lazily (tenant tracks appear at first dispatch), so a
+    // snapshot may carry more tracks than the twin has created — and a
+    // rollback restore may carry fewer than the live timeline grew
+    // since the checkpoint. Both directions resize; components that own
+    // late track ids restore them from the same stream.
+    s.seq32(self.tracks_, [&](auto& t) {
+      s.string(t.name);
+      s.i64(t.horizon);
+    });
+    s.seq64(self.txns_, [&](auto& t) {
+      s.u64(t.id);
+      s.u8(t.kind);
+      s.string(t.label);
+      s.u32(t.track.value);
+      s.u32(t.resource.value);
+      s.i64(t.post);
+      s.i64(t.start);
+      s.i64(t.end);
+      s.u64(t.bytes);
+      s.u32(t.regions);
+    });
+    s.i64(self.horizon_);
+  });
 }
 
-void Timeline::load_state(SnapshotReader& r) {
-  r.select("sim/timeline");
-  const std::uint32_t n_res = r.get_u32();
-  ATLANTIS_CHECK(n_res == resources_.size(),
-                 "snapshot timeline resource count mismatch");
-  for (Resource& res : resources_) {
-    const std::string name = r.get_string();
-    ATLANTIS_CHECK(name == res.name, "snapshot timeline resource mismatch");
-    const std::uint32_t channels = r.get_u32();
-    ATLANTIS_CHECK(channels == res.free_at.size(),
-                   "snapshot timeline channel count mismatch");
-    for (util::Picoseconds& t : res.free_at) t = r.get_i64();
-    ResourceStats& s = res.stats;
-    s.transactions = r.get_u64();
-    s.bytes = r.get_u64();
-    s.busy = r.get_i64();
-    s.queue_delay = r.get_i64();
-    s.first_start = r.get_i64();
-    s.last_end = r.get_i64();
-    s.faults = r.get_u64();
-    s.retries = r.get_u64();
-    s.retry_time = r.get_i64();
-  }
-  // Tracks grow lazily (tenant tracks appear at first dispatch), so a
-  // snapshot may carry more tracks than the twin has created — and a
-  // rollback restore may carry fewer than the live timeline grew since
-  // the checkpoint. Both directions resize; components that own late
-  // track ids restore them from the same stream.
-  const std::uint32_t n_tracks = r.get_u32();
-  tracks_.resize(n_tracks);
-  for (Track& t : tracks_) {
-    t.name = r.get_string();
-    t.horizon = r.get_i64();
-  }
-  const std::uint64_t n_txns = r.get_u64();
-  txns_.clear();
-  txns_.reserve(n_txns);
-  for (std::uint64_t i = 0; i < n_txns; ++i) {
-    Transaction t;
-    t.id = r.get_u64();
-    t.kind = static_cast<TxnKind>(r.get_u8());
-    t.label = r.get_string();
-    t.track = TrackId{static_cast<int>(r.get_u32())};
-    t.resource = ResourceId{static_cast<int>(r.get_u32())};
-    t.post = r.get_i64();
-    t.start = r.get_i64();
-    t.end = r.get_i64();
-    t.bytes = r.get_u64();
-    t.regions = r.get_u32();
-    txns_.push_back(std::move(t));
-  }
-  horizon_ = r.get_i64();
-}
+void Timeline::save_state(SnapshotWriter& w) const { walk(*this, w); }
+
+void Timeline::load_state(SnapshotReader& r) { walk(*this, r); }
 
 Timeline::TrackStats Timeline::track_stats(TrackId id) const {
   ATLANTIS_CHECK(id.valid() && id.value < track_count(), "unknown track");

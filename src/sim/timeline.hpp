@@ -215,6 +215,9 @@ class Timeline : public Snapshottable {
     util::Picoseconds horizon = 0;
   };
 
+  template <typename Self, typename Stream>
+  static void walk(Self& self, Stream& s);
+
   std::vector<Resource> resources_;
   std::vector<Track> tracks_;
   std::vector<Transaction> txns_;

@@ -342,21 +342,37 @@ TEST_P(FpgaSnapshot, LoadDemandsTheResidentDesign) {
     r.select("fpga");
     return r;
   };
+  auto state_of = [](const FpgaDevice& d) {
+    sim::SnapshotWriter out;
+    out.begin_section("fpga");
+    d.save_state(out);
+    out.end_section();
+    return out.bytes();
+  };
 
   // Unconfigured twin: no resident design to restore into.
   FpgaDevice bare("fpga0", family);
   {
+    const std::vector<std::uint8_t> before = state_of(bare);
     sim::SnapshotReader r = open_at();
     EXPECT_THROW(bare.load_state(r), util::StateError);
+    EXPECT_EQ(state_of(bare), before) << "a refused load changed the device";
+    EXPECT_FALSE(bare.configured());
   }
-  // Twin carrying a different design.
+  // Twin carrying a different design, mid-run.
   chdl::Design other("otherdev");
   other.output("q", chdl::counter(other, "c", 4, other.input("en", 1)));
   FpgaDevice wrong("fpga0", family);
   wrong.configure(Bitstream::from_design(other));
+  wrong.sim()->poke("en", 1);
+  wrong.sim()->run(3);
   {
+    const std::vector<std::uint8_t> before = state_of(wrong);
     sim::SnapshotReader r = open_at();
     EXPECT_THROW(wrong.load_state(r), util::StateError);
+    EXPECT_EQ(state_of(wrong), before) << "a refused load changed the device";
+    EXPECT_EQ(wrong.design_name(), "otherdev");
+    EXPECT_EQ(wrong.sim()->peek_u64("q"), 3u);
   }
 }
 

@@ -437,7 +437,7 @@ TEST(Cluster, SnapshotRoundTripIntoATwinFleet) {
 // --- the placement ring itself -----------------------------------------
 
 TEST(HashRing, LookupIsStableAndSuccessorsAreDistinct) {
-  serve::HashRing ring(64);
+  serve::HashRing ring;
   ring.add_node(0, "shard0");
   ring.add_node(1, "shard1");
   ring.add_node(2, "shard2");
@@ -456,7 +456,7 @@ TEST(HashRing, LookupIsStableAndSuccessorsAreDistinct) {
 }
 
 TEST(HashRing, RemovalOnlyRehomesTheRemovedNodesKeys) {
-  serve::HashRing ring(64);
+  serve::HashRing ring;
   ring.add_node(0, "shard0");
   ring.add_node(1, "shard1");
   ring.add_node(2, "shard2");

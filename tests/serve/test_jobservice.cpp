@@ -15,6 +15,13 @@
 #include "util/units.hpp"
 #include "util/worker_pool.hpp"
 
+namespace atlantis::serve {
+// Names the policy in the parameterized case names ctest discovers.
+static void PrintTo(Policy policy, std::ostream* os) {
+  *os << (policy == Policy::kBatched ? "batched" : "preemptive");
+}
+}  // namespace atlantis::serve
+
 namespace atlantis {
 namespace {
 
@@ -191,6 +198,34 @@ TEST(JobService, AllBoardsDeadFailsRemainingJobs) {
     EXPECT_EQ(rec.board, -1);
   }
 }
+
+// A board killed outside the service (trt::multiboard's draw_dropout on
+// a shared crate, for one) is lost by the board scan of either policy:
+// it shows up in dead_boards and the survivor serves everything.
+class BoardScan : public ::testing::TestWithParam<serve::Policy> {};
+
+TEST_P(BoardScan, BoardKilledOutsideTheServiceIsReportedDead) {
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  sys.add_acb("acb1");
+  serve::ServeOptions options;
+  options.policy = GetParam();
+  serve::JobService service(sys, options);
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  for (int i = 0; i < 4; ++i) {
+    (void)service.submit(custom_job("t", "alpha", i, 0)).value();
+  }
+  sys.acb(0).set_alive(false);
+  const serve::ServiceReport& rep = service.run();
+  EXPECT_EQ(rep.dead_boards, std::vector<int>{0});
+  EXPECT_TRUE(service.board_dead(0));
+  EXPECT_EQ(rep.served, 4u);
+  for (const serve::JobRecord& rec : service.jobs()) EXPECT_EQ(rec.board, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPolicies, BoardScan,
+                         ::testing::Values(serve::Policy::kBatched,
+                                           serve::Policy::kPreemptive));
 
 TEST(JobService, TenantStatsAndQueueWaitTracks) {
   const RunResult rr = run_workload(2);

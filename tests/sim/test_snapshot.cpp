@@ -4,12 +4,19 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chdl/builder.hpp"
+#include "chdl/sim.hpp"
+#include "core/acb.hpp"
+#include "core/memmodule.hpp"
 #include "core/system.hpp"
+#include "hw/fpga.hpp"
+#include "serve/cluster.hpp"
 #include "serve/jobservice.hpp"
 #include "sim/fault.hpp"
 #include "sim/timeline.hpp"
@@ -182,6 +189,31 @@ TEST(SnapshotStream, WordCountOverflowIsRejected) {
   EXPECT_THROW(reader.get_words(), util::Error);
 }
 
+TEST(SnapshotStream, FieldVerbsRejectCountsAndShapesTheStreamLacks) {
+  // A CRC-valid sequence count with nothing behind it is refused before
+  // the reader touches the container, and a fixed-shape word block of
+  // another length is a mismatched twin, not an overread.
+  SnapshotWriter w;
+  w.begin_section("seq");
+  w.put_u32(1000);
+  w.end_section();
+  w.begin_section("words");
+  w.put_words(std::vector<std::uint64_t>{1, 2, 3});
+  w.end_section();
+  auto r = SnapshotReader::open(w.bytes());
+  ASSERT_TRUE(r.ok());
+  SnapshotReader reader = std::move(r.value());
+  reader.select("seq");
+  std::vector<std::uint64_t> items{42};
+  EXPECT_THROW(reader.seq32(items, [&](auto& v) { reader.u64(v); }),
+               util::Error);
+  EXPECT_EQ(items, std::vector<std::uint64_t>{42});
+  reader.select("words");
+  std::vector<std::uint64_t> shaped(2, 7);
+  EXPECT_THROW(reader.words(std::span(shaped)), util::StateError);
+  EXPECT_EQ(shaped, (std::vector<std::uint64_t>{7, 7}));
+}
+
 // --- Stream bytes ------------------------------------------------------
 
 // CRC-32 by its definition, one bit at a time: the reference the
@@ -284,6 +316,144 @@ TEST(SnapshotStream, GoldenStreamBytes) {
   sys.set_fault_injector(nullptr);
   EXPECT_EQ(bytes.size(), 12798u);
   EXPECT_EQ(serve::digest(bytes), 0x48f82d00eadad3d9ull);
+}
+
+// The cases below pin the stream layouts GoldenStreamBytes never
+// reaches: mid-slice job progress, checkpointed-out jobs, the
+// quarantine mask, the "serve/job" checkpoint stream, the cluster,
+// memory mezzanines, a non-empty S-Link FIFO and a resident simulator.
+
+serve::JobSpec golden_job(int i, const std::string& config,
+                          util::Picoseconds compute,
+                          util::Picoseconds deadline) {
+  serve::JobSpec job;
+  job.tenant = i % 3 == 0 ? "atlas" : "cms";
+  job.kind = serve::JobKind::kCustom;
+  job.config = config;
+  job.arrival = i * util::kMicrosecond;
+  job.deadline = deadline;
+  job.work = [i, compute] {
+    serve::JobOutcome out;
+    out.detail = "job " + std::to_string(i);
+    out.checksum = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
+    out.value = 0.5 * i;
+    out.compute_time = compute;
+    out.dma_in_bytes = 512u * static_cast<std::uint64_t>(i % 3 + 1);
+    out.dma_out_bytes = 128;
+    return out;
+  };
+  return job;
+}
+
+TEST(SnapshotStream, GoldenPreemptiveServiceBytes) {
+  // A kPreemptive 2-board service paused mid-slice, with one job
+  // checkpointed out and board 1 quarantined, and that job's checkpoint.
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  sys.add_acb("acb1");
+  serve::ServeOptions options;
+  options.policy = serve::Policy::kPreemptive;
+  options.preempt_slice = 100 * util::kMicrosecond;
+  serve::JobService service(sys, options);
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  for (int i = 0; i < 10; ++i) {
+    (void)service
+        .submit(golden_job(i, i % 2 == 0 ? "alpha" : "beta",
+                           (i % 4 + 2) * 150 * util::kMicrosecond,
+                           i % 3 == 1 ? 3 * util::kMillisecond : 0))
+        .value();
+  }
+  serve::RunOptions bounded;
+  bounded.max_dispatches = 5;
+  service.run(bounded);
+  const std::vector<serve::JobId> pending = service.pending_ids();
+  ASSERT_FALSE(pending.empty());
+  const serve::JobCheckpoint ckpt =
+      service.checkpoint_job(pending.back()).value();
+  service.set_board_enabled(1, false);
+  ASSERT_TRUE(service.has_active_jobs());
+  ASSERT_TRUE(service.board_quarantined(1));
+
+  SnapshotWriter w;
+  service.save_state(w);
+  const std::vector<std::uint8_t>& bytes = w.bytes();
+  EXPECT_EQ(bytes.size(), 4984u);
+  EXPECT_EQ(serve::digest(bytes), 0xe52a6483dda444b0ull);
+  EXPECT_EQ(ckpt.bytes.size(), 142u);
+  EXPECT_EQ(serve::digest(ckpt.bytes), 0x4327e20dc22bd73full);
+}
+
+TEST(SnapshotStream, GoldenClusterBytes) {
+  // A 2-shard cluster after a bounded run() that carries work over.
+  serve::Cluster cluster;
+  cluster.add_shard();
+  cluster.add_shard();
+  for (int c = 0; c < 4; ++c) {
+    cluster.register_config(
+        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, 1.0, {}});
+  }
+  for (int i = 0; i < 24; ++i) {
+    (void)cluster.submit(golden_job(i, "cfg" + std::to_string(i % 4),
+                                    (i % 5 + 1) * util::kMicrosecond,
+                                    i % 4 == 0 ? 5 * util::kMillisecond : 0));
+  }
+  serve::RunOptions bounded;
+  bounded.max_dispatches = 2;
+  cluster.run(bounded);
+  ASSERT_GT(cluster.pending(), 0u);
+
+  SnapshotWriter w;
+  cluster.save_state(w);
+  EXPECT_EQ(w.bytes().size(), 13505u);
+  EXPECT_EQ(serve::digest(w.bytes()), 0x61405f68463a59d2ull);
+}
+
+TEST(SnapshotStream, GoldenBoardBytes) {
+  // An ACB with an SDRAM and an SRAM mezzanine, words left in its S-Link
+  // FIFO, and a CHDL design resident on FPGA 0 whose simulator holds
+  // live register and RAM state. The simulator's activity counters are
+  // part of the stream, so an engine change that evaluates a different
+  // number of components moves this fingerprint too.
+  core::AcbBoard board("acb0");
+  board.attach_memory(0, core::MemModule::make_volren("vr0"));
+  board.attach_memory(1, core::MemModule::make_trt("trt1"));
+  hw::SyncSram& sram = *board.memory_at(1)->sram();
+  for (int a = 0; a < 8; ++a) {
+    sram.write(0, 97 * a + 5, chdl::BitVec(176, 0xA5A5A5A5ull * (a + 1)));
+  }
+  hw::Sdram& sdram = *board.memory_at(0)->sdram();
+  for (std::uint64_t addr : {0ull, 64ull, 1ull << 20, 3ull << 24, 72ull}) {
+    (void)sdram.access(addr);
+  }
+  (void)board.slink().send_fragment(7, {0x11, 0x22, 0x33, 0x44});
+  ASSERT_TRUE(board.slink().receive().has_value());  // head moves off 0
+
+  chdl::Design design("goldenboard");
+  const chdl::Wire en = design.input("en", 1);
+  const chdl::Wire din = design.input("din", 16);
+  const chdl::Wire cnt = chdl::counter(design, "cnt", 8, en);
+  const chdl::Wire acc = design.reg_forward("acc", 16);
+  design.reg_connect(acc, design.add(acc, din));
+  const int ram = design.add_ram("mem", 32, 16);
+  const chdl::Wire addr = design.slice(cnt, 0, 5);
+  design.ram_write(ram, addr, acc, en);
+  design.output("cnt", cnt);
+  design.output("rd", design.ram_read(ram, addr));
+  board.fpga(0).configure(hw::Bitstream::from_design(design));
+  chdl::Simulator& sim = *board.fpga(0).sim();
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    sim.poke("en", i % 3 != 0 ? 1 : 0);
+    sim.poke("din", (i * 37) & 0xFFFF);
+    sim.step();
+  }
+
+  SnapshotWriter w;
+  w.begin_section("board/acb0");
+  board.save_state(w);
+  w.end_section();
+  EXPECT_EQ(w.bytes().size(), 12583937u);
+  EXPECT_EQ(serve::digest(w.bytes()), 0x77883e41d492c54bull);
 }
 
 // --- Timeline ----------------------------------------------------------
