@@ -550,20 +550,17 @@ void Cluster::walk(Self& self, Stream& s) {
 }
 
 void Cluster::save_state(sim::SnapshotWriter& w) const {
+  w.presize(*this);
   walk(*this, w);
   // Each live shard's complete service snapshot rides as a nested
   // stream in its own uniquely tagged section — select() addresses the
   // first occurrence of a tag, so the shards' internal tags ("system",
-  // "serve/service", ...) must not collide in the outer stream.
+  // "serve/service", ...) must not collide in the outer stream. The
+  // shard writes its stream in place.
   for (const Shard& s : shards_) {
     if (s.retired) continue;
-    sim::SnapshotWriter nested;
-    s.service->save_state(nested);
-    const std::vector<std::uint8_t>& bytes = nested.bytes();
-    w.begin_section("serve/cluster/" + s.name);
-    w.put_u64(static_cast<std::uint64_t>(bytes.size()));
-    w.put_bytes(bytes.data(), bytes.size());
-    w.end_section();
+    w.section("serve/cluster/" + s.name,
+              [&] { w.nested([&] { s.service->save_state(w); }); });
   }
 }
 
@@ -582,6 +579,11 @@ void Cluster::load_state(sim::SnapshotReader& r) {
     if (s.retired) continue;
     r.select("serve/cluster/" + s.name);
     const std::uint64_t len = r.get_u64();
+    if (len > r.remaining()) {
+      throw util::Error("nested shard snapshot for '" + s.name + "' claims " +
+                        std::to_string(len) + " bytes; its section holds " +
+                        std::to_string(r.remaining()));
+    }
     std::vector<std::uint8_t> bytes(len);
     r.get_bytes(bytes.data(), bytes.size());
     util::Result<sim::SnapshotReader> nested =

@@ -861,6 +861,7 @@ void JobService::walk(Self& self, Stream& s) {
 }
 
 void JobService::save_state(sim::SnapshotWriter& w) const {
+  w.presize(*this);
   system_.save_state(w);
   w.begin_section("serve/service");
   walk(*this, w);

@@ -7,6 +7,7 @@
 // snapshot round trip.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -432,6 +433,47 @@ TEST(Cluster, SnapshotRoundTripIntoATwinFleet) {
   EXPECT_EQ(twin->report().served, 10u);
   EXPECT_EQ(live->schedule_digest(), twin->schedule_digest());
   EXPECT_EQ(live->functional_digest(), twin->functional_digest());
+}
+
+TEST(Cluster, LoadRejectsAShardStreamLongerThanItsSection) {
+  auto live = make_cluster(2, 4);
+  submit_wave(*live, 20, 4);
+  live->run();
+  sim::SnapshotWriter w;
+  live->save_state(w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+
+  // Forge the first shard section's leading u64 (its nested stream's
+  // length) to 2^40 and re-frame the section so its CRC still holds.
+  bool forged = false;
+  for (std::size_t at = 12; at < bytes.size() && !forged;) {
+    const std::size_t frame_at = at;
+    std::uint32_t tag_len = 0;
+    std::memcpy(&tag_len, bytes.data() + at, sizeof(tag_len));
+    const std::string tag(reinterpret_cast<const char*>(bytes.data() + at + 4),
+                          tag_len);
+    at += 4 + tag_len;
+    std::uint64_t payload_len = 0;
+    std::memcpy(&payload_len, bytes.data() + at, sizeof(payload_len));
+    at += 8;
+    if (tag.rfind("serve/cluster/", 0) == 0) {
+      const std::uint64_t huge = 1ull << 40;
+      std::memcpy(bytes.data() + at, &huge, sizeof(huge));
+      const std::uint32_t crc =
+          sim::crc32(bytes.data() + frame_at, at + payload_len - frame_at);
+      std::memcpy(bytes.data() + at + payload_len, &crc, sizeof(crc));
+      forged = true;
+    }
+    at += payload_len + 4;
+  }
+  ASSERT_TRUE(forged);
+
+  auto twin = make_cluster(2, 4);
+  submit_wave(*twin, 20, 4);
+  twin->run();
+  util::Result<sim::SnapshotReader> r = sim::SnapshotReader::open(bytes);
+  ASSERT_TRUE(r.ok()) << r.message();
+  EXPECT_THROW(twin->load_state(r.value()), util::Error);
 }
 
 // --- the placement ring itself -----------------------------------------
