@@ -178,7 +178,9 @@ void Supervisor::retry_transient_failures() {
 void Supervisor::make_checkpoint() {
   sim::SnapshotWriter w;
   // History only grows between checkpoints: headroom over the last one
-  // lets the save run without reallocating.
+  // lets the save run without reallocating, and without the sizing pass
+  // an unreserved writer runs first (DESIGN.md §13 measures both). The
+  // genesis checkpoint reserves nothing, so its save is sized.
   w.reserve(checkpoint_.size() + checkpoint_.size() / 8);
   service_.save_state(w);
   checkpoint_ = std::move(w).take();
