@@ -112,10 +112,8 @@ serve::SupervisorOptions supervised_options() {
 serve::SupervisorOptions unsupervised_options() {
   serve::SupervisorOptions options;
   options.dispatches_per_tick = 2;
-  options.enable_quarantine = false;
   options.enable_breakers = false;
-  options.enable_scrub = false;
-  options.enable_checkpoints = false;
+  options.enable_healing = false;
   options.repair_after = 0;      // dead boards stay dead
   options.max_job_retries = 0;   // failed jobs stay failed
   return options;

@@ -11,9 +11,8 @@
 // configuration regions, so with region-diff loading enabled a cache
 // miss re-shifts a handful of frames instead of the full 18.75 ms load
 // — the hardware task switch the paper's ORCA parts were chosen for.
-// A config-diff-ordered row additionally serves the queue whose
-// configuration is cheapest to switch to. A dropout row drops a board
-// mid-stream and checks the service drains it without losing a job.
+// A dropout row drops a board mid-stream and checks the service drains
+// it without losing a job.
 // Every policy must produce bit-identical job results (the ledger
 // check): reconfiguration policy moves time, never answers.
 //
@@ -318,13 +317,10 @@ int main() {
   batched.differential_reconfig = false;
   serve::ServeOptions batched_diff = batched;
   batched_diff.differential_reconfig = diff_on;
-  serve::ServeOptions ordered = batched_diff;
-  ordered.diff_order = true;
 
   const ServeCell n = run_cell("naive fifo", w, naive, nullptr);
   const ServeCell b = run_cell("batched+cache", w, batched, nullptr);
   const ServeCell bd = run_cell("batched+diff", w, batched_diff, nullptr);
-  const ServeCell od = run_cell("batched+diff+order", w, ordered, nullptr);
   sim::FaultPlan plan;
   plan.inject(sim::FaultKind::kBoardDropout, "board/acb1", /*nth=*/1);
   const ServeCell d = run_cell("dropout", w, batched_diff, &plan);
@@ -343,7 +339,7 @@ int main() {
   table.set_header({"policy", "served", "jobs/s", "p99 wait (ms)",
                     "hit rate", "full rcfg", "partial rcfg", "regions",
                     "reconfig (ms)", "partial (ms)", "makespan (ms)"});
-  for (const ServeCell* c : {&n, &b, &bd, &od, &d, &m}) {
+  for (const ServeCell* c : {&n, &b, &bd, &d, &m}) {
     table.add_row({c->name, std::to_string(c->served),
                    util::Table::fmt(c->jobs_per_s, 0),
                    util::Table::fmt(c->p99_ms, 2),
@@ -368,12 +364,10 @@ int main() {
 
   bench::expect(n.served == static_cast<std::uint64_t>(n_jobs) &&
                     b.served == static_cast<std::uint64_t>(n_jobs) &&
-                    bd.served == static_cast<std::uint64_t>(n_jobs) &&
-                    od.served == static_cast<std::uint64_t>(n_jobs),
+                    bd.served == static_cast<std::uint64_t>(n_jobs),
                 "every policy serves the full stream");
   bench::expect(n.results_hash == b.results_hash &&
                     n.results_hash == bd.results_hash &&
-                    n.results_hash == od.results_hash &&
                     n.results_hash == d.results_hash,
                 "job results are bit-identical across every policy "
                 "(ledger equality)");
@@ -411,8 +405,6 @@ int main() {
       bench::expect(bd.reconfig_ms < b.reconfig_ms,
                     "region-diff loading cuts total reconfig time");
     }
-    bench::expect(od.reconfig_ms <= bd.reconfig_ms * 1.001,
-                  "config-diff ordering never pays more reconfiguration");
   }
 
   // --- instant warm start from a committed genesis snapshot ------------
@@ -540,7 +532,7 @@ int main() {
        << ", \"identical\": " << (warm_identical ? "true" : "false") << "}"
        << ",\n  \"rows\": [";
   bool first = true;
-  for (const ServeCell* c : {&n, &b, &bd, &od, &d, &m}) {
+  for (const ServeCell* c : {&n, &b, &bd, &d, &m}) {
     json << (first ? "" : ",") << "\n    {\"policy\": \"" << c->name
          << "\", \"served\": " << c->served << ", \"failed\": " << c->failed
          << ", \"jobs_per_s\": " << c->jobs_per_s

@@ -33,13 +33,6 @@ void ConfigCache::insert(const std::string& name,
   ++stats_.insertions;
 }
 
-const std::vector<std::uint64_t>& ConfigCache::signatures(
-    const std::string& name) const {
-  static const std::vector<std::uint64_t> kEmpty;
-  const auto it = index_.find(name);
-  return it == index_.end() ? kEmpty : it->second->sigs;
-}
-
 void ConfigCache::erase(const std::string& name) {
   const auto it = index_.find(name);
   if (it == index_.end()) return;

@@ -61,13 +61,9 @@ class ConfigCache {
   void insert(const std::string& name) { insert(name, {}); }
 
   /// Same, remembering the staged bitstream's per-region content
-  /// signatures (hw::Bitstream::region_sigs) so the task switcher can
-  /// compute config-diff distances against staged entries.
+  /// signatures (hw::Bitstream::region_sigs). They travel in the snapshot
+  /// stream; no code consults them.
   void insert(const std::string& name, std::vector<std::uint64_t> sigs);
-
-  /// Region signatures recorded for a staged entry; empty when the entry
-  /// is absent or was staged without a region model. No promotion.
-  const std::vector<std::uint64_t>& signatures(const std::string& name) const;
 
   /// Drops one entry (e.g. a bitstream whose staged copy went bad).
   void erase(const std::string& name);

@@ -287,13 +287,6 @@ std::uint64_t AtlantisDriver::dma_write_async(std::uint64_t bytes) {
   return txn.id;
 }
 
-std::uint64_t AtlantisDriver::dma_read_async(std::uint64_t bytes) {
-  const sim::Transaction& txn = board_.pci().post_transfer(
-      track_, hw::DmaDirection::kRead, bytes, now_, "dma_read async");
-  pending_.push_back(txn.end);
-  return txn.id;
-}
-
 util::Picoseconds AtlantisDriver::wait() {
   for (const util::Picoseconds end : pending_) now_ = std::max(now_, end);
   pending_.clear();

@@ -149,12 +149,12 @@ class AtlantisDriver {
   std::uint64_t config_retries() const { return config_retries_; }
   util::Picoseconds recovery_time() const { return recovery_time_; }
 
-  /// Asynchronous DMA: occupies the bus from the current cursor but does
-  /// NOT advance it, so compute posted afterwards overlaps the transfer.
-  /// Returns the scheduled transaction id; wait() joins all outstanding
-  /// asynchronous transfers (cursor = max of their ends).
+  /// Asynchronous host->board DMA: occupies the bus from the current
+  /// cursor but does NOT advance it, so compute posted afterwards
+  /// overlaps the transfer. Returns the scheduled transaction id; wait()
+  /// joins all outstanding asynchronous transfers (cursor = max of their
+  /// ends).
   std::uint64_t dma_write_async(std::uint64_t bytes);
-  std::uint64_t dma_read_async(std::uint64_t bytes);
   /// Joins every outstanding asynchronous DMA; returns elapsed().
   util::Picoseconds wait();
   int pending_dma() const { return static_cast<int>(pending_.size()); }

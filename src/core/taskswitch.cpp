@@ -43,32 +43,6 @@ bool TaskSwitcher::diff_applicable(const hw::Bitstream& bs) const {
          hw::region_diff_count(device_.resident_regions(), bs.region_sigs) >= 0;
 }
 
-util::Picoseconds TaskSwitcher::estimate_switch_cost(
-    const std::string& name) const {
-  const auto it = tasks_.find(name);
-  if (it == tasks_.end()) {
-    throw util::StateError("unknown task '" + name + "'");
-  }
-  if (current_ == name && device_.configured()) return 0;
-  const util::Picoseconds full = device_.config_time(
-      device_.family().config_bits);
-  if (cache_.enabled() && cache_.contains(name) && device_.configured() &&
-      !device_.upset_pending()) {
-    return static_cast<util::Picoseconds>(
-        static_cast<double>(full) * cache_hit_fraction_);
-  }
-  if (diff_applicable(it->second)) {
-    const int d = hw::region_diff_count(device_.resident_regions(),
-                                        it->second.region_sigs);
-    return device_.region_time() * d;
-  }
-  if (device_.configured() && device_.family().partial_reconfig) {
-    return static_cast<util::Picoseconds>(
-        static_cast<double>(full) * it->second.fraction);
-  }
-  return full;
-}
-
 util::Picoseconds TaskSwitcher::switch_to(const std::string& name) {
   util::Result<util::Picoseconds> r = try_switch_to(name);
   if (!r.ok()) throw util::Error(r.message());

@@ -17,6 +17,7 @@
 // the two policies on identical workloads.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -28,6 +29,44 @@
 #include "util/units.hpp"
 
 namespace atlantis::core {
+
+/// A switcher's lifetime switch counters as one value. A run reports the
+/// difference of their sums over its boards, taken before and after.
+struct SwitchCounters {
+  std::uint64_t switches = 0;  // switches that moved context or data
+  std::uint64_t hits = 0;      // cache hits
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t partials = 0;  // differential region loads
+  std::uint64_t regions = 0;   // frames moved by those loads
+  util::Picoseconds switch_time = 0;
+  util::Picoseconds partial_time = 0;  // subset of switch_time
+
+  /// A switch that missed the cache is a differential region load or a
+  /// full bitstream load; without region signatures this is
+  /// switches - hits.
+  std::uint64_t full_reconfigs() const { return switches - hits - partials; }
+  double hit_rate() const {
+    return ConfigCacheStats{.hits = hits, .misses = misses}.hit_rate();
+  }
+  SwitchCounters& operator+=(const SwitchCounters& o) {
+    switches += o.switches;
+    hits += o.hits;
+    misses += o.misses;
+    evictions += o.evictions;
+    partials += o.partials;
+    regions += o.regions;
+    switch_time += o.switch_time;
+    partial_time += o.partial_time;
+    return *this;
+  }
+  SwitchCounters operator-(const SwitchCounters& o) const {
+    return {switches - o.switches,       hits - o.hits,
+            misses - o.misses,           evictions - o.evictions,
+            partials - o.partials,       regions - o.regions,
+            switch_time - o.switch_time, partial_time - o.partial_time};
+  }
+};
 
 class TaskSwitcher {
  public:
@@ -69,13 +108,6 @@ class TaskSwitcher {
   void set_differential(bool on) { differential_ = on; }
   bool differential() const { return differential_; }
 
-  /// Estimated cost of switching to `name` right now, in configuration
-  /// time units — the scheduler's config-diff distance. 0 when resident;
-  /// the activation fraction when staged in the cache; the region diff
-  /// when the differential path applies; a full load otherwise. Pure
-  /// (no stats, no promotion). Unknown tasks throw.
-  util::Picoseconds estimate_switch_cost(const std::string& name) const;
-
   // --- bitstream/configuration cache ------------------------------------
   /// Enables the LRU bitstream cache: up to `capacity` recently used
   /// configurations stay staged in the board's local configuration
@@ -104,6 +136,12 @@ class TaskSwitcher {
   std::uint64_t partial_switches() const { return partial_switches_; }
   std::uint64_t regions_loaded() const { return regions_loaded_; }
   util::Picoseconds partial_switch_time() const { return partial_time_; }
+  /// The switch and cache counters above, as one value.
+  SwitchCounters counters() const {
+    const ConfigCacheStats& c = cache_.stats();
+    return {switches_,         c.hits,          c.misses,    c.evictions,
+            partial_switches_, regions_loaded_, total_time_, partial_time_};
+  }
   /// Regions moved by the most recent switch (0: full/scalar/cached).
   int last_regions_loaded() const { return last_regions_; }
   /// Upsets repaired by a single-frame region scrub (subset of

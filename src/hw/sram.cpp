@@ -62,16 +62,4 @@ std::optional<SramUpset> SyncSram::draw_seu() {
   return u;
 }
 
-const sim::Transaction& SyncSram::post_burst(sim::TrackId track,
-                                             std::uint64_t accesses,
-                                             util::Picoseconds not_before,
-                                             std::string label) {
-  ATLANTIS_CHECK(bound(), "SRAM is not bound to a timeline");
-  if (label.empty()) label = name_ + " burst";
-  const std::uint64_t bytes =
-      accesses * static_cast<std::uint64_t>(cfg_.width_bits) / 8;
-  return timeline_->post(track, sim::TxnKind::kSramBurst, std::move(label),
-                         resource_, not_before, time_for(accesses), bytes);
-}
-
 }  // namespace atlantis::hw

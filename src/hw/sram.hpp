@@ -16,7 +16,6 @@
 
 #include "chdl/bitvec.hpp"
 #include "sim/fault.hpp"
-#include "sim/timeline.hpp"
 #include "util/bitops.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
@@ -93,22 +92,6 @@ class SyncSram {
            (static_cast<double>(cfg_.width_bits) / 8.0) * cfg_.banks / 1e6;
   }
 
-  // --- timeline binding ------------------------------------------------
-  /// Registers the module as a timeline resource, one channel per bank.
-  void bind(sim::Timeline& timeline) {
-    timeline_ = &timeline;
-    resource_ = timeline.add_resource("sram/" + name_, cfg_.banks);
-  }
-  bool bound() const { return timeline_ != nullptr; }
-  sim::ResourceId resource() const { return resource_; }
-
-  /// Posts `accesses` single-word transactions (spread over the banks,
-  /// fully pipelined) no earlier than `not_before`.
-  const sim::Transaction& post_burst(sim::TrackId track,
-                                     std::uint64_t accesses,
-                                     util::Picoseconds not_before,
-                                     std::string label = {});
-
  private:
   template <typename Self, typename Stream>
   static void walk(Self& self, Stream& s) {
@@ -123,8 +106,6 @@ class SyncSram {
   int stride_;                        // words per entry
   std::vector<std::uint64_t> data_;  // banks * words * stride
   std::uint64_t seu_flips_ = 0;
-  sim::Timeline* timeline_ = nullptr;
-  sim::ResourceId resource_;
   sim::FaultInjector* injector_ = nullptr;
   std::string fault_site_;
 };

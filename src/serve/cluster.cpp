@@ -316,23 +316,9 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   // Baselines over the cumulative switcher counters, so supervised
   // shards (whose Supervisor::run issues many service runs) and plain
   // shards report through one code path.
-  struct Base {
-    std::uint64_t switches = 0, hits = 0, misses = 0, partials = 0;
-  };
-  std::vector<Base> base(shards_.size());
-  const auto counters = [](const Shard& s) {
-    Base b;
-    for (int i = 0; i < s.service->board_count(); ++i) {
-      const core::TaskSwitcher& sw = s.service->switcher(i);
-      b.switches += sw.switch_count();
-      b.hits += sw.cache_hits();
-      b.misses += sw.cache_misses();
-      b.partials += sw.partial_switches();
-    }
-    return b;
-  };
+  std::vector<core::SwitchCounters> before(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i].retired) base[i] = counters(shards_[i]);
+    if (!shards_[i].retired) before[i] = shards_[i].service->switch_counters();
   }
 
   // Drain the live shards concurrently, one pool task each. Each crate
@@ -354,10 +340,13 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   // reconfiguration traffic from the counter deltas.
   util::LogHistogram latency;
   std::vector<JobId> carry;
-  std::map<int, util::Picoseconds> shard_service_sum;
-  std::map<int, std::uint64_t> shard_served;
-  std::map<int, std::uint64_t> shard_failed;
-  std::map<int, util::Picoseconds> shard_makespan;
+  struct Tally {
+    util::Picoseconds service_sum = 0;
+    std::uint64_t served = 0;
+    std::uint64_t failed = 0;
+    util::Picoseconds makespan = 0;
+  };
+  std::vector<Tally> tally(shards_.size());  // by shard id
   for (const JobId id : window_ids_) {
     const ClusterRecord& rec = records_[id];
     const JobRecord& jr =
@@ -368,6 +357,7 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
     }
     ++report_.admitted;  // terminal this window
     if (in_flight_[rec.tenant] > 0) --in_flight_[rec.tenant];
+    Tally& t = tally[static_cast<std::size_t>(rec.shard)];
     if (jr.error == util::ErrorCode::kOk) {
       ++report_.served;
       // Sojourn floored at the pure service time: a job the scheduler
@@ -378,13 +368,12 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
       if (jr.deadline > 0 && jr.finish > jr.deadline) {
         ++report_.deadline_misses;
       }
-      shard_service_sum[rec.shard] += jr.finish - jr.start;
-      ++shard_served[rec.shard];
-      shard_makespan[rec.shard] =
-          std::max(shard_makespan[rec.shard], jr.finish);
+      t.service_sum += jr.finish - jr.start;
+      ++t.served;
+      t.makespan = std::max(t.makespan, jr.finish);
     } else {
       ++report_.failed;
-      ++shard_failed[rec.shard];
+      ++t.failed;
     }
   }
   window_ids_ = std::move(carry);
@@ -395,51 +384,41 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   report_.p999_latency =
       static_cast<util::Picoseconds>(latency.quantile(0.999));
 
+  core::SwitchCounters ran;  // over every live shard
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];
     if (s.retired) continue;
-    const Base cur = counters(s);
+    const core::SwitchCounters d = s.service->switch_counters() - before[i];
+    const Tally& t = tally[i];
     ShardStats stats;
     stats.shard = static_cast<int>(i);
     stats.name = s.name;
     stats.admitted = s.admitted_window;
     s.admitted_window = 0;
-    stats.served = shard_served[static_cast<int>(i)];
-    stats.task_switches = cur.switches - base[i].switches;
-    stats.full_reconfigs = (cur.switches - base[i].switches) -
-                           (cur.hits - base[i].hits) -
-                           (cur.partials - base[i].partials);
-    stats.partial_reconfigs = cur.partials - base[i].partials;
-    const std::uint64_t lookups =
-        (cur.hits - base[i].hits) + (cur.misses - base[i].misses);
-    stats.cache_hit_rate =
-        lookups == 0 ? 0.0
-                     : static_cast<double>(cur.hits - base[i].hits) /
-                           static_cast<double>(lookups);
-    report_.task_switches += stats.task_switches;
-    report_.full_reconfigs += stats.full_reconfigs;
-    report_.partial_reconfigs += stats.partial_reconfigs;
-    report_.cache_hits += cur.hits - base[i].hits;
-    report_.cache_misses += cur.misses - base[i].misses;
-    stats.failed = shard_failed[static_cast<int>(i)];
-    stats.makespan = shard_makespan[static_cast<int>(i)];
+    stats.served = t.served;
+    stats.failed = t.failed;
+    stats.task_switches = d.switches;
+    stats.full_reconfigs = d.full_reconfigs();
+    stats.partial_reconfigs = d.partials;
+    stats.cache_hit_rate = d.hit_rate();
+    stats.makespan = t.makespan;
     report_.shards.push_back(stats);
+    ran += d;
 
     // SLO admission feedback: EWMA of this window's mean service time.
-    const std::uint64_t served = shard_served[static_cast<int>(i)];
-    if (served > 0) {
+    if (t.served > 0) {
       const util::Picoseconds mean =
-          shard_service_sum[static_cast<int>(i)] /
-          static_cast<util::Picoseconds>(served);
+          t.service_sum / static_cast<util::Picoseconds>(t.served);
       s.ewma_service =
           s.ewma_service == 0 ? mean : (s.ewma_service + mean) / 2;
     }
   }
-  const std::uint64_t lookups = report_.cache_hits + report_.cache_misses;
-  report_.cache_hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(report_.cache_hits) /
-                         static_cast<double>(lookups);
+  report_.task_switches = ran.switches;
+  report_.full_reconfigs = ran.full_reconfigs();
+  report_.partial_reconfigs = ran.partials;
+  report_.cache_hits = ran.hits;
+  report_.cache_misses = ran.misses;
+  report_.cache_hit_rate = ran.hit_rate();
   return report_;
 }
 

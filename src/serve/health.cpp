@@ -17,13 +17,13 @@ double weighted_faults(const HealthDelta& d) {
          (d.dropped ? 10.0 : 0.0);
 }
 
-bool HealthScore::observe(const HealthDelta& d, const HealthPolicy& policy) {
+bool HealthScore::observe(const HealthDelta& d) {
   const double w = weighted_faults(d);
   if (w > 0.0) {
-    value_ = std::max(0.0, value_ - policy.degrade_per_fault * w);
+    value_ = std::max(0.0, value_ - kDegradePerFault * w);
     return false;
   }
-  value_ = std::min(1.0, value_ + policy.recover_per_clean);
+  value_ = std::min(1.0, value_ + kRecoverPerClean);
   return true;
 }
 
@@ -41,10 +41,9 @@ CircuitBreaker::CircuitBreaker(BreakerOptions options, std::string name,
     : options_(options), name_(std::move(name)), seed_(seed) {
   ATLANTIS_CHECK(options_.failure_threshold >= 1,
                  "a breaker needs a positive failure threshold");
-  ATLANTIS_CHECK(options_.window_ticks >= 1, "breaker window must be >= 1");
   ATLANTIS_CHECK(options_.base_open_ticks >= 1 &&
-                     options_.max_open_ticks >= options_.base_open_ticks,
-                 "breaker open duration must be >= 1 and capped sanely");
+                     options_.base_open_ticks <= kMaxOpenTicks,
+                 "breaker open duration must be >= 1 and within its cap");
 }
 
 void CircuitBreaker::trip() {
@@ -56,18 +55,15 @@ void CircuitBreaker::trip() {
   const int shift = static_cast<int>(
       std::min<std::uint64_t>(consecutive_opens_ - 1, 30));
   int open_for = options_.base_open_ticks;
-  for (int i = 0; i < shift && open_for < options_.max_open_ticks; ++i) {
+  for (int i = 0; i < shift && open_for < kMaxOpenTicks; ++i) {
     open_for *= 2;
   }
-  open_for = std::min(open_for, options_.max_open_ticks);
-  if (options_.jitter > 0.0) {
-    // Deterministic per-open jitter in [0, jitter * open_for]: a pure
-    // function of (seed, breaker name, open ordinal), no RNG state.
-    const std::uint64_t word = sim::jitter_stream(seed_, name_, opens_);
-    const double u = static_cast<double>(word >> 11) * 0x1.0p-53;
-    open_for += static_cast<int>(options_.jitter * u *
-                                 static_cast<double>(open_for));
-  }
+  open_for = std::min(open_for, kMaxOpenTicks);
+  // Deterministic per-open jitter in [0, kJitter * open_for]: a pure
+  // function of (seed, breaker name, open ordinal), no RNG state.
+  const std::uint64_t word = sim::jitter_stream(seed_, name_, opens_);
+  const double u = static_cast<double>(word >> 11) * 0x1.0p-53;
+  open_for += static_cast<int>(kJitter * u * static_cast<double>(open_for));
   open_left_ = std::max(1, open_for);
 }
 
@@ -96,7 +92,7 @@ void CircuitBreaker::observe(std::uint64_t failures,
       break;
   }
   window_.push_back(failures);
-  while (static_cast<int>(window_.size()) > options_.window_ticks) {
+  while (static_cast<int>(window_.size()) > kWindowTicks) {
     window_.pop_front();
   }
   std::uint64_t in_window = 0;

@@ -54,26 +54,25 @@ struct HealthDelta {
   }
 };
 
-/// Thresholds and weights for the per-board health state machine.
-struct HealthPolicy {
-  /// Score subtracted per weighted fault event (see weighted_faults).
-  double degrade_per_fault = 0.08;
-  /// Score added per completely clean probe window.
-  double recover_per_clean = 0.25;
-  /// Below this the board is quarantined (when another board or a spare
-  /// can carry the load).
-  double quarantine_below = 0.5;
-  /// Clean windows a quarantined board must string together before
-  /// re-admission into probation.
-  int readmit_after_clean = 2;
-  /// Clean probation windows before the board is fully trusted again;
-  /// any fault during probation sends it straight back to quarantine.
-  int probation_windows = 2;
-  /// Escalating scrub: a window with config upsets or CRC failures gets
-  /// min(scrub_base << sick_windows, scrub_max) scrub passes.
-  int scrub_base = 1;
-  int scrub_max = 8;
-};
+// Thresholds and weights of the per-board health state machine. No
+// deployment, bench or test has run with others, so they are constants.
+/// Score subtracted per weighted fault event (see weighted_faults).
+inline constexpr double kDegradePerFault = 0.08;
+/// Score added per completely clean probe window.
+inline constexpr double kRecoverPerClean = 0.25;
+/// Below this the board is quarantined (when another board or a spare
+/// can carry the load).
+inline constexpr double kQuarantineBelow = 0.5;
+/// Clean windows a quarantined board must string together before
+/// re-admission into probation.
+inline constexpr int kReadmitAfterClean = 2;
+/// Clean probation windows before the board is fully trusted again;
+/// any fault during probation sends it straight back to quarantine.
+inline constexpr int kProbationWindows = 2;
+/// Escalating scrub: a window with config upsets or CRC failures gets
+/// min(kScrubBase << sick_windows, kScrubMax) scrub passes.
+inline constexpr int kScrubBase = 1;
+inline constexpr int kScrubMax = 8;
 
 /// Severity weighting: configuration damage (upsets, CRC) is worth more
 /// than a retried DMA word, retransmissions are nearly free.
@@ -84,7 +83,7 @@ class HealthScore {
  public:
   double value() const { return value_; }
   /// Applies one probe window; returns true when the window was clean.
-  bool observe(const HealthDelta& d, const HealthPolicy& policy);
+  bool observe(const HealthDelta& d);
   void reset() { value_ = 1.0; }
 
  private:
@@ -97,18 +96,21 @@ const char* breaker_state_name(BreakerState s);
 struct BreakerOptions {
   /// Failures within the rolling window that trip the breaker.
   std::uint64_t failure_threshold = 3;
-  /// Rolling window length, in probe ticks.
-  int window_ticks = 4;
-  /// Open duration before the half-open probe: base << (opens-1), capped.
+  /// Open duration before the half-open probe: base << (opens-1), capped
+  /// at CircuitBreaker::kMaxOpenTicks.
   int base_open_ticks = 2;
-  int max_open_ticks = 32;
-  /// Additional open time, as a fraction of the open duration, drawn
-  /// deterministically per open (see header comment). 0 disables.
-  double jitter = 0.5;
 };
 
 class CircuitBreaker {
  public:
+  /// Rolling failure window, in probe ticks.
+  static constexpr int kWindowTicks = 4;
+  /// Cap on the escalating open duration, in probe ticks.
+  static constexpr int kMaxOpenTicks = 32;
+  /// Additional open time, as a fraction of the open duration, drawn
+  /// deterministically per open (see header comment).
+  static constexpr double kJitter = 0.5;
+
   /// `name` seeds the jitter stream together with `seed` — give each
   /// breaker a distinct name ("reconfig/acb0", "dma/acb1") so their
   /// re-probe windows desynchronize.

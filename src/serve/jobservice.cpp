@@ -71,12 +71,22 @@ void walk_checkpoint(Record& rec, Progress& prog, Stream& s) {
   });
 }
 
+/// The label every compute slice of a job carries on its board's track.
+std::string compute_label(const JobRecord& rec, bool resumed) {
+  return std::string(job_kind_name(rec.kind)) + " " + rec.tenant + "#" +
+         std::to_string(rec.id) + (resumed ? " (resumed)" : "");
+}
+
 }  // namespace
 
 JobService::JobService(core::AtlantisSystem& system, ServeOptions options)
     : system_(system), options_(std::move(options)) {
   ATLANTIS_CHECK(system_.acb_count() > 0,
                  "a JobService needs at least one computing board");
+  ATLANTIS_CHECK(options_.max_batch >= 1,
+                 "a batch must have room for at least one job");
+  ATLANTIS_CHECK(options_.preempt_slice > 0,
+                 "a preemption slice must be positive");
   boards_.reserve(static_cast<std::size_t>(system_.acb_count()));
   for (int i = 0; i < system_.acb_count(); ++i) {
     BoardState state;
@@ -250,25 +260,8 @@ const ServiceReport& JobService::run(const RunOptions& options) {
       options.pool != nullptr ? *options.pool : util::WorkerPool::shared();
   report_ = ServiceReport{};
   run_ids_.clear();
-
-  // Delta baselines, so repeated run() calls report only their own work.
-  struct Baseline {
-    std::uint64_t switches, hits, misses, evictions, insertions;
-    std::uint64_t partials, regions;
-    util::Picoseconds switch_time, partial_time;
-  };
-  std::vector<Baseline> base;
-  base.reserve(boards_.size());
-  for (const BoardState& b : boards_) {
-    base.push_back({b.switcher->switch_count(), b.switcher->cache_hits(),
-                    b.switcher->cache_misses(),
-                    b.switcher->cache_stats().evictions,
-                    b.switcher->cache_stats().insertions,
-                    b.switcher->partial_switches(),
-                    b.switcher->regions_loaded(),
-                    b.switcher->total_switch_time(),
-                    b.switcher->partial_switch_time()});
-  }
+  // Repeated run() calls report only their own switches.
+  const core::SwitchCounters before = switch_counters();
 
   if (options_.policy == Policy::kBatched) {
     run_batched(workers, options);
@@ -276,34 +269,25 @@ const ServiceReport& JobService::run(const RunOptions& options) {
     run_preemptive(options);
   }
 
-  // Cache / reconfiguration accounting (deltas over this run).
-  for (std::size_t i = 0; i < boards_.size(); ++i) {
-    const core::TaskSwitcher& sw = *boards_[i].switcher;
-    const std::uint64_t switches = sw.switch_count() - base[i].switches;
-    const std::uint64_t hits = sw.cache_hits() - base[i].hits;
-    const std::uint64_t partials = sw.partial_switches() - base[i].partials;
-    report_.task_switches += switches;
-    report_.cache_hits += hits;
-    report_.cache_misses += sw.cache_misses() - base[i].misses;
-    report_.cache_evictions += sw.cache_stats().evictions - base[i].evictions;
-    // A cache miss is either a differential region load or a full
-    // bitstream load; with no region signatures partials is always 0 and
-    // this reduces to the old switches - hits.
-    report_.partial_reconfigs += partials;
-    report_.regions_loaded += sw.regions_loaded() - base[i].regions;
-    report_.full_reconfigs += switches - hits - partials;
-    report_.reconfig_time += sw.total_switch_time() - base[i].switch_time;
-    report_.partial_reconfig_time +=
-        sw.partial_switch_time() - base[i].partial_time;
-  }
-  const std::uint64_t lookups = report_.cache_hits + report_.cache_misses;
-  report_.cache_hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(report_.cache_hits) /
-                         static_cast<double>(lookups);
-
+  const core::SwitchCounters ran = switch_counters() - before;
+  report_.task_switches = ran.switches;
+  report_.full_reconfigs = ran.full_reconfigs();
+  report_.partial_reconfigs = ran.partials;
+  report_.regions_loaded = ran.regions;
+  report_.cache_hits = ran.hits;
+  report_.cache_misses = ran.misses;
+  report_.cache_evictions = ran.evictions;
+  report_.cache_hit_rate = ran.hit_rate();
+  report_.reconfig_time = ran.switch_time;
+  report_.partial_reconfig_time = ran.partial_time;
   finalize_report();
   return report_;
+}
+
+core::SwitchCounters JobService::switch_counters() const {
+  core::SwitchCounters sum;
+  for (const BoardState& b : boards_) sum += b.switcher->counters();
+  return sum;
 }
 
 void JobService::reset(core::ResetScope scope) {
@@ -332,13 +316,9 @@ void JobService::run_batched(util::WorkerPool& pool,
     }
     core::AcbBoard& acb = system_.acb(board->index);
 
-    const std::string config =
-        options_.fifo_order ? queues_.pick_fifo()
-        : options_.diff_order
-            ? queues_.pick_closest([&](const std::string& c) {
-                return board->switcher->estimate_switch_cost(c);
-              })
-            : queues_.pick(board->switcher->current());
+    const std::string config = options_.fifo_order
+                                   ? queues_.pick_fifo()
+                                   : queues_.pick(board->switcher->current());
     std::deque<JobId> batch;
     while (static_cast<int>(batch.size()) < options_.max_batch &&
            queues_.depth(config) > 0) {
@@ -365,7 +345,7 @@ void JobService::run_batched(util::WorkerPool& pool,
       continue;
     }
 
-    serve_batch(*board, config, batch, pool);
+    serve_batch(*board, batch, pool);
     ++report_.batches;
   }
 }
@@ -404,15 +384,12 @@ void JobService::run_preemptive(const RunOptions& options) {
     }
 
     JobProgress& prog = progress_.at(*board->active);
-    const util::Picoseconds quantum =
-        options_.preempt_slice > 0 ? options_.preempt_slice : prog.remaining;
-    const util::Picoseconds slice = std::min(prog.remaining, quantum);
+    const util::Picoseconds slice =
+        std::min(prog.remaining, options_.preempt_slice);
     if (slice > 0) {
-      const JobRecord& rec = records_[*board->active];
-      const std::string label =
-          std::string(job_kind_name(rec.kind)) + " " + rec.tenant + "#" +
-          std::to_string(rec.id) + (prog.preemptions > 0 ? " (resumed)" : "");
-      board->driver->advance(slice, label.c_str());
+      board->driver->advance(
+          slice, compute_label(records_[*board->active], prog.preemptions > 0)
+                     .c_str());
       prog.remaining -= slice;
     }
     if (prog.remaining <= 0) {
@@ -486,21 +463,11 @@ bool JobService::start_run(BoardState& board, JobId id) {
   }
   ensure_progress(id);
   JobProgress& prog = progress_.at(id);
-  core::AtlantisDriver& drv = *board.driver;
-  if (rec.board < 0) {
-    // First dispatch: the queue wait ends now and lands on the tenant's
-    // track, exactly like the batched policy.
-    rec.start = drv.now();
-    rec.queue_wait = std::max<util::Picoseconds>(0, rec.start - rec.arrival);
-    drv.timeline().post(tenant_track(rec.tenant), sim::TxnKind::kQueueWait,
-                        std::string(job_kind_name(rec.kind)) + " wait [" +
-                            rec.config + "]",
-                        sim::ResourceId{}, rec.arrival, rec.queue_wait);
-  }
+  if (rec.board < 0) start_service(board, rec);  // first dispatch only
   rec.board = board.index;
   if (!prog.input_done && prog.outcome.dma_in_bytes > 0) {
     const util::Result<hw::DmaTransfer> w =
-        drv.try_dma_write(prog.outcome.dma_in_bytes);
+        board.driver->try_dma_write(prog.outcome.dma_in_bytes);
     if (!w.ok()) {
       fail_job(id, w.error(), "input DMA failed");
       return true;  // board stays alive and idle
@@ -514,32 +481,9 @@ bool JobService::start_run(BoardState& board, JobId id) {
 void JobService::finish_run(BoardState& board) {
   const JobId id = *board.active;
   board.active.reset();
-  JobRecord& rec = records_[id];
-  JobProgress& prog = progress_.at(id);
-  core::AtlantisDriver& drv = *board.driver;
-  bool io_ok = true;
-  if (prog.outcome.dma_out_bytes > 0) {
-    const util::Result<hw::DmaTransfer> r =
-        drv.try_dma_read(prog.outcome.dma_out_bytes);
-    if (!r.ok()) {
-      rec.error = r.error();
-      io_ok = false;
-    }
-  }
-  rec.finish = drv.now();
-  rec.outcome = prog.outcome;
-  rec.preemptions = prog.preemptions;
-  if (io_ok) {
-    ++report_.served;
-  } else {
-    ++report_.failed;
-  }
-  if (rec.deadline > 0 && rec.finish > rec.deadline) {
-    ++report_.deadline_misses;
-  }
-  --pending_by_tenant_[rec.tenant];
-  run_ids_.push_back(id);
-  progress_.erase(id);
+  const JobProgress& prog = progress_.at(id);
+  records_[id].preemptions = prog.preemptions;
+  resolve(id, &board, &prog.outcome);
 }
 
 void JobService::preempt(BoardState& board) {
@@ -559,14 +503,50 @@ void JobService::preempt(BoardState& board) {
 
 void JobService::fail_job(JobId id, util::ErrorCode code,
                           const std::string& detail) {
+  resolve(id, nullptr, nullptr, code, detail);
+}
+
+void JobService::start_service(BoardState& board, JobRecord& rec) {
+  core::AtlantisDriver& drv = *board.driver;
+  rec.board = board.index;
+  rec.start = drv.now();
+  rec.queue_wait = std::max<util::Picoseconds>(0, rec.start - rec.arrival);
+  // The wait lands on the tenant's own track, so per-tenant latency is
+  // readable straight off the timeline (track_stats).
+  drv.timeline().post(tenant_track(rec.tenant), sim::TxnKind::kQueueWait,
+                      std::string(job_kind_name(rec.kind)) + " wait [" +
+                          rec.config + "]",
+                      sim::ResourceId{}, rec.arrival, rec.queue_wait);
+}
+
+void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
+                         util::ErrorCode error, const std::string& detail) {
   JobRecord& rec = records_[id];
-  rec.error = code;
-  rec.outcome.ok = false;
-  rec.outcome.detail = detail;
-  ++report_.failed;
+  if (out != nullptr) {
+    core::AtlantisDriver& drv = *board->driver;
+    if (out->dma_out_bytes > 0) {
+      const util::Result<hw::DmaTransfer> r =
+          drv.try_dma_read(out->dma_out_bytes);
+      if (!r.ok()) error = r.error();
+    }
+    rec.finish = drv.now();
+    rec.outcome = *out;
+  } else {
+    rec.outcome.ok = false;
+    rec.outcome.detail = detail;
+  }
+  rec.error = error;
+  if (error == util::ErrorCode::kOk) {
+    ++report_.served;
+  } else {
+    ++report_.failed;
+  }
+  if (rec.deadline > 0 && rec.finish > rec.deadline) {
+    ++report_.deadline_misses;
+  }
   --pending_by_tenant_[rec.tenant];
   run_ids_.push_back(id);
-  progress_.erase(id);
+  progress_.erase(id);  // last: `out` may live here; restored jobs carry one
 }
 
 void JobService::lose_board(BoardState& board) {
@@ -586,7 +566,7 @@ void JobService::lose_board(BoardState& board) {
   }
 }
 
-void JobService::serve_batch(BoardState& board, const std::string& config,
+void JobService::serve_batch(BoardState& board,
                              const std::deque<JobId>& batch,
                              util::WorkerPool& pool) {
   // Functional evaluation: pure job functors, results addressed by
@@ -599,50 +579,17 @@ void JobService::serve_batch(BoardState& board, const std::string& config,
   });
 
   core::AtlantisDriver& drv = *board.driver;
-  sim::Timeline& timeline = drv.timeline();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const JobId id = batch[i];
-    JobRecord& rec = records_[id];
+    JobRecord& rec = records_[batch[i]];
     const JobOutcome& out = outcomes[i];
-    rec.board = board.index;
-    rec.start = drv.now();
-    rec.queue_wait = std::max<util::Picoseconds>(0, rec.start - rec.arrival);
-    // The wait lands on the tenant's own track, so per-tenant latency is
-    // readable straight off the timeline (track_stats).
-    timeline.post(tenant_track(rec.tenant), sim::TxnKind::kQueueWait,
-                  std::string(job_kind_name(rec.kind)) + " wait [" + config +
-                      "]",
-                  sim::ResourceId{}, rec.arrival, rec.queue_wait);
-
-    const std::string label =
-        std::string(job_kind_name(rec.kind)) + " " + rec.tenant + "#" +
-        std::to_string(id);
+    start_service(board, rec);
     // Input streams in while the board computes; join at the max.
     if (out.dma_in_bytes > 0) drv.dma_write_async(out.dma_in_bytes);
-    if (out.compute_time > 0) drv.advance(out.compute_time, label.c_str());
+    if (out.compute_time > 0) {
+      drv.advance(out.compute_time, compute_label(rec, false).c_str());
+    }
     drv.wait();
-    bool io_ok = true;
-    if (out.dma_out_bytes > 0) {
-      const util::Result<hw::DmaTransfer> r =
-          drv.try_dma_read(out.dma_out_bytes);
-      if (!r.ok()) {
-        rec.error = r.error();
-        io_ok = false;
-      }
-    }
-    rec.finish = drv.now();
-    rec.outcome = out;
-    if (io_ok) {
-      ++report_.served;
-    } else {
-      ++report_.failed;
-    }
-    if (rec.deadline > 0 && rec.finish > rec.deadline) {
-      ++report_.deadline_misses;
-    }
-    --pending_by_tenant_[rec.tenant];
-    run_ids_.push_back(id);
-    progress_.erase(id);  // restored jobs may carry one
+    resolve(batch[i], &board, &out);
   }
 }
 
@@ -654,16 +601,9 @@ void JobService::fail_remaining(util::ErrorCode code) {
       // The drain path of a dying crate: pending jobs move to the spare
       // service instead of completing with kBoardDead.
       migrate_out(id);
-      continue;
+    } else {
+      fail_job(id, code, "no alive board to serve the job");
     }
-    JobRecord& rec = records_[id];
-    rec.error = code;
-    rec.outcome.ok = false;
-    rec.outcome.detail = "no alive board to serve the job";
-    ++report_.failed;
-    --pending_by_tenant_[rec.tenant];
-    run_ids_.push_back(id);
-    progress_.erase(id);
   }
 }
 
@@ -794,19 +734,15 @@ util::Result<JobId> JobService::migrate_job(JobId id, JobService& target) {
 }
 
 void JobService::migrate_out(JobId id) {
-  JobRecord& rec = records_[id];
-  const JobCheckpoint ckpt = make_checkpoint(id);
-  const util::Result<JobId> restored = migration_target_->restore_job(ckpt);
-  --pending_by_tenant_[rec.tenant];
-  progress_.erase(id);
+  const util::Result<JobId> restored =
+      migration_target_->restore_job(make_checkpoint(id));
   if (!restored.ok()) {
-    rec.error = restored.error();
-    rec.outcome.ok = false;
-    rec.outcome.detail = "migration failed: " + restored.message();
-    ++report_.failed;
-    run_ids_.push_back(id);
+    fail_job(id, restored.error(), "migration failed: " + restored.message());
     return;
   }
+  JobRecord& rec = records_[id];
+  --pending_by_tenant_[rec.tenant];
+  progress_.erase(id);
   rec.migrated = true;
   ++report_.migrated;
 }

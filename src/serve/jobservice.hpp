@@ -202,6 +202,9 @@ class JobService : public sim::Snapshottable {
   const core::TaskSwitcher& switcher(int board_index) const;
   /// Per-board driver (timeline cursor, DMA/config fault counters).
   const core::AtlantisDriver& driver(int board_index) const;
+  /// Switch and cache counters summed over every board, lifetime. A run
+  /// reports the difference between two readings.
+  core::SwitchCounters switch_counters() const;
 
   // --- supervision hooks (serve::Supervisor) ---------------------------
   int board_count() const { return static_cast<int>(boards_.size()); }
@@ -270,8 +273,7 @@ class JobService : public sim::Snapshottable {
   bool any_quarantined_alive() const;
   void run_batched(util::WorkerPool& pool, const RunOptions& options);
   void run_preemptive(const RunOptions& options);
-  void serve_batch(BoardState& board, const std::string& config,
-                   const std::deque<JobId>& batch,
+  void serve_batch(BoardState& board, const std::deque<JobId>& batch,
                    util::WorkerPool& pool);
   /// EDF pick over every queued job (deadline 0 = +inf; ties by id);
   /// removes the winner from its queue. Returns nullopt when idle.
@@ -279,9 +281,20 @@ class JobService : public sim::Snapshottable {
   /// Earliest effective deadline among queued jobs, or nullopt.
   std::optional<util::Picoseconds> earliest_waiting_deadline() const;
   void ensure_progress(JobId id);
+  /// The one service-start point: the job's queue wait ends now on
+  /// `board` and is posted on its tenant's track.
+  void start_service(BoardState& board, JobRecord& rec);
   bool start_run(BoardState& board, JobId id);
   void finish_run(BoardState& board);
   void preempt(BoardState& board);
+  /// The one resolution point, the only code that moves a job out of
+  /// pending. A job that ran to completion on `board` with outcome `out`
+  /// reads its result back over the board's driver and is served, or
+  /// fails with the read's error. A job without an outcome (`out` null)
+  /// fails with `error`, and its ledger outcome carries `detail`.
+  void resolve(JobId id, BoardState* board, const JobOutcome* out,
+               util::ErrorCode error = util::ErrorCode::kOk,
+               const std::string& detail = {});
   void fail_job(JobId id, util::ErrorCode code, const std::string& detail);
   /// Marks a board dead (drop-out / lost configuration path); its active
   /// job is re-queued — or migrated when a target is set.

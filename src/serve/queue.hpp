@@ -38,8 +38,8 @@ enum class Policy {
 
 /// Tuning knobs of the JobService.
 struct ServeOptions {
-  /// Jobs of one configuration dispatched per board visit. 1 disables
-  /// batching (every alternating job pays a reconfiguration).
+  /// Jobs of one configuration dispatched per board visit, at least 1.
+  /// 1 disables batching (every alternating job pays a reconfiguration).
   int max_batch = 8;
   /// Admission control: pending (queued, not yet dispatched) jobs one
   /// tenant may hold; submit() past it fails with kOverloaded.
@@ -57,18 +57,12 @@ struct ServeOptions {
   /// region signatures; bit-identical to the full-configure path
   /// otherwise. Off gives the A/B baseline for the serving benchmark.
   bool differential_reconfig = true;
-  /// Order batches by config-diff distance: instead of draining the
-  /// deepest queue, the scheduler serves the queue whose configuration
-  /// is cheapest to switch to from the board's resident one
-  /// (TaskSwitcher::estimate_switch_cost), ties broken by depth then
-  /// name. Ignored when fifo_order is set.
-  bool diff_order = false;
-  /// Scheduling discipline. The preemptive policies ignore fifo_order /
-  /// diff_order (job order is deadline-driven) but keep every other knob.
+  /// Scheduling discipline. The preemptive policies ignore fifo_order
+  /// (job order is deadline-driven) but keep every other knob.
   Policy policy = Policy::kBatched;
   /// Preemption quantum of the preemptive policies: a running job yields
   /// a preemption opportunity every `preempt_slice` of modelled compute.
-  /// <= 0 disables slicing (jobs run to completion once dispatched).
+  /// Must be positive.
   util::Picoseconds preempt_slice = 2'000'000'000;  // 2 ms
 };
 
@@ -140,28 +134,6 @@ class ConfigQueues {
       if (q.front() < best_id) {
         best_id = q.front();
         best = config;
-      }
-    }
-    return best;
-  }
-
-  /// Config-diff-ordered variant: the non-empty queue whose
-  /// configuration costs the least to switch to, per `cost` (the
-  /// scheduler passes TaskSwitcher::estimate_switch_cost). Ties go to
-  /// the deeper queue, then the smaller name — deterministic for any
-  /// submission interleaving, like pick().
-  template <typename CostFn>
-  std::string pick_closest(CostFn&& cost) const {
-    std::string best;
-    util::Picoseconds best_cost = 0;
-    std::size_t best_depth = 0;
-    for (const auto& [config, q] : queues_) {
-      const util::Picoseconds c = cost(config);
-      if (best.empty() || c < best_cost ||
-          (c == best_cost && q.size() > best_depth)) {
-        best = config;
-        best_cost = c;
-        best_depth = q.size();
       }
     }
     return best;

@@ -149,7 +149,7 @@ void Supervisor::quarantine(int board_index) {
 void Supervisor::readmit(int board_index) {
   BoardSupervision& b = boards_[static_cast<std::size_t>(board_index)];
   b.condition = BoardCondition::kProbation;
-  b.probation_left = options_.health.probation_windows;
+  b.probation_left = kProbationWindows;
   b.clean_streak = 0;
   service_.set_board_enabled(board_index, true);
   mark_up(b);
@@ -192,7 +192,7 @@ void Supervisor::make_checkpoint() {
 
 bool Supervisor::maybe_crash_and_restore() {
   sim::FaultInjector* inj = service_.system().fault_injector();
-  if (inj == nullptr || !options_.enable_checkpoints) return false;
+  if (inj == nullptr || !options_.enable_healing) return false;
   const auto hit = inj->draw(sim::FaultKind::kServiceCrash, crash_site_);
   const std::uint64_t ordinal =
       inj->opportunities(sim::FaultKind::kServiceCrash, crash_site_);
@@ -233,7 +233,7 @@ void Supervisor::rebaseline() {
     } else if (b.condition == BoardCondition::kDead ||
                b.condition == BoardCondition::kQuarantined) {
       b.condition = BoardCondition::kProbation;
-      b.probation_left = options_.health.probation_windows;
+      b.probation_left = kProbationWindows;
       mark_up(b);
     }
     // A restore can rewind the clock below a down mark taken later on
@@ -249,7 +249,7 @@ void Supervisor::tick() {
   // baseline replays the whole run from here). Jobs submitted since the
   // last checkpoint (between run() calls) move the floor up: load_state
   // refuses a snapshot whose ledger is shorter than the service's.
-  if (options_.enable_checkpoints &&
+  if (options_.enable_healing &&
       (checkpoint_.empty() || service_.jobs().size() != checkpoint_jobs_)) {
     make_checkpoint();
   }
@@ -299,34 +299,32 @@ void Supervisor::tick() {
         b.sick_windows = 0;
         b.dead_windows = 0;
         b.condition = BoardCondition::kProbation;
-        b.probation_left = options_.health.probation_windows;
+        b.probation_left = kProbationWindows;
         mark_up(b);
         ++report_.repairs;
       }
       continue;
     }
 
-    const bool clean = b.score.observe(d, options_.health);
+    const bool clean = b.score.observe(d);
+    // An open reconfig breaker vetoes every scrub: each pass drives the
+    // same flaky configuration port, and the breaker's whole point is to
+    // stop hammering it until the half-open probe.
+    const bool scrub_ok = options_.enable_healing &&
+                          (!options_.enable_breakers ||
+                           b.reconfig->state() != BreakerState::kOpen);
 
     switch (b.condition) {
       case BoardCondition::kActive:
       case BoardCondition::kProbation: {
         // Escalating scrub on configuration damage; decay when clean.
-        // An open reconfig breaker vetoes the scrub: every pass drives
-        // the same flaky configuration port, and the breaker's whole
-        // point is to stop hammering it until the half-open probe.
-        const bool scrub_ok =
-            options_.enable_scrub &&
-            (!options_.enable_breakers ||
-             b.reconfig->state() != BreakerState::kOpen);
         if (scrub_ok && d.config_upsets + d.crc_failures > 0) {
           ++b.sick_windows;
-          int passes = options_.health.scrub_base;
-          for (int s = 1; s < b.sick_windows &&
-                          passes < options_.health.scrub_max; ++s) {
+          int passes = kScrubBase;
+          for (int s = 1; s < b.sick_windows && passes < kScrubMax; ++s) {
             passes *= 2;
           }
-          passes = std::min(passes, options_.health.scrub_max);
+          passes = std::min(passes, kScrubMax);
           for (int s = 0; s < passes; ++s) service_.scrub_board(i);
           report_.scrubs += static_cast<std::uint64_t>(passes);
         } else if (clean) {
@@ -337,16 +335,15 @@ void Supervisor::tick() {
             options_.enable_breakers &&
             (b.reconfig->state() == BreakerState::kOpen ||
              b.dma->state() == BreakerState::kOpen);
-        const bool unhealthy =
-            b.score.value() < options_.health.quarantine_below;
-        if (options_.enable_quarantine && (unhealthy || breaker_open) &&
+        const bool unhealthy = b.score.value() < kQuarantineBelow;
+        if (options_.enable_healing && (unhealthy || breaker_open) &&
             any_schedulable(i)) {
           quarantine(i);
           break;
         }
         if (b.condition == BoardCondition::kProbation) {
           if (!clean) {
-            if (options_.enable_quarantine && any_schedulable(i)) {
+            if (options_.enable_healing && any_schedulable(i)) {
               quarantine(i);
             }
           } else if (--b.probation_left <= 0) {
@@ -361,9 +358,7 @@ void Supervisor::tick() {
         // themselves, so more passes are not automatically better). An
         // open reconfig breaker vetoes even this: the board sits out
         // the full open window before touching the config port again.
-        if (options_.enable_scrub &&
-            (!options_.enable_breakers ||
-             b.reconfig->state() != BreakerState::kOpen)) {
+        if (scrub_ok) {
           service_.scrub_board(i);
           ++report_.scrubs;
         }
@@ -371,8 +366,7 @@ void Supervisor::tick() {
         const bool breakers_ok =
             !options_.enable_breakers ||
             (b.reconfig->allow() && b.dma->allow());
-        if (b.clean_streak >= options_.health.readmit_after_clean &&
-            breakers_ok) {
+        if (b.clean_streak >= kReadmitAfterClean && breakers_ok) {
           readmit(i);
         }
         break;
@@ -411,7 +405,7 @@ void Supervisor::tick() {
   // 8. Checkpoint cadence — forced after any migration so a later crash
   // can never rewind past it and duplicate jobs on the spare — then the
   // crash draw.
-  if (options_.enable_checkpoints && !checkpoint_.empty()) {
+  if (options_.enable_healing && !checkpoint_.empty()) {
     const bool due =
         options_.checkpoint_every > 0 &&
         report_.ticks - checkpoint_tick_ >=

@@ -73,17 +73,14 @@ struct SupervisorOptions {
   /// Total transient-failure retries across all jobs; caps rescue work
   /// so a permanently sick crate still terminates.
   std::uint64_t max_job_retries = 16;
-  bool enable_quarantine = true;
   bool enable_breakers = true;
-  /// Escalating configuration scrub on sick windows. Off, together with
-  /// the switches above, repair_after = 0 and max_job_retries = 0, turns
-  /// the supervisor into a pure observer — the "unsupervised" baseline
-  /// of the chaos bench, with identical accounting and zero healing.
-  bool enable_scrub = true;
-  /// Master switch for crash recovery: when false the supervisor never
-  /// draws kServiceCrash and never checkpoints.
-  bool enable_checkpoints = true;
-  HealthPolicy health;
+  /// Quarantine, escalating configuration scrubs and crash recovery: off,
+  /// the supervisor never quarantines or scrubs a board, never
+  /// checkpoints and never draws kServiceCrash. Off together with
+  /// enable_breakers, repair_after = 0 and max_job_retries = 0 it is a
+  /// pure observer — the "unsupervised" baseline of the chaos bench, with
+  /// identical accounting and zero healing.
+  bool enable_healing = true;
   BreakerOptions reconfig_breaker;
   BreakerOptions dma_breaker;
 };

@@ -1,7 +1,6 @@
 #include "volren/renderer.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/status.hpp"
 
@@ -54,38 +53,7 @@ FrameReport FpgaVolumeRenderer::render_frame(const TransferFunction& tf,
   };
   rep.fps_tech = fps_for(cfg_.memory_clock_mhz, cfg_.memory_clock_mhz);
   rep.fps_fpga = fps_for(cfg_.logic_clock_mhz, cfg_.memory_clock_mhz);
-
-  if (bound()) {
-    // One compute transaction for the logic pipeline and one SDRAM
-    // transaction for the voxel traffic, both starting when the previous
-    // frame finished; the frame ends at the slower of the two.
-    const std::string tag = "frame " + std::to_string(frame_index_++) + " " +
-                            rep.view + "/" + rep.transfer;
-    const auto logic_ps = static_cast<util::Picoseconds>(std::llround(
-        static_cast<double>(rep.pipeline.cycles) * issue_penalty *
-        1e6 / cfg_.logic_clock_mhz));
-    const auto memory_ps = static_cast<util::Picoseconds>(std::llround(
-        static_cast<double>(rep.memory_cycles) / cfg_.memory_reuse *
-        1e6 / cfg_.memory_clock_mhz));
-    const sim::Transaction& logic =
-        timeline_->post(track_, sim::TxnKind::kCompute, "pipeline " + tag,
-                        pipeline_resource_, cursor_, logic_ps);
-    const sim::Transaction& memory = timeline_->post(
-        track_, sim::TxnKind::kSdramBurst, "voxels " + tag, memory_resource_,
-        cursor_, memory_ps, rep.memory_cycles * 8);
-    cursor_ = std::max(logic.end, memory.end);
-  }
   return rep;
-}
-
-void FpgaVolumeRenderer::bind(sim::Timeline& timeline,
-                              const std::string& name) {
-  timeline_ = &timeline;
-  track_ = timeline.add_track(name);
-  pipeline_resource_ = timeline.add_resource(name + "/pipeline");
-  memory_resource_ = timeline.add_resource(name + "/sdram");
-  cursor_ = 0;
-  frame_index_ = 0;
 }
 
 double FpgaVolumeRenderer::volumepro_fps(std::int64_t voxels,

@@ -5,7 +5,6 @@
 
 #include <string>
 
-#include "sim/timeline.hpp"
 #include "volren/camera.hpp"
 #include "volren/memsim.hpp"
 #include "volren/pipeline.hpp"
@@ -62,15 +61,6 @@ class FpgaVolumeRenderer {
   const FpgaRendererConfig& config() const { return cfg_; }
   const Volume& volume() const { return volume_; }
 
-  /// Binds the renderer to a timeline: every render_frame() additionally
-  /// posts one logic-pipeline transaction and one overlapping SDRAM
-  /// transaction (the two run concurrently; the slower one paces the
-  /// frame, exactly the fps_fpga model). Frames chain sequentially.
-  void bind(sim::Timeline& timeline, const std::string& name = "volren");
-  bool bound() const { return timeline_ != nullptr; }
-  sim::Timeline* timeline() const { return timeline_; }
-  sim::TrackId track() const { return track_; }
-
   /// VolumePro-class baseline: a fixed-function engine that processes
   /// every voxel every frame. The real board resampled 256^3 at 30 Hz,
   /// i.e. ~500 Mvoxel/s.
@@ -80,12 +70,6 @@ class FpgaVolumeRenderer {
  private:
   const Volume& volume_;
   FpgaRendererConfig cfg_;
-  sim::Timeline* timeline_ = nullptr;
-  sim::TrackId track_;
-  sim::ResourceId pipeline_resource_;
-  sim::ResourceId memory_resource_;
-  util::Picoseconds cursor_ = 0;
-  int frame_index_ = 0;
 };
 
 }  // namespace atlantis::volren

@@ -181,6 +181,29 @@ TEST(JobService, AdmissionControlRefusesOverload) {
   EXPECT_TRUE(service.submit(custom_job("greedy", "alpha", 4, 0)).ok());
 }
 
+TEST(JobService, RejectsOptionsThatCannotMakeProgress) {
+  // An empty batch dispatches forever without serving anything, and a
+  // slice of no time would never finish a job.
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  for (const int max_batch : {0, -1}) {
+    serve::ServeOptions options;
+    options.max_batch = max_batch;
+    EXPECT_THROW(serve::JobService(sys, options), util::Error) << max_batch;
+  }
+  for (const util::Picoseconds slice : {0 * util::kMicrosecond,
+                                        -util::kMicrosecond}) {
+    serve::ServeOptions options;
+    options.policy = serve::Policy::kPreemptive;
+    options.preempt_slice = slice;
+    EXPECT_THROW(serve::JobService(sys, options), util::Error) << slice;
+  }
+  serve::ServeOptions smallest;
+  smallest.max_batch = 1;
+  smallest.preempt_slice = 1;
+  EXPECT_NO_THROW(serve::JobService(sys, smallest));
+}
+
 TEST(JobService, AllBoardsDeadFailsRemainingJobs) {
   core::AtlantisSystem sys("crate");
   sys.add_acb("acb0");
@@ -341,27 +364,6 @@ TEST(JobService, DifferentialPathMatchesFullPathResults) {
   EXPECT_LE(d.report.partial_reconfig_time, d.report.reconfig_time);
   EXPECT_LT(d.report.reconfig_time, f.report.reconfig_time);
   EXPECT_LT(d.report.makespan, f.report.makespan);
-}
-
-TEST(JobService, DiffOrderPicksTheCheapestQueueDeterministically) {
-  serve::ServeOptions opt;
-  opt.max_batch = 4;
-  opt.cache_capacity = 2;
-  opt.diff_order = true;
-  const RunResult one = run_region_workload(1, opt);
-  const RunResult eight = run_region_workload(8, opt);
-  EXPECT_EQ(one.schedule, eight.schedule);
-  EXPECT_EQ(one.records, eight.records);
-  EXPECT_EQ(one.report.served, 30u);
-  EXPECT_GT(one.report.partial_reconfigs, 0u);
-
-  // Ordering by config-diff distance never costs more reconfiguration
-  // time than the fair round-robin on the same workload.
-  serve::ServeOptions unordered = opt;
-  unordered.diff_order = false;
-  const RunResult rr = run_region_workload(1, unordered);
-  EXPECT_EQ(rr.report.served, one.report.served);
-  EXPECT_LE(one.report.reconfig_time, rr.report.reconfig_time);
 }
 
 TEST(JobService, DifferentialRunIsReplayIdenticalUnderFaults) {

@@ -555,6 +555,176 @@ TEST(SnapshotStream, GoldenClusterBytes) {
   EXPECT_EQ(std::move(w).take().capacity(), 13505u);
 }
 
+// The stream a service saves; a sizing pass must count its exact size.
+std::vector<std::uint8_t> saved_stream(const serve::JobService& service) {
+  SnapshotWriter w;
+  service.save_state(w);
+  EXPECT_EQ(sized([&](SnapshotWriter& s) { service.save_state(s); }),
+            w.bytes().size());
+  return w.bytes();
+}
+
+std::size_t count_jobs(const serve::JobService& service,
+                       util::ErrorCode error, bool finished) {
+  std::size_t n = 0;
+  for (const serve::JobRecord& rec : service.jobs()) {
+    if (rec.error == error && (rec.finish > 0) == finished) ++n;
+  }
+  return n;
+}
+
+TEST(SnapshotStream, GoldenResolutionPathsBytes) {
+  // Services whose jobs left pending through every resolution path: a
+  // served batch and a batch job whose result DMA failed, a dead crate
+  // failing its queue with kBoardDead, a kPreemptive job served after a
+  // preemption, input and result DMAs that exhausted their retries under
+  // kPreemptive, and a dying crate draining to a spare that lacks one of
+  // the jobs' configurations.
+  {
+    // kBatched, 2 boards: the second result read on acb1 exhausts its
+    // four attempts; after three batches both boards die.
+    FaultPlan plan;
+    for (std::uint64_t nth = 2; nth <= 5; ++nth) {
+      plan.inject(FaultKind::kDmaAbort, "pci/acb1", nth);
+    }
+    FaultInjector injector(plan);
+    core::AtlantisSystem sys("crate");
+    sys.add_acb("acb0");
+    sys.add_acb("acb1");
+    sys.set_fault_injector(&injector);
+    {
+      serve::ServeOptions options;
+      options.max_batch = 3;
+      serve::JobService service(sys, options);
+      service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+      service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+      for (int i = 0; i < 12; ++i) {
+        (void)service
+            .submit(golden_job(i, i % 2 == 0 ? "alpha" : "beta",
+                               (i % 4 + 1) * 50 * util::kMicrosecond,
+                               i % 3 == 0 ? 400 * util::kMicrosecond : 0))
+            .value();
+      }
+      serve::RunOptions three_batches;
+      three_batches.max_dispatches = 3;
+      service.run(three_batches);
+      sys.acb(0).set_alive(false);
+      sys.acb(1).set_alive(false);
+      service.run();
+      EXPECT_EQ(count_jobs(service, util::ErrorCode::kOk, true), 8u);
+      EXPECT_EQ(count_jobs(service, util::ErrorCode::kRetriesExhausted, true),
+                1u);
+      EXPECT_EQ(count_jobs(service, util::ErrorCode::kBoardDead, false), 3u);
+      EXPECT_EQ(service.report().failed, 3u);
+      const std::vector<std::uint8_t> bytes = saved_stream(service);
+      EXPECT_EQ(bytes.size(), 8418u);
+      EXPECT_EQ(serve::digest(bytes), 0x05828948516341dcull);
+    }
+    sys.set_fault_injector(nullptr);
+  }
+  {
+    // kPreemptive, 1 board: a long job starts, short deadline jobs
+    // arrive and preempt it; the first short job's input DMA and the
+    // second's result DMA exhaust their retries.
+    FaultPlan plan;
+    for (std::uint64_t nth : {2, 3, 4, 5, 7, 8, 9, 10}) {
+      plan.inject(FaultKind::kDmaAbort, "pci/acb0", nth);
+    }
+    FaultInjector injector(plan);
+    core::AtlantisSystem sys("crate");
+    sys.add_acb("acb0");
+    sys.set_fault_injector(&injector);
+    {
+      serve::ServeOptions options;
+      options.policy = serve::Policy::kPreemptive;
+      options.preempt_slice = 100 * util::kMicrosecond;
+      serve::JobService service(sys, options);
+      service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+      service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+      for (int i = 0; i < 2; ++i) {
+        (void)service
+            .submit(golden_job(i, "alpha", 600 * util::kMicrosecond, 0))
+            .value();
+      }
+      serve::RunOptions one_slice;
+      one_slice.max_dispatches = 1;
+      service.run(one_slice);
+      for (int i = 2; i < 6; ++i) {
+        (void)service
+            .submit(golden_job(i, i % 2 == 0 ? "beta" : "alpha",
+                               150 * util::kMicrosecond,
+                               3 * util::kMillisecond))
+            .value();
+      }
+      service.run();
+      EXPECT_GT(service.report().preemptions, 0u);
+      EXPECT_GT(service.job(0).preemptions, 0u);
+      EXPECT_EQ(service.job(0).error, util::ErrorCode::kOk);
+      EXPECT_EQ(service.job(2).error, util::ErrorCode::kRetriesExhausted);
+      EXPECT_EQ(service.job(2).finish, 0);
+      EXPECT_EQ(service.job(2).outcome.detail, "input DMA failed");
+      EXPECT_EQ(service.job(3).error, util::ErrorCode::kRetriesExhausted);
+      EXPECT_GT(service.job(3).finish, 0);
+      EXPECT_EQ(service.report().served, 4u);
+      EXPECT_EQ(service.report().failed, 2u);
+      const std::vector<std::uint8_t> bytes = saved_stream(service);
+      EXPECT_EQ(bytes.size(), 7228u);
+      EXPECT_EQ(serve::digest(bytes), 0xa5847da818e0cb5dull);
+    }
+    sys.set_fault_injector(nullptr);
+  }
+  {
+    // kPreemptive, 1 board, draining to a spare that only knows "alpha":
+    // the board dies mid-job, the active job and every queued alpha job
+    // migrate, every queued beta job fails its migration.
+    serve::ServeOptions options;
+    options.policy = serve::Policy::kPreemptive;
+    options.preempt_slice = 100 * util::kMicrosecond;
+    core::AtlantisSystem spare_sys("spare");
+    spare_sys.add_acb("acb0");
+    serve::JobService spare(spare_sys, options);
+    spare.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+    core::AtlantisSystem sys("crate");
+    sys.add_acb("acb0");
+    serve::JobService service(sys, options);
+    service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+    service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    service.set_migration_target(&spare);
+    for (int i = 0; i < 6; ++i) {
+      (void)service
+          .submit(golden_job(i, i % 2 == 0 ? "alpha" : "beta",
+                             300 * util::kMicrosecond, 0))
+          .value();
+    }
+    serve::RunOptions two_slices;
+    two_slices.max_dispatches = 2;
+    service.run(two_slices);
+    ASSERT_TRUE(service.has_active_jobs());
+    sys.acb(0).set_alive(false);
+    service.run();
+    EXPECT_EQ(service.report().migrated, 3u);
+    EXPECT_EQ(service.report().failed, 3u);
+    for (const serve::JobRecord& rec : service.jobs()) {
+      if (rec.config == "alpha") {
+        EXPECT_TRUE(rec.migrated);
+        continue;
+      }
+      EXPECT_EQ(rec.error, util::ErrorCode::kAdmissionReject);
+      EXPECT_FALSE(rec.outcome.ok);
+      EXPECT_EQ(rec.outcome.detail.rfind("migration failed: ", 0), 0u)
+          << rec.outcome.detail;
+    }
+    spare.run();
+    EXPECT_EQ(spare.report().served, 3u);
+    const std::vector<std::uint8_t> bytes = saved_stream(service);
+    EXPECT_EQ(bytes.size(), 3098u);
+    EXPECT_EQ(serve::digest(bytes), 0xa243045ed805ad9bull);
+    const std::vector<std::uint8_t> spare_bytes = saved_stream(spare);
+    EXPECT_EQ(spare_bytes.size(), 3218u);
+    EXPECT_EQ(serve::digest(spare_bytes), 0x85d55c0e35517e8eull);
+  }
+}
+
 TEST(SnapshotStream, GoldenBoardBytes) {
   // An ACB with an SDRAM and an SRAM mezzanine, words left in its S-Link
   // FIFO, and a CHDL design resident on FPGA 0 whose simulator holds
