@@ -16,7 +16,8 @@ AtlantisDriver::AtlantisDriver(AtlantisSystem& system, int acb_index)
   host_ifs_.resize(AcbBoard::kFpgaCount);
 }
 
-void AtlantisDriver::post_compute(util::Picoseconds t, const char* label) {
+void AtlantisDriver::post_compute(util::Picoseconds t,
+                                  std::string_view label) {
   const sim::Transaction& txn =
       timeline().post(track_, sim::TxnKind::kCompute, label,
                       board_.compute_resource(), now_, t);
@@ -71,8 +72,9 @@ util::Result<util::Picoseconds> AtlantisDriver::try_switch_task(
   util::Result<util::Picoseconds> r = switcher.try_switch_to(name);
   if (!r.ok()) return r;
   if (r.value() > 0) {
+    switch_label_.assign("switch to ").append(name);
     const sim::Transaction& txn =
-        timeline().post(track_, sim::TxnKind::kReconfig, "switch to " + name,
+        timeline().post(track_, sim::TxnKind::kReconfig, switch_label_,
                         sim::ResourceId{}, now_, r.value(), 0,
                         static_cast<std::uint32_t>(
                             switcher.last_regions_loaded()));
@@ -125,7 +127,7 @@ util::Result<util::Picoseconds> AtlantisDriver::poll_self_reconfig(int fpga) {
   return util::Result<util::Picoseconds>(oc.time);
 }
 
-void AtlantisDriver::advance(util::Picoseconds t, const char* label) {
+void AtlantisDriver::advance(util::Picoseconds t, std::string_view label) {
   post_compute(t, label);
 }
 

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "chdl/hostif.hpp"
@@ -72,8 +74,9 @@ class AtlantisDriver {
   void reset(ResetScope scope);
   /// Adds externally-computed hardware time (e.g. N design clocks),
   /// posted as a design-clock compute transaction. `label` names the
-  /// transaction in traces (the serve layer labels jobs).
-  void advance(util::Picoseconds t, const char* label = "compute");
+  /// transaction in traces (the serve layer labels jobs); the timeline
+  /// copies it.
+  void advance(util::Picoseconds t, std::string_view label = "compute");
   /// Adds `cycles` of the board's design clock.
   void advance_cycles(std::uint64_t cycles);
 
@@ -179,7 +182,7 @@ class AtlantisDriver {
  private:
   /// Posts design-clock compute on the board's compute resource and
   /// moves the cursor past it.
-  void post_compute(util::Picoseconds t, const char* label);
+  void post_compute(util::Picoseconds t, std::string_view label);
   util::Result<hw::DmaTransfer> try_dma(hw::DmaDirection dir,
                                         std::uint64_t bytes);
   template <typename Self, typename Stream>
@@ -197,6 +200,7 @@ class AtlantisDriver {
   std::uint64_t dma_retries_ = 0;
   std::uint64_t config_retries_ = 0;
   util::Picoseconds recovery_time_ = 0;
+  std::string switch_label_;  // reused by try_switch_task
 };
 
 }  // namespace atlantis::core

@@ -27,7 +27,7 @@ DmaTransfer Plx9080::transfer(DmaDirection dir, std::uint64_t bytes) const {
 
 const sim::Transaction& Plx9080::post_transfer(
     sim::TrackId track, DmaDirection dir, std::uint64_t bytes,
-    util::Picoseconds not_before, std::string label,
+    util::Picoseconds not_before, std::string_view label,
     util::Picoseconds service_override) {
   ATLANTIS_CHECK(bound(), "Plx9080 is not bound to a timeline");
   const DmaTransfer t = transfer(dir, bytes);
@@ -39,8 +39,8 @@ const sim::Transaction& Plx9080::post_transfer(
   if (label.empty()) {
     label = dir == DmaDirection::kWrite ? "dma_write" : "dma_read";
   }
-  return timeline_->post(track, sim::TxnKind::kPciDma, std::move(label),
-                         segment_, not_before, service, bytes);
+  return timeline_->post(track, sim::TxnKind::kPciDma, label, segment_,
+                         not_before, service, bytes);
 }
 
 std::optional<sim::FaultKind> Plx9080::draw_dma_fault() {
@@ -61,12 +61,11 @@ std::optional<sim::FaultKind> Plx9080::draw_dma_fault() {
 }
 
 const sim::Transaction& Plx9080::post_target_access(
-    sim::TrackId track, util::Picoseconds not_before, std::string label) {
+    sim::TrackId track, util::Picoseconds not_before, std::string_view label) {
   ATLANTIS_CHECK(bound(), "Plx9080 is not bound to a timeline");
   if (label.empty()) label = "target_access";
-  return timeline_->post(track, sim::TxnKind::kTargetAccess,
-                         std::move(label), segment_, not_before,
-                         target_access(), /*bytes=*/4);
+  return timeline_->post(track, sim::TxnKind::kTargetAccess, label, segment_,
+                         not_before, target_access(), /*bytes=*/4);
 }
 
 }  // namespace atlantis::hw

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/fault.hpp"
 #include "sim/timeline.hpp"
@@ -136,13 +137,13 @@ class Plx9080 {
   /// overlap and the modelled occupancy is their max).
   const sim::Transaction& post_transfer(
       sim::TrackId track, DmaDirection dir, std::uint64_t bytes,
-      util::Picoseconds not_before, std::string label = {},
+      util::Picoseconds not_before, std::string_view label = {},
       util::Picoseconds service_override = -1);
 
   /// Posts one target-mode access (register read/write) onto the bus.
   const sim::Transaction& post_target_access(sim::TrackId track,
                                              util::Picoseconds not_before,
-                                             std::string label = {});
+                                             std::string_view label = {});
 
  private:
   template <typename Self, typename Stream>

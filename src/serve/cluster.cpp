@@ -1,6 +1,10 @@
 #include "serve/cluster.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <cmath>
+#include <string_view>
 
 #include "util/stats.hpp"
 #include "util/worker_pool.hpp"
@@ -38,6 +42,17 @@ Cluster::Cluster(ClusterOptions options)
                  "placement needs at least one attempt");
   ATLANTIS_CHECK(options_.max_pending_per_shard >= 1,
                  "a shard's bounded queue needs room for at least one job");
+  // A negative or non-finite weight (or sum) would make a share NaN or
+  // negative, and its cast to a quota undefined.
+  double total_weight = 0.0;
+  for (const auto& [tenant, weight] : options_.tenant_weights) {
+    ATLANTIS_CHECK(std::isfinite(weight) && weight >= 0.0,
+                   "tenant '" + tenant + "' needs a finite, non-negative "
+                   "weight (got " + std::to_string(weight) + ")");
+    total_weight += weight;
+  }
+  ATLANTIS_CHECK(std::isfinite(total_weight),
+                 "the tenant weights must have a finite sum");
 }
 
 int Cluster::add_shard() {
@@ -54,6 +69,7 @@ int Cluster::add_shard() {
   }
   shards_.push_back(std::move(shard));
   ring_.add_node(id, shards_.back().name);
+  fleet_changed();
   return id;
 }
 
@@ -68,36 +84,32 @@ void Cluster::remove_shard(int shard) {
   // the survivors only.
   ring_.remove_node(shard);
   s.retired = true;
+  fleet_changed();
 
   for (const JobId local : s.service->pending_ids()) {
-    const std::string config = s.service->job(local).config;
-    const std::vector<int> candidates = place(config);
+    const std::span<const int> candidates =
+        place(config_index(s.service->job(local).config));
     ATLANTIS_CHECK(!candidates.empty(), "no live shard to drain onto");
     // The drain must land: bounded queues gate admission at the front
     // door, not a re-home forced by fleet shrinkage.
-    Shard& target = live_shard(candidates.front());
+    const int home = candidates.front();
+    Shard& target = live_shard(home);
     const util::Result<JobId> moved =
         s.service->migrate_job(local, *target.service);
     ATLANTIS_CHECK(moved.ok(), "drain migration failed: " + moved.message());
-    const auto it = s.cluster_id.find(local);
-    ATLANTIS_CHECK(it != s.cluster_id.end(),
-                   "pending job missing from the shard's cluster-id map");
-    ClusterRecord& rec = records_[it->second];
-    rec.shard = candidates.front();
+    ATLANTIS_CHECK(
+        local < s.cluster_id.size() && s.cluster_id[local] != kNoJob,
+        "pending job missing from the shard's cluster-id map");
+    ClusterRecord& rec = records_[s.cluster_id[local]];
+    s.cluster_id[local] = kNoJob;
+    rec.shard = home;
     rec.local = moved.value();
-    target.cluster_id[moved.value()] = rec.id;
-    s.cluster_id.erase(it);
+    target.set_cluster_id(rec.local, rec.id);
     ++window_drained_;
   }
 }
 
-int Cluster::shard_count() const {
-  int n = 0;
-  for (const Shard& s : shards_) {
-    if (!s.retired) ++n;
-  }
-  return n;
-}
+int Cluster::shard_count() const { return static_cast<int>(live_.size()); }
 
 bool Cluster::shard_retired(int shard) const {
   ATLANTIS_CHECK(shard >= 0 && shard < static_cast<int>(shards_.size()),
@@ -132,58 +144,86 @@ void Cluster::register_config(const hw::Bitstream& bs) {
   for (Shard& s : shards_) {
     if (!s.retired) s.service->register_config(bs);
   }
+  fleet_changed();
 }
 
-std::vector<int> Cluster::place(const std::string& config) {
+std::size_t Cluster::config_index(const std::string& name) const {
+  const auto known = std::find_if(
+      configs_.begin(), configs_.end(),
+      [&name](const hw::Bitstream& bs) { return bs.name == name; });
+  return static_cast<std::size_t>(std::distance(configs_.begin(), known));
+}
+
+void Cluster::fleet_changed() {
+  live_.clear();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (!shards_[i].retired) live_.push_back(static_cast<int>(i));
+  }
+  placements_.clear();
+  refresh_quotas();
+}
+
+std::span<const int> Cluster::place(std::size_t config) {
   if (options_.placement == PlacementPolicy::kConsistentHash) {
-    return ring_.successors(config, options_.max_placement_attempts);
+    if (placements_.empty()) {  // the first placement since a change
+      for (const hw::Bitstream& bs : configs_) {
+        placements_.push_back(
+            ring_.successors(bs.name, options_.max_placement_attempts));
+      }
+    }
+    return placements_.at(config);
   }
   // kRandom: deterministic spray over the live shards, keyed on the
   // submission ordinal — replayable, but blind to configuration
   // affinity (the baseline the bench measures the ring against).
-  std::vector<int> live;
-  for (int i = 0; i < static_cast<int>(shards_.size()); ++i) {
-    if (!shards_[static_cast<std::size_t>(i)].retired) live.push_back(i);
-  }
-  ATLANTIS_CHECK(!live.empty(), "placement over an empty fleet");
-  const std::uint64_t h =
-      placement_hash("spray#" + std::to_string(spray_counter_++));
-  std::vector<int> out;
+  ATLANTIS_CHECK(!live_.empty(), "placement over an empty fleet");
+  char key[32] = "spray#";
+  const char* const end =
+      std::to_chars(key + 6, key + sizeof(key), spray_counter_++).ptr;
+  const std::uint64_t h = placement_hash(
+      std::string_view(key, static_cast<std::size_t>(end - key)));
   const int attempts =
-      std::min(options_.max_placement_attempts, static_cast<int>(live.size()));
+      std::min(options_.max_placement_attempts, static_cast<int>(live_.size()));
+  spray_.clear();
   for (int a = 0; a < attempts; ++a) {
-    out.push_back(live[(h + static_cast<std::uint64_t>(a)) % live.size()]);
+    const std::uint64_t at = (h + static_cast<std::uint64_t>(a)) % live_.size();
+    spray_.push_back(live_[at]);
   }
-  return out;
+  return spray_;
 }
 
-std::uint64_t Cluster::tenant_quota(const std::string& tenant) const {
+void Cluster::refresh_quotas() {
   const std::uint64_t capacity =
-      static_cast<std::uint64_t>(shard_count()) *
-      options_.max_pending_per_shard;
-  const auto weight_of = [this](const std::string& t) {
-    const auto it = options_.tenant_weights.find(t);
-    return it != options_.tenant_weights.end() ? it->second : 1.0;
-  };
+      static_cast<std::uint64_t>(live_.size()) * options_.max_pending_per_shard;
   // Total weight over every tenant the front-end has seen (in-flight or
-  // explicitly weighted), including this one — the live contention set.
+  // explicitly weighted) — the live contention set.
   double total = 0.0;
-  bool seen = false;
-  for (const auto& [t, w] : options_.tenant_weights) {
-    total += w;
-    if (t == tenant) seen = true;
+  for (const auto& [name, weight] : options_.tenant_weights) total += weight;
+  for (const auto& [name, t] : tenants_) {
+    if (options_.tenant_weights.count(name) == 0) total += 1.0;
   }
-  for (const auto& [t, n] : in_flight_) {
-    (void)n;
-    if (options_.tenant_weights.count(t) != 0) continue;  // already counted
-    total += 1.0;
-    if (t == tenant) seen = true;
+  for (auto& [name, t] : tenants_) {
+    if (total <= 0.0) {
+      t.quota = capacity;
+      continue;
+    }
+    const auto weighted = options_.tenant_weights.find(name);
+    const double weight =
+        weighted != options_.tenant_weights.end() ? weighted->second : 1.0;
+    // At most capacity up to rounding; +inf when capacity * weight
+    // overflows. The clamp keeps the cast defined.
+    const double share = static_cast<double>(capacity) * weight / total;
+    t.quota = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::min(share, static_cast<double>(capacity))));
   }
-  if (!seen) total += weight_of(tenant);
-  if (total <= 0.0) return capacity;
-  const double share =
-      static_cast<double>(capacity) * weight_of(tenant) / total;
-  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(share));
+}
+
+std::map<std::string, Cluster::Tenant, std::less<>>::iterator Cluster::tenant(
+    const std::string& name) {
+  const auto [it, fresh] = tenants_.try_emplace(name);
+  if (fresh) refresh_quotas();
+  return it;
 }
 
 util::Result<JobId> Cluster::refuse(util::ErrorCode code,
@@ -198,28 +238,31 @@ util::Result<JobId> Cluster::refuse(util::ErrorCode code,
 }
 
 util::Result<JobId> Cluster::submit(JobSpec spec) {
-  ATLANTIS_CHECK(shard_count() > 0, "submit to a cluster with no shards");
+  ATLANTIS_CHECK(!live_.empty(), "submit to a cluster with no shards");
   ++window_submitted_;
 
-  const auto known = std::find_if(
-      configs_.begin(), configs_.end(),
-      [&spec](const hw::Bitstream& bs) { return bs.name == spec.config; });
-  if (known == configs_.end()) {
+  const std::size_t config = config_index(spec.config);
+  if (config == configs_.size()) {
     return refuse(util::ErrorCode::kAdmissionReject,
                   "configuration '" + spec.config +
                       "' was never registered with the cluster");
   }
 
   // Concern 2: weighted-fair tenant share of the fleet's queue room.
-  if (options_.fair_admission &&
-      in_flight_[spec.tenant] >= tenant_quota(spec.tenant)) {
-    return refuse(util::ErrorCode::kAdmissionReject,
-                  "tenant '" + spec.tenant +
-                      "' is past its weighted-fair share of the cluster");
+  // The gate creates the tenant's entry even when it refuses the job,
+  // as it always has: the tenant map is in the stream.
+  auto owner = tenants_.end();
+  if (options_.fair_admission) {
+    owner = tenant(spec.tenant);
+    if (owner->second.in_flight >= owner->second.quota) {
+      return refuse(util::ErrorCode::kAdmissionReject,
+                    "tenant '" + spec.tenant +
+                        "' is past its weighted-fair share of the cluster");
+    }
   }
 
   // Concern 1 + 4: placement with bounded-queue overflow.
-  const std::vector<int> candidates = place(spec.config);
+  const std::span<const int> candidates = place(config);
   int picked = -1;
   int attempts = 0;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -250,7 +293,6 @@ util::Result<JobId> Cluster::submit(JobSpec spec) {
     }
   }
 
-  const std::string tenant = spec.tenant;
   util::Result<JobId> local = home.service->submit(std::move(spec));
   if (!local.ok()) {
     // The shard's own admission (per-tenant quota) refused; surface the
@@ -258,22 +300,22 @@ util::Result<JobId> Cluster::submit(JobSpec spec) {
     return refuse(local.error(), local.message());
   }
 
+  const JobId id = static_cast<JobId>(records_.size());
   ClusterRecord rec;
-  rec.id = static_cast<JobId>(records_.size());
-  rec.tenant = tenant;
-  rec.config = configs_[static_cast<std::size_t>(
-                            std::distance(configs_.begin(), known))]
-                   .name;
+  rec.id = id;
+  rec.tenant = home.service->job(local.value()).tenant;
+  rec.config = configs_[config].name;
   rec.shard = picked;
   rec.local = local.value();
   rec.attempts = attempts;
-  home.cluster_id[rec.local] = rec.id;
-  records_.push_back(rec);
-  window_ids_.push_back(rec.id);
+  home.set_cluster_id(rec.local, id);
+  if (owner == tenants_.end()) owner = tenant(rec.tenant);
+  ++owner->second.in_flight;
+  records_.push_back(std::move(rec));
+  window_ids_.push_back(id);
   ++home.admitted_window;
-  ++in_flight_[tenant];
   if (attempts > 0) ++window_overflowed_;
-  return rec.id;
+  return id;
 }
 
 const ClusterReport& Cluster::run(const RunOptions& options) {
@@ -282,22 +324,25 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   // depend on thread timing, and a migration target or spare that is
   // another shard's service (or a spare two shards share) would be
   // written from two threads. Refused before anything moves.
-  std::vector<Shard*> live;
-  std::map<const void*, const Shard*> reached_by;
-  for (Shard& s : shards_) {
-    if (s.retired) continue;
-    live.push_back(&s);
-    const void* reach[] = {
+  const auto reach = [this](int shard) {
+    const Shard& s = shards_[static_cast<std::size_t>(shard)];
+    return std::array<const void*, 4>{
         s.service.get(), s.system->fault_injector(),
         s.service->migration_target(),
         s.supervisor != nullptr ? s.supervisor->spare() : nullptr};
-    for (const void* object : reach) {
+  };
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    for (const void* object : reach(live_[i])) {
       if (object == nullptr) continue;
-      const auto [it, fresh] = reached_by.emplace(object, &s);
-      ATLANTIS_CHECK(fresh || it->second == &s,
-                     s.name + " and " + it->second->name +
-                         " reach one fault injector or service; shards "
-                         "drain concurrently and must share nothing");
+      for (std::size_t j = 0; j < i; ++j) {
+        const auto earlier = reach(live_[j]);
+        ATLANTIS_CHECK(
+            std::find(earlier.begin(), earlier.end(), object) == earlier.end(),
+            shards_[static_cast<std::size_t>(live_[i])].name + " and " +
+                shards_[static_cast<std::size_t>(live_[j])].name +
+                " reach one fault injector or service; shards drain "
+                "concurrently and must share nothing");
+      }
     }
   }
 
@@ -327,8 +372,9 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   // inside a drain evaluate inline on its thread.
   util::WorkerPool& pool =
       options.pool != nullptr ? *options.pool : util::WorkerPool::shared();
-  pool.parallel_for(static_cast<int>(live.size()), [&](int i) {
-    Shard& s = *live[static_cast<std::size_t>(i)];
+  pool.parallel_for(static_cast<int>(live_.size()), [&](int i) {
+    const int shard = live_[static_cast<std::size_t>(i)];
+    Shard& s = shards_[static_cast<std::size_t>(shard)];
     if (s.supervisor != nullptr) {
       s.supervisor->run();
     } else {
@@ -339,7 +385,7 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   // Merge the window: job-level outcomes from the ledgers, crate-level
   // reconfiguration traffic from the counter deltas.
   util::LogHistogram latency;
-  std::vector<JobId> carry;
+  std::size_t carried = 0;  // window_ids_ compacts in place
   struct Tally {
     util::Picoseconds service_sum = 0;
     std::uint64_t served = 0;
@@ -352,11 +398,14 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
     const JobRecord& jr =
         shards_[static_cast<std::size_t>(rec.shard)].service->job(rec.local);
     if (!job_done(jr)) {
-      carry.push_back(id);  // bounded run left it queued; next window
+      window_ids_[carried++] = id;  // bounded run left it queued
       continue;
     }
     ++report_.admitted;  // terminal this window
-    if (in_flight_[rec.tenant] > 0) --in_flight_[rec.tenant];
+    const auto owner = tenants_.find(rec.tenant);
+    if (owner != tenants_.end() && owner->second.in_flight > 0) {
+      --owner->second.in_flight;
+    }
     Tally& t = tally[static_cast<std::size_t>(rec.shard)];
     if (jr.error == util::ErrorCode::kOk) {
       ++report_.served;
@@ -376,7 +425,7 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
       ++t.failed;
     }
   }
-  window_ids_ = std::move(carry);
+  window_ids_.resize(carried);
   report_.p50_latency =
       static_cast<util::Picoseconds>(latency.quantile(0.50));
   report_.p99_latency =
@@ -514,9 +563,9 @@ void Cluster::walk(Self& self, Stream& s) {
       s.u32(rec.attempts);
     });
     s.seq64(self.refusals_, [&](auto& code) { s.u16(code); });
-    s.seq64(self.in_flight_, [&](auto& tenant) {
+    s.seq64(self.tenants_, [&](auto& tenant) {
       s.string(tenant.first);
-      s.u64(tenant.second);
+      s.u64(tenant.second.in_flight);
     });
     s.seq64(self.window_ids_, [&](auto& id) { s.u64(id); });
     s.u64(self.window_submitted_);
@@ -546,13 +595,15 @@ void Cluster::save_state(sim::SnapshotWriter& w) const {
 void Cluster::load_state(sim::SnapshotReader& r) {
   walk(*this, r);
   // Derived from the ledger: the cluster ids and each shard's local ->
-  // cluster id map.
+  // cluster id map; from the tenant set: every quota.
   for (Shard& s : shards_) s.cluster_id.clear();
   for (JobId id = 0; id < records_.size(); ++id) {
     ClusterRecord& rec = records_[id];
     rec.id = id;
-    shards_.at(static_cast<std::size_t>(rec.shard)).cluster_id[rec.local] = id;
+    Shard& home = shards_.at(static_cast<std::size_t>(rec.shard));
+    home.set_cluster_id(rec.local, id);
   }
+  refresh_quotas();
 
   for (Shard& s : shards_) {
     if (s.retired) continue;

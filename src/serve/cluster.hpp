@@ -56,8 +56,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,7 +88,9 @@ struct ClusterOptions {
   /// Deadline admission control (concern 3 above); off admits any
   /// deadline and lets the shard count the miss.
   bool slo_admission = true;
-  /// Weighted-fair tenant shares; tenants absent here weigh 1.0.
+  /// Weighted-fair tenant shares; tenants absent here weigh 1.0. Each
+  /// weight must be finite and non-negative, and so must their sum (the
+  /// constructor checks). A tenant weighing 0 still gets one slot.
   std::map<std::string, double> tenant_weights;
   /// When true every tenant's pending share is capped (concern 2);
   /// off = first-come-first-served admission.
@@ -235,25 +239,54 @@ class Cluster : public sim::Snapshottable {
   void load_state(sim::SnapshotReader& r) override;
 
  private:
+  /// Marks a local id in Shard::cluster_id that is no cluster job.
+  static constexpr JobId kNoJob = ~JobId{0};
+
   struct Shard {
     std::string name;
     bool retired = false;
     std::unique_ptr<core::AtlantisSystem> system;
     std::unique_ptr<JobService> service;
     std::unique_ptr<Supervisor> supervisor;
-    /// local JobId -> cluster JobId, for re-homing on drain.
-    std::map<JobId, JobId> cluster_id;
+    /// Cluster JobId by local JobId (kNoJob where none), for re-homing
+    /// on drain.
+    std::vector<JobId> cluster_id;
+    void set_cluster_id(JobId local, JobId cluster) {
+      if (cluster_id.size() <= local) cluster_id.resize(local + 1, kNoJob);
+      cluster_id[local] = cluster;
+    }
     /// EWMA of observed per-job service time (SLO admission).
     util::Picoseconds ewma_service = 0;
     std::uint64_t admitted_window = 0;  // since the last run()
   };
 
+  /// A tenant the front door has seen: its jobs admitted and not yet
+  /// resolved, and its weighted-fair share of the fleet's queue
+  /// capacity, cached by refresh_quotas().
+  struct Tenant {
+    std::uint64_t in_flight = 0;
+    std::uint64_t quota = 0;
+  };
+
   Shard& live_shard(int shard);
   const Shard& live_shard(int shard) const;
-  /// Candidate shards for a job, in placement order (owner first).
-  std::vector<int> place(const std::string& config);
-  /// Weighted-fair share of the cluster's queue capacity for `tenant`.
-  std::uint64_t tenant_quota(const std::string& tenant) const;
+  /// Index into configs_ of the configuration named `name`, or
+  /// configs_.size() when it was never registered.
+  std::size_t config_index(const std::string& name) const;
+  /// Candidate shards for a job of configs_[config], in placement order
+  /// (owner first); valid until the next call.
+  std::span<const int> place(std::size_t config);
+  /// The fleet changed (add_shard, remove_shard, register_config):
+  /// rebuilds live_, drops every cached placement (place() rebuilds
+  /// them all on its next call) and recomputes every tenant's quota.
+  void fleet_changed();
+  /// The tenant set or the live shard count changed: recomputes every
+  /// tenant's quota.
+  void refresh_quotas();
+  /// The tenant's entry, created on first sight (which refreshes the
+  /// quotas: a new tenant shrinks everyone's share).
+  std::map<std::string, Tenant, std::less<>>::iterator tenant(
+      const std::string& name);
   util::Result<JobId> refuse(util::ErrorCode code, const std::string& why);
   /// The "serve/cluster" section; the shards' nested streams follow it.
   template <typename Self, typename Stream>
@@ -265,7 +298,11 @@ class Cluster : public sim::Snapshottable {
   std::vector<hw::Bitstream> configs_;  // replayed onto new shards
   std::vector<ClusterRecord> records_;
   std::vector<util::ErrorCode> refusals_;
-  std::map<std::string, std::uint64_t> in_flight_;  // per tenant
+  std::map<std::string, Tenant, std::less<>> tenants_;
+  // Admission caches, derived from the fields above (fleet_changed).
+  std::vector<int> live_;                     // live shard ids, ascending
+  std::vector<std::vector<int>> placements_;  // ring walk by configs_ index
+  std::vector<int> spray_;                    // kRandom's latest candidates
   /// Cluster ids admitted since the last run() (the report window).
   std::vector<JobId> window_ids_;
   /// Admission counters accrued since the last run().

@@ -1,7 +1,7 @@
 #include "serve/jobservice.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <charconv>
 #include <limits>
 #include <utility>
 
@@ -71,12 +71,6 @@ void walk_checkpoint(Record& rec, Progress& prog, Stream& s) {
   });
 }
 
-/// The label every compute slice of a job carries on its board's track.
-std::string compute_label(const JobRecord& rec, bool resumed) {
-  return std::string(job_kind_name(rec.kind)) + " " + rec.tenant + "#" +
-         std::to_string(rec.id) + (resumed ? " (resumed)" : "");
-}
-
 }  // namespace
 
 JobService::JobService(core::AtlantisSystem& system, ServeOptions options)
@@ -128,14 +122,14 @@ util::Result<JobId> JobService::submit(JobSpec spec) {
   const JobId id = static_cast<JobId>(records_.size());
   JobRecord rec;
   rec.id = id;
-  rec.tenant = spec.tenant;
+  rec.tenant = std::move(spec.tenant);
   rec.kind = spec.kind;
-  rec.config = spec.config;
+  rec.config = std::move(spec.config);
   rec.arrival = spec.arrival;
   rec.deadline = spec.deadline;
+  queues_.push_back(rec.config, id);
   records_.push_back(std::move(rec));
-  queues_.push_back(spec.config, id);
-  specs_.push_back(std::move(spec));
+  work_.push_back(std::move(spec.work));
   ++pending;
   return id;
 }
@@ -164,7 +158,7 @@ void JobService::set_board_enabled(int board_index, bool enabled) {
     // it from its remaining compute.
     const JobId id = *board.active;
     board.active.reset();
-    queues_.push_front(records_[id].config, {id});
+    queues_.push_front(records_[id].config, {&id, 1});
   }
   board.quarantined = !enabled;
 }
@@ -202,8 +196,8 @@ util::Result<JobId> JobService::retry_job(JobId id) {
         util::ErrorCode::kJobNotPending,
         "job " + std::to_string(id) + " is not a resolved failure");
   }
-  // Back to pending: the spec (and its pure functor) is still held, so a
-  // fresh dispatch re-evaluates and re-pays the full job.
+  // Back to pending: the pure functor is still held, so a fresh dispatch
+  // re-evaluates and re-pays the full job.
   rec.error = util::ErrorCode::kOk;
   rec.outcome = JobOutcome{};
   rec.board = -1;
@@ -316,20 +310,21 @@ void JobService::run_batched(util::WorkerPool& pool,
     }
     core::AcbBoard& acb = system_.acb(board->index);
 
-    const std::string config = options_.fifo_order
-                                   ? queues_.pick_fifo()
-                                   : queues_.pick(board->switcher->current());
-    std::deque<JobId> batch;
-    while (static_cast<int>(batch.size()) < options_.max_batch &&
+    // The queue's own key: queues stay in the map once created.
+    const std::string& config =
+        options_.fifo_order ? queues_.pick_fifo()
+                            : queues_.pick(board->switcher->current());
+    batch_.clear();
+    while (static_cast<int>(batch_.size()) < options_.max_batch &&
            queues_.depth(config) > 0) {
-      batch.push_back(queues_.pop_front(config));
+      batch_.push_back(queues_.pop_front(config));
     }
 
     // One drop-out opportunity per dispatch, drawn on the scheduling
     // thread BEFORE any state changes, so the draw order — and the
     // schedule — is pool-size invariant.
     if (acb.draw_dropout()) {
-      queues_.push_front(config, batch);
+      queues_.push_front(config, batch_);
       lose_board(*board);
       continue;
     }
@@ -340,12 +335,12 @@ void JobService::run_batched(util::WorkerPool& pool,
     const util::Result<util::Picoseconds> sw =
         board->driver->try_switch_task(*board->switcher, config);
     if (!sw.ok()) {
-      queues_.push_front(config, batch);
+      queues_.push_front(config, batch_);
       lose_board(*board);
       continue;
     }
 
-    serve_batch(*board, batch, pool);
+    serve_batch(*board, pool);
     ++report_.batches;
   }
 }
@@ -375,7 +370,7 @@ void JobService::run_preemptive(const RunOptions& options) {
       // One drop-out opportunity per fresh dispatch, mirroring the
       // batched policy's draw point.
       if (system_.acb(board->index).draw_dropout()) {
-        queues_.push_front(records_[*next].config, {*next});
+        queues_.push_front(records_[*next].config, {&*next, 1});
         lose_board(*board);
         continue;
       }
@@ -388,8 +383,7 @@ void JobService::run_preemptive(const RunOptions& options) {
         std::min(prog.remaining, options_.preempt_slice);
     if (slice > 0) {
       board->driver->advance(
-          slice, compute_label(records_[*board->active], prog.preemptions > 0)
-                     .c_str());
+          slice, compute_label(records_[*board->active], prog.preemptions > 0));
       prog.remaining -= slice;
     }
     if (prog.remaining <= 0) {
@@ -447,7 +441,7 @@ void JobService::ensure_progress(JobId id) {
   // The pure functor is evaluated once, inline on the scheduling thread:
   // from here on the job is fully described by data, which is what makes
   // checkpoints portable without the functor.
-  prog.outcome = specs_[id].work();
+  prog.outcome = work_[id]();
   prog.outcome_ready = true;
   prog.remaining = prog.outcome.compute_time;
 }
@@ -457,7 +451,7 @@ bool JobService::start_run(BoardState& board, JobId id) {
   const util::Result<util::Picoseconds> sw =
       board.driver->try_switch_task(*board.switcher, rec.config);
   if (!sw.ok()) {
-    queues_.push_front(rec.config, {id});
+    queues_.push_front(rec.config, {&id, 1});
     lose_board(board);
     return false;
   }
@@ -498,7 +492,7 @@ void JobService::preempt(BoardState& board) {
     prog.remaining = prog.outcome.compute_time;
     prog.input_done = false;
   }
-  queues_.push_front(records_[id].config, {id});
+  queues_.push_front(records_[id].config, {&id, 1});
 }
 
 void JobService::fail_job(JobId id, util::ErrorCode code,
@@ -513,10 +507,25 @@ void JobService::start_service(BoardState& board, JobRecord& rec) {
   rec.queue_wait = std::max<util::Picoseconds>(0, rec.start - rec.arrival);
   // The wait lands on the tenant's own track, so per-tenant latency is
   // readable straight off the timeline (track_stats).
+  label_.assign(job_kind_name(rec.kind))
+      .append(" wait [")
+      .append(rec.config)
+      .append("]");
   drv.timeline().post(tenant_track(rec.tenant), sim::TxnKind::kQueueWait,
-                      std::string(job_kind_name(rec.kind)) + " wait [" +
-                          rec.config + "]",
-                      sim::ResourceId{}, rec.arrival, rec.queue_wait);
+                      label_, sim::ResourceId{}, rec.arrival, rec.queue_wait);
+}
+
+std::string_view JobService::compute_label(const JobRecord& rec,
+                                           bool resumed) {
+  char id[24];
+  char* const id_end = std::to_chars(id, id + sizeof(id), rec.id).ptr;
+  label_.assign(job_kind_name(rec.kind))
+      .append(" ")
+      .append(rec.tenant)
+      .append("#")
+      .append(id, id_end);
+  if (resumed) label_.append(" (resumed)");
+  return label_;
 }
 
 void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
@@ -561,41 +570,40 @@ void JobService::lose_board(BoardState& board) {
     } else {
       // The job's progress lives in progress_, so any surviving board
       // resumes it from its remaining compute — an in-crate migration.
-      queues_.push_front(records_[id].config, {id});
+      queues_.push_front(records_[id].config, {&id, 1});
     }
   }
 }
 
-void JobService::serve_batch(BoardState& board,
-                             const std::deque<JobId>& batch,
-                             util::WorkerPool& pool) {
+void JobService::serve_batch(BoardState& board, util::WorkerPool& pool) {
   // Functional evaluation: pure job functors, results addressed by
   // index. This is the ONLY thing the pool size touches; inside a
   // cluster's shard drain the call runs inline on the drain's thread.
-  std::vector<JobOutcome> outcomes(batch.size());
-  pool.parallel_for(static_cast<int>(batch.size()), [&](int i) {
-    outcomes[static_cast<std::size_t>(i)] =
-        specs_[batch[static_cast<std::size_t>(i)]].work();
+  // Capturing only `this` keeps the task in std::function's own buffer.
+  outcomes_.resize(batch_.size());
+  pool.parallel_for(static_cast<int>(batch_.size()), [this](int i) {
+    const auto at = static_cast<std::size_t>(i);
+    outcomes_[at] = work_[batch_[at]]();
   });
 
   core::AtlantisDriver& drv = *board.driver;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    JobRecord& rec = records_[batch[i]];
-    const JobOutcome& out = outcomes[i];
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    JobRecord& rec = records_[batch_[i]];
+    const JobOutcome& out = outcomes_[i];
     start_service(board, rec);
     // Input streams in while the board computes; join at the max.
     if (out.dma_in_bytes > 0) drv.dma_write_async(out.dma_in_bytes);
     if (out.compute_time > 0) {
-      drv.advance(out.compute_time, compute_label(rec, false).c_str());
+      drv.advance(out.compute_time, compute_label(rec, false));
     }
     drv.wait();
-    resolve(batch[i], &board, &out);
+    resolve(batch_[i], &board, &out);
   }
 }
 
 void JobService::fail_remaining(util::ErrorCode code) {
   while (!queues_.empty()) {
-    const std::string config = queues_.pick("");
+    const std::string& config = queues_.pick("");
     const JobId id = queues_.pop_front(config);
     if (migration_target_ != nullptr) {
       // The drain path of a dying crate: pending jobs move to the spare
@@ -702,15 +710,8 @@ util::Result<JobId> JobService::restore_job(const JobCheckpoint& ckpt) {
             std::to_string(pending) + " queued jobs");
   }
   const JobId id = static_cast<JobId>(records_.size());
-  JobSpec spec;
-  spec.tenant = rec.tenant;
-  spec.kind = rec.kind;
-  spec.config = rec.config;
-  spec.arrival = rec.arrival;
-  spec.deadline = rec.deadline;
   // The data replaces the functor.
-  spec.work = [outcome = prog.outcome] { return outcome; };
-  specs_.push_back(std::move(spec));
+  work_.push_back([outcome = prog.outcome] { return outcome; });
   rec.id = id;
   rec.preemptions = prog.preemptions;
   queues_.push_back(rec.config, id);
@@ -826,49 +827,47 @@ void JobService::load_state(sim::SnapshotReader& r) {
 }
 
 void JobService::finalize_report() {
-  // Per-tenant quality, from this run's records only.
-  std::map<std::string, std::vector<double>> waits;
-  std::map<std::string, std::vector<double>> services;
-  std::map<std::string, std::uint64_t> failures;
+  // Per-tenant quality, from this run's records only. The sample
+  // buffers persist across runs, so a run reuses their storage.
+  for (auto& [tenant, t] : tenant_samples_) {
+    t.waits.clear();
+    t.services.clear();
+    t.failed = 0;
+  }
   for (const JobId id : run_ids_) {
     const JobRecord& rec = records_[id];
+    TenantSamples& t = tenant_samples_[rec.tenant];
     if (rec.error != util::ErrorCode::kOk || !rec.outcome.ok) {
-      ++failures[rec.tenant];
+      ++t.failed;
       if (rec.board < 0) continue;  // never dispatched: no timing sample
     }
-    waits[rec.tenant].push_back(static_cast<double>(rec.queue_wait));
-    services[rec.tenant].push_back(
-        static_cast<double>(rec.finish - rec.start));
+    t.waits.push_back(static_cast<double>(rec.queue_wait));
+    t.services.push_back(static_cast<double>(rec.finish - rec.start));
     report_.makespan = std::max(report_.makespan, rec.finish);
   }
-  for (const auto& [tenant, w] : waits) {
+  // In tenant-name order; tenants that only ever failed undispatched
+  // still get a row.
+  for (auto& [tenant, samples] : tenant_samples_) {
+    if (samples.waits.empty() && samples.failed == 0) continue;
     TenantStats t;
     t.tenant = tenant;
-    t.jobs = w.size();
-    t.failed = failures.count(tenant) ? failures[tenant] : 0;
-    t.p50_wait = static_cast<util::Picoseconds>(util::percentile(w, 0.50));
-    t.p99_wait = static_cast<util::Picoseconds>(util::percentile(w, 0.99));
-    t.max_wait = static_cast<util::Picoseconds>(
-        *std::max_element(w.begin(), w.end()));
-    const std::vector<double>& s = services.at(tenant);
-    double sum = 0.0;
-    for (const double v : s) sum += v;
-    t.mean_service = static_cast<util::Picoseconds>(
-        sum / static_cast<double>(s.size()));
+    t.failed = samples.failed;
+    std::vector<double>& w = samples.waits;
+    if (!w.empty()) {
+      t.jobs = w.size();
+      std::sort(w.begin(), w.end());
+      t.p50_wait =
+          static_cast<util::Picoseconds>(util::percentile_sorted(w, 0.50));
+      t.p99_wait =
+          static_cast<util::Picoseconds>(util::percentile_sorted(w, 0.99));
+      t.max_wait = static_cast<util::Picoseconds>(w.back());
+      double sum = 0.0;
+      for (const double v : samples.services) sum += v;
+      t.mean_service = static_cast<util::Picoseconds>(
+          sum / static_cast<double>(samples.services.size()));
+    }
     report_.tenants.push_back(std::move(t));
   }
-  // Tenants that only ever failed undispatched still deserve a row.
-  for (const auto& [tenant, failed] : failures) {
-    if (waits.count(tenant)) continue;
-    TenantStats t;
-    t.tenant = tenant;
-    t.failed = failed;
-    report_.tenants.push_back(std::move(t));
-  }
-  std::sort(report_.tenants.begin(), report_.tenants.end(),
-            [](const TenantStats& a, const TenantStats& b) {
-              return a.tenant < b.tenant;
-            });
   if (report_.makespan > 0) {
     report_.jobs_per_second = static_cast<double>(report_.served) /
                               (static_cast<double>(report_.makespan) / 1e12);

@@ -26,11 +26,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -177,7 +179,7 @@ class JobService : public sim::Snapshottable {
   /// progress and per-board driver/switcher state. load_state restores
   /// into a twin service built over an identically assembled system with
   /// the same options, configurations and submissions (work functors
-  /// live in the twin's own specs; they are never serialized).
+  /// live in the twin's own submissions; they are never serialized).
   void save_state(sim::SnapshotWriter& w) const override;
   void load_state(sim::SnapshotReader& r) override;
 
@@ -262,6 +264,13 @@ class JobService : public sim::Snapshottable {
     std::uint32_t preemptions = 0;
   };
 
+  /// One tenant's samples for finalize_report, kept across runs.
+  struct TenantSamples {
+    std::vector<double> waits;
+    std::vector<double> services;
+    std::uint64_t failed = 0;
+  };
+
   sim::TrackId tenant_track(const std::string& tenant);
   /// The one board scan of both policies: the alive, enabled board with
   /// the smallest cursor that has a job mid-compute or, when idle, work
@@ -273,8 +282,8 @@ class JobService : public sim::Snapshottable {
   bool any_quarantined_alive() const;
   void run_batched(util::WorkerPool& pool, const RunOptions& options);
   void run_preemptive(const RunOptions& options);
-  void serve_batch(BoardState& board, const std::deque<JobId>& batch,
-                   util::WorkerPool& pool);
+  /// Serves batch_ on `board`.
+  void serve_batch(BoardState& board, util::WorkerPool& pool);
   /// EDF pick over every queued job (deadline 0 = +inf; ties by id);
   /// removes the winner from its queue. Returns nullopt when idle.
   std::optional<JobId> edf_pick();
@@ -284,6 +293,9 @@ class JobService : public sim::Snapshottable {
   /// The one service-start point: the job's queue wait ends now on
   /// `board` and is posted on its tenant's track.
   void start_service(BoardState& board, JobRecord& rec);
+  /// The label every compute slice of a job carries on its board's
+  /// track, built in label_.
+  std::string_view compute_label(const JobRecord& rec, bool resumed);
   bool start_run(BoardState& board, JobId id);
   void finish_run(BoardState& board);
   void preempt(BoardState& board);
@@ -315,13 +327,22 @@ class JobService : public sim::Snapshottable {
   ConfigQueues queues_;
   std::map<std::string, std::uint64_t> pending_by_tenant_;
   std::map<std::string, sim::TrackId> tenant_tracks_;
-  std::vector<JobSpec> specs_;      // by JobId
+  /// Each job's pure functor, by JobId: the only part of a JobSpec the
+  /// service keeps (the ledger holds the rest).
+  std::vector<std::function<JobOutcome()>> work_;
   std::vector<JobRecord> records_;  // by JobId
   std::vector<JobId> run_ids_;      // jobs resolved by the current run()
   std::map<JobId, JobProgress> progress_;  // jobs touched, not yet resolved
   std::set<JobId> checkpointed_out_;
   JobService* migration_target_ = nullptr;
   ServiceReport report_;
+
+  // Storage reused from batch to batch and run to run, so a warm
+  // service serves a job without allocating.
+  std::string label_;                 // the timeline label being built
+  std::vector<JobId> batch_;          // run_batched's current batch
+  std::vector<JobOutcome> outcomes_;  // its evaluated functors
+  std::map<std::string, TenantSamples, std::less<>> tenant_samples_;
 };
 
 }  // namespace atlantis::serve

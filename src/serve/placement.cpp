@@ -6,7 +6,7 @@
 
 namespace atlantis::serve {
 
-std::uint64_t placement_hash(const std::string& key) {
+std::uint64_t placement_hash(std::string_view key) {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : key) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
@@ -56,7 +56,7 @@ int HashRing::node_count() const {
   return static_cast<int>(shards.size());
 }
 
-int HashRing::lookup(const std::string& key) const {
+int HashRing::lookup(std::string_view key) const {
   ATLANTIS_CHECK(!ring_.empty(), "lookup on an empty placement ring");
   const std::uint64_t h = placement_hash(key);
   auto it = std::lower_bound(
@@ -66,7 +66,7 @@ int HashRing::lookup(const std::string& key) const {
   return it->shard;
 }
 
-std::vector<int> HashRing::successors(const std::string& key, int n) const {
+std::vector<int> HashRing::successors(std::string_view key, int n) const {
   ATLANTIS_CHECK(!ring_.empty(), "successors on an empty placement ring");
   const std::uint64_t h = placement_hash(key);
   auto it = std::lower_bound(

@@ -20,13 +20,14 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace atlantis::serve {
 
 /// FNV-1a 64-bit — the same digest family the job adapters use, small
 /// enough to stay bit-identical everywhere.
-std::uint64_t placement_hash(const std::string& key);
+std::uint64_t placement_hash(std::string_view key);
 
 /// How the cluster maps a job to a shard.
 enum class PlacementPolicy {
@@ -62,12 +63,12 @@ class HashRing {
 
   /// The shard owning `key` — the first virtual node at or clockwise
   /// after placement_hash(key). Ring must not be empty.
-  int lookup(const std::string& key) const;
+  int lookup(std::string_view key) const;
 
   /// The first `n` *distinct* shards clockwise from `key` — the
   /// overflow order the cluster walks when the owner's queue is full.
   /// Returns fewer when the ring holds fewer distinct shards.
-  std::vector<int> successors(const std::string& key, int n) const;
+  std::vector<int> successors(std::string_view key, int n) const;
 
  private:
   struct VNode {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,26 +67,29 @@ struct ServeOptions {
   util::Picoseconds preempt_slice = 2'000'000'000;  // 2 ms
 };
 
-/// FIFO queues keyed by configuration name, plus per-tenant backlog
-/// counters. Deterministic by construction: std::map keeps the
-/// configuration iteration order stable, and every queue preserves
-/// submission order.
+/// FIFO queues keyed by configuration name, with a running count of
+/// the jobs they hold. Deterministic by construction: std::map keeps
+/// the configuration iteration order stable, and every queue preserves
+/// submission order. A drained queue stays in the map, empty, so the
+/// next wave reuses it; every query skips empty queues.
 class ConfigQueues {
  public:
   void push_back(const std::string& config, JobId id) {
     queues_[config].push_back(id);
+    ++total_;
   }
   /// Re-queues at the FRONT, preserving original order of `ids` — used
   /// when a board dies with a batch assembled but not served.
-  void push_front(const std::string& config, const std::deque<JobId>& ids) {
+  void push_front(const std::string& config, std::span<const JobId> ids) {
     auto& q = queues_[config];
     q.insert(q.begin(), ids.begin(), ids.end());
+    total_ += ids.size();
   }
   JobId pop_front(const std::string& config) {
     auto& q = queues_.at(config);
     const JobId id = q.front();
     q.pop_front();
-    if (q.empty()) queues_.erase(config);
+    --total_;
     return id;
   }
 
@@ -99,7 +103,7 @@ class ConfigQueues {
     const auto pos = std::find(q.begin(), q.end(), id);
     if (pos == q.end()) return false;
     q.erase(pos);
-    if (q.empty()) queues_.erase(it);
+    --total_;
     return true;
   }
 
@@ -114,50 +118,55 @@ class ConfigQueues {
     return out;
   }
 
-  bool empty() const { return queues_.empty(); }
+  bool empty() const { return total_ == 0; }
   std::size_t depth(const std::string& config) const {
     const auto it = queues_.find(config);
     return it == queues_.end() ? 0 : it->second.size();
   }
-  std::size_t total() const {
-    std::size_t n = 0;
-    for (const auto& [_, q] : queues_) n += q.size();
-    return n;
-  }
+  std::size_t total() const { return total_; }
 
   /// The configuration whose queue head is the oldest job overall —
-  /// strict submission order (the fifo_order baseline).
-  std::string pick_fifo() const {
-    std::string best;
+  /// strict submission order (the fifo_order baseline). Empty when
+  /// nothing is queued.
+  const std::string& pick_fifo() const {
+    const std::string* best = &none();
     JobId best_id = ~JobId{0};
     for (const auto& [config, q] : queues_) {
-      if (q.front() < best_id) {
+      if (!q.empty() && q.front() < best_id) {
         best_id = q.front();
-        best = config;
+        best = &config;
       }
     }
-    return best;
+    return *best;
   }
 
   /// The non-empty queue the scheduler should serve next: the resident
   /// configuration when it still has work (switch-free), otherwise the
   /// deepest queue, ties broken by configuration name — all
-  /// deterministic regardless of submission interleaving.
-  std::string pick(const std::string& resident) const {
-    if (depth(resident) > 0) return resident;
-    std::string best;
+  /// deterministic regardless of submission interleaving. Empty when
+  /// nothing is queued.
+  const std::string& pick(const std::string& resident) const {
+    const auto home = queues_.find(resident);
+    if (home != queues_.end() && !home->second.empty()) return home->first;
+    const std::string* best = &none();
     std::size_t best_depth = 0;
     for (const auto& [config, q] : queues_) {
       if (q.size() > best_depth) {
-        best = config;
+        best = &config;
         best_depth = q.size();
       }
     }
-    return best;
+    return *best;
   }
 
  private:
+  static const std::string& none() {
+    static const std::string empty;
+    return empty;
+  }
+
   std::map<std::string, std::deque<JobId>> queues_;
+  std::size_t total_ = 0;
 };
 
 }  // namespace atlantis::serve

@@ -377,16 +377,20 @@ void SnapshotReader::mismatch(const char* what, const std::string& got,
 }
 
 void SnapshotReader::expect_string(const std::string& s, const char* what) {
-  const std::string got = get_string();
-  if (got != s) mismatch(what, "'" + got + "'", "'" + s + "'");
+  const std::string_view got = get_string_view();
+  if (got != s) mismatch(what, "'" + std::string(got) + "'", "'" + s + "'");
 }
 
 std::string SnapshotReader::get_string() {
+  return std::string(get_string_view());
+}
+
+std::string_view SnapshotReader::get_string_view() {
   const std::uint32_t len = get_u32();
   need(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + cursor_), len);
+  const char* const at = reinterpret_cast<const char*>(data_.data()) + cursor_;
   cursor_ += len;
-  return s;
+  return {at, len};
 }
 
 std::vector<std::uint64_t> SnapshotReader::get_words() {

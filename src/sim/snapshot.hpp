@@ -73,6 +73,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -151,7 +152,7 @@ class SnapshotWriter {
   void put_i64(std::int64_t v) { put(v); }
   void put_f64(double v) { put(v); }
   void put_bool(bool v) { put_u8(v ? 1 : 0); }
-  void put_string(const std::string& s) {
+  void put_string(std::string_view s) {
     put(static_cast<std::uint32_t>(s.size()));
     append(s.data(), s.size());
   }
@@ -170,7 +171,7 @@ class SnapshotWriter {
   template <Integer T> void i64(T v) { put(static_cast<std::int64_t>(v)); }
   void f64(double v) { put(v); }
   void boolean(bool v) { put_bool(v); }
-  void string(const std::string& s) { put_string(s); }
+  void string(std::string_view s) { put_string(s); }
   void words(std::span<const std::uint64_t> w) { put_words(w); }
   template <typename Seq, typename Each>
   void seq32(const Seq& items, Each&& each) {
@@ -185,7 +186,7 @@ class SnapshotWriter {
   template <Integer T> void expect_u8(T v, const char*) { u8(v); }
   template <Integer T> void expect_u32(T v, const char*) { u32(v); }
   template <Integer T> void expect_u64(T v, const char*) { u64(v); }
-  void expect_string(const std::string& s, const char*) { put_string(s); }
+  void expect_string(std::string_view s, const char*) { put_string(s); }
   template <typename Body>
   void section(const std::string& tag, Body&& body) {
     begin_section(tag);
@@ -283,6 +284,9 @@ class SnapshotReader {
   double get_f64() { return get<double>(); }
   bool get_bool() { return get_u8() != 0; }
   std::string get_string();
+  /// The next string as a view into the stream: valid while this reader
+  /// lives, and no copy is made.
+  std::string_view get_string_view();
   std::vector<std::uint64_t> get_words();
   void get_bytes(std::uint8_t* out, std::size_t len);
 

@@ -1,7 +1,9 @@
 #include "sim/timeline.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <ostream>
 
 #include "util/status.hpp"
@@ -42,8 +44,31 @@ TrackId Timeline::add_track(std::string name) {
   return TrackId{static_cast<int>(tracks_.size() - 1)};
 }
 
+std::string_view Timeline::Labels::store(std::string_view label) {
+  if (label.empty()) return {};
+  if (chunks_.empty() ||
+      chunks_.back().size - chunks_.back().used < label.size()) {
+    const std::size_t grown =
+        chunks_.empty() ? kFirstChunk
+                        : std::min(2 * chunks_.back().size, kMaxChunk);
+    const std::size_t size = std::max(grown, label.size());
+    chunks_.push_back({std::make_unique_for_overwrite<char[]>(size), size, 0});
+  }
+  Chunk& chunk = chunks_.back();
+  char* const at = chunk.bytes.get() + chunk.used;
+  std::memcpy(at, label.data(), label.size());
+  chunk.used += label.size();
+  return {at, label.size()};
+}
+
+void Timeline::Labels::adopt(Labels&& other) {
+  chunks_.insert(chunks_.end(), std::make_move_iterator(other.chunks_.begin()),
+                 std::make_move_iterator(other.chunks_.end()));
+  other.chunks_.clear();
+}
+
 const Transaction& Timeline::post(TrackId track, TxnKind kind,
-                                  std::string label, ResourceId resource,
+                                  std::string_view label, ResourceId resource,
                                   util::Picoseconds not_before,
                                   util::Picoseconds service,
                                   std::uint64_t bytes,
@@ -55,7 +80,7 @@ const Transaction& Timeline::post(TrackId track, TxnKind kind,
   Transaction t;
   t.id = txns_.size();
   t.kind = kind;
-  t.label = std::move(label);
+  t.label = labels_.store(label);
   t.track = track;
   t.resource = resource;
   t.post = not_before;
@@ -85,7 +110,7 @@ const Transaction& Timeline::post(TrackId track, TxnKind kind,
   horizon_ = std::max(horizon_, t.end);
   Track& tr = tracks_[static_cast<std::size_t>(track.value)];
   tr.horizon = std::max(tr.horizon, t.end);
-  txns_.push_back(std::move(t));
+  txns_.push_back(t);
   return txns_.back();
 }
 
@@ -140,8 +165,8 @@ void Timeline::reset_stats() {
   }
 }
 
-template <typename Self, typename Stream>
-void Timeline::walk(Self& self, Stream& s) {
+template <typename Self, typename Stream, typename Store>
+void Timeline::walk(Self& self, Stream& s, Store& labels) {
   s.section("sim/timeline", [&] {
     s.expect_u32(self.resources_.size(), "timeline resource count");
     for (auto& res : self.resources_) {
@@ -171,7 +196,11 @@ void Timeline::walk(Self& self, Stream& s) {
     s.seq64(self.txns_, [&](auto& t) {
       s.u64(t.id);
       s.u8(t.kind);
-      s.string(t.label);
+      if constexpr (Stream::kLoading) {
+        t.label = labels.store(s.get_string_view());
+      } else {
+        s.string(t.label);
+      }
       s.u32(t.track.value);
       s.u32(t.resource.value);
       s.i64(t.post);
@@ -184,9 +213,21 @@ void Timeline::walk(Self& self, Stream& s) {
   });
 }
 
-void Timeline::save_state(SnapshotWriter& w) const { walk(*this, w); }
+void Timeline::save_state(SnapshotWriter& w) const {
+  walk(*this, w, labels_);
+}
 
-void Timeline::load_state(SnapshotReader& r) { walk(*this, r); }
+void Timeline::load_state(SnapshotReader& r) {
+  Labels fresh;
+  try {
+    walk(*this, r, fresh);
+  } catch (...) {
+    // The log may already view labels the failed walk stored.
+    labels_.adopt(std::move(fresh));
+    throw;
+  }
+  labels_ = std::move(fresh);
+}
 
 Timeline::TrackStats Timeline::track_stats(TrackId id) const {
   ATLANTIS_CHECK(id.valid() && id.value < track_count(), "unknown track");
@@ -215,7 +256,7 @@ std::vector<ResourceStats> Timeline::all_stats() const {
 
 namespace {
 
-void write_json_string(std::ostream& out, const std::string& s) {
+void write_json_string(std::ostream& out, std::string_view s) {
   out << '"';
   for (const char c : s) {
     switch (c) {

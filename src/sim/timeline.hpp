@@ -22,11 +22,20 @@
 // Observability: every transaction is kept; export_chrome_trace() writes
 // Chrome-trace/Perfetto JSON (one track per resource, one per actor) and
 // stats() reports per-resource utilization, queue delay and bytes.
+//
+// Labels: post() copies each label into chunked storage the timeline
+// owns, and the Transaction holds a view of it. Chunks never move, so a
+// label stays readable for the timeline's life: across growth of the
+// log and across a move of the timeline (copying one is deleted; the
+// copy's views would point into the original).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/snapshot.hpp"
@@ -68,11 +77,12 @@ struct TrackId {
 
 /// One scheduled transaction. `post` is when the actor requested it,
 /// `start` is when the resource granted it (start - post = queuing
-/// delay), `end` = start + service time.
+/// delay), `end` = start + service time. `label` views storage the
+/// posting Timeline owns (file comment).
 struct Transaction {
   std::uint64_t id = 0;
   TxnKind kind = TxnKind::kOther;
-  std::string label;
+  std::string_view label;
   TrackId track;        // posting actor
   ResourceId resource;  // invalid when no shared resource is involved
   util::Picoseconds post = 0;
@@ -87,6 +97,8 @@ struct Transaction {
   util::Picoseconds queue_delay() const { return start - post; }
   util::Picoseconds duration() const { return end - start; }
 };
+// The log grows by memmove.
+static_assert(std::is_trivially_copyable_v<Transaction>);
 
 /// Aggregate view of one resource over the whole run.
 struct ResourceStats {
@@ -118,6 +130,12 @@ struct ResourceStats {
 
 class Timeline : public Snapshottable {
  public:
+  Timeline() = default;
+  Timeline(const Timeline&) = delete;
+  Timeline& operator=(const Timeline&) = delete;
+  Timeline(Timeline&&) = default;
+  Timeline& operator=(Timeline&&) = default;
+
   /// Registers a shared resource with `channels` independent servers
   /// (1 = the CompactPCI segment; 4 = the default backplane channel
   /// grant; 8 = SDRAM banks).
@@ -129,9 +147,10 @@ class Timeline : public Snapshottable {
   /// Posts a transaction requesting `service` time on `resource` no
   /// earlier than `not_before`. With an invalid resource the transaction
   /// starts exactly at `not_before` (private hardware, no arbitration);
-  /// otherwise the earliest-free channel is granted FIFO. Returns the
-  /// scheduled transaction (valid until the next post()).
-  const Transaction& post(TrackId track, TxnKind kind, std::string label,
+  /// otherwise the earliest-free channel is granted FIFO. `label` is
+  /// copied. Returns the scheduled transaction (valid until the next
+  /// post()).
+  const Transaction& post(TrackId track, TxnKind kind, std::string_view label,
                           ResourceId resource, util::Picoseconds not_before,
                           util::Picoseconds service, std::uint64_t bytes = 0,
                           std::uint32_t regions = 0);
@@ -191,7 +210,10 @@ class Timeline : public Snapshottable {
   /// replaces the current contents; ResourceId/TrackId handles held by
   /// callers stay valid only when the restored stream was taken from an
   /// identically registered timeline (same add_resource/add_track
-  /// order), which load_state verifies by count and name.
+  /// order), which load_state verifies by count and name. The restored
+  /// labels go into fresh storage; the old labels are freed only once
+  /// the load succeeded, so a load that throws leaves every label
+  /// readable.
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
@@ -214,13 +236,33 @@ class Timeline : public Snapshottable {
     std::string name;
     util::Picoseconds horizon = 0;
   };
+  /// Append-only label storage. Chunks start at a few KiB, so a small
+  /// crate stays small, and double up to a cap.
+  class Labels {
+   public:
+    std::string_view store(std::string_view label);
+    /// Keeps `other`'s chunks alive too.
+    void adopt(Labels&& other);
 
-  template <typename Self, typename Stream>
-  static void walk(Self& self, Stream& s);
+   private:
+    struct Chunk {
+      std::unique_ptr<char[]> bytes;
+      std::size_t size = 0;
+      std::size_t used = 0;
+    };
+    static constexpr std::size_t kFirstChunk = 4 << 10;
+    static constexpr std::size_t kMaxChunk = 64 << 10;
+    std::vector<Chunk> chunks_;  // the last one takes new labels
+  };
+
+  /// `labels` receives the labels a load reads.
+  template <typename Self, typename Stream, typename Store>
+  static void walk(Self& self, Stream& s, Store& labels);
 
   std::vector<Resource> resources_;
   std::vector<Track> tracks_;
   std::vector<Transaction> txns_;
+  Labels labels_;
   util::Picoseconds horizon_ = 0;
 };
 

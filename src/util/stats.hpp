@@ -64,16 +64,22 @@ class Accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Exact nearest-rank percentile (q in [0,1]) over samples already
+/// sorted ascending; nothing is copied.
+inline double percentile_sorted(const std::vector<double>& sorted,
+                                double q) {
+  if (sorted.empty()) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto rank = static_cast<std::size_t>(
+      q * static_cast<double>(sorted.size() - 1) + 0.5);
+  return sorted[rank];
+}
 /// Exact nearest-rank percentile (q in [0,1]) over an unsorted sample
 /// set; sorts a copy. Deterministic — the serving layer's p50/p99 queue
 /// latencies come from here, so they must not depend on sample order.
 inline double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[rank];
+  return percentile_sorted(samples, q);
 }
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples land in the

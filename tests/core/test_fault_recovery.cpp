@@ -28,7 +28,7 @@ hw::Bitstream make_task(const std::string& name, double fraction) {
 
 std::vector<std::string> txn_labels(const sim::Timeline& tl) {
   std::vector<std::string> labels;
-  for (const auto& t : tl.transactions()) labels.push_back(t.label);
+  for (const auto& t : tl.transactions()) labels.emplace_back(t.label);
   return labels;
 }
 

@@ -3,11 +3,12 @@
 // the share-nothing refusals that make concurrent shard drains safe,
 // elastic add/remove with the functional ledger preserved,
 // replay-identical admission verdicts under a fault plan, weighted-fair
-// QoS, SLO admission, bounded-queue backpressure and the whole-cluster
-// snapshot round trip.
+// QoS (and the admission caches behind it), SLO admission, bounded-queue
+// backpressure and the whole-cluster snapshot round trip.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -382,6 +383,125 @@ TEST(Cluster, BoundedQueuesOverflowToTheSuccessorThenShed) {
   EXPECT_EQ(cluster->report().overflowed, 2u);
   EXPECT_EQ(cluster->report().shed_overload, 2u);
   EXPECT_EQ(cluster->report().served, 4u);
+}
+
+TEST(Cluster, RejectsTenantWeightsThatAreNegativeOrNotFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, -1e-300, -inf, inf,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    serve::ClusterOptions options;
+    options.tenant_weights["atlas"] = bad;
+    EXPECT_THROW(serve::Cluster{options}, util::Error) << "weight " << bad;
+  }
+  // Finite weights whose sum overflows would make every share NaN.
+  serve::ClusterOptions overflow;
+  overflow.tenant_weights["atlas"] = 1e308;
+  overflow.tenant_weights["cms"] = 1e308;
+  EXPECT_THROW(serve::Cluster{overflow}, util::Error);
+
+  // Weight 0 is legal and keeps the one-slot floor.
+  serve::ClusterOptions options;
+  options.max_pending_per_shard = 8;
+  options.tenant_weights["idle"] = 0.0;
+  options.tenant_weights["busy"] = 1.0;
+  auto cluster = make_cluster(2, 1, options);
+  EXPECT_TRUE(cluster->submit(cluster_job("idle", "cfg0", 0, 0)).ok());
+  const util::Result<serve::JobId> second =
+      cluster->submit(cluster_job("idle", "cfg0", 1, 0));
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.error(), util::ErrorCode::kAdmissionReject);
+}
+
+// Pins every input the front door's cached placement and tenant quotas
+// depend on: a new tenant shrinking the others' shares mid-stream, a
+// configuration registered after the first placements, add_shard (more
+// capacity, a re-homed ring), remove_shard draining onto the survivors
+// (less capacity), and a twin whose tenant set differs from the
+// snapshot it loads. The constants were recorded before the caches
+// existed.
+TEST(Cluster, AdmissionCachesFollowTenantsShardsAndRestore) {
+  serve::ClusterOptions options;
+  options.max_pending_per_shard = 16;
+  options.tenant_weights["atlas"] = 3.0;
+
+  int index = 0;
+  int configs = 6;
+  const auto submit = [&](serve::Cluster& c, const std::string& tenant,
+                          int n) {
+    for (int i = 0; i < n; ++i, ++index) {
+      (void)c.submit(
+          cluster_job(tenant, "cfg" + std::to_string(index % configs), index,
+                      index * util::kMicrosecond));
+    }
+  };
+  // The same stream for the live fleet and its twin, up to the save.
+  const auto drive = [&](serve::Cluster& c) {
+    index = 0;
+    configs = 6;
+    // Two shards hold 32: atlas may queue 24, cms 8.
+    for (int i = 0; i < 20; ++i) submit(c, i % 2 == 0 ? "atlas" : "cms", 1);
+    submit(c, "lhcb", 2);  // a third tenant: atlas 19, cms 6, lhcb 6
+    submit(c, "atlas", 10);  // atlas stops at 19
+    c.run();
+    c.register_config(hw::Bitstream{"cfg6", {}, nullptr, 1.0, {}});
+    configs = 7;
+    submit(c, "lhcb", 3);  // the last one needs cfg6
+    c.add_shard();  // 48 slots: atlas 28, cms 9, lhcb 9
+    submit(c, "cms", 12);  // cms stops at 9; the ring now spans 3 shards
+    submit(c, "atlas", 12);
+    c.remove_shard(1);  // drains shard 1; 32 slots again
+    submit(c, "atlas", 10);  // atlas stops at 19
+    c.run();
+    submit(c, "cms", 4);  // pending at the save
+  };
+
+  auto live = make_cluster(2, 6, options);
+  drive(*live);
+  // Refused at the door by its deadline, but a fourth tenant from now
+  // on: atlas 16, cms 5, lhcb 5, dave 5. The twin never sees it.
+  const util::Result<serve::JobId> dave = live->submit(
+      cluster_job("dave", "cfg0", 999, 0, /*deadline=*/1));
+  ASSERT_FALSE(dave.ok());
+  sim::SnapshotWriter w;
+  live->save_state(w);
+
+  auto twin = make_cluster(2, 6, options);
+  drive(*twin);
+  util::Result<sim::SnapshotReader> r = sim::SnapshotReader::open(w.bytes());
+  ASSERT_TRUE(r.ok()) << r.message();
+  twin->load_state(r.value());
+
+  const int resume = index;
+  for (serve::Cluster* c : {live.get(), twin.get()}) {
+    index = resume;
+    submit(*c, "cms", 4);  // cms stops at 5
+    submit(*c, "lhcb", 7);
+    c->run();
+  }
+
+  const auto verdicts = [](const serve::Cluster& c) {
+    std::string out;
+    for (const util::ErrorCode code : c.refusals()) {
+      out += code == util::ErrorCode::kShardOverload ? 'S' : 'A';
+    }
+    return out;
+  };
+  const auto placements = [](const serve::Cluster& c) {
+    std::vector<std::uint64_t> fields;
+    for (const serve::ClusterRecord& rec : c.jobs()) {
+      fields.push_back(static_cast<std::uint64_t>(rec.shard));
+      fields.push_back(rec.local);
+      fields.push_back(static_cast<std::uint64_t>(rec.attempts));
+    }
+    return serve::digest(fields);
+  };
+  EXPECT_EQ(verdicts(*live), "AAAAAAAAAAAAAAA");
+  EXPECT_EQ(live->jobs().size(), 70u);
+  EXPECT_EQ(placements(*live), 0x20ffb8078f07149aull);
+  EXPECT_EQ(live->schedule_digest(), 0xaa8244339442a513ull);
+  EXPECT_EQ(verdicts(*twin), verdicts(*live));
+  EXPECT_EQ(placements(*twin), placements(*live));
+  EXPECT_EQ(twin->schedule_digest(), live->schedule_digest());
 }
 
 // --- lifecycle and snapshots -------------------------------------------

@@ -1,6 +1,6 @@
 // The serving layer's contracts: scheduler determinism across worker
 // pools, replay-identical fault runs, batching economics, admission
-// control and graceful degradation.
+// control, queue bookkeeping and graceful degradation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -267,6 +267,58 @@ TEST(JobService, TenantStatsAndQueueWaitTracks) {
   // Queue waits were posted on per-tenant tracks.
   EXPECT_NE(rr.schedule.find("queue_wait"), std::string::npos);
   EXPECT_NE(rr.schedule.find("tenant/atlas"), std::string::npos);
+}
+
+TEST(ConfigQueues, EmptiedQueuesStayInvisible) {
+  // A drained queue stays in the map for the next wave; no query may
+  // tell it from a queue that was never there.
+  const auto fill = [](serve::ConfigQueues& q) {
+    q.push_back("b", 3);
+    q.push_back("a", 1);
+    q.push_back("b", 4);
+    q.push_back("c", 2);
+  };
+  const auto same = [](const serve::ConfigQueues& x,
+                       const serve::ConfigQueues& y) {
+    EXPECT_EQ(x.total(), y.total());
+    EXPECT_EQ(x.empty(), y.empty());
+    EXPECT_EQ(x.all(), y.all());
+    EXPECT_EQ(x.pick_fifo(), y.pick_fifo());
+    for (const char* resident : {"", "a", "b", "c", "d"}) {
+      EXPECT_EQ(x.pick(resident), y.pick(resident)) << resident;
+    }
+  };
+  serve::ConfigQueues fresh;
+  fill(fresh);
+  serve::ConfigQueues reused;
+  fill(reused);
+
+  // Drain every queue, through each way out.
+  EXPECT_EQ(reused.pop_front("a"), 1u);
+  EXPECT_TRUE(reused.erase("c", 2));
+  const serve::JobId b_head = reused.pop_front("b");
+  EXPECT_EQ(reused.pop_front("b"), 4u);
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(reused.total(), 0u);
+  EXPECT_TRUE(reused.all().empty());
+  EXPECT_EQ(reused.pick("b"), "");
+  EXPECT_EQ(reused.pick_fifo(), "");
+  EXPECT_FALSE(reused.erase("b", 4));
+  same(reused, serve::ConfigQueues{});
+
+  // Refilled (b's head back at the front), it reads like a fresh set.
+  reused.push_back("a", 1);
+  reused.push_back("b", 4);
+  reused.push_back("c", 2);
+  reused.push_front("b", {&b_head, 1});
+  same(reused, fresh);
+
+  // Partly drained: the emptied queue "a" is skipped by every query.
+  EXPECT_EQ(reused.pop_front("a"), fresh.pop_front("a"));
+  same(reused, fresh);
+  EXPECT_EQ(reused.total(), 3u);
+  EXPECT_EQ(reused.pick_fifo(), "c");  // heads: b 3, c 2
+  EXPECT_EQ(reused.pick("a"), "b");    // the deepest queue
 }
 
 TEST(JobService, SubmitUnknownConfigIsAdmissionReject) {

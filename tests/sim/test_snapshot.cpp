@@ -845,6 +845,91 @@ TEST(TimelineSnapshot, LoadRejectsMismatchedRegistration) {
   EXPECT_THROW(other.load_state(r.value()), util::Error);
 }
 
+TEST(TimelineSnapshot, LabelsSurviveGrowthMoveAndAFailedLoad) {
+  constexpr int kLabels = 200'000;
+  const auto label = [](int i) {
+    return "job#" + std::to_string(i) + std::string(i % 29, '+');
+  };
+  const auto reads_back = [&](const Timeline& t) {
+    if (t.transactions().size() != static_cast<std::size_t>(kLabels)) {
+      return false;
+    }
+    for (int i = 0; i < kLabels; ++i) {
+      if (t.transactions()[static_cast<std::size_t>(i)].label != label(i)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto registered = [] {
+    Timeline t;
+    t.add_resource("cpci");
+    t.add_track("drv");
+    return t;
+  };
+
+  // Many log growths and label chunks, then a move.
+  Timeline a = registered();
+  for (int i = 0; i < kLabels; ++i) {
+    a.post(TrackId{0}, TxnKind::kCompute, label(i),
+           i % 2 == 0 ? ResourceId{0} : ResourceId{}, i, 1);
+  }
+  EXPECT_TRUE(reads_back(a));
+  const Timeline moved = std::move(a);
+  EXPECT_TRUE(reads_back(moved));
+
+  // A round trip restores every label and saves the same bytes.
+  SnapshotWriter w;
+  moved.save_state(w);
+  Timeline twin = registered();
+  auto r = SnapshotReader::open(w.bytes());
+  ASSERT_TRUE(r.ok()) << r.message();
+  twin.load_state(r.value());
+  EXPECT_TRUE(reads_back(twin));
+  SnapshotWriter again;
+  twin.save_state(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+
+  // A stream from a timeline with other resources throws before any
+  // label is read: the labels loaded earlier stay readable.
+  Timeline other;
+  other.add_resource("not-cpci");
+  SnapshotWriter ow;
+  other.save_state(ow);
+  auto foreign = SnapshotReader::open(ow.bytes());
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_THROW(twin.load_state(foreign.value()), util::Error);
+  EXPECT_TRUE(reads_back(twin));
+
+  // A stream cut off after its last transaction throws once every label
+  // is stored: the log keeps viewing them.
+  Timeline small = registered();
+  for (int i = 0; i < 1000; ++i) {
+    small.post(TrackId{0}, TxnKind::kCompute, "small#" + std::to_string(i),
+               ResourceId{}, i, 1);
+  }
+  SnapshotWriter full;
+  small.save_state(full);
+  auto whole = SnapshotReader::open(full.bytes());
+  ASSERT_TRUE(whole.ok());
+  whole.value().select("sim/timeline");
+  std::vector<std::uint8_t> payload(whole.value().remaining());
+  whole.value().get_bytes(payload.data(), payload.size());
+  SnapshotWriter cut;
+  cut.begin_section("sim/timeline");
+  for (std::size_t i = 0; i + sizeof(std::int64_t) < payload.size(); ++i) {
+    cut.put_u8(payload[i]);  // all but the trailing horizon
+  }
+  cut.end_section();
+  auto truncated = SnapshotReader::open(cut.bytes());
+  ASSERT_TRUE(truncated.ok());
+  EXPECT_THROW(twin.load_state(truncated.value()), util::Error);
+  ASSERT_EQ(twin.transactions().size(), 1000u);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(twin.transactions()[i].label, "small#" + std::to_string(i));
+  }
+}
+
 TEST(TimelineSnapshot, ResetStatsClearsFaultLedgerIdempotently) {
   Timeline t;
   const ResourceId pci = t.add_resource("cpci");
