@@ -55,10 +55,10 @@ DmaCell run_dma_cell(int transfers, std::uint64_t bytes,
   cell.faults = drv.dma_faults();
   cell.retries = drv.dma_retries();
   cell.recovery_ms = util::ps_to_ms(drv.recovery_time());
-  cell.elapsed_ms = util::ps_to_ms(drv.elapsed());
-  cell.elapsed_ps = drv.elapsed();
+  cell.elapsed_ms = util::ps_to_ms(drv.now());
+  cell.elapsed_ps = drv.now();
   cell.mbps = static_cast<double>(moved) /
-              (static_cast<double>(drv.elapsed()) * 1e-12) / 1e6;
+              (static_cast<double>(drv.now()) * 1e-12) / 1e6;
   return cell;
 }
 

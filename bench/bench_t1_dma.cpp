@@ -10,8 +10,8 @@
 //
 // The sweep runs on the crate timeline; the per-resource table and
 // BENCH_dma.json report what the CompactPCI segment saw, and the ledger
-// check proves elapsed() equals the scalar sum of transfer durations
-// (single driver, no contention — nothing queues).
+// check proves the driver's cursor, now(), equals the scalar sum of
+// transfer durations (single driver, no contention — nothing queues).
 #include <fstream>
 #include <vector>
 
@@ -57,7 +57,7 @@ int main() {
          << ", \"read_mbps\": " << reads[i]
          << ", \"write_mbps\": " << writes[i] << "}";
   }
-  json << "],\n  \"elapsed_ms\": " << util::ps_to_ms(drv.elapsed())
+  json << "],\n  \"elapsed_ms\": " << util::ps_to_ms(drv.now())
        << ",\n  \"pci_segment\": {\"transactions\": " << pci.transactions
        << ", \"bytes\": " << pci.bytes
        << ", \"busy_ms\": " << util::ps_to_ms(pci.busy)
@@ -81,8 +81,8 @@ int main() {
                 "large-block write saturates near the 125 MB/s max");
   bench::expect(reads.front() < 30.0,
                 "small blocks dominated by driver/DMA setup");
-  bench::expect(drv.elapsed() == ledger_sum,
-                "timeline elapsed() is bit-identical to the scalar ledger");
+  bench::expect(drv.now() == ledger_sum,
+                "the driver cursor is bit-identical to the scalar ledger");
   bench::expect(pci.queue_delay == 0,
                 "single driver: nothing queues on the CompactPCI segment");
   return bench::finish();

@@ -75,10 +75,8 @@ bool AcbBoard::draw_dropout() {
   return true;
 }
 
-HealthProbe AcbBoard::probe_health() {
-  HealthProbe probe;
-  probe.alive = alive_;
-  SelfTestHealth& h = probe.counters;
+SelfTestHealth AcbBoard::probe_health() const {
+  SelfTestHealth h;
   h.dma_stalls = pci_.dma_stalls();
   h.dma_aborts = pci_.dma_aborts();
   h.slink_errors = slink_.link_errors();
@@ -92,16 +90,7 @@ HealthProbe AcbBoard::probe_health() {
     if (m.sram() != nullptr) h.seu_flips += m.sram()->seu_flips();
     if (m.sdram() != nullptr) h.ecc_corrections += m.sdram()->ecc_corrections();
   }
-  if (timeline_ != nullptr) {
-    for (const sim::ResourceId id : {compute_resource_, slink_.resource()}) {
-      if (!id.valid()) continue;
-      const sim::ResourceStats stats = timeline_->stats(id);
-      probe.resource_faults += stats.faults;
-      probe.resource_retries += stats.retries;
-      probe.resource_retry_time += stats.retry_time;
-    }
-  }
-  return probe;
+  return h;
 }
 
 hw::FpgaDevice& AcbBoard::fpga(int index) {

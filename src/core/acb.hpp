@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/health_probe.hpp"
 #include "core/memmodule.hpp"
 #include "hw/clock.hpp"
 #include "hw/fpga.hpp"
@@ -28,6 +27,26 @@
 #include "util/units.hpp"
 
 namespace atlantis::core {
+
+/// Fault/recovery counters gathered from every component on the board:
+/// the health page of the self-test report, and what a supervisor diffs
+/// every probe window. Cumulative; all zero on a fault-free run.
+struct SelfTestHealth {
+  std::uint64_t dma_stalls = 0;
+  std::uint64_t dma_aborts = 0;
+  std::uint64_t slink_errors = 0;
+  std::uint64_t truncated_frames = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t seu_flips = 0;        // memory-module data upsets
+  std::uint64_t config_upsets = 0;    // FPGA configuration upsets
+  std::uint64_t crc_failures = 0;     // configuration CRC failures
+  std::uint64_t ecc_corrections = 0;  // SDRAM ECC events
+  std::uint64_t total() const {
+    return dma_stalls + dma_aborts + slink_errors + truncated_frames +
+           retransmissions + seu_flips + config_upsets + crc_failures +
+           ecc_corrections;
+  }
+};
 
 /// Role of an FPGA's logical I/O port, fixed by board position.
 enum class AcbIoRole {
@@ -159,11 +178,10 @@ class AcbBoard {
   /// when a drop-out fired now (the board also goes !alive()).
   bool draw_dropout();
 
-  /// Samples the board's health: liveness, the cumulative component
-  /// fault counters (PLX, S-Link, FPGAs, memory modules) and the
-  /// timeline fault/retry stats on the board's own resources. Cheap
-  /// enough for a supervisor to call every probe window.
-  HealthProbe probe_health();
+  /// Samples the board's cumulative component fault counters (PLX,
+  /// S-Link, FPGAs, memory modules). Cheap enough for a supervisor to
+  /// call every probe window.
+  SelfTestHealth probe_health() const;
 
   /// Snapshottable leaf, written into the caller's open section (the
   /// system opens one "board/<name>" section per ACB): health, clock

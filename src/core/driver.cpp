@@ -24,33 +24,13 @@ void AtlantisDriver::post_compute(util::Picoseconds t,
   now_ = txn.end;
 }
 
-void AtlantisDriver::reset(ResetScope scope) {
-  if (scope == ResetScope::kTime || scope == ResetScope::kStats ||
-      scope == ResetScope::kAll) {
-    epoch_ = now_;
-  }
-  if (scope == ResetScope::kStats || scope == ResetScope::kAll) {
-    board_.pci().reset_counters();
-    dma_faults_ = 0;
-    dma_retries_ = 0;
-    config_retries_ = 0;
-    recovery_time_ = 0;
-  }
-  if (scope == ResetScope::kFaults || scope == ResetScope::kAll) {
-    // The injector rewind is "load the post-construction snapshot"
-    // (FaultInjector::reset); the timeline's per-resource fault/retry
-    // counters must rewind with it, or the two fault ledgers diverge
-    // after a mid-run reset (injected_total() == 0 while the timeline
-    // still reports the pre-reset faults). Both are idempotent.
-    if (sim::FaultInjector* inj = system_.fault_injector()) inj->reset();
-    timeline().reset_stats();
-  }
-}
-
 template <typename Self, typename Stream>
 void AtlantisDriver::walk(Self& self, Stream& s) {
   s.i64(self.now_);
-  s.i64(self.epoch_);
+  // A reserved slot (it held an epoch once): written as 0, ignored on
+  // load, until the next stream version drops it.
+  std::int64_t reserved = 0;
+  s.i64(reserved);
   s.seq32(self.pending_, [&](auto& t) { s.i64(t); });
   s.u64(self.dma_faults_);
   s.u64(self.dma_retries_);
@@ -66,9 +46,6 @@ void AtlantisDriver::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 util::Result<util::Picoseconds> AtlantisDriver::try_switch_task(
     TaskSwitcher& switcher, const std::string& name) {
-  ATLANTIS_CHECK(!switcher.bound(),
-                 "try_switch_task needs an unbound switcher (a bound one "
-                 "would post the reconfiguration twice)");
   util::Result<util::Picoseconds> r = switcher.try_switch_to(name);
   if (!r.ok()) return r;
   if (r.value() > 0) {
@@ -292,7 +269,7 @@ std::uint64_t AtlantisDriver::dma_write_async(std::uint64_t bytes) {
 util::Picoseconds AtlantisDriver::wait() {
   for (const util::Picoseconds end : pending_) now_ = std::max(now_, end);
   pending_.clear();
-  return elapsed();
+  return now_;
 }
 
 hw::DmaTransfer AtlantisDriver::dma_write_to_sim(

@@ -10,11 +10,11 @@
 //
 // Timing: every call posts a typed transaction onto the crate's
 // sim::Timeline and advances this driver's cursor to the transaction's
-// end. elapsed() — the legacy scalar ledger — is the compatibility view
-// over that cursor: with a single driver and no concurrency it is
-// bit-identical to the old sum-of-durations ledger, because nothing
-// queues; with several boards sharing the CompactPCI segment it
-// additionally contains the queuing delay the bus arbiter imposed.
+// end. now() — the ledger — is that cursor: with a single driver and
+// no concurrency it is bit-identical to the old sum-of-durations ledger,
+// because nothing queues; with several boards sharing the CompactPCI
+// segment it additionally contains the queuing delay the bus arbiter
+// imposed. A phase's time is the difference of two now() readings.
 // Overlap is expressed with dma_*_async() + wait(): asynchronous
 // transfers occupy the bus without advancing the cursor, so design-clock
 // compute posted meanwhile runs concurrently and wait() joins at the
@@ -41,17 +41,6 @@ namespace atlantis::core {
 
 class TaskSwitcher;
 
-/// What AtlantisDriver::reset() clears. The scopes nest upward: kStats
-/// implies kTime (per-phase accounting always restarts the ledger);
-/// kAll is every scope including the crate's fault-injector replay
-/// state.
-enum class ResetScope {
-  kTime,    // elapsed() ledger only (epoch moves to the cursor)
-  kStats,   // ledger + PLX lifetime counters + driver recovery counters
-  kFaults,  // fault-injector site streams and replay log (crate-wide)
-  kAll,     // everything above
-};
-
 class AtlantisDriver {
  public:
   /// Opens the ACB with the given index, like the driver's open() call.
@@ -61,17 +50,9 @@ class AtlantisDriver {
   AtlantisSystem& system() { return system_; }
 
   // --- time ledger -----------------------------------------------------
-  /// Elapsed hardware time since construction (or the last reset):
-  /// the timeline horizon of this driver's transactions, as a scalar.
-  util::Picoseconds elapsed() const { return now_ - epoch_; }
-  /// This driver's cursor on the crate timeline (absolute).
+  /// This driver's cursor on the crate timeline: the hardware time its
+  /// transactions have taken since construction, queuing included.
   util::Picoseconds now() const { return now_; }
-  /// The one reset entry point. reset(kTime) moves the elapsed() epoch
-  /// to the cursor; reset(kStats) additionally clears the PLX 9080
-  /// lifetime DMA counters and the driver's recovery counters;
-  /// reset(kFaults) rewinds the crate's fault injector for bit-identical
-  /// replay; reset(kAll) does all of the above.
-  void reset(ResetScope scope);
   /// Adds externally-computed hardware time (e.g. N design clocks),
   /// posted as a design-clock compute transaction. `label` names the
   /// transaction in traces (the serve layer labels jobs); the timeline
@@ -94,8 +75,7 @@ class AtlantisDriver {
   /// its configuration cache and CRC-retry semantics), posts the
   /// kReconfig transaction at THIS driver's cursor and advances past it
   /// — so a serving layer keeps one cursor per board instead of two.
-  /// The switcher must wrap one of this board's devices and must not be
-  /// bound to the timeline itself (it would double-post).
+  /// The switcher must wrap one of this board's devices.
   util::Result<util::Picoseconds> try_switch_task(TaskSwitcher& switcher,
                                                   const std::string& name);
 
@@ -146,7 +126,7 @@ class AtlantisDriver {
   void set_retry_policy(const sim::RetryPolicy& policy) { policy_ = policy; }
   const sim::RetryPolicy& retry_policy() const { return policy_; }
 
-  /// Recovery statistics since construction (or the last reset(kStats)).
+  /// Recovery statistics since construction.
   std::uint64_t dma_faults() const { return dma_faults_; }
   std::uint64_t dma_retries() const { return dma_retries_; }
   std::uint64_t config_retries() const { return config_retries_; }
@@ -158,7 +138,7 @@ class AtlantisDriver {
   /// joins all outstanding asynchronous transfers (cursor = max of their
   /// ends).
   std::uint64_t dma_write_async(std::uint64_t bytes);
-  /// Joins every outstanding asynchronous DMA; returns elapsed().
+  /// Joins every outstanding asynchronous DMA; returns now().
   util::Picoseconds wait();
   int pending_dma() const { return static_cast<int>(pending_.size()); }
 
@@ -173,9 +153,9 @@ class AtlantisDriver {
   chdl::Simulator* sim(int fpga) { return board_.fpga(fpga).sim(); }
 
   /// Snapshottable leaf, written into the caller's open section: the
-  /// timeline cursor, elapsed() epoch, outstanding async-DMA ends and
-  /// the recovery counters. The board's devices are saved by the board;
-  /// the retry policy is construction configuration.
+  /// timeline cursor, outstanding async-DMA ends and the recovery
+  /// counters. The board's devices are saved by the board; the retry
+  /// policy is construction configuration.
   void save_state(sim::SnapshotWriter& w) const;
   void load_state(sim::SnapshotReader& r);
 
@@ -192,7 +172,6 @@ class AtlantisDriver {
   AcbBoard& board_;
   sim::TrackId track_;
   util::Picoseconds now_ = 0;
-  util::Picoseconds epoch_ = 0;
   std::vector<util::Picoseconds> pending_;  // ends of async transfers
   std::vector<std::unique_ptr<chdl::HostInterface>> host_ifs_;
   sim::RetryPolicy policy_;

@@ -59,12 +59,6 @@ SelfTestStep slink_test(hw::SlinkChannel& link) {
   return step;
 }
 
-SelfTestHealth collect_health(AcbBoard& board) {
-  // The counter walk lives in AcbBoard::probe_health() (shared with the
-  // supervision layer); the self-test report only wants the counter page.
-  return board.probe_health().counters;
-}
-
 SelfTestReport self_test_acb(AcbBoard& board) {
   util::Result<SelfTestReport> r = try_self_test_acb(board);
   if (!r.ok()) throw util::Error(r.message());
@@ -172,7 +166,7 @@ util::Result<SelfTestReport> try_self_test_acb(AcbBoard& board) {
     report.steps.push_back(std::move(step));
   }
 
-  report.health = collect_health(board);
+  report.health = board.probe_health();
   return report;
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/acb.hpp"
-#include "core/health_probe.hpp"
 #include "hw/slink.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
@@ -26,12 +25,6 @@ struct SelfTestStep {
   util::Picoseconds duration = 0;
   std::string detail;
 };
-
-// SelfTestHealth now lives in core/health_probe.hpp (shared with the
-// supervision layer's HealthProbe); this header re-exports it unchanged.
-
-/// Reads the health counters off a board's components.
-SelfTestHealth collect_health(AcbBoard& board);
 
 struct SelfTestReport {
   std::vector<SelfTestStep> steps;

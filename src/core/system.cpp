@@ -87,15 +87,11 @@ std::vector<int> AtlantisSystem::alive_acbs() const {
   return out;
 }
 
-std::vector<HealthProbe> AtlantisSystem::probe_health() {
-  std::vector<HealthProbe> probes;
-  probes.reserve(acbs_.size());
-  for (int i = 0; i < acb_count(); ++i) {
-    HealthProbe probe = acbs_[static_cast<std::size_t>(i)]->probe_health();
-    probe.board = i;
-    probes.push_back(probe);
-  }
-  return probes;
+std::vector<SelfTestHealth> AtlantisSystem::probe_health() const {
+  std::vector<SelfTestHealth> pages;
+  pages.reserve(acbs_.size());
+  for (const auto& b : acbs_) pages.push_back(b->probe_health());
+  return pages;
 }
 
 std::uint64_t AtlantisSystem::step_acbs(int cycles) {

@@ -43,10 +43,9 @@ class AtlantisSystem : public sim::Snapshottable {
   /// the rotation a serving layer schedules over.
   std::vector<int> alive_acbs() const;
 
-  /// One health sample per computing board (probe.board carries the
-  /// index) — the crate-wide observation a supervisor diffs every probe
-  /// window. See core/health_probe.hpp.
-  std::vector<HealthProbe> probe_health();
+  /// One health page per computing board, indexed like acb(): the
+  /// crate-wide observation a supervisor diffs every probe window.
+  std::vector<SelfTestHealth> probe_health() const;
 
   Backplane& backplane() { return backplane_; }
   const hw::HostCpuModel& host() const { return host_; }

@@ -17,18 +17,6 @@ void TaskSwitcher::add_task(const hw::Bitstream& bs) {
   tasks_.emplace(bs.name, bs);
 }
 
-util::Picoseconds TaskSwitcher::post_reconfig(const std::string& label,
-                                              util::Picoseconds t,
-                                              std::uint32_t regions) {
-  if (bound()) {
-    cursor_ = timeline_
-                  ->post(track_, sim::TxnKind::kReconfig, label,
-                         sim::ResourceId{}, cursor_, t, 0, regions)
-                  .end;
-  }
-  return t;
-}
-
 void TaskSwitcher::enable_cache(std::size_t capacity, double hit_fraction) {
   ATLANTIS_CHECK(hit_fraction > 0.0 && hit_fraction <= 1.0,
                  "cache hit fraction out of range");
@@ -70,7 +58,6 @@ util::Result<util::Picoseconds> TaskSwitcher::try_switch_to(
     if (staged && device_.configured() && !device_.upset_pending()) {
       const util::Picoseconds t =
           device_.activate(it->second, cache_hit_fraction_);
-      post_reconfig("switch to " + name + " (cached)", t);
       current_ = name;
       ++switches_;
       total_time_ += t;
@@ -82,7 +69,6 @@ util::Result<util::Picoseconds> TaskSwitcher::try_switch_to(
   for (int attempt = 1;; ++attempt) {
     util::Picoseconds t = 0;
     bool ok = false;
-    std::uint32_t regions = 0;
     if (diff_applicable(it->second)) {
       // Differential load: only changed frames move, each with its own
       // CRC opportunity retried up to the policy budget. Exhausting the
@@ -94,7 +80,6 @@ util::Result<util::Picoseconds> TaskSwitcher::try_switch_to(
       ok = oc.ok;
       reconfig_retries_ += static_cast<std::uint64_t>(oc.region_retries);
       if (ok) {
-        regions = static_cast<std::uint32_t>(oc.regions_loaded);
         ++partial_switches_;
         regions_loaded_ += static_cast<std::uint64_t>(oc.regions_loaded);
         partial_time_ += t;
@@ -108,9 +93,6 @@ util::Result<util::Picoseconds> TaskSwitcher::try_switch_to(
       ok = device_.config_crc_ok();
     }
     total += t;
-    post_reconfig(ok ? "switch to " + name
-                     : "switch to " + name + " (crc fail)",
-                  t, regions);
     if (ok) break;
     // The CRC failure left the device unconfigured: the next attempt is
     // a full configuration, not a partial one.
@@ -137,9 +119,8 @@ bool TaskSwitcher::scrub() {
   if (!device_.configured()) return false;
   ++scrubs_;
   device_.draw_config_upset();  // one SEU opportunity per scrub window
-  util::Picoseconds t = device_.readback();
+  (void)device_.readback();
   bool repaired = false;
-  std::uint32_t regions = 0;
   if (device_.upset_pending()) {
     // Readback shows a bitstream mismatch: repair it. With the
     // differential path available the upset frame is re-shifted alone
@@ -153,21 +134,19 @@ bool TaskSwitcher::scrub() {
       if (diff_applicable(it->second)) {
         const hw::ReconfigOutcome oc =
             device_.reconfigure_diff(it->second, policy_.max_attempts);
-        t += oc.time;
         reconfig_retries_ += static_cast<std::uint64_t>(oc.region_retries);
         if (oc.ok) {
           repaired = true;
           ++upsets_corrected_;
           ++region_scrubs_;
-          regions = static_cast<std::uint32_t>(oc.regions_loaded);
         } else {
           current_.clear();
         }
       } else {
         if (device_.family().partial_reconfig) {
-          t += device_.partial_reconfigure(it->second);
+          device_.partial_reconfigure(it->second);
         } else {
-          t += device_.configure(it->second);
+          device_.configure(it->second);
         }
         if (device_.config_crc_ok()) {
           repaired = true;
@@ -178,7 +157,6 @@ bool TaskSwitcher::scrub() {
       }
     }
   }
-  post_reconfig(repaired ? "scrub (repair)" : "scrub", t, regions);
   return repaired;
 }
 
@@ -206,7 +184,10 @@ void TaskSwitcher::walk(Self& self, Stream& s) {
   s.u64(self.region_scrubs_);
   s.boolean(self.differential_);
   s.f64(self.cache_hit_fraction_);
-  s.i64(self.cursor_);
+  // A reserved slot (it held a timeline cursor once): written as 0,
+  // ignored on load, until the next stream version drops it.
+  std::int64_t reserved = 0;
+  s.i64(reserved);
   s.state(self.cache_);
 }
 

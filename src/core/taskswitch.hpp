@@ -24,7 +24,6 @@
 #include "core/configcache.hpp"
 #include "hw/fpga.hpp"
 #include "sim/fault.hpp"
-#include "sim/timeline.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
 
@@ -95,7 +94,8 @@ class TaskSwitcher {
   /// reloading the current task — a single-frame region scrub when the
   /// differential path is available (which leaves the live design state
   /// untouched), a full reload otherwise. Returns true when an upset was
-  /// found and repaired. No-op on an unconfigured device.
+  /// found and repaired. No-op on an unconfigured device. The readback
+  /// and repair time is not posted on any timeline.
   bool scrub();
 
   void set_retry_policy(const sim::RetryPolicy& policy) { policy_ = policy; }
@@ -148,19 +148,9 @@ class TaskSwitcher {
   /// upsets_corrected()).
   std::uint64_t region_scrubs() const { return region_scrubs_; }
 
-  /// Binds the switcher to a timeline: every switch_to() additionally
-  /// posts a kReconfig transaction at the switcher's cursor (sequential
-  /// switches chain end to start). Differential switches carry their
-  /// region count on the transaction.
-  void bind(sim::Timeline& timeline, sim::TrackId track) {
-    timeline_ = &timeline;
-    track_ = track;
-  }
-  bool bound() const { return timeline_ != nullptr; }
-
   /// Snapshottable leaf, written into the caller's open section: the A/B
-  /// pin (differential_), current task, every lifetime counter, the
-  /// reconfiguration cursor and the staged-bitstream cache. The task
+  /// pin (differential_), current task, every lifetime counter and the
+  /// staged-bitstream cache. The task
   /// registry is construction configuration — a restored switcher must
   /// have the same add_task() calls applied; load_state verifies the
   /// current task is registered. Device state is saved separately by the
@@ -169,8 +159,6 @@ class TaskSwitcher {
   void load_state(sim::SnapshotReader& r);
 
  private:
-  util::Picoseconds post_reconfig(const std::string& label,
-                                  util::Picoseconds t, std::uint32_t regions = 0);
   bool diff_applicable(const hw::Bitstream& bs) const;
   template <typename Self, typename Stream>
   static void walk(Self& self, Stream& s);
@@ -193,9 +181,6 @@ class TaskSwitcher {
   ConfigCache cache_;
   double cache_hit_fraction_ = 1.0 / 64.0;
   sim::RetryPolicy policy_;
-  sim::Timeline* timeline_ = nullptr;
-  sim::TrackId track_;
-  util::Picoseconds cursor_ = 0;
 };
 
 }  // namespace atlantis::core

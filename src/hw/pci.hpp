@@ -84,14 +84,6 @@ class Plx9080 {
     total_bytes_ += t.bytes;
     total_time_ += t.duration;
   }
-  /// Clears the lifetime DMA counters (the chip-reset path the driver's
-  /// reset(ResetScope::kStats) goes through).
-  void reset_counters() {
-    total_bytes_ = 0;
-    total_time_ = 0;
-    dma_stalls_ = 0;
-    dma_aborts_ = 0;
-  }
 
   /// Snapshottable leaf: the lifetime DMA counters, written into the
   /// caller's open section (bindings and the injector are wiring, not

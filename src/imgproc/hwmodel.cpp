@@ -22,7 +22,7 @@ ImgHwResult filter_atlantis(int width, int height, const ImgHwConfig& cfg,
                    util::period_from_mhz(cfg.clock_mhz);
   if (driver != nullptr) {
     driver->set_design_clock(cfg.clock_mhz);
-    const util::Picoseconds t0 = driver->elapsed();
+    const util::Picoseconds t0 = driver->now();
     if (cfg.overlap_io) {
       // The streaming engine filters pixels as the frame arrives; the
       // result is read back once the pipeline drains.
@@ -41,7 +41,7 @@ ImgHwResult filter_atlantis(int width, int height, const ImgHwConfig& cfg,
     }
     // Timeline span: sequential sum by default, overlapped under
     // overlap_io, queue-delay inclusive under contention.
-    r.total_time = driver->elapsed() - t0;
+    r.total_time = driver->now() - t0;
   } else {
     r.total_time = r.compute_time + r.io_time;
   }

@@ -471,20 +471,6 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   return report_;
 }
 
-void Cluster::reset(core::ResetScope scope) {
-  for (Shard& s : shards_) {
-    if (s.retired) continue;
-    if (s.supervisor != nullptr) {
-      s.supervisor->reset(scope);  // forwards to the service
-    } else {
-      s.service->reset(scope);
-    }
-  }
-  if (scope == core::ResetScope::kStats || scope == core::ResetScope::kAll) {
-    report_ = ClusterReport{};
-  }
-}
-
 const JobRecord& Cluster::shard_record(JobId id) const {
   const ClusterRecord& rec = records_.at(id);
   return shards_.at(static_cast<std::size_t>(rec.shard))

@@ -204,11 +204,6 @@ class Cluster : public sim::Snapshottable {
 
   const ClusterReport& report() const { return report_; }
 
-  /// The uniform lifecycle verb (same scopes as AtlantisDriver /
-  /// JobService / Supervisor): forwards to every live shard; kStats /
-  /// kAll additionally clear this report. Ledger and queues survive.
-  void reset(core::ResetScope scope);
-
   // --- inspection ------------------------------------------------------
   /// Cluster ledger, indexed by cluster JobId (admitted jobs only).
   const std::vector<ClusterRecord>& jobs() const { return records_; }

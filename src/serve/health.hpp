@@ -33,8 +33,9 @@
 namespace atlantis::serve {
 
 /// Counter deltas over one probe window, attributable to one board.
-/// Assembled by the supervisor from core::HealthProbe, the board
-/// driver's DMA/config counters and the switcher's reconfig counters.
+/// Assembled by the supervisor from the board's core::SelfTestHealth
+/// page, its driver's DMA/config counters and the switcher's reconfig
+/// counters.
 struct HealthDelta {
   std::uint64_t dma_faults = 0;        // driver: stalls + aborts drawn
   std::uint64_t dma_retries = 0;       // driver: backoff retries issued

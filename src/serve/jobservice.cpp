@@ -284,16 +284,6 @@ core::SwitchCounters JobService::switch_counters() const {
   return sum;
 }
 
-void JobService::reset(core::ResetScope scope) {
-  // Forward the scope to every board driver (the fault rewind inside is
-  // crate-wide but idempotent, so repeating it per board is harmless).
-  for (BoardState& b : boards_) b.driver->reset(scope);
-  if (scope == core::ResetScope::kStats || scope == core::ResetScope::kAll) {
-    report_ = ServiceReport{};
-    run_ids_.clear();
-  }
-}
-
 void JobService::run_batched(util::WorkerPool& pool,
                              const RunOptions& options) {
   std::size_t dispatches = 0;
@@ -505,8 +495,8 @@ void JobService::start_service(BoardState& board, JobRecord& rec) {
   rec.board = board.index;
   rec.start = drv.now();
   rec.queue_wait = std::max<util::Picoseconds>(0, rec.start - rec.arrival);
-  // The wait lands on the tenant's own track, so per-tenant latency is
-  // readable straight off the timeline (track_stats).
+  // The wait lands on the tenant's own track, so a trace shows each
+  // tenant's queueing.
   label_.assign(job_kind_name(rec.kind))
       .append(" wait [")
       .append(rec.config)
@@ -727,7 +717,12 @@ util::Result<JobId> JobService::migrate_job(JobId id, JobService& target) {
     return util::Result<JobId>::failure(ckpt.error(), ckpt.message());
   }
   const util::Result<JobId> restored = target.restore_job(ckpt.value());
-  if (!restored.ok()) return restored;
+  if (!restored.ok()) {
+    // The target refused it: revive the job here (the original id, at
+    // the back of its queue), so the failed call leaves it pending.
+    (void)restore_job(ckpt.value()).value();
+    return restored;
+  }
   records_[id].migrated = true;
   ++report_.migrated;
   progress_.erase(id);

@@ -163,7 +163,8 @@ class JobService : public sim::Snapshottable {
   /// checkpoint_job + target.restore_job in one step: moves a pending
   /// job to another service (typically over another crate). The source
   /// ledger entry is marked migrated; the returned id is the job's id
-  /// on the target.
+  /// on the target. When the target refuses the job, the job stays
+  /// pending here, at the back of its queue, and the refusal is returned.
   util::Result<JobId> migrate_job(JobId id, JobService& target);
 
   /// When set, losing the last alive board — or a drop-out under a
@@ -187,14 +188,6 @@ class JobService : public sim::Snapshottable {
   const std::vector<JobRecord>& jobs() const { return records_; }
   const JobRecord& job(JobId id) const { return records_.at(id); }
   const ServiceReport& report() const { return report_; }
-
-  /// The serve-wide lifecycle verb (same scopes as AtlantisDriver):
-  /// kTime moves every board driver's elapsed() epoch; kStats
-  /// additionally clears driver/PLX counters and this service's report;
-  /// kFaults rewinds the crate's fault injector; kAll is everything.
-  /// The ledger, queues and mid-job progress are never touched — reset
-  /// re-zeroes accounting, it does not lose work.
-  void reset(core::ResetScope scope);
 
   std::size_t pending() const { return queues_.total(); }
   /// True while any board holds a job mid-compute (preemptive policies

@@ -75,9 +75,9 @@ util::Picoseconds Supervisor::now() const {
 }
 
 Supervisor::CounterBase Supervisor::sample(
-    int board_index, const core::HealthProbe& probe) const {
+    int board_index, const core::SelfTestHealth& health) const {
   CounterBase base;
-  base.probe = probe;
+  base.health = health;
   const core::AtlantisDriver& drv = service_.driver(board_index);
   base.dma_faults = drv.dma_faults();
   base.dma_retries = drv.dma_retries();
@@ -85,14 +85,13 @@ Supervisor::CounterBase Supervisor::sample(
   const core::TaskSwitcher& sw = service_.switcher(board_index);
   base.reconfig_retries = sw.reconfig_retries();
   base.switches = sw.switch_count();
-  base.scrubs = sw.scrub_count();
   return base;
 }
 
 HealthDelta Supervisor::diff(const CounterBase& base, const CounterBase& cur,
                              bool dropped) const {
-  const core::SelfTestHealth& b = base.probe.counters;
-  const core::SelfTestHealth& c = cur.probe.counters;
+  const core::SelfTestHealth& b = base.health;
+  const core::SelfTestHealth& c = cur.health;
   HealthDelta d;
   d.dma_faults = sub(cur.dma_faults, base.dma_faults);
   d.dma_retries = sub(cur.dma_retries, base.dma_retries);
@@ -212,10 +211,11 @@ void Supervisor::rebaseline() {
   // Counters may have rewound (checkpoint restore) — re-sample every
   // baseline, re-sync conditions with the service's flags and forget
   // breaker windows (tallies survive; they are the report's numbers).
-  std::vector<core::HealthProbe> probes = service_.system().probe_health();
+  const std::vector<core::SelfTestHealth> pages =
+      service_.system().probe_health();
   for (int i = 0; i < static_cast<int>(boards_.size()); ++i) {
     BoardSupervision& b = boards_[static_cast<std::size_t>(i)];
-    b.base = sample(i, probes[static_cast<std::size_t>(i)]);
+    b.base = sample(i, pages[static_cast<std::size_t>(i)]);
     b.reconfig->reset();
     b.dma->reset();
     if (service_.board_dead(i)) {
@@ -265,10 +265,11 @@ void Supervisor::tick() {
   if (service_.report().migrated > 0) migrated_since_checkpoint_ = true;
 
   // 2-6. Probe every board and run its supervision state machine.
-  std::vector<core::HealthProbe> probes = service_.system().probe_health();
+  const std::vector<core::SelfTestHealth> pages =
+      service_.system().probe_health();
   for (int i = 0; i < static_cast<int>(boards_.size()); ++i) {
     BoardSupervision& b = boards_[static_cast<std::size_t>(i)];
-    const CounterBase cur = sample(i, probes[static_cast<std::size_t>(i)]);
+    const CounterBase cur = sample(i, pages[static_cast<std::size_t>(i)]);
     const bool dead_now = service_.board_dead(i);
     const bool dropped = dead_now && b.condition != BoardCondition::kDead;
     const HealthDelta d = diff(b.base, cur, dropped);
@@ -475,13 +476,6 @@ const CircuitBreaker& Supervisor::reconfig_breaker(int board_index) const {
 
 const CircuitBreaker& Supervisor::dma_breaker(int board_index) const {
   return *boards_.at(static_cast<std::size_t>(board_index)).dma;
-}
-
-void Supervisor::reset(core::ResetScope scope) {
-  service_.reset(scope);
-  if (scope == core::ResetScope::kStats || scope == core::ResetScope::kAll) {
-    report_ = SupervisorReport{};
-  }
 }
 
 }  // namespace atlantis::serve

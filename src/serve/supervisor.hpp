@@ -9,8 +9,9 @@
 //   run():  while work remains:
 //     1. let the service make a bounded amount of progress
 //        (JobService::run with max_dispatches = `dispatches_per_tick`);
-//     2. probe every board (core::HealthProbe + driver/switcher
-//        counters) and diff against the previous window;
+//     2. probe every board (its core::SelfTestHealth page plus the
+//        driver and switcher counters) and diff against the previous
+//        window;
 //     3. feed the per-board reconfig and DMA circuit breakers
 //        (serve/health.hpp) with the window's failure/success counts;
 //     4. update each board's health score; escalate configuration
@@ -46,7 +47,7 @@
 #include <string>
 #include <vector>
 
-#include "core/health_probe.hpp"
+#include "core/acb.hpp"
 #include "serve/health.hpp"
 #include "serve/jobservice.hpp"
 #include "util/units.hpp"
@@ -137,12 +138,6 @@ class Supervisor {
 
   const SupervisorReport& report() const { return report_; }
 
-  /// The uniform lifecycle verb (same contract as JobService::reset and
-  /// Cluster::reset): kTime/kFaults forward to the supervised service;
-  /// kStats additionally clears this supervisor's report; kAll does both.
-  /// Supervision state (conditions, breakers, checkpoints) is never
-  /// touched — reset re-baselines accounting, it does not heal boards.
-  void reset(core::ResetScope scope);
   BoardCondition board_condition(int board_index) const;
   double board_health(int board_index) const;
   const CircuitBreaker& reconfig_breaker(int board_index) const;
@@ -151,13 +146,12 @@ class Supervisor {
  private:
   /// Counter snapshot one probe window diffs against.
   struct CounterBase {
-    core::HealthProbe probe;
+    core::SelfTestHealth health;
     std::uint64_t dma_faults = 0;
     std::uint64_t dma_retries = 0;
     std::uint64_t config_retries = 0;
     std::uint64_t reconfig_retries = 0;
     std::uint64_t switches = 0;
-    std::uint64_t scrubs = 0;
   };
 
   struct BoardSupervision {
@@ -175,7 +169,7 @@ class Supervisor {
   };
 
   util::Picoseconds now() const;
-  CounterBase sample(int board_index, const core::HealthProbe& probe) const;
+  CounterBase sample(int board_index, const core::SelfTestHealth& health) const;
   HealthDelta diff(const CounterBase& base, const CounterBase& cur,
                    bool dropped) const;
   void mark_down(BoardSupervision& b);

@@ -108,12 +108,7 @@ std::uint64_t site_hash(std::uint64_t seed, int kind,
 
 }  // namespace
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
-  // Capture the post-construction state; reset() restores exactly this.
-  SnapshotWriter w;
-  save_state(w);
-  genesis_ = w.bytes();
-}
+FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
 
 FaultInjector::SiteState& FaultInjector::site_state(FaultKind kind,
                                                     const std::string& site) {
@@ -165,14 +160,6 @@ std::uint64_t FaultInjector::injected_total() const {
   std::uint64_t total = 0;
   for (const std::uint64_t n : injected_) total += n;
   return total;
-}
-
-void FaultInjector::reset() {
-  // "Reset" is defined as loading the post-construction snapshot; the
-  // hand-rolled member clearing this replaced could silently fall out of
-  // sync with new state as it was added.
-  auto r = SnapshotReader::open(genesis_);
-  load_state(r.value());
 }
 
 template <typename Self, typename Stream>

@@ -159,13 +159,6 @@ class FaultInjector : public Snapshottable {
   std::uint64_t injected_total() const;
   const std::vector<FaultRecord>& log() const { return log_; }
 
-  /// Rewinds every site stream and counter to the freshly-constructed
-  /// state (same plan, same seed), for bit-identical replay. Implemented
-  /// as a load of the post-construction snapshot captured by the
-  /// constructor — reset *is* restore, so the two paths cannot drift.
-  /// Idempotent.
-  void reset();
-
   /// Snapshottable: the complete injector — plan (seed, rates, scheduled
   /// faults), per-(kind, site) opportunity counters and RNG stream
   /// positions, injected tallies and the replay log — under a
@@ -189,8 +182,6 @@ class FaultInjector : public Snapshottable {
   std::map<SiteKey, SiteState> sites_;
   std::array<std::uint64_t, kFaultKindCount> injected_{};
   std::vector<FaultRecord> log_;
-  /// Post-construction snapshot; reset() loads it.
-  std::vector<std::uint8_t> genesis_;
 };
 
 }  // namespace atlantis::sim

@@ -157,14 +157,6 @@ void Timeline::record_retry(ResourceId id, util::Picoseconds recovery) {
   s.retry_time += recovery;
 }
 
-void Timeline::reset_stats() {
-  for (Resource& r : resources_) {
-    r.stats.faults = 0;
-    r.stats.retries = 0;
-    r.stats.retry_time = 0;
-  }
-}
-
 template <typename Self, typename Stream, typename Store>
 void Timeline::walk(Self& self, Stream& s, Store& labels) {
   s.section("sim/timeline", [&] {
@@ -227,24 +219,6 @@ void Timeline::load_state(SnapshotReader& r) {
     throw;
   }
   labels_ = std::move(fresh);
-}
-
-Timeline::TrackStats Timeline::track_stats(TrackId id) const {
-  ATLANTIS_CHECK(id.valid() && id.value < track_count(), "unknown track");
-  TrackStats s;
-  s.name = tracks_[static_cast<std::size_t>(id.value)].name;
-  bool first = true;
-  for (const Transaction& t : txns_) {
-    if (!(t.track == id)) continue;
-    ++s.transactions;
-    s.bytes += t.bytes;
-    s.busy += t.duration();
-    if (t.kind == TxnKind::kQueueWait) s.queue_wait += t.duration();
-    s.first_post = first ? t.post : std::min(s.first_post, t.post);
-    s.last_end = std::max(s.last_end, t.end);
-    first = false;
-  }
-  return s;
 }
 
 std::vector<ResourceStats> Timeline::all_stats() const {

@@ -171,21 +171,6 @@ class Timeline : public Snapshottable {
   ResourceStats stats(ResourceId id) const;
   std::vector<ResourceStats> all_stats() const;
 
-  /// Aggregate view of one actor track over the whole run — the
-  /// per-tenant accounting hook: a serving layer that posts each
-  /// tenant's queue waits on a dedicated track reads latency totals and
-  /// transaction counts straight off the timeline.
-  struct TrackStats {
-    std::string name;
-    std::uint64_t transactions = 0;
-    std::uint64_t bytes = 0;
-    util::Picoseconds busy = 0;        // sum of service durations
-    util::Picoseconds queue_wait = 0;  // sum of kQueueWait durations
-    util::Picoseconds first_post = 0;
-    util::Picoseconds last_end = 0;
-  };
-  TrackStats track_stats(TrackId id) const;
-
   /// Fault/recovery bookkeeping: a transaction on `id` faulted, or a
   /// retry was issued and spent `recovery` (backoff + retransmission)
   /// recovering. The recovery layer calls these next to the transactions
@@ -193,16 +178,6 @@ class Timeline : public Snapshottable {
   /// time went per resource.
   void record_fault(ResourceId id);
   void record_retry(ResourceId id, util::Picoseconds recovery);
-
-  /// Clears the per-resource fault/retry counters (faults, retries,
-  /// retry_time) on every resource. Idempotent. This is the timeline
-  /// half of a `ResetScope::kFaults` reset: `FaultInjector::reset()`
-  /// rewinds the injector's streams and counters, and without this call
-  /// the timeline's ResourceStats would keep reporting the pre-reset
-  /// fault tallies — the two ledgers would diverge after a mid-run
-  /// reset. Scheduling state (free times, transactions, horizon) is
-  /// untouched.
-  void reset_stats();
 
   /// Snapshottable: writes/restores the complete timeline — resources
   /// with their channel free-times and stats, tracks, every transaction

@@ -40,7 +40,7 @@ TrtHwResult histogram_atlantis(const PatternBank& bank, const Event& ev,
 
   if (driver != nullptr) {
     driver->set_design_clock(cfg.clock_mhz);
-    const util::Picoseconds t0 = driver->elapsed();
+    const util::Picoseconds t0 = driver->now();
     // Event image in: one bit per straw, packed.
     const std::uint64_t image_bytes = util::ceil_div(straws, 8);
     // Histogram out: 16-bit counters.
@@ -66,7 +66,7 @@ TrtHwResult histogram_atlantis(const PatternBank& bank, const Event& ev,
     // End-to-end span as the timeline saw it: identical to the scalar
     // sum in the sequential case, max(io, compute) + readout when
     // overlapped, and queue-delay inclusive under bus contention.
-    r.total_time = driver->elapsed() - t0;
+    r.total_time = driver->now() - t0;
   } else {
     r.total_time = r.io_in_time + r.compute_time + r.readout_time;
   }

@@ -1,6 +1,6 @@
-// The unified API surface: reset(ResetScope), the Result<T> duals (self
-// test, board configure, S-Link fragment), try_switch_task, and the
-// kOverloaded error code.
+// The unified API surface: the Result<T> duals (self test, board
+// configure, S-Link fragment), try_switch_task, and the kOverloaded
+// error code.
 #include <gtest/gtest.h>
 
 #include "core/driver.hpp"
@@ -13,22 +13,6 @@
 
 namespace atlantis {
 namespace {
-
-TEST(ResetScope, KFaultsRewindsTheInjector) {
-  sim::FaultPlan plan;
-  plan.inject(sim::FaultKind::kBoardDropout, "board/acb0", /*nth=*/1);
-  sim::FaultInjector inj(plan);
-  core::AtlantisSystem sys("crate");
-  core::AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  sys.set_fault_injector(&inj);
-  EXPECT_TRUE(sys.acb(0).draw_dropout());
-  EXPECT_EQ(inj.injected_total(), 1u);
-  drv.reset(core::ResetScope::kFaults);
-  EXPECT_EQ(inj.injected_total(), 0u);  // rewound for replay
-  sys.acb(0).set_alive(true);
-  EXPECT_TRUE(sys.acb(0).draw_dropout());  // same draw fires again
-  sys.set_fault_injector(nullptr);
-}
 
 TEST(ApiDuals, TrySelfTestMatchesThrowingVersion) {
   core::AcbBoard board("acb0");
@@ -93,12 +77,6 @@ TEST(ApiDuals, TrySwitchTaskPostsAtTheDriverCursor) {
                         t.label == "switch to alpha");
   }
   EXPECT_TRUE(posted);
-
-  // A bound switcher would double-post; that is caller misuse.
-  core::TaskSwitcher bound_sw(sys.acb(0).fpga(1));
-  bound_sw.add_task(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-  bound_sw.bind(sys.timeline(), sys.timeline().add_track("sw"));
-  EXPECT_THROW((void)drv.try_switch_task(bound_sw, "alpha"), util::Error);
 }
 
 TEST(ErrorCodes, OverloadedHasStableName) {

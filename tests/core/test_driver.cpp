@@ -27,7 +27,7 @@ chdl::Design& echo_design() {
 TEST(Driver, TimeLedgerStartsAtZero) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  EXPECT_EQ(drv.elapsed(), 0);
+  EXPECT_EQ(drv.now(), 0);
 }
 
 TEST(Driver, ConfigureAdvancesLedger) {
@@ -35,7 +35,7 @@ TEST(Driver, ConfigureAdvancesLedger) {
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   drv.configure(0, hw::Bitstream::from_design(echo_design()));
   // An ORCA full configuration is ~18.75 ms at 8 bit / 10 MHz.
-  EXPECT_NEAR(util::ps_to_ms(drv.elapsed()), 18.75, 0.1);
+  EXPECT_NEAR(util::ps_to_ms(drv.now()), 18.75, 0.1);
   EXPECT_TRUE(drv.board().fpga(0).configured());
 }
 
@@ -43,18 +43,18 @@ TEST(Driver, RegisterAccessReachesSimulatedDesign) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   drv.configure(0, hw::Bitstream::from_design(echo_design()));
-  drv.reset(core::ResetScope::kTime);
+  const util::Picoseconds t0 = drv.now();
   drv.reg_write(0, 0, 0xBEEF);
   EXPECT_EQ(drv.reg_read(0, 0), 0xBEEFu);
   EXPECT_EQ(drv.reg_read(0, 1), 1u);  // one write seen by the fabric
-  EXPECT_GT(drv.elapsed(), 0);        // target-mode accesses cost time
+  EXPECT_GT(drv.now() - t0, 0);       // target-mode accesses cost time
 }
 
 TEST(Driver, RegisterAccessWithoutSimStillCostsTime) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   EXPECT_EQ(drv.reg_read(0, 0), 0u);
-  EXPECT_GT(drv.elapsed(), 0);
+  EXPECT_GT(drv.now(), 0);
   EXPECT_EQ(drv.host_if(0), nullptr);
 }
 
@@ -63,7 +63,7 @@ TEST(Driver, DmaAdvancesLedgerAndPciCounters) {
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   const hw::DmaTransfer w = drv.dma_write(64 * util::kKiB);
   const hw::DmaTransfer r = drv.dma_read(64 * util::kKiB);
-  EXPECT_EQ(drv.elapsed(), w.duration + r.duration);
+  EXPECT_EQ(drv.now(), w.duration + r.duration);
   EXPECT_EQ(drv.board().pci().total_bytes(), 128 * util::kKiB);
   EXPECT_GT(w.mbps(), r.mbps());
 }
@@ -73,16 +73,15 @@ TEST(Driver, DesignClockProgrammable) {
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   drv.set_design_clock(40.0);
   EXPECT_DOUBLE_EQ(drv.design_clock_mhz(), 40.0);
-  drv.reset(core::ResetScope::kTime);
+  const util::Picoseconds t0 = drv.now();
   drv.advance_cycles(1'000'000);  // 1M cycles @ 40 MHz = 25 ms
-  EXPECT_NEAR(util::ps_to_ms(drv.elapsed()), 25.0, 0.01);
+  EXPECT_NEAR(util::ps_to_ms(drv.now() - t0), 25.0, 0.01);
 }
 
 TEST(Driver, DmaToSimDeliversPayload) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   drv.configure(0, hw::Bitstream::from_design(echo_design()));
-  drv.reset(core::ResetScope::kTime);
   const std::vector<std::uint64_t> words = {1, 2, 3, 4, 5, 6, 7};
   drv.dma_write_to_sim(0, 0, words);
   // Register 0 holds the last word; the write counter saw all of them.
@@ -102,10 +101,10 @@ TEST(Driver, PartialReconfigureFasterThanFull) {
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   hw::Bitstream bs = hw::Bitstream::from_design(echo_design());
   drv.configure(0, bs);
-  const util::Picoseconds after_full = drv.elapsed();
+  const util::Picoseconds after_full = drv.now();
   bs.fraction = 0.1;
   drv.partial_reconfigure(0, bs);
-  EXPECT_LT(drv.elapsed() - after_full, after_full / 2);
+  EXPECT_LT(drv.now() - after_full, after_full / 2);
 }
 
 TEST(Driver, LedgerBitIdenticalToScalarSum) {
@@ -128,7 +127,7 @@ TEST(Driver, LedgerBitIdenticalToScalarSum) {
   expected += reference.target_access();
   drv.advance_cycles(12345);
   expected += drv.board().local_clock().cycles(12345);
-  EXPECT_EQ(drv.elapsed(), expected);
+  EXPECT_EQ(drv.now(), expected);
   // Nothing queued anywhere on the crate.
   EXPECT_EQ(sys.timeline().stats(sys.pci_segment()).queue_delay, 0);
 }
@@ -158,11 +157,10 @@ TEST(Driver, AsyncDmaOverlapsCompute) {
   drv.set_design_clock(40.0);
   // Serial: transfer then compute.
   const util::Picoseconds io = drv.dma_write(256 * util::kKiB).duration;
-  const util::Picoseconds serial_extra = drv.elapsed();
+  const util::Picoseconds serial_extra = drv.now();
   EXPECT_EQ(serial_extra, io);
   drv.advance_cycles(1'000'000);
-  const util::Picoseconds serial = drv.elapsed();
-  drv.reset(core::ResetScope::kTime);
+  const util::Picoseconds serial = drv.now();
   // Overlapped: the async transfer occupies the bus while the design
   // clock runs; the join is the max, strictly less than the sum.
   drv.dma_write_async(256 * util::kKiB);
@@ -170,36 +168,10 @@ TEST(Driver, AsyncDmaOverlapsCompute) {
   drv.advance_cycles(1'000'000);
   drv.wait();
   EXPECT_EQ(drv.pending_dma(), 0);
-  const util::Picoseconds overlapped = drv.elapsed();
+  const util::Picoseconds overlapped = drv.now() - serial;
   EXPECT_LT(overlapped, serial);
   EXPECT_EQ(overlapped,
             std::max(io, drv.board().local_clock().cycles(1'000'000)));
-}
-
-TEST(Driver, ResetTimeKeepsPciLifetimeCounters) {
-  // Regression: reset(kTime) resets ONLY the elapsed() ledger. The PLX
-  // 9080 lifetime DMA counters keep accumulating (they model the
-  // device's statistics registers) — reset(kStats) is the call that
-  // clears both, along with the driver's recovery counters.
-  AtlantisSystem sys("crate");
-  AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  drv.dma_write(64 * util::kKiB);
-  const std::uint64_t bytes_before = drv.board().pci().total_bytes();
-  EXPECT_EQ(bytes_before, 64 * util::kKiB);
-  drv.reset(core::ResetScope::kTime);
-  EXPECT_EQ(drv.elapsed(), 0);
-  EXPECT_EQ(drv.board().pci().total_bytes(), bytes_before)
-      << "reset(kTime) must not clear PLX lifetime counters";
-  EXPECT_GT(drv.board().pci().total_time(), 0);
-
-  drv.dma_read(32 * util::kKiB);
-  EXPECT_EQ(drv.board().pci().total_bytes(), 96 * util::kKiB);
-
-  drv.reset(core::ResetScope::kStats);
-  EXPECT_EQ(drv.elapsed(), 0);
-  EXPECT_EQ(drv.board().pci().total_bytes(), 0u);
-  EXPECT_EQ(drv.board().pci().total_time(), 0);
-  EXPECT_EQ(drv.dma_faults(), 0u);
 }
 
 TEST(Driver, CrateTraceExportsValidJson) {

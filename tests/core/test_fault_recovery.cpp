@@ -43,7 +43,7 @@ TEST(FaultRecovery, EmptyPlanIsBitIdenticalToNoInjector) {
     drv.dma_write(64 * util::kKiB);
     drv.dma_read(7 * util::kKiB);
     drv.advance_cycles(1000);
-    return std::make_pair(drv.elapsed(), txn_labels(sys.timeline()));
+    return std::make_pair(drv.now(), txn_labels(sys.timeline()));
   };
   const auto bare = run(nullptr);
   sim::FaultInjector idle{sim::FaultPlan{}};
@@ -69,7 +69,7 @@ TEST(FaultRecovery, DriverRetriesStalledDma) {
   // both visible in the ledger and the recovery account.
   const sim::RetryPolicy& p = drv.retry_policy();
   EXPECT_EQ(drv.recovery_time(), p.stall_watchdog + p.backoff(1));
-  EXPECT_EQ(drv.elapsed(),
+  EXPECT_EQ(drv.now(),
             p.stall_watchdog + p.backoff(1) + r.value().duration);
   // The faulted attempt and the backoff are on the timeline.
   const auto labels = txn_labels(sys.timeline());
@@ -236,7 +236,7 @@ TEST(FaultRecovery, JitteredDriverScheduleReplaysIdentically) {
       (void)drv.try_dma_write(util::kKiB * (1 + i % 4));
     }
     return std::make_tuple(drv.dma_faults(), drv.dma_retries(),
-                           drv.recovery_time(), drv.elapsed(),
+                           drv.recovery_time(), drv.now(),
                            txn_labels(sys.timeline()));
   };
   const auto jittered = run(0.5);
@@ -266,7 +266,7 @@ TEST(FaultRecovery, DeterministicReplayOfDriverSchedule) {
       (void)drv.try_dma_write(util::kKiB * (1 + i % 4));
     }
     return std::make_tuple(drv.dma_faults(), drv.dma_retries(),
-                           drv.recovery_time(), drv.elapsed(),
+                           drv.recovery_time(), drv.now(),
                            txn_labels(sys.timeline()), inj.log());
   };
   const auto a = run();

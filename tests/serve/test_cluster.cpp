@@ -504,29 +504,7 @@ TEST(Cluster, AdmissionCachesFollowTenantsShardsAndRestore) {
   EXPECT_EQ(twin->schedule_digest(), live->schedule_digest());
 }
 
-// --- lifecycle and snapshots -------------------------------------------
-
-TEST(Cluster, ResetScopesMatchTheFleetWideContract) {
-  auto cluster = make_cluster(2, 2);
-  submit_wave(*cluster, 8, 2);
-  cluster->run();
-  EXPECT_EQ(cluster->report().served, 8u);
-  // Placement may home every configuration on one shard; sum the fleet.
-  const auto fleet_elapsed = [&cluster] {
-    util::Picoseconds total = 0;
-    for (int s = 0; s < 2; ++s) {
-      total += cluster->service(s).driver(0).elapsed();
-    }
-    return total;
-  };
-  EXPECT_GT(fleet_elapsed(), 0);
-
-  cluster->reset(core::ResetScope::kStats);
-  EXPECT_EQ(cluster->report().served, 0u);  // report cleared
-  EXPECT_EQ(fleet_elapsed(), 0);            // epochs moved, fleet-wide
-  // The ledger survives: reset re-zeroes accounting, not history.
-  EXPECT_EQ(cluster->jobs().size(), 8u);
-}
+// --- snapshots ---------------------------------------------------------
 
 TEST(Cluster, SnapshotRoundTripIntoATwinFleet) {
   auto live = make_cluster(2, 4);

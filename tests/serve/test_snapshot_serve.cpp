@@ -232,6 +232,32 @@ TEST(JobMigration, MovesAPendingJobToAnotherService) {
             0x9e3779b97f4a7c15ull * 8u);
 }
 
+TEST(JobMigration, FailedRestoreLeavesTheJobPending) {
+  World src{preemptive_options(), 1, nullptr, "crateA"};
+  World dst{preemptive_options(), 1, nullptr, "crateB"};
+  src.service->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  submit_deadline_mix(*src.service);
+  const serve::JobId id =
+      src.service->submit(make_job("rt", "beta", 10, util::kMicrosecond))
+          .value();
+
+  // The target never registered "beta", so it refuses the job.
+  auto moved = src.service->migrate_job(id, *dst.service);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.error(), util::ErrorCode::kAdmissionReject);
+  EXPECT_FALSE(src.service->job(id).migrated);
+  EXPECT_EQ(src.service->pending(), 11u);
+  EXPECT_EQ(dst.service->pending(), 0u);
+  EXPECT_EQ(src.service->pending_ids().back(), id);  // back of its queue
+
+  src.service->run();
+  EXPECT_EQ(src.service->report().served, 11u);
+  EXPECT_EQ(src.service->report().migrated, 0u);
+  EXPECT_EQ(src.service->job(id).error, util::ErrorCode::kOk);
+  EXPECT_EQ(src.service->job(id).outcome.checksum,
+            0x9e3779b97f4a7c15ull * 11u);
+}
+
 TEST(JobMigration, DropoutDrainsThroughTheMigrationTarget) {
   sim::FaultPlan plan;
   plan.seed = 99;

@@ -1,6 +1,7 @@
 // Supervisor checkpoints across runs: a crash must always restore a
 // checkpoint that holds every job the service has accepted, including
-// jobs submitted between two Supervisor::run() calls.
+// jobs submitted between two Supervisor::run() calls. And a drain to a
+// spare that refuses some jobs still resolves every one of them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -111,6 +112,56 @@ TEST(Supervisor, CrashAfterSubmitBetweenRunsRestoresEveryJob) {
     EXPECT_EQ(rec.error, util::ErrorCode::kOk) << "job " << rec.id;
   }
   EXPECT_EQ(crashed.served_checksums(), want);
+}
+
+TEST(Supervisor, DrainToASpareMissingAConfigurationResolvesEveryJob) {
+  // A 1-board crate whose board drops out on its second dispatch drains
+  // to a spare that never registered "beta": the spare takes the
+  // "alpha" jobs, and the "beta" jobs fail as refused migrations instead
+  // of vanishing from the ledger.
+  sim::FaultPlan plan;
+  plan.inject(sim::FaultKind::kBoardDropout, "board/acb0", 2);
+  sim::FaultInjector injector(plan);
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  sys.set_fault_injector(&injector);
+  core::AtlantisSystem spare_sys("spare");
+  spare_sys.add_acb("acb0");
+  serve::JobService service(sys);
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  serve::JobService spare(spare_sys);
+  spare.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  serve::Supervisor supervisor(service);
+  supervisor.set_spare(&spare);
+  constexpr int kJobs = 24;
+  for (int i = 0; i < kJobs; ++i) {
+    serve::JobSpec job = make_job(i);
+    job.config = i % 2 == 0 ? "alpha" : "beta";
+    (void)service.submit(std::move(job)).value();
+  }
+  supervisor.run();
+
+  int served = 0;
+  int failed = 0;
+  int migrated = 0;
+  for (const serve::JobRecord& rec : service.jobs()) {
+    if (rec.migrated) {
+      ++migrated;
+    } else if (rec.error != util::ErrorCode::kOk) {
+      ++failed;
+      EXPECT_EQ(rec.config, "beta");
+      EXPECT_EQ(rec.error, util::ErrorCode::kAdmissionReject);
+    } else if (rec.board >= 0) {
+      ++served;
+    }
+  }
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_GT(served, 0);
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(migrated, 0);
+  EXPECT_EQ(served + failed + migrated, kJobs);
+  EXPECT_EQ(spare.report().served, static_cast<std::uint64_t>(migrated));
 }
 
 }  // namespace

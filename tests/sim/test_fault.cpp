@@ -58,31 +58,6 @@ TEST(FaultInjector, SameSeedSamePlanReplaysIdentically) {
   EXPECT_GT(a.injected_total(), 0u);  // 0.25 over 500 draws must fire
 }
 
-TEST(FaultInjector, ResetRewindsToConstructionState) {
-  FaultPlan plan;
-  plan.seed = 7;
-  plan.with_rate(FaultKind::kSeuMemory, 0.3);
-  FaultInjector inj(plan);
-  std::vector<std::uint64_t> params_first;
-  for (int i = 0; i < 200; ++i) {
-    if (const auto hit = inj.draw(FaultKind::kSeuMemory, "sram/m0")) {
-      params_first.push_back(hit->param);
-    }
-  }
-  const auto log_first = inj.log();
-  inj.reset();
-  EXPECT_EQ(inj.injected_total(), 0u);
-  EXPECT_EQ(inj.opportunities(FaultKind::kSeuMemory, "sram/m0"), 0u);
-  std::vector<std::uint64_t> params_second;
-  for (int i = 0; i < 200; ++i) {
-    if (const auto hit = inj.draw(FaultKind::kSeuMemory, "sram/m0")) {
-      params_second.push_back(hit->param);
-    }
-  }
-  EXPECT_EQ(params_first, params_second);
-  EXPECT_EQ(log_first, inj.log());
-}
-
 TEST(FaultInjector, SiteStreamsAreIndependent) {
   // The draw sequence at one site must not depend on how opportunities
   // at other sites interleave with it — that is what makes replay

@@ -930,29 +930,6 @@ TEST(TimelineSnapshot, LabelsSurviveGrowthMoveAndAFailedLoad) {
   }
 }
 
-TEST(TimelineSnapshot, ResetStatsClearsFaultLedgerIdempotently) {
-  Timeline t;
-  const ResourceId pci = t.add_resource("cpci");
-  const TrackId trk = t.add_track("drv");
-  t.post(trk, TxnKind::kPciDma, "dma", pci, 0, 100, 512);
-  t.record_fault(pci);
-  t.record_fault(pci);
-  t.record_retry(pci, 999);
-  ASSERT_EQ(t.stats(pci).faults, 2u);
-
-  const util::Picoseconds horizon = t.horizon();
-  t.reset_stats();
-  EXPECT_EQ(t.stats(pci).faults, 0u);
-  EXPECT_EQ(t.stats(pci).retries, 0u);
-  EXPECT_EQ(t.stats(pci).retry_time, 0);
-  // Scheduling state is untouched; a second reset is a no-op.
-  EXPECT_EQ(t.horizon(), horizon);
-  EXPECT_EQ(t.stats(pci).transactions, 1u);
-  t.reset_stats();
-  EXPECT_EQ(t.stats(pci).faults, 0u);
-  EXPECT_EQ(t.stats(pci).transactions, 1u);
-}
-
 // --- FaultInjector -----------------------------------------------------
 
 FaultPlan busy_plan() {
@@ -997,21 +974,31 @@ TEST(FaultSnapshot, RestoredInjectorReplaysTheSameFaultTail) {
   EXPECT_EQ(b.log(), a.log());
 }
 
-TEST(FaultSnapshot, ResetIsGenesisLoadAndIdempotent) {
+TEST(FaultSnapshot, GenesisLoadRewindsAUsedInjector) {
+  // Loading a freshly constructed injector's stream into a used one
+  // drops every site stream it created since, not just the shared ones.
   FaultInjector inj(busy_plan());
-  FaultInjector fresh(busy_plan());
+  SnapshotWriter genesis;
+  inj.save_state(genesis);
   const std::vector<bool> first = draw_tail(inj, 30);
   EXPECT_GT(inj.injected_total(), 0u);
 
-  inj.reset();
+  const auto load_genesis = [&] {
+    auto r = SnapshotReader::open(genesis.bytes());
+    ASSERT_TRUE(r.ok()) << r.message();
+    inj.load_state(r.value());
+  };
+  load_genesis();
   EXPECT_EQ(inj.injected_total(), 0u);
   EXPECT_TRUE(inj.log().empty());
-  inj.reset();  // idempotent: a second reset changes nothing
+  EXPECT_EQ(inj.opportunities(FaultKind::kDmaStall, "pci/acb0"), 0u);
+  load_genesis();  // idempotent: a second load changes nothing
   EXPECT_EQ(inj.injected_total(), 0u);
 
-  // Replay after reset is bit-identical to the first run and to a
+  // Replay after the load is bit-identical to the first run and to a
   // freshly constructed injector.
   EXPECT_EQ(draw_tail(inj, 30), first);
+  FaultInjector fresh(busy_plan());
   EXPECT_EQ(draw_tail(fresh, 30), first);
 }
 

@@ -7,7 +7,7 @@ TEST(Umbrella, PublicApiIsReachable) {
   atlantis::core::AtlantisSystem sys("crate");
   sys.add_acb("acb0");
   atlantis::core::AtlantisDriver drv(sys, 0);
-  EXPECT_EQ(drv.elapsed(), 0);
+  EXPECT_EQ(drv.now(), 0);
   EXPECT_GT(atlantis::hw::orca_3t125().gate_capacity, 0);
   atlantis::chdl::Design d("hello");
   d.output("y", d.input("a", 1));

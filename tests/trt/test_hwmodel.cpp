@@ -100,7 +100,7 @@ TEST(TrtHw, DriverAddsIoTime) {
   EXPECT_GT(r.io_in_time, 0);
   EXPECT_GT(r.readout_time, 0);
   EXPECT_EQ(r.total_time, r.io_in_time + r.compute_time + r.readout_time);
-  EXPECT_EQ(drv.elapsed(), r.total_time);
+  EXPECT_EQ(drv.now(), r.total_time);
 }
 
 TEST(TrtHw, ReadoutCanBeExcluded) {
