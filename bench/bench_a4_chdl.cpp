@@ -6,8 +6,8 @@
 // capacity check starts rejecting them.
 //
 // Gate/FF/RAM numbers deliberately come from the *as-elaborated* netlist
-// (chdl::analyze on the Design): the simulator's optimizer (fold/dce/
-// cse/fuse) never mutates the Design, so fit accounting here models the
+// (chdl::analyze on the Design): the simulator's optimizer (fold +
+// CSE) never mutates the Design, so fit accounting here models the
 // structure handed to place-and-route, not the simulation shortcut.
 #include "bench_common.hpp"
 #include "chdl/stats.hpp"

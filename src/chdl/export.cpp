@@ -57,14 +57,33 @@ const char* comp_kind_name(CompKind kind) {
   return "?";
 }
 
-std::string export_netlist(const Design& d) {
+namespace {
+
+/// Both netlist exporters; `opt` == nullptr prints the design as
+/// elaborated.
+std::string write_netlist(const Design& d, const OptimizedNetlist* opt) {
   std::ostringstream os;
-  os << "design " << d.name() << "\n";
+  os << "design " << d.name() << (opt != nullptr ? " (optimized)" : "")
+     << "\n";
   for (const RamBlock& r : d.rams()) {
     os << (r.writable ? "ram " : "rom ") << r.name << " : " << r.words << " x "
        << r.width << " @" << d.clock_name(ClockId{r.clock}) << "\n";
   }
   for (const Component& c : d.components()) {
+    if (opt != nullptr && c.out.valid()) {
+      const auto id = static_cast<std::size_t>(c.out.id);
+      if (opt->folded(c.out.id)) {
+        os << "%" << c.out.id << " = const(0b"
+           << opt->fold_value[id].to_binary() << ") : " << c.out.width
+           << " ; folded " << comp_kind_name(c.kind) << "\n";
+        continue;
+      }
+      if (opt->forward[id] != c.out.id) {
+        os << "%" << c.out.id << " -> %" << opt->forward[id] << " ; alias "
+           << comp_kind_name(c.kind) << "\n";
+        continue;
+      }
+    }
     if (c.out.valid()) {
       os << "%" << c.out.id << " = ";
     }
@@ -74,7 +93,7 @@ std::string export_netlist(const Design& d) {
       if (!first) os << ", ";
       first = false;
       if (w.valid()) {
-        os << "%" << w.id;
+        os << "%" << (opt != nullptr ? opt->rep(w).id : w.id);
       } else {
         os << "_";
       }
@@ -109,131 +128,12 @@ std::string export_netlist(const Design& d) {
   return os.str();
 }
 
-const char* fused_op_name(FusedOp op) {
-  switch (op) {
-    case FusedOp::kNone:
-      return "none";
-    case FusedOp::kAndNot:
-      return "andnot";
-    case FusedOp::kOrNot:
-      return "ornot";
-    case FusedOp::kEqImm:
-      return "eq_imm";
-    case FusedOp::kNeImm:
-      return "ne_imm";
-    case FusedOp::kUltImm:
-      return "ult_imm";
-    case FusedOp::kImmUlt:
-      return "imm_ult";
-    case FusedOp::kAddImm:
-      return "add_imm";
-    case FusedOp::kSubImm:
-      return "sub_imm";
-    case FusedOp::kAndImm:
-      return "and_imm";
-    case FusedOp::kOrImm:
-      return "or_imm";
-    case FusedOp::kXorImm:
-      return "xor_imm";
-    case FusedOp::kSliceImm:
-      return "slice_imm";
-  }
-  return "?";
-}
-
-namespace {
-
-bool comb_kind(CompKind k) {
-  switch (k) {
-    case CompKind::kConst:
-    case CompKind::kReg:
-    case CompKind::kRamRead:
-    case CompKind::kRamWrite:
-    case CompKind::kInput:
-    case CompKind::kOutput:
-      return false;
-    default:
-      return true;
-  }
-}
-
 }  // namespace
 
-std::string export_netlist(const Design& d, const OptimizedNetlist& opt) {
-  std::ostringstream os;
-  os << "design " << d.name() << " (optimized)\n";
-  for (const RamBlock& r : d.rams()) {
-    os << (r.writable ? "ram " : "rom ") << r.name << " : " << r.words << " x "
-       << r.width << " @" << d.clock_name(ClockId{r.clock}) << "\n";
-  }
-  const auto& comps = d.components();
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    const Component& c = comps[i];
-    if (c.out.valid()) {
-      const auto id = static_cast<std::size_t>(c.out.id);
-      if (opt.folded(c.out.id)) {
-        os << "%" << c.out.id << " = const(0b"
-           << opt.fold_value[id].to_binary() << ") : " << c.out.width
-           << " ; folded " << comp_kind_name(c.kind) << "\n";
-        continue;
-      }
-      if (opt.forward[id] != c.out.id) {
-        os << "%" << c.out.id << " -> %" << opt.forward[id] << " ; alias "
-           << comp_kind_name(c.kind) << "\n";
-        continue;
-      }
-    }
-    // DCE'd logic compiles onto no tape: omit it from the optimized view.
-    if (comb_kind(c.kind) && !opt.comp_alive[i]) continue;
+std::string export_netlist(const Design& d) { return write_netlist(d, nullptr); }
 
-    const auto fused = opt.fused.find(static_cast<std::int32_t>(i));
-    if (c.out.valid()) os << "%" << c.out.id << " = ";
-    if (fused != opt.fused.end()) {
-      const FusedComp& f = fused->second;
-      os << fused_op_name(f.op) << "(%" << f.in0.id;
-      if (f.in1.valid()) os << ", %" << f.in1.id;
-      os << ", imm=0x" << std::hex << f.imm << std::dec << ")";
-    } else {
-      os << comp_kind_name(c.kind) << "(";
-      bool first = true;
-      for (const Wire w : c.in) {
-        if (!first) os << ", ";
-        first = false;
-        if (w.valid()) {
-          os << "%" << opt.rep(w).id;
-        } else {
-          os << "_";
-        }
-      }
-      switch (c.kind) {
-        case CompKind::kSlice:
-          os << (first ? "" : ", ") << "lo=" << c.a;
-          break;
-        case CompKind::kShl:
-        case CompKind::kShr:
-          os << (first ? "" : ", ") << "n=" << c.a;
-          break;
-        case CompKind::kConst:
-          os << "0b" << c.init.to_binary();
-          break;
-        case CompKind::kRamRead:
-        case CompKind::kRamWrite:
-          os << (first ? "" : ", ") << "ram=" << c.ram;
-          break;
-        default:
-          break;
-      }
-      os << ")";
-    }
-    if (c.out.valid()) os << " : " << c.out.width;
-    if (!c.name.empty()) os << " \"" << c.name << "\"";
-    if (c.kind == CompKind::kReg || c.kind == CompKind::kRamRead ||
-        c.kind == CompKind::kRamWrite) {
-      os << " @" << d.clock_name(ClockId{c.clock});
-    }
-    os << "\n";
-  }
-  return os.str();
+std::string export_netlist(const Design& d, const OptimizedNetlist& opt) {
+  return write_netlist(d, &opt);
 }
 
 std::string export_dot(const Design& d) {

@@ -18,16 +18,12 @@ namespace atlantis::chdl {
 ///   %15 = reg(%12, en=%4) : 8 "hist/cnt3" @clk
 std::string export_netlist(const Design& design);
 
-/// Post-optimizer view of the same netlist: surviving combinational
-/// components with their forwarded inputs and fused opcode mnemonics,
-/// folded wires printed as constants, aliased wires as `%a -> %b`
-/// forwarding lines, and DCE'd logic omitted. This is what the
-/// simulator's op tape is compiled from; `export_netlist(design)` above
-/// remains the as-elaborated structure bench_a4's fit numbers use.
+/// Post-optimizer view of the same netlist: surviving components with
+/// their forwarded inputs, folded wires printed as constants and aliased
+/// wires as `%a -> %b` forwarding lines. This is what the simulator's op
+/// tape is compiled from; `export_netlist(design)` above remains the
+/// as-elaborated structure bench_a4's fit numbers use.
 std::string export_netlist(const Design& design, const OptimizedNetlist& opt);
-
-/// Fused opcode mnemonics used by the optimized exporter.
-const char* fused_op_name(FusedOp op);
 
 /// Graphviz DOT of the component graph. Sequential elements are drawn
 /// as boxes, combinational logic as ellipses, ports as diamonds.

@@ -45,10 +45,6 @@ class Fsm {
 
   Wire active(StateId s) const;
   Wire encoded() const;
-  int state_count() const { return static_cast<int>(states_.size()); }
-  const std::string& state_name(StateId s) const {
-    return states_.at(static_cast<std::size_t>(s.id));
-  }
 
  private:
   struct Transition {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "util/status.hpp"
@@ -43,15 +44,14 @@ bool commutative(CompKind k) {
 /// live in `cval`, keyed by representative id.
 struct Pipeline {
   const Design& d;
-  const OptimizeOptions& opts;
   OptimizedNetlist out;
+  std::vector<std::uint8_t> alive;     // per component: comb and on the tape
   std::vector<BitVec> cval;            // per representative wire
   std::vector<std::int32_t> producer;  // rep wire id -> alive comb comp
 
-  explicit Pipeline(const Design& design, const OptimizeOptions& o)
-      : d(design), opts(o) {
+  explicit Pipeline(const Design& design) : d(design) {
     const auto n_wires = static_cast<std::size_t>(d.wire_count());
-    out.comp_alive.assign(d.components().size(), 0);
+    alive.assign(d.components().size(), 0);
     out.forward.resize(n_wires);
     for (std::size_t i = 0; i < n_wires; ++i) {
       out.forward[i] = static_cast<std::int32_t>(i);
@@ -62,7 +62,7 @@ struct Pipeline {
     for (std::size_t i = 0; i < d.components().size(); ++i) {
       const Component& c = d.components()[i];
       if (is_comb(c.kind)) {
-        out.comp_alive[i] = 1;
+        alive[i] = 1;
         producer[static_cast<std::size_t>(c.out.id)] =
             static_cast<std::int32_t>(i);
       } else if (c.kind == CompKind::kConst) {
@@ -94,16 +94,12 @@ struct Pipeline {
   }
 
   std::int64_t live_ops() const {
-    std::int64_t n = 0;
-    for (std::size_t i = 0; i < out.comp_alive.size(); ++i) {
-      if (out.comp_alive[i] && is_comb(d.components()[i].kind)) ++n;
-    }
-    return n;
+    return std::count(alive.begin(), alive.end(), std::uint8_t{1});
   }
 
   /// Replaces comp `i`'s output with the constant `v`.
   void fold_to(std::int32_t i, Wire w, BitVec v) {
-    out.comp_alive[static_cast<std::size_t>(i)] = 0;
+    alive[static_cast<std::size_t>(i)] = 0;
     producer[static_cast<std::size_t>(w.id)] = -1;
     cval[static_cast<std::size_t>(w.id)] = v;
     out.fold_value[static_cast<std::size_t>(w.id)] = std::move(v);
@@ -114,7 +110,7 @@ struct Pipeline {
   /// (already resolved); the simulator aliases their storage slots.
   void alias_to(std::int32_t i, Wire w, Wire target) {
     ATLANTIS_CHECK(w.width == target.width, "optimizer alias width mismatch");
-    out.comp_alive[static_cast<std::size_t>(i)] = 0;
+    alive[static_cast<std::size_t>(i)] = 0;
     producer[static_cast<std::size_t>(w.id)] = -1;
     out.forward[static_cast<std::size_t>(w.id)] = target.id;
     ++out.report.wires_aliased;
@@ -122,12 +118,8 @@ struct Pipeline {
 
   // --- pass 1: constant propagation / folding --------------------------
   void fold_pass(OptimizePassStats& stats);
-  // --- pass 2: dead-logic elimination ----------------------------------
-  std::int64_t dce_sweep();
-  // --- pass 3: common-subexpression elimination ------------------------
+  // --- pass 2: common-subexpression elimination ------------------------
   void cse_pass(OptimizePassStats& stats);
-  // --- pass 4: peephole fusion -----------------------------------------
-  void fuse_pass(OptimizePassStats& stats);
 
   BitVec eval_const(const Component& c, const std::vector<const BitVec*>& in);
 };
@@ -193,7 +185,7 @@ void Pipeline::fold_pass(OptimizePassStats& stats) {
   // only), so one forward scan propagates constants all the way down.
   for (std::size_t i = 0; i < comps.size(); ++i) {
     const Component& c = comps[i];
-    if (!is_comb(c.kind) || !out.comp_alive[i]) continue;
+    if (!alive[i]) continue;
     const auto idx = static_cast<std::int32_t>(i);
 
     std::vector<Wire> rin(c.in.size());
@@ -306,63 +298,6 @@ void Pipeline::fold_pass(OptimizePassStats& stats) {
   }
 }
 
-std::int64_t Pipeline::dce_sweep() {
-  const auto& comps = d.components();
-  std::vector<std::uint8_t> needed(static_cast<std::size_t>(d.wire_count()), 0);
-  std::vector<std::int32_t> stack;
-  auto need = [&](Wire w) {
-    if (!w.valid()) return;
-    const std::int32_t id = find(w.id);
-    if (!needed[static_cast<std::size_t>(id)]) {
-      needed[static_cast<std::size_t>(id)] = 1;
-      stack.push_back(id);
-    }
-  };
-  // Roots: everything architectural state or the outside world observes.
-  for (const Component& c : comps) {
-    switch (c.kind) {
-      case CompKind::kReg:
-      case CompKind::kRamRead:
-      case CompKind::kRamWrite:
-      case CompKind::kOutput:
-        for (const Wire w : c.in) need(w);
-        break;
-      default:
-        break;
-    }
-  }
-  for (const Wire w : opts.keep) need(w);
-
-  while (!stack.empty()) {
-    const std::int32_t id = stack.back();
-    stack.pop_back();
-    const std::int32_t p = producer[static_cast<std::size_t>(id)];
-    if (p < 0) continue;
-    const auto fit = out.fused.find(p);
-    if (fit != out.fused.end()) {
-      need(fit->second.in0);
-      need(fit->second.in1);
-    } else {
-      for (const Wire w : comps[static_cast<std::size_t>(p)].in) {
-        need(resolve(w));
-      }
-    }
-  }
-
-  std::int64_t removed = 0;
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    const Component& c = comps[i];
-    if (!is_comb(c.kind) || !out.comp_alive[i]) continue;
-    if (!needed[static_cast<std::size_t>(c.out.id)]) {
-      out.comp_alive[i] = 0;
-      producer[static_cast<std::size_t>(c.out.id)] = -1;
-      out.fused.erase(static_cast<std::int32_t>(i));
-      ++removed;
-    }
-  }
-  return removed;
-}
-
 void Pipeline::cse_pass(OptimizePassStats& stats) {
   const auto& comps = d.components();
   // Hash-consing table: structural key -> representative output wire.
@@ -388,7 +323,7 @@ void Pipeline::cse_pass(OptimizePassStats& stats) {
       for (const std::uint64_t w : c.init.words()) {
         key.push_back(static_cast<std::int64_t>(w));
       }
-    } else if (is_comb(c.kind) && out.comp_alive[i]) {
+    } else if (alive[i]) {
       key.reserve(3 + c.in.size());
       key.push_back(static_cast<std::int64_t>(c.kind));
       key.push_back(c.a);
@@ -406,157 +341,6 @@ void Pipeline::cse_pass(OptimizePassStats& stats) {
       alias_to(static_cast<std::int32_t>(i), c.out,
                Wire{find(it->second), c.out.width});
       ++stats.rewrites;
-    }
-  }
-}
-
-void Pipeline::fuse_pass(OptimizePassStats& stats) {
-  const auto& comps = d.components();
-  auto single = [&](Wire w) {
-    return w.width <= 64;  // one storage word
-  };
-  // Producer component of a representative wire, but only if that
-  // producer is an alive, *unfused* comb op of the wanted kind.
-  auto plain_producer_of = [&](Wire w, CompKind kind) -> const Component* {
-    const std::int32_t p = producer[static_cast<std::size_t>(w.id)];
-    if (p < 0) return nullptr;
-    if (out.fused.count(p) != 0) return nullptr;
-    const Component& pc = comps[static_cast<std::size_t>(p)];
-    return pc.kind == kind ? &pc : nullptr;
-  };
-
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    const Component& c = comps[i];
-    if (!is_comb(c.kind) || !out.comp_alive[i]) continue;
-    const auto idx = static_cast<std::int32_t>(i);
-
-    std::vector<Wire> rin(c.in.size());
-    std::vector<const BitVec*> cin(c.in.size(), nullptr);
-    for (std::size_t k = 0; k < c.in.size(); ++k) {
-      rin[k] = resolve(c.in[k]);
-      const BitVec& v = const_of(rin[k].id);
-      if (!v.empty() && v.width() <= 64) cin[k] = &v;
-    }
-    auto fuse = [&](FusedOp op, Wire in0, Wire in1, std::uint64_t imm) {
-      out.fused[idx] = FusedComp{op, in0, in1, imm};
-      ++stats.rewrites;
-    };
-    // Binary op with one constant operand -> immediate form. Returns the
-    // non-constant operand index or -1.
-    auto imm_side = [&]() -> int {
-      if (!single(c.out)) return -1;
-      if (cin[0] != nullptr && cin[1] == nullptr && single(rin[1])) return 1;
-      if (cin[1] != nullptr && cin[0] == nullptr && single(rin[0])) return 0;
-      return -1;
-    };
-
-    switch (c.kind) {
-      case CompKind::kAnd:
-      case CompKind::kOr: {
-        const bool is_and = c.kind == CompKind::kAnd;
-        const int side = imm_side();
-        if (side >= 0) {
-          fuse(is_and ? FusedOp::kAndImm : FusedOp::kOrImm,
-               rin[static_cast<std::size_t>(side)], Wire{},
-               cin[static_cast<std::size_t>(1 - side)]->to_u64_lossy());
-          break;
-        }
-        // and/or over an inverter: absorb the kNot.
-        if (!single(c.out)) break;
-        for (int k = 1; k >= 0; --k) {
-          const auto ks = static_cast<std::size_t>(k);
-          const Component* inv = plain_producer_of(rin[ks], CompKind::kNot);
-          if (inv == nullptr) continue;
-          const Wire src = resolve(inv->in[0]);
-          if (!single(src)) continue;
-          fuse(is_and ? FusedOp::kAndNot : FusedOp::kOrNot,
-               rin[static_cast<std::size_t>(1 - k)], src, 0);
-          break;
-        }
-        break;
-      }
-      case CompKind::kXor: {
-        const int side = imm_side();
-        if (side >= 0) {
-          fuse(FusedOp::kXorImm, rin[static_cast<std::size_t>(side)], Wire{},
-               cin[static_cast<std::size_t>(1 - side)]->to_u64_lossy());
-        }
-        break;
-      }
-      case CompKind::kEq: {
-        const int side = imm_side();
-        if (side >= 0) {
-          fuse(FusedOp::kEqImm, rin[static_cast<std::size_t>(side)], Wire{},
-               cin[static_cast<std::size_t>(1 - side)]->to_u64_lossy());
-        }
-        break;
-      }
-      case CompKind::kNot: {
-        // Inverted compare-to-constant: not(eq(x, k)) -> x != k.
-        if (c.out.width != 1) break;
-        const Component* eq = plain_producer_of(rin[0], CompKind::kEq);
-        if (eq == nullptr) break;
-        const Wire a = resolve(eq->in[0]);
-        const Wire b = resolve(eq->in[1]);
-        const BitVec& ca = const_of(a.id);
-        const BitVec& cb = const_of(b.id);
-        if (!cb.empty() && cb.width() <= 64 && single(a)) {
-          fuse(FusedOp::kNeImm, a, Wire{}, cb.to_u64_lossy());
-        } else if (!ca.empty() && ca.width() <= 64 && single(b)) {
-          fuse(FusedOp::kNeImm, b, Wire{}, ca.to_u64_lossy());
-        }
-        break;
-      }
-      case CompKind::kUlt: {
-        if (!single(c.out)) break;
-        if (cin[1] != nullptr && cin[0] == nullptr && single(rin[0])) {
-          fuse(FusedOp::kUltImm, rin[0], Wire{}, cin[1]->to_u64_lossy());
-        } else if (cin[0] != nullptr && cin[1] == nullptr && single(rin[1])) {
-          fuse(FusedOp::kImmUlt, rin[1], Wire{}, cin[0]->to_u64_lossy());
-        }
-        break;
-      }
-      case CompKind::kAdd: {
-        const int side = imm_side();
-        if (side >= 0) {
-          fuse(FusedOp::kAddImm, rin[static_cast<std::size_t>(side)], Wire{},
-               cin[static_cast<std::size_t>(1 - side)]->to_u64_lossy());
-        }
-        break;
-      }
-      case CompKind::kSub: {
-        if (single(c.out) && cin[1] != nullptr && cin[0] == nullptr &&
-            single(rin[0])) {
-          fuse(FusedOp::kSubImm, rin[0], Wire{}, cin[1]->to_u64_lossy());
-        }
-        break;
-      }
-      case CompKind::kSlice: {
-        // Slice-of-concat forwarding: a slice landing entirely inside one
-        // concat part reads that part directly (zero-pad resize chains
-        // collapse this way).
-        const Component* cat = plain_producer_of(rin[0], CompKind::kConcat);
-        if (cat == nullptr) break;
-        int part_lo = 0;  // in[n-1] is the least significant part
-        for (std::size_t k = cat->in.size(); k-- > 0;) {
-          const Wire part = resolve(cat->in[k]);
-          if (c.a >= part_lo && c.a + c.out.width <= part_lo + part.width) {
-            const int off = c.a - part_lo;
-            if (off == 0 && c.out.width == part.width) {
-              alias_to(idx, c.out, part);
-              ++stats.rewrites;
-            } else if (single(part) && single(c.out)) {
-              fuse(FusedOp::kSliceImm, part, Wire{},
-                   static_cast<std::uint64_t>(off));
-            }
-            break;
-          }
-          part_lo += part.width;
-        }
-        break;
-      }
-      default:
-        break;
     }
   }
 }
@@ -582,29 +366,22 @@ std::string OptimizeReport::to_string() const {
   return os.str();
 }
 
-OptimizedNetlist optimize(const Design& design, const OptimizeOptions& opts) {
-  Pipeline p(design, opts);
+OptimizedNetlist optimize(const Design& design) {
+  Pipeline p(design);
   OptimizeReport& rep = p.out.report;
   rep.ops_before = p.live_ops();
 
-  auto run = [&](const char* name, bool enabled, auto&& body) {
+  auto run = [&](const char* name, auto&& body) {
     OptimizePassStats s;
     s.name = name;
     s.ops_before = p.live_ops();
-    if (enabled) body(s);
+    body(s);
     s.ops_after = p.live_ops();
     rep.passes.push_back(std::move(s));
   };
 
-  run("fold", opts.fold, [&](OptimizePassStats& s) { p.fold_pass(s); });
-  run("dce", opts.dce, [&](OptimizePassStats& s) { s.rewrites = p.dce_sweep(); });
-  run("cse", opts.cse, [&](OptimizePassStats& s) { p.cse_pass(s); });
-  run("fuse", opts.fuse, [&](OptimizePassStats& s) {
-    p.fuse_pass(s);
-    // Fusion bypasses inverters / compares / concats; sweep whatever is
-    // now unconsumed so the tape doesn't dispatch orphans.
-    if (opts.dce) p.dce_sweep();
-  });
+  run("fold", [&](OptimizePassStats& s) { p.fold_pass(s); });
+  run("cse", [&](OptimizePassStats& s) { p.cse_pass(s); });
 
   rep.ops_after = p.live_ops();
 

@@ -41,27 +41,6 @@ void copy_bits(std::uint64_t* dst, int dst_lo, const std::uint64_t* src,
   for (int i = 0; i < n; ++i) set_bit(dst, dst_lo + i, get_bit(src, src_lo + i));
 }
 
-/// Opcode of a peephole-fused op (chdl/optimize.hpp).
-TCode fused_code(FusedOp op) {
-  switch (op) {
-    case FusedOp::kAndNot:   return TCode::kAndNot;
-    case FusedOp::kOrNot:    return TCode::kOrNot;
-    case FusedOp::kEqImm:    return TCode::kEqImm;
-    case FusedOp::kNeImm:    return TCode::kNeImm;
-    case FusedOp::kUltImm:   return TCode::kUltImm;
-    case FusedOp::kImmUlt:   return TCode::kImmUlt;
-    case FusedOp::kAddImm:   return TCode::kAddImm;
-    case FusedOp::kSubImm:   return TCode::kSubImm;
-    case FusedOp::kAndImm:   return TCode::kAndImm;
-    case FusedOp::kOrImm:    return TCode::kOrImm;
-    case FusedOp::kXorImm:   return TCode::kXorImm;
-    case FusedOp::kSliceImm: return TCode::kSliceImm;
-    case FusedOp::kNone:     break;
-  }
-  ATLANTIS_CHECK(false, "fused tape op without an opcode");
-  return TCode::kWide;
-}
-
 /// Single-word fast-path opcode of a component kind; kWide for kinds
 /// that only the general path evaluates.
 TCode single_code(CompKind kind) {
@@ -91,7 +70,7 @@ TCode single_code(CompKind kind) {
 Simulator::Simulator(const Design& design, const SimOptions& options)
     : design_(design), mode_(options.mode) {
   design.check_complete();
-  if (options.optimize) opt_.emplace(optimize(design, options.opt));
+  if (options.optimize) opt_.emplace(optimize(design));
   // Allocate one flat slot per wire. A wire the optimizer forwarded
   // shares its representative's slot (the representative always has a
   // smaller id, so its slot is already assigned); pokes, peeks and VCD
@@ -144,26 +123,7 @@ Simulator::Simulator(const Design& design, const SimOptions& options)
       return opt_->forward[static_cast<std::size_t>(w.id)] != w.id;
     });
   }
-  const std::vector<TOp> tape = compile_tape();
-
-  // Dead-but-observable logic: comb components the optimizer dropped
-  // from the tape without replacing their output (not aliased, not
-  // folded to a constant). They are re-evaluated lazily so peeks of
-  // their wires stay bit-identical to the unoptimized engine.
-  wire_lazy_.assign(slots_.size(), 0);
-  if (opt_) {
-    const auto& comps = design.components();
-    for (const std::int32_t i : comb_order_) {
-      if (opt_->comp_alive[static_cast<std::size_t>(i)]) continue;
-      const Component& c = comps[static_cast<std::size_t>(i)];
-      const std::int32_t id = c.out.id;
-      if (opt_->forward[static_cast<std::size_t>(id)] != id) continue;
-      if (opt_->folded(id)) continue;
-      lazy_comps_.push_back(i);
-      wire_lazy_[static_cast<std::size_t>(id)] = 1;
-    }
-  }
-  threaded_ = std::make_unique<ThreadedBackend>(*this, tape);
+  threaded_ = std::make_unique<ThreadedBackend>(*this, compile_tape());
   reset();
 }
 
@@ -207,10 +167,11 @@ void Simulator::split_components() {
 std::vector<TOp> Simulator::compile_tape() {
   // The tape is laid down in component-creation order, which stays
   // topological after optimization because every rewrite (alias, CSE
-  // representative, fused operand) points at an earlier-created wire.
-  // Each op's inputs, resolved through the optimizer's forwarding map
-  // (or the fused operands when the peephole pass rewrote the op), go
-  // into graph_ so the region compiler partitions the optimized graph.
+  // representative) points at an earlier-created wire. Each op's inputs,
+  // resolved through the optimizer's forwarding map, go into graph_ so
+  // the region compiler partitions the optimized graph. Aliased
+  // components are already out of comb_order_; folded ones stay off the
+  // tape too, since reset() writes their constants.
   const auto& comps = design_.components();
   std::vector<TOp> tape;
   tape.reserve(comb_order_.size());
@@ -218,22 +179,12 @@ std::vector<TOp> Simulator::compile_tape() {
   graph_.in_begin.assign(1, 0);
   graph_.out_wire.reserve(comb_order_.size());
   for (const std::int32_t i : comb_order_) {
-    if (opt_ && !opt_->comp_alive[static_cast<std::size_t>(i)]) continue;
     const Component& c = comps[static_cast<std::size_t>(i)];
+    if (opt_ && opt_->folded(c.out.id)) continue;
     const WireSlot& out = slots_[static_cast<std::size_t>(c.out.id)];
-    const FusedComp* fc = nullptr;
-    if (opt_) {
-      const auto it = opt_->fused.find(i);
-      if (it != opt_->fused.end()) fc = &it->second;
-    }
     const std::size_t first = graph_.in_wires.size();
-    if (fc != nullptr) {
-      graph_.in_wires.push_back(fc->in0.id);
-      if (fc->in1.valid()) graph_.in_wires.push_back(fc->in1.id);
-    } else {
-      for (const Wire w : c.in) {
-        if (w.valid()) graph_.in_wires.push_back(opt_ ? opt_->rep(w).id : w.id);
-      }
+    for (const Wire w : c.in) {
+      if (w.valid()) graph_.in_wires.push_back(opt_ ? opt_->rep(w).id : w.id);
     }
     const std::int32_t* ins = graph_.in_wires.data() + first;
     const std::size_t n_ins = graph_.in_wires.size() - first;
@@ -251,11 +202,7 @@ std::vector<TOp> Simulator::compile_tape() {
     for (std::size_t k = 0; k < n_ins; ++k) {
       single = single && slots_[static_cast<std::size_t>(ins[k])].words == 1;
     }
-    if (fc != nullptr) {
-      // Fused opcodes are produced only for single-word operands.
-      op.code = fused_code(fc->op);
-      op.imm = fc->imm;
-    } else if (single) {
+    if (single) {
       op.code = single_code(c.kind);
       switch (c.kind) {
         case CompKind::kSlice:
@@ -309,7 +256,6 @@ std::vector<TOp> Simulator::compile_tape() {
 
 void Simulator::mark_all_dirty() {
   comb_dirty_ = true;
-  lazy_stale_ = true;
   threaded_->mark_all();
 }
 
@@ -436,7 +382,6 @@ void Simulator::poke(Wire input, const BitVec& value) {
   std::copy(value.words().begin(), value.words().end(), dst);
   if (mode_ == EvalMode::kThreaded) threaded_->mark_wire(input.id);
   comb_dirty_ = true;
-  lazy_stale_ = true;
 }
 
 void Simulator::poke(const std::string& port, std::uint64_t value) {
@@ -446,23 +391,7 @@ void Simulator::poke(const std::string& port, std::uint64_t value) {
 
 BitVec Simulator::peek(Wire w) {
   eval_comb();
-  if (lazy_stale_ && w.valid() &&
-      wire_lazy_[static_cast<std::size_t>(w.id)] != 0) {
-    refresh_lazy();
-  }
   return load(w);
-}
-
-void Simulator::refresh_lazy() {
-  // Observability path only: brings DCE'd logic up to date for a peek.
-  // Deliberately not counted in activity_ — the op tape never ran these.
-  const auto& comps = design_.components();
-  for (const std::int32_t i : lazy_comps_) {
-    const Component& c = comps[static_cast<std::size_t>(i)];
-    eval_comp(c, values_.data() +
-                     slots_[static_cast<std::size_t>(c.out.id)].offset);
-  }
-  lazy_stale_ = false;
 }
 
 std::uint64_t Simulator::peek_u64(Wire w) { return peek(w).to_u64(); }
@@ -485,7 +414,6 @@ void Simulator::eval_comb() {
   }
   activity_.comp_evals += comb_order_.size();
   comb_dirty_ = false;
-  lazy_stale_ = false;  // the sweep covers DCE'd components too
 }
 
 void Simulator::eval_comp(const Component& c, std::uint64_t* dst) {

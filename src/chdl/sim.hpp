@@ -57,7 +57,6 @@ enum class EvalMode {
 struct SimOptions {
   EvalMode mode = EvalMode::kThreaded;
   bool optimize = true;
-  OptimizeOptions opt{};
 };
 
 /// Work counters for speed reporting and activity-based tuning.
@@ -84,7 +83,6 @@ class alignas(util::kCacheLine) Simulator {
 
   const Design& design() const { return design_; }
 
-  EvalMode eval_mode() const { return mode_; }
   /// Switches the evaluation policy; all combinational state is
   /// re-evaluated on the next peek/step, so results are unaffected.
   void set_eval_mode(EvalMode mode);
@@ -180,7 +178,6 @@ class alignas(util::kCacheLine) Simulator {
 
   void eval_comb();
   void eval_comp(const Component& c, std::uint64_t* dst);
-  void refresh_lazy();
   void commit_edge(ClockId clock);
   void split_components();
   std::vector<TOp> compile_tape();
@@ -205,11 +202,6 @@ class alignas(util::kCacheLine) Simulator {
 
   RegionGraph graph_;                      // the compiled tape's dependencies
   std::vector<std::uint8_t> is_input_;     // per wire: design input?
-  // DCE'd-but-observable logic: kept off the tape, re-evaluated only
-  // when a peek asks for one of its wires (keeps peeks bit-identical).
-  std::vector<std::int32_t> lazy_comps_;   // dead comb comps, topo order
-  std::vector<std::uint8_t> wire_lazy_;    // per wire: driven by a dead comp
-  bool lazy_stale_ = true;
   SimActivity activity_;
 
   // The production engine (chdl/threaded.hpp), built at construction and

@@ -46,10 +46,9 @@ NetlistStats analyze(const Design& design);
 
 /// Live-op accounting for one optimizer pass (see chdl/optimize.hpp).
 /// `ops_before`/`ops_after` count combinational ops still bound for the
-/// simulator's op tape when the pass starts/finishes (a pass's "after"
-/// includes the dead-logic sweep that cleans up its orphans);
-/// `rewrites` counts the pass's own transformations (folds + identity
-/// aliases, removals, merges, fusions respectively).
+/// simulator's op tape when the pass starts/finishes; `rewrites` counts
+/// the pass's own transformations (fold: folds + identity aliases; cse:
+/// merges, duplicate constants included).
 struct OptimizePassStats {
   std::string name;
   std::int64_t ops_before = 0;
@@ -58,7 +57,7 @@ struct OptimizePassStats {
 };
 
 /// Per-pass op counts for one optimizer run, reported in pipeline order
-/// (fold, dce, cse, fuse).
+/// (fold, cse).
 struct OptimizeReport {
   std::vector<OptimizePassStats> passes;
   std::int64_t ops_before = 0;      // comb ops entering the pipeline

@@ -46,19 +46,7 @@ bool threaded_uses_computed_goto() {
   X(kSlice, (v[op->in0] >> op->a) & op->mask)                            \
   X(kConcat2, ((v[op->in0] << op->a) | v[op->in1]) & op->mask)           \
   X(kShl, (v[op->in0] << op->a) & op->mask)                              \
-  X(kShr, v[op->in0] >> op->a)                                           \
-  X(kAndNot, v[op->in0] & ~v[op->in1] & op->mask)                        \
-  X(kOrNot, (v[op->in0] | ~v[op->in1]) & op->mask)                       \
-  X(kEqImm, v[op->in0] == op->imm ? 1 : 0)                               \
-  X(kNeImm, v[op->in0] != op->imm ? 1 : 0)                               \
-  X(kUltImm, v[op->in0] < op->imm ? 1 : 0)                               \
-  X(kImmUlt, op->imm < v[op->in0] ? 1 : 0)                               \
-  X(kAddImm, (v[op->in0] + op->imm) & op->mask)                          \
-  X(kSubImm, (v[op->in0] - op->imm) & op->mask)                          \
-  X(kAndImm, v[op->in0] & op->imm)                                       \
-  X(kOrImm, v[op->in0] | op->imm)                                        \
-  X(kXorImm, v[op->in0] ^ op->imm)                                       \
-  X(kSliceImm, (v[op->in0] >> op->imm) & op->mask)
+  X(kShr, v[op->in0] >> op->a)
 
 ThreadedBackend::ThreadedBackend(Simulator& sim, const std::vector<TOp>& tape)
     : sim_(sim), plan_(build_region_plan(sim.graph_)) {
@@ -403,7 +391,6 @@ void ThreadedBackend::commit_edge(ClockId clock) {
     std::uint64_t* dst = v + s.out_off;
     if (std::equal(staged, staged + s.out_words, dst)) continue;
     std::copy(staged, staged + s.out_words, dst);
-    sim_.lazy_stale_ = true;
     mark_wire(s.out_wire);
   }
 }

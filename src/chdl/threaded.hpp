@@ -6,10 +6,10 @@
 // QEMU-TCG-style:
 //
 //  * flat opcode space — one `code` byte per TOp covers the
-//    single-word fast paths, the peephole-fused forms and the general
-//    multi-word path (kWide, Simulator::eval_comp), so dispatch is one
-//    indirection and the single-word semantics are written once
-//    (ATLANTIS_THREADED_OPS in threaded.cpp);
+//    single-word fast paths and the general multi-word path (kWide,
+//    Simulator::eval_comp), so dispatch is one indirection and the
+//    single-word semantics are written once (ATLANTIS_THREADED_OPS in
+//    threaded.cpp);
 //  * computed-goto dispatch — on GCC/Clang each opcode's handler jumps
 //    straight to the next op through a `&&label` table (one indirect
 //    branch per op, predicted per-opcode); elsewhere, or when
@@ -70,19 +70,6 @@ enum class TCode : std::uint8_t {
   kConcat2,
   kShl,
   kShr,
-  // Peephole-fused forms (chdl/optimize.hpp FusedOp).
-  kAndNot,
-  kOrNot,
-  kEqImm,
-  kNeImm,
-  kUltImm,
-  kImmUlt,
-  kAddImm,
-  kSubImm,
-  kAndImm,
-  kOrImm,
-  kXorImm,
-  kSliceImm,
   kCount_,
 };
 
@@ -95,7 +82,7 @@ struct TOp {
   std::int32_t a = 0;        // shift amount / slice lo / concat lo width
   std::int32_t comp = -1;    // kWide: component index
   std::uint64_t mask = ~std::uint64_t{0};  // output width mask
-  std::uint64_t imm = 0;     // fused immediate; kReduceAnd input mask
+  std::uint64_t imm = 0;     // kReduceAnd input mask
 };
 
 /// The compiled engine for one Simulator. Owns the region plan, the

@@ -41,7 +41,6 @@ class Backplane {
   /// Reconfigures the channel granularity under host-CPU control.
   /// Widths must be 8/16/32/64 bits and sum to at most 128.
   void configure_channels(const std::vector<int>& widths);
-  const std::vector<int>& channel_widths() const { return widths_; }
   int channel_count() const { return static_cast<int>(widths_.size()); }
 
   /// Bandwidth of one channel at the backplane clock.

@@ -12,6 +12,11 @@ SobelCoreLayout build_sobel_core(chdl::Design& d, int image_width) {
 
   chdl::HostRegFile hrf(d, /*addr_bits=*/8, /*data_bits=*/32);
   const StreamWindow window = build_stream_window(d, hrf, image_width);
+  // High once the line buffers hold real image data (see StreamWindow).
+  const std::uint64_t prime_pixels =
+      2ull * static_cast<std::uint64_t>(image_width) + 5;
+  const Wire primed =
+      d.bnot(d.ult(window.count, d.constant(32, prime_pixels)));
 
   // Two MACs share the one window.
   const Wire gx =
@@ -30,7 +35,7 @@ SobelCoreLayout build_sobel_core(chdl::Design& d, int image_width) {
   const Wire threshold = hrf.write_reg("threshold", 0x05, 8);
   // Gate statistics until the line buffers hold real data.
   const Wire is_edge =
-      d.band(d.band(window.advance, window.primed),
+      d.band(d.band(window.advance, primed),
              d.bnot(d.ult(clamped, threshold)));
   hrf.map_read(0x04, chdl::counter(d, "edge_count", 32, is_edge,
                                    window.reset));

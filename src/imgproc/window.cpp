@@ -59,9 +59,6 @@ StreamWindow build_stream_window(chdl::Design& d, chdl::HostRegFile& host,
 
   w.count = chdl::counter(d, "pix_count", 32, w.push, w.reset);
   host.map_read(0x03, w.count);
-  const std::uint64_t prime_pixels =
-      2ull * static_cast<std::uint64_t>(image_width) + 5;
-  w.primed = d.bnot(d.ult(w.count, d.constant(32, prime_pixels)));
   return w;
 }
 

@@ -22,11 +22,11 @@ struct StreamWindow {
   /// Pixel push strobe (host write to 0x01) and stream reset (0x00).
   chdl::Wire push;
   chdl::Wire reset;
-  /// Pixels pushed since reset (the 0x03 counter).
+  /// Pixels pushed since reset (the 0x03 counter). A window is primed,
+  /// its line buffers holding real image data, once this reaches two
+  /// rows plus the window fill (2 * image_width + 5); statistics
+  /// gathered before that see priming garbage.
   chdl::Wire count;
-  /// High once the line buffers hold real image data (two rows plus the
-  /// window fill); statistics gathered before this see priming garbage.
-  chdl::Wire primed;
 };
 
 /// Builds the window against an existing host register file; reserves

@@ -27,15 +27,6 @@ bool HealthScore::observe(const HealthDelta& d) {
   return true;
 }
 
-const char* breaker_state_name(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed: return "closed";
-    case BreakerState::kOpen: return "open";
-    case BreakerState::kHalfOpen: return "half-open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(BreakerOptions options, std::string name,
                                std::uint64_t seed)
     : options_(options), name_(std::move(name)), seed_(seed) {

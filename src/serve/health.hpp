@@ -92,7 +92,6 @@ class HealthScore {
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
-const char* breaker_state_name(BreakerState s);
 
 struct BreakerOptions {
   /// Failures within the rolling window that trip the breaker.
@@ -129,7 +128,6 @@ class CircuitBreaker {
 
   std::uint64_t opens() const { return opens_; }
   std::uint64_t half_opens() const { return half_opens_; }
-  int open_ticks_left() const { return open_left_; }
 
   /// Forgets history (window, escalation) without touching tallies —
   /// used when a crash-restore re-baselines the supervisor.

@@ -438,6 +438,16 @@ const SupervisorReport& Supervisor::run() {
   }
   if (spare_ != nullptr && spare_->pending() > 0) spare_->run();
 
+  // Every breaker tallies from construction (rebaseline keeps tallies),
+  // so the report takes their totals as they stand.
+  report_.breaker_opens = 0;
+  report_.breaker_half_opens = 0;
+  for (const BoardSupervision& b : boards_) {
+    report_.breaker_opens += b.reconfig->opens() + b.dma->opens();
+    report_.breaker_half_opens +=
+        b.reconfig->half_opens() + b.dma->half_opens();
+  }
+
   // Availability over the supervised crate's own modelled horizon.
   const util::Picoseconds horizon = now();
   for (BoardSupervision& b : boards_) {
@@ -468,14 +478,6 @@ BoardCondition Supervisor::board_condition(int board_index) const {
 
 double Supervisor::board_health(int board_index) const {
   return boards_.at(static_cast<std::size_t>(board_index)).score.value();
-}
-
-const CircuitBreaker& Supervisor::reconfig_breaker(int board_index) const {
-  return *boards_.at(static_cast<std::size_t>(board_index)).reconfig;
-}
-
-const CircuitBreaker& Supervisor::dma_breaker(int board_index) const {
-  return *boards_.at(static_cast<std::size_t>(board_index)).dma;
 }
 
 }  // namespace atlantis::serve

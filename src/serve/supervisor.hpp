@@ -140,8 +140,6 @@ class Supervisor {
 
   BoardCondition board_condition(int board_index) const;
   double board_health(int board_index) const;
-  const CircuitBreaker& reconfig_breaker(int board_index) const;
-  const CircuitBreaker& dma_breaker(int board_index) const;
 
  private:
   /// Counter snapshot one probe window diffs against.

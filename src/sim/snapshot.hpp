@@ -132,7 +132,6 @@ class SnapshotWriter {
 
   void begin_section(const std::string& tag);
   void end_section();
-  bool in_section() const { return open_; }
 
   /// Writes a nested stream into the open section: a u64 byte count,
   /// then a complete stream (header and sections) that `body` writes

@@ -23,7 +23,6 @@ PatternBank::PatternBank(const DetectorGeometry& geo, int num_patterns)
   static constexpr double kCurvValues[kCurvatures] = {0.0, 0.02};
 
   patterns_.reserve(static_cast<std::size_t>(num_patterns));
-  params_.reserve(static_cast<std::size_t>(num_patterns));
   for (int i = 0; i < phi_steps && pattern_count() < num_patterns; ++i) {
     for (int s = 0; s < kSlopes && pattern_count() < num_patterns; ++s) {
       for (int c = 0; c < kCurvatures && pattern_count() < num_patterns;
@@ -33,7 +32,6 @@ PatternBank::PatternBank(const DetectorGeometry& geo, int num_patterns)
         t.slope = kSlopeValues[s];
         t.curvature = kCurvValues[c];
         patterns_.push_back(track_straws(geo_, t));
-        params_.push_back(t);
       }
     }
   }

@@ -29,9 +29,6 @@ class PatternBank {
   const std::vector<std::int32_t>& pattern_straws(int p) const {
     return patterns_.at(static_cast<std::size_t>(p));
   }
-  const TrackParams& pattern_params(int p) const {
-    return params_.at(static_cast<std::size_t>(p));
-  }
 
   /// Patterns that straw `s` belongs to (the set bits of LUT row `s`).
   const std::vector<std::int32_t>& straw_patterns(std::int32_t s) const {
@@ -58,7 +55,6 @@ class PatternBank {
  private:
   DetectorGeometry geo_;
   std::vector<std::vector<std::int32_t>> patterns_;       // pattern -> straws
-  std::vector<TrackParams> params_;
   std::vector<std::vector<std::int32_t>> straw_patterns_; // straw -> patterns
 };
 

@@ -362,7 +362,7 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
 
   // Three configurations: the unoptimized full sweep is the reference;
   // "raw" runs the threaded engine (region superops and the event-driven
-  // edge tape) on the elaborated netlist; "opt" adds the fold/dce/cse/fuse
+  // edge tape) on the elaborated netlist; "opt" adds the fold + CSE
   // netlist optimizer underneath, so this test is also the bit-exactness
   // proof for every optimizer rewrite.
   Simulator full(d, SimOptions{.mode = EvalMode::kFullSweep, .optimize = false});
@@ -390,7 +390,7 @@ TEST_P(SequentialFuzz, EventDrivenMatchesFullSweep) {
         opt.poke(w, v);
       }
       // Every wire in the design, not just the ports — including wires
-      // the optimizer aliased, folded or dead-code-eliminated.
+      // the optimizer aliased or folded.
       for (std::int32_t id = 0; id < d.wire_count(); ++id) {
         const Wire w{id, d.wire_width(id)};
         ASSERT_EQ(full.peek(w), raw.peek(w))

@@ -1,7 +1,8 @@
 // Supervisor checkpoints across runs: a crash must always restore a
 // checkpoint that holds every job the service has accepted, including
-// jobs submitted between two Supervisor::run() calls. And a drain to a
-// spare that refuses some jobs still resolves every one of them.
+// jobs submitted between two Supervisor::run() calls. A drain to a
+// spare that refuses some jobs still resolves every one of them. And
+// the report carries the breakers' open and half-open tallies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,22 +39,24 @@ serve::JobSpec make_job(int index) {
   return job;
 }
 
-/// A two-board crate served under a Supervisor with default options.
+/// A two-board crate served under a Supervisor.
 struct SupervisedCrate {
   sim::FaultInjector injector;
   core::AtlantisSystem sys;
   std::unique_ptr<serve::JobService> service;
   std::unique_ptr<serve::Supervisor> supervisor;
 
-  explicit SupervisedCrate(const sim::FaultPlan& plan)
+  explicit SupervisedCrate(const sim::FaultPlan& plan,
+                           serve::ServeOptions serve_options = {},
+                           serve::SupervisorOptions options = {})
       : injector(plan), sys("crate") {
     sys.add_acb("acb0");
     sys.add_acb("acb1");
     sys.set_fault_injector(&injector);
-    service = std::make_unique<serve::JobService>(sys);
+    service = std::make_unique<serve::JobService>(sys, serve_options);
     service->register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
     service->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
-    supervisor = std::make_unique<serve::Supervisor>(*service);
+    supervisor = std::make_unique<serve::Supervisor>(*service, options);
   }
 
   ~SupervisedCrate() {
@@ -162,6 +165,29 @@ TEST(Supervisor, DrainToASpareMissingAConfigurationResolvesEveryJob) {
   EXPECT_GT(migrated, 0);
   EXPECT_EQ(served + failed + migrated, kJobs);
   EXPECT_EQ(spare.report().served, static_cast<std::uint64_t>(migrated));
+}
+
+TEST(Supervisor, ReportCountsEveryBreakerOpenAndHalfOpen) {
+  // The reconfigure-per-job baseline (no batching, no cache, submission
+  // order) draws a CRC opportunity on every job, and the chaos bench's
+  // twitchy reconfig breaker opens on two failures in a window.
+  serve::ServeOptions serve_options;
+  serve_options.max_batch = 1;
+  serve_options.cache_capacity = 0;
+  serve_options.fifo_order = true;
+  serve::SupervisorOptions options;
+  options.reconfig_breaker.failure_threshold = 2;
+  options.reconfig_breaker.base_open_ticks = 4;
+  sim::FaultPlan plan;
+  plan.seed = 20260808;
+  plan.with_rate(sim::FaultKind::kConfigCrc, 0.30);
+  SupervisedCrate crate{plan, serve_options, options};
+  crate.submit(0, kBatch);
+  const serve::SupervisorReport& rep = crate.supervisor->run();
+
+  EXPECT_GT(rep.breaker_opens, 0u);
+  EXPECT_LE(rep.breaker_half_opens, rep.breaker_opens);
+  EXPECT_EQ(crate.service->pending(), 0u);
 }
 
 }  // namespace
