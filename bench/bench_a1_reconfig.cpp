@@ -28,8 +28,9 @@ int main() {
     core::TaskSwitcher sw(dev);
     sw.add_task(make_task("a", fraction));
     sw.add_task(make_task("b", fraction));
-    sw.switch_to("a");                                   // initial full load
-    const util::Picoseconds lat = sw.switch_to("b");     // partial switch
+    sw.switch_to("a").value_or_throw();  // initial full load
+    const util::Picoseconds lat =
+        sw.switch_to("b").value_or_throw();  // partial switch
     const double ms = util::ps_to_ms(lat);
     if (fraction == 0.25) orca_partial_ms = ms;
     t.add_row({"ORCA 3T125", fraction < 1.0 ? "partial" : "partial(full array)",
@@ -41,8 +42,8 @@ int main() {
     core::TaskSwitcher sw(dev);
     sw.add_task(make_task("a", 0.25));
     sw.add_task(make_task("b", 0.25));
-    sw.switch_to("a");
-    const double ms = util::ps_to_ms(sw.switch_to("b"));
+    sw.switch_to("a").value_or_throw();
+    const double ms = util::ps_to_ms(sw.switch_to("b").value_or_throw());
     full_ms = ms;
     t.add_row({"Virtex XCV600", "full (no partial support)", "1.00",
                util::Table::fmt(ms, 2), util::Table::fmt(1000.0 / ms, 1)});

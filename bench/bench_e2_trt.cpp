@@ -46,7 +46,8 @@ int main() {
   const trt::TrtHwResult eight = run_hw(1408, false); // honest datapath
   const trt::TrtHwResult ideal = run_hw(1408, true);  // paper's linear extrap.
   // Same measured system, but the image DMA streams in under the scan
-  // (async post + wait on the crate timeline instead of chained calls).
+  // (an overlapped dma() + wait() on the crate timeline instead of chained
+  // calls).
   const trt::TrtHwResult olap = run_hw(176, false, true);
 
   // The 2-ACB system modelled end to end: image broadcast over the

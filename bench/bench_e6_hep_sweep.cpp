@@ -73,8 +73,8 @@ int main() {
   const std::uint64_t kBlock = util::kMiB;
   const util::Picoseconds solo =
       d0.board().pci().transfer(hw::DmaDirection::kWrite, kBlock).duration;
-  d0.dma_write_async(kBlock);
-  d1.dma_write_async(kBlock);
+  d0.dma(hw::DmaDirection::kWrite, kBlock, /*overlap=*/true).value();
+  d1.dma(hw::DmaDirection::kWrite, kBlock, /*overlap=*/true).value();
   const util::Picoseconds shared0 = d0.wait();
   const util::Picoseconds shared1 = d1.wait();
   const sim::ResourceStats pci = crate.timeline().stats(crate.pci_segment());

@@ -48,7 +48,7 @@ DmaCell run_dma_cell(int transfers, std::uint64_t bytes,
   drv.set_retry_policy(pol);
   std::uint64_t moved = 0;
   for (int i = 0; i < transfers; ++i) {
-    if (drv.try_dma_write(bytes).ok()) moved += bytes;
+    if (drv.dma(hw::DmaDirection::kWrite, bytes).ok()) moved += bytes;
   }
   DmaCell cell;
   cell.policy = policy_name;
@@ -180,7 +180,7 @@ int main() {
     sim::FaultInjector inj(plan);
     sys.set_fault_injector(&inj);
     core::AtlantisDriver drv(sys, sys.add_acb("acb0"));
-    (void)drv.try_dma_write(bytes);
+    (void)drv.dma(hw::DmaDirection::kWrite, bytes);
     const sim::ResourceStats st = sys.timeline().stats(sys.pci_segment());
     bench::expect(st.faults == 1 && st.retries == 1 && st.retry_time > 0,
                   "fault, retry and recovery time visible in the "

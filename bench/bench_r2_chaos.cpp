@@ -148,7 +148,7 @@ std::string serialize(const std::vector<serve::JobRecord>& records) {
   for (const serve::JobRecord& r : records) {
     os << r.id << '|' << r.tenant << '|' << r.config << '|' << r.board << '|'
        << r.start << '|' << r.finish << '|' << r.preemptions << '|'
-       << r.migrated << '|' << util::error_name(r.error) << '|'
+       << r.migrated << '|' << util::error_code_name(r.error) << '|'
        << r.outcome.checksum << '\n';
   }
   return os.str();

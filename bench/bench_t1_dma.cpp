@@ -35,8 +35,10 @@ int main() {
   std::vector<double> reads, writes;
   util::Picoseconds ledger_sum = 0;  // hand-summed durations for the check
   for (const std::uint64_t kb : blocks) {
-    const auto r = drv.dma_read(kb * util::kKiB);
-    const auto w = drv.dma_write(kb * util::kKiB);
+    const hw::DmaTransfer r =
+        drv.dma(hw::DmaDirection::kRead, kb * util::kKiB).value_or_throw();
+    const hw::DmaTransfer w =
+        drv.dma(hw::DmaDirection::kWrite, kb * util::kKiB).value_or_throw();
     ledger_sum += r.duration + w.duration;
     reads.push_back(r.mbps());
     writes.push_back(w.mbps());

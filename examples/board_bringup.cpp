@@ -24,7 +24,8 @@ int main() {
   board.attach_memory(1, core::MemModule::make_trt("aux"));
 
   std::printf("=== ACB self test ===\n");
-  const core::SelfTestReport report = core::self_test_acb(board);
+  const core::SelfTestReport report =
+      core::self_test_acb(board).value_or_throw();
   std::printf("%s", report.to_string().c_str());
 
   std::printf("\n=== external S-Link check ===\n");

@@ -93,7 +93,7 @@ int main() {
   trt::PatternBank tiny_bank(tiny, 12);
   chdl::Design d("trt_core");
   trt::build_trt_core(d, tiny_bank);
-  drv.configure(0, hw::Bitstream::from_design(d));
+  drv.configure(0, hw::Bitstream::from_design(d)).value_or_throw();
   chdl::HostInterface* hif = drv.host_if(0);
   trt::EventGenerator tiny_gen(tiny_bank, trt::EventParams{.tracks = 2});
   const trt::Event tev = tiny_gen.generate();

@@ -162,13 +162,7 @@ int AcbBoard::total_memory_width_bits() const {
   return width;
 }
 
-util::Picoseconds AcbBoard::configure_all(const hw::Bitstream& bs) {
-  util::Picoseconds total = 0;
-  for (auto& f : fpgas_) total += f->configure(bs);
-  return total;
-}
-
-util::Result<util::Picoseconds> AcbBoard::try_configure_all(
+util::Result<util::Picoseconds> AcbBoard::configure_all(
     const hw::Bitstream& bs) {
   if (!alive_) {
     return util::Result<util::Picoseconds>::failure(

@@ -114,14 +114,11 @@ class AcbBoard {
   int total_memory_width_bits() const;
 
   /// Configures all four FPGAs with the same bitstream; returns the total
-  /// (sequential) configuration time through the CPLD support logic.
-  util::Picoseconds configure_all(const hw::Bitstream& bs);
-
-  /// Recoverable dual (the try_dma_* convention): a dead board returns
-  /// kBoardDead, a configuration-CRC failure on any chip returns
-  /// kConfigCrc naming the chip. configure_all() remains the legacy
-  /// surface for fault-free runs.
-  util::Result<util::Picoseconds> try_configure_all(const hw::Bitstream& bs);
+  /// (sequential) configuration time through the CPLD support logic. A
+  /// dead board fails with kBoardDead, a configuration-CRC failure on any
+  /// chip with kConfigCrc naming the chip (the chips after it are left
+  /// as they were).
+  util::Result<util::Picoseconds> configure_all(const hw::Bitstream& bs);
 
   /// Steps every configured FPGA's cycle simulator `cycles` edges in
   /// lockstep, exchanging neighbour-link port values between edges.

@@ -2,16 +2,17 @@
 
 namespace atlantis::core {
 
-bool ConfigCache::touch(const std::string& name) {
+bool ConfigCache::touch(const std::string& name, bool usable) {
   if (!enabled()) return false;  // inert: no lookup, no stats
   const auto it = index_.find(name);
-  if (it == index_.end()) {
+  if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);
+  const bool hit = it != index_.end() && usable;
+  if (hit) {
+    ++stats_.hits;
+  } else {
     ++stats_.misses;
-    return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
-  return true;
+  return hit;
 }
 
 void ConfigCache::insert(const std::string& name,

@@ -46,9 +46,11 @@ class ConfigCache {
   std::size_t size() const { return lru_.size(); }
   bool enabled() const { return capacity_ > 0; }
 
-  /// Looks `name` up and promotes it to most-recently-used on a hit.
-  /// Counts one hit or one miss.
-  bool touch(const std::string& name);
+  /// Looks `name` up and promotes it to most-recently-used when it is
+  /// resident. Counts a hit when it is resident and `usable` (the caller
+  /// can serve from the staged copy), one miss otherwise; returns whether
+  /// it counted a hit.
+  bool touch(const std::string& name, bool usable = true);
 
   /// True when `name` is resident; no promotion, no stats.
   bool contains(const std::string& name) const {

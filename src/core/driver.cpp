@@ -13,7 +13,6 @@ AtlantisDriver::AtlantisDriver(AtlantisSystem& system, int acb_index)
   ATLANTIS_CHECK(board_.timeline() != nullptr,
                  "board is not bound to the crate timeline");
   track_ = board_.timeline()->add_track("drv/" + board_.name());
-  host_ifs_.resize(AcbBoard::kFpgaCount);
 }
 
 void AtlantisDriver::post_compute(util::Picoseconds t,
@@ -44,9 +43,9 @@ void AtlantisDriver::save_state(sim::SnapshotWriter& w) const {
 
 void AtlantisDriver::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
-util::Result<util::Picoseconds> AtlantisDriver::try_switch_task(
+util::Result<util::Picoseconds> AtlantisDriver::switch_task(
     TaskSwitcher& switcher, const std::string& name) {
-  util::Result<util::Picoseconds> r = switcher.try_switch_to(name);
+  util::Result<util::Picoseconds> r = switcher.switch_to(name);
   if (!r.ok()) return r;
   if (r.value() > 0) {
     switch_label_.assign("switch to ").append(name);
@@ -87,7 +86,6 @@ util::Result<util::Picoseconds> AtlantisDriver::poll_self_reconfig(int fpga) {
   config_retries_ += static_cast<std::uint64_t>(oc.region_retries);
   if (!oc.ok) {
     recovery_time_ += oc.time;
-    host_ifs_[static_cast<std::size_t>(fpga)].reset();
     return util::Result<util::Picoseconds>::failure(
         util::ErrorCode::kConfigCrc,
         "self-reconfiguration of " + dev.name() + " region " +
@@ -112,8 +110,10 @@ void AtlantisDriver::advance_cycles(std::uint64_t cycles) {
   post_compute(board_.local_clock().cycles(cycles), "compute");
 }
 
-void AtlantisDriver::configure(int fpga, const hw::Bitstream& bs) {
+util::Result<util::Picoseconds> AtlantisDriver::configure(
+    int fpga, const hw::Bitstream& bs) {
   hw::FpgaDevice& dev = board_.fpga(fpga);
+  util::Picoseconds total = 0;
   for (int attempt = 1;; ++attempt) {
     const util::Picoseconds t = dev.configure(bs);
     const bool ok = dev.config_crc_ok();
@@ -123,40 +123,21 @@ void AtlantisDriver::configure(int fpga, const hw::Bitstream& bs) {
         sim::ResourceId{}, now_, t,
         static_cast<std::uint64_t>(dev.family().config_bits / 8));
     now_ = txn.end;
-    if (ok) break;
+    total += t;
+    if (ok) return total;
     recovery_time_ += t;
     if (attempt >= policy_.max_attempts) {
-      throw util::Error("configuration of " + dev.name() +
-                        " failed CRC after " + std::to_string(attempt) +
-                        " attempts");
+      return util::Result<util::Picoseconds>::failure(
+          util::ErrorCode::kConfigCrc,
+          "configuration of " + dev.name() + " failed CRC after " +
+              std::to_string(attempt) + " attempts");
     }
     ++config_retries_;
   }
-  host_ifs_[static_cast<std::size_t>(fpga)].reset();
-}
-
-void AtlantisDriver::partial_reconfigure(int fpga, const hw::Bitstream& bs) {
-  const util::Picoseconds t = board_.fpga(fpga).partial_reconfigure(bs);
-  const sim::Transaction& txn = timeline().post(
-      track_, sim::TxnKind::kReconfig, "partial " + bs.name,
-      sim::ResourceId{}, now_, t);
-  now_ = txn.end;
-  host_ifs_[static_cast<std::size_t>(fpga)].reset();
 }
 
 void AtlantisDriver::set_design_clock(double mhz) {
   board_.local_clock().set_mhz(mhz);
-}
-
-chdl::HostInterface* AtlantisDriver::host_if(int fpga) {
-  auto& slot = host_ifs_[static_cast<std::size_t>(fpga)];
-  if (slot == nullptr) {
-    chdl::Simulator* sim = board_.fpga(fpga).sim();
-    if (sim == nullptr) return nullptr;
-    if (!sim->design().has_port("host_rdata")) return nullptr;
-    slot = std::make_unique<chdl::HostInterface>(*sim);
-  }
-  return slot.get();
 }
 
 void AtlantisDriver::reg_write(int fpga, std::uint32_t addr,
@@ -176,11 +157,20 @@ std::uint64_t AtlantisDriver::reg_read(int fpga, std::uint32_t addr) {
   return 0;
 }
 
-util::Result<hw::DmaTransfer> AtlantisDriver::try_dma(hw::DmaDirection dir,
-                                                      std::uint64_t bytes) {
+util::Result<hw::DmaTransfer> AtlantisDriver::dma(hw::DmaDirection dir,
+                                                  std::uint64_t bytes,
+                                                  bool overlap) {
   hw::Plx9080& pci = board_.pci();
-  const char* base =
-      dir == hw::DmaDirection::kWrite ? "dma_write" : "dma_read";
+  const bool write = dir == hw::DmaDirection::kWrite;
+  if (overlap) {
+    // Known gap: an overlapped transfer draws no DMA fault, so it can
+    // neither stall nor abort.
+    const sim::Transaction& txn = pci.post_transfer(
+        track_, dir, bytes, now_, write ? "dma_write async" : "dma_read async");
+    pending_.push_back(txn.end);
+    return hw::DmaTransfer{bytes, txn.duration()};
+  }
+  const char* base = write ? "dma_write" : "dma_read";
   const util::Picoseconds deadline = now_ + policy_.timeout_budget;
   for (int attempt = 1;; ++attempt) {
     const auto fault = pci.draw_dma_fault();
@@ -235,35 +225,6 @@ util::Result<hw::DmaTransfer> AtlantisDriver::try_dma(hw::DmaDirection dir,
     recovery_time_ += wasted + wait;
     timeline().record_retry(pci.segment(), wasted + wait);
   }
-}
-
-util::Result<hw::DmaTransfer> AtlantisDriver::try_dma_write(
-    std::uint64_t bytes) {
-  return try_dma(hw::DmaDirection::kWrite, bytes);
-}
-
-util::Result<hw::DmaTransfer> AtlantisDriver::try_dma_read(
-    std::uint64_t bytes) {
-  return try_dma(hw::DmaDirection::kRead, bytes);
-}
-
-hw::DmaTransfer AtlantisDriver::dma_write(std::uint64_t bytes) {
-  util::Result<hw::DmaTransfer> r = try_dma(hw::DmaDirection::kWrite, bytes);
-  if (!r.ok()) throw util::Error(r.message());
-  return r.value();
-}
-
-hw::DmaTransfer AtlantisDriver::dma_read(std::uint64_t bytes) {
-  util::Result<hw::DmaTransfer> r = try_dma(hw::DmaDirection::kRead, bytes);
-  if (!r.ok()) throw util::Error(r.message());
-  return r.value();
-}
-
-std::uint64_t AtlantisDriver::dma_write_async(std::uint64_t bytes) {
-  const sim::Transaction& txn = board_.pci().post_transfer(
-      track_, hw::DmaDirection::kWrite, bytes, now_, "dma_write async");
-  pending_.push_back(txn.end);
-  return txn.id;
 }
 
 util::Picoseconds AtlantisDriver::wait() {

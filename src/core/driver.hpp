@@ -15,14 +15,18 @@
 // because nothing queues; with several boards sharing the CompactPCI
 // segment it additionally contains the queuing delay the bus arbiter
 // imposed. A phase's time is the difference of two now() readings.
-// Overlap is expressed with dma_*_async() + wait(): asynchronous
-// transfers occupy the bus without advancing the cursor, so design-clock
-// compute posted meanwhile runs concurrently and wait() joins at the
-// maximum, not the sum.
+// Overlap is expressed with dma(dir, bytes, /*overlap=*/true) + wait():
+// an overlapped transfer occupies the bus without advancing the cursor,
+// so design-clock compute posted meanwhile runs concurrently and wait()
+// joins at the maximum, not the sum.
+//
+// Every recoverable operation (configure, task switch, DMA) is one verb
+// returning util::Result; callers that want an exception write
+// `.value_or_throw()`. Misuse (a missing host port, an unknown task)
+// throws.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -66,18 +70,20 @@ class AtlantisDriver {
   sim::TrackId track() const { return track_; }
 
   // --- configuration ---------------------------------------------------
-  /// Full configuration of one FPGA.
-  void configure(int fpga, const hw::Bitstream& bs);
-  /// Partial reconfiguration (hardware task switch on the ORCA parts).
-  void partial_reconfigure(int fpga, const hw::Bitstream& bs);
+  /// Full configuration of one FPGA. Each attempt is a kReconfig
+  /// transaction at this driver's cursor; a CRC failure retries, up to
+  /// the retry policy's attempt budget, and then fails with kConfigCrc
+  /// (the device is left unconfigured). Returns the time of every
+  /// attempt.
+  util::Result<util::Picoseconds> configure(int fpga, const hw::Bitstream& bs);
 
   /// Hardware task switch through a TaskSwitcher: runs the switch (with
   /// its configuration cache and CRC-retry semantics), posts the
   /// kReconfig transaction at THIS driver's cursor and advances past it
   /// — so a serving layer keeps one cursor per board instead of two.
   /// The switcher must wrap one of this board's devices.
-  util::Result<util::Picoseconds> try_switch_task(TaskSwitcher& switcher,
-                                                  const std::string& name);
+  util::Result<util::Picoseconds> switch_task(TaskSwitcher& switcher,
+                                              const std::string& name);
 
   /// Self-reconfiguration service poll (driver-mediated, deterministic):
   /// if the FPGA's resident design asserts its `reconfig_req` output,
@@ -105,22 +111,26 @@ class AtlantisDriver {
   std::uint64_t reg_read(int fpga, std::uint32_t addr);
 
   // --- DMA -------------------------------------------------------------
-  /// Block DMA host->board / board->host; posts the transfer on the
-  /// shared CompactPCI segment, advances the cursor past it (queuing
-  /// included) and returns the modelled transfer (service time only, so
-  /// mbps() stays the device rate). Throws util::Error when the transfer
-  /// cannot be completed within the retry policy.
-  hw::DmaTransfer dma_write(std::uint64_t bytes);
-  hw::DmaTransfer dma_read(std::uint64_t bytes);
-
-  /// Recoverable DMA: same semantics, but injected faults surface as a
-  /// Result instead of an exception. A faulted attempt occupies the bus
-  /// (a stall until the watchdog, an abort for the setup time), then the
-  /// driver backs off exponentially and retries, up to the policy's
-  /// attempt and time budgets. Every faulted attempt and every backoff
-  /// is posted on the timeline.
-  util::Result<hw::DmaTransfer> try_dma_write(std::uint64_t bytes);
-  util::Result<hw::DmaTransfer> try_dma_read(std::uint64_t bytes);
+  /// Block DMA host->board (kWrite) or board->host (kRead): posts the
+  /// transfer on the shared CompactPCI segment and returns the modelled
+  /// transfer (service time only, so mbps() stays the device rate).
+  ///
+  /// Blocking (the default): the cursor advances past the transfer,
+  /// queuing included. A faulted attempt occupies the bus (a stall until
+  /// the watchdog, an abort for the setup time), then the driver backs
+  /// off exponentially and retries, up to the policy's attempt and time
+  /// budgets; every faulted attempt and every backoff is posted on the
+  /// timeline. Failure: kRetriesExhausted or kTimeout.
+  ///
+  /// Overlapped: the transfer occupies the bus from the cursor but does
+  /// NOT advance it, so compute posted afterwards overlaps it; wait()
+  /// joins. This branch draws no fault yet.
+  util::Result<hw::DmaTransfer> dma(hw::DmaDirection dir, std::uint64_t bytes,
+                                    bool overlap = false);
+  /// Joins every outstanding overlapped DMA (cursor = max of their
+  /// ends); returns now().
+  util::Picoseconds wait();
+  int pending_dma() const { return static_cast<int>(pending_.size()); }
 
   /// Retry/backoff policy shared by DMA and configuration retries.
   void set_retry_policy(const sim::RetryPolicy& policy) { policy_ = policy; }
@@ -132,16 +142,6 @@ class AtlantisDriver {
   std::uint64_t config_retries() const { return config_retries_; }
   util::Picoseconds recovery_time() const { return recovery_time_; }
 
-  /// Asynchronous host->board DMA: occupies the bus from the current
-  /// cursor but does NOT advance it, so compute posted afterwards
-  /// overlaps the transfer. Returns the scheduled transaction id; wait()
-  /// joins all outstanding asynchronous transfers (cursor = max of their
-  /// ends).
-  std::uint64_t dma_write_async(std::uint64_t bytes);
-  /// Joins every outstanding asynchronous DMA; returns now().
-  util::Picoseconds wait();
-  int pending_dma() const { return static_cast<int>(pending_.size()); }
-
   /// DMA that also delivers payload words into the simulated design,
   /// one word per design clock through the host port at `addr`
   /// (the FIFO-push pattern of the microEnable driver).
@@ -149,11 +149,13 @@ class AtlantisDriver {
                                    std::span<const std::uint64_t> words);
 
   /// Direct access to the simulated design (tests and loaders).
-  chdl::HostInterface* host_if(int fpga);
+  chdl::HostInterface* host_if(int fpga) {
+    return board_.fpga(fpga).host_if();
+  }
   chdl::Simulator* sim(int fpga) { return board_.fpga(fpga).sim(); }
 
   /// Snapshottable leaf, written into the caller's open section: the
-  /// timeline cursor, outstanding async-DMA ends and the recovery
+  /// timeline cursor, outstanding overlapped-DMA ends and the recovery
   /// counters. The board's devices are saved by the board; the retry
   /// policy is construction configuration.
   void save_state(sim::SnapshotWriter& w) const;
@@ -163,8 +165,6 @@ class AtlantisDriver {
   /// Posts design-clock compute on the board's compute resource and
   /// moves the cursor past it.
   void post_compute(util::Picoseconds t, std::string_view label);
-  util::Result<hw::DmaTransfer> try_dma(hw::DmaDirection dir,
-                                        std::uint64_t bytes);
   template <typename Self, typename Stream>
   static void walk(Self& self, Stream& s);
 
@@ -172,14 +172,13 @@ class AtlantisDriver {
   AcbBoard& board_;
   sim::TrackId track_;
   util::Picoseconds now_ = 0;
-  std::vector<util::Picoseconds> pending_;  // ends of async transfers
-  std::vector<std::unique_ptr<chdl::HostInterface>> host_ifs_;
+  std::vector<util::Picoseconds> pending_;  // ends of overlapped transfers
   sim::RetryPolicy policy_;
   std::uint64_t dma_faults_ = 0;
   std::uint64_t dma_retries_ = 0;
   std::uint64_t config_retries_ = 0;
   util::Picoseconds recovery_time_ = 0;
-  std::string switch_label_;  // reused by try_switch_task
+  std::string switch_label_;  // reused by switch_task
 };
 
 }  // namespace atlantis::core

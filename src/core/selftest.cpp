@@ -59,13 +59,7 @@ SelfTestStep slink_test(hw::SlinkChannel& link) {
   return step;
 }
 
-SelfTestReport self_test_acb(AcbBoard& board) {
-  util::Result<SelfTestReport> r = try_self_test_acb(board);
-  if (!r.ok()) throw util::Error(r.message());
-  return r.value();
-}
-
-util::Result<SelfTestReport> try_self_test_acb(AcbBoard& board) {
+util::Result<SelfTestReport> self_test_acb(AcbBoard& board) {
   if (!board.alive()) {
     return util::Result<SelfTestReport>::failure(
         util::ErrorCode::kBoardDead,

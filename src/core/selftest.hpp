@@ -43,21 +43,16 @@ struct SelfTestReport {
   std::string to_string() const;
 };
 
-/// Recoverable form of the full board check (the try_dma_* convention):
-/// a dead board — drop-out, power/clock loss — comes back as
-/// ErrorCode::kBoardDead instead of a meaningless report. A live board
-/// always yields a report; individual step failures are data inside it,
-/// not errors. Runs per-FPGA configure+readback, a march-C-style test
-/// over every attached memory module, and a DMA loopback through the
-/// PLX bridge; leaves the FPGAs deconfigured. When a fault injector is
-/// wired to the board the run additionally performs SEU scrub steps
-/// (configuration and memory) and the report's health page carries the
-/// fault counters.
-util::Result<SelfTestReport> try_self_test_acb(AcbBoard& board);
-
-/// Throwing dual of try_self_test_acb (thin wrapper; throws util::Error
-/// on a dead board).
-SelfTestReport self_test_acb(AcbBoard& board);
+/// The full board check. A dead board — drop-out, power/clock loss —
+/// comes back as ErrorCode::kBoardDead instead of a meaningless report.
+/// A live board always yields a report; individual step failures are
+/// data inside it, not errors. Runs per-FPGA configure+readback, a
+/// march-C-style test over every attached memory module, and a DMA
+/// loopback through the PLX bridge; leaves the FPGAs deconfigured. When
+/// a fault injector is wired to the board the run additionally performs
+/// SEU scrub steps (configuration and memory) and the report's health
+/// page carries the fault counters.
+util::Result<SelfTestReport> self_test_acb(AcbBoard& board);
 
 /// March test over one SRAM module bank (write/verify two complementary
 /// patterns at every word). Returns false on the first miscompare.

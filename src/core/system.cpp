@@ -79,14 +79,6 @@ int AtlantisSystem::aib_slot(int index) const {
   return aib_slots_[static_cast<std::size_t>(index)];
 }
 
-std::vector<int> AtlantisSystem::alive_acbs() const {
-  std::vector<int> out;
-  for (int i = 0; i < acb_count(); ++i) {
-    if (acbs_[static_cast<std::size_t>(i)]->alive()) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<SelfTestHealth> AtlantisSystem::probe_health() const {
   std::vector<SelfTestHealth> pages;
   pages.reserve(acbs_.size());

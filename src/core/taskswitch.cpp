@@ -31,13 +31,7 @@ bool TaskSwitcher::diff_applicable(const hw::Bitstream& bs) const {
          hw::region_diff_count(device_.resident_regions(), bs.region_sigs) >= 0;
 }
 
-util::Picoseconds TaskSwitcher::switch_to(const std::string& name) {
-  util::Result<util::Picoseconds> r = try_switch_to(name);
-  if (!r.ok()) throw util::Error(r.message());
-  return r.value();
-}
-
-util::Result<util::Picoseconds> TaskSwitcher::try_switch_to(
+util::Result<util::Picoseconds> TaskSwitcher::switch_to(
     const std::string& name) {
   const auto it = tasks_.find(name);
   if (it == tasks_.end()) {
@@ -51,19 +45,17 @@ util::Result<util::Picoseconds> TaskSwitcher::try_switch_to(
   // Bitstream-cache hit: the configuration data is staged in the local
   // configuration store, so the context is activated (a small fraction
   // of the full load) without moving the bitstream — and therefore
-  // without a CRC opportunity. An upset or unconfigured device must take
-  // the full reload path below, which repairs it.
-  if (cache_.enabled()) {
-    const bool staged = cache_.touch(name);
-    if (staged && device_.configured() && !device_.upset_pending()) {
-      const util::Picoseconds t =
-          device_.activate(it->second, cache_hit_fraction_);
-      current_ = name;
-      ++switches_;
-      total_time_ += t;
-      last_time_ = t;
-      return t;
-    }
+  // without a CRC opportunity. An upset or unconfigured device cannot
+  // activate a staged context: the lookup counts as a miss and takes the
+  // full reload path below, which repairs it.
+  if (cache_.touch(name, device_.configured() && !device_.upset_pending())) {
+    const util::Picoseconds t =
+        device_.activate(it->second, cache_hit_fraction_);
+    current_ = name;
+    ++switches_;
+    total_time_ += t;
+    last_time_ = t;
+    return t;
   }
   util::Picoseconds total = 0;
   for (int attempt = 1;; ++attempt) {
@@ -127,8 +119,8 @@ bool TaskSwitcher::scrub() {
     // and the live design state survives (reconfigure_diff of the
     // resident bitstream touches only the upset region); otherwise the
     // current task is reloaded wholesale. Either reload is a CRC
-    // opportunity; a failure there surfaces via the next
-    // try_switch_to(), which sees an unconfigured device.
+    // opportunity; a failure there surfaces via the next switch_to(),
+    // which sees an unconfigured device.
     const auto it = tasks_.find(current_);
     if (it != tasks_.end()) {
       if (diff_applicable(it->second)) {

@@ -74,20 +74,16 @@ class TaskSwitcher {
   /// Registers a task under its bitstream name.
   void add_task(const hw::Bitstream& bs);
 
-  /// Switches to `name`. The first activation is always a full
-  /// configuration; later switches are partial when the device allows it.
-  /// Returns the reconfiguration time. Throws util::Error when the switch
-  /// cannot complete within the retry policy.
-  util::Picoseconds switch_to(const std::string& name);
-
-  /// Recoverable switch: a configuration-CRC failure drops the device to
-  /// the unconfigured state and the switcher retries with a full
-  /// configuration, up to the policy's attempt budget. On the
-  /// differential path the budget applies per region first (a failed
-  /// frame is re-shifted alone). The returned time includes every failed
-  /// attempt. Unknown task names still throw — that is caller misuse,
-  /// not a hardware fault.
-  util::Result<util::Picoseconds> try_switch_to(const std::string& name);
+  /// Switches to `name` and returns the reconfiguration time. The first
+  /// activation is always a full configuration; later switches are
+  /// partial when the device allows it. A configuration-CRC failure
+  /// drops the device to the unconfigured state and the switcher retries
+  /// with a full configuration, up to the policy's attempt budget, then
+  /// fails with kConfigCrc. On the differential path the budget applies
+  /// per region first (a failed frame is re-shifted alone). The returned
+  /// time includes every failed attempt. Unknown task names throw — that
+  /// is caller misuse, not a hardware fault.
+  util::Result<util::Picoseconds> switch_to(const std::string& name);
 
   /// One configuration-SRAM scrub window: gives the injector an SEU
   /// opportunity, reads the configuration back, and repairs an upset by
@@ -114,8 +110,10 @@ class TaskSwitcher {
   /// store. A switch to a staged task activates the context (paying
   /// `hit_fraction` of the full configuration time) instead of reloading
   /// the bitstream — and skips the CRC check, since no configuration
-  /// data moved. Capacity 0 (the default) disables the cache; behaviour
-  /// is then bit-identical to the pre-cache switcher.
+  /// data moved. Only such an activation counts as a cache hit; on an
+  /// unconfigured or upset device a staged task is a miss and reloads.
+  /// Capacity 0 (the default) disables the cache; behaviour is then
+  /// bit-identical to the pre-cache switcher.
   void enable_cache(std::size_t capacity, double hit_fraction = 1.0 / 64.0);
   const ConfigCache& cache() const { return cache_; }
   const ConfigCacheStats& cache_stats() const { return cache_.stats(); }

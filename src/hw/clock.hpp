@@ -32,8 +32,6 @@ class ClockGenerator {
   double mhz() const { return mhz_; }
   util::Picoseconds period() const { return util::period_from_mhz(mhz_); }
   const std::string& name() const { return name_; }
-  double min_mhz() const { return min_mhz_; }
-  double max_mhz() const { return max_mhz_; }
 
   /// Duration of `n` cycles at the programmed frequency.
   util::Picoseconds cycles(std::uint64_t n) const {

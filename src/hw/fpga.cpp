@@ -145,7 +145,7 @@ bool FpgaDevice::draw_crc_failure() {
   crc_ok_ = false;
   configured_ = false;
   design_name_.clear();
-  sim_.reset();
+  load_sim(nullptr);
   resident_sigs_.clear();
   upset_pending_ = false;
   upset_region_ = -1;
@@ -166,6 +166,22 @@ bool FpgaDevice::draw_config_upset() {
   return true;
 }
 
+void FpgaDevice::load_sim(const chdl::Design* design) {
+  host_.reset();
+  sim_.reset();
+  if (design != nullptr) {
+    sim_ = std::make_unique<chdl::Simulator>(*design, default_sim_options());
+  }
+}
+
+chdl::HostInterface* FpgaDevice::host_if() {
+  if (host_ == nullptr && sim_ != nullptr &&
+      sim_->design().has_port("host_rdata")) {
+    host_ = std::make_unique<chdl::HostInterface>(*sim_);
+  }
+  return host_.get();
+}
+
 void FpgaDevice::install(const Bitstream& bs) {
   // Same resident design: the frames that moved do not disturb live
   // flip-flop/RAM state, so the simulator (and its state) survives.
@@ -174,12 +190,7 @@ void FpgaDevice::install(const Bitstream& bs) {
                            (bs.design == nullptr || sim_ != nullptr);
   configured_ = true;
   design_name_ = bs.name;
-  if (!same_design) {
-    sim_.reset();
-    if (bs.design != nullptr) {
-      sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
-    }
-  }
+  if (!same_design) load_sim(bs.design);
 }
 
 util::Picoseconds FpgaDevice::configure(const Bitstream& bs) {
@@ -193,10 +204,7 @@ util::Picoseconds FpgaDevice::configure(const Bitstream& bs) {
   upset_region_ = -1;
   configured_ = true;
   design_name_ = bs.name;
-  sim_.reset();
-  if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
-  }
+  load_sim(bs.design);
   resident_sigs_ = bs.region_sigs;
   return config_time(family_->config_bits);
 }
@@ -218,10 +226,7 @@ util::Picoseconds FpgaDevice::partial_reconfigure(const Bitstream& bs) {
   upset_pending_ = false;
   upset_region_ = -1;
   design_name_ = bs.name;
-  sim_.reset();
-  if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
-  }
+  load_sim(bs.design);
   resident_sigs_ = bs.region_sigs;
   return spent;
 }
@@ -261,7 +266,7 @@ ReconfigOutcome FpgaDevice::load_regions(int regions,
       crc_ok_ = false;
       configured_ = false;
       design_name_.clear();
-      sim_.reset();
+      load_sim(nullptr);
       resident_sigs_.clear();
       upset_pending_ = false;
       upset_region_ = -1;
@@ -364,10 +369,7 @@ util::Picoseconds FpgaDevice::activate(const Bitstream& bs,
   crc_ok_ = true;
   configured_ = true;
   design_name_ = bs.name;
-  sim_.reset();
-  if (bs.design != nullptr) {
-    sim_ = std::make_unique<chdl::Simulator>(*bs.design, default_sim_options());
-  }
+  load_sim(bs.design);
   resident_sigs_ = bs.region_sigs;
   return config_time(static_cast<std::int64_t>(
       static_cast<double>(family_->config_bits) * fraction_of_full));
@@ -385,7 +387,7 @@ util::Picoseconds FpgaDevice::readback() const {
 void FpgaDevice::deconfigure() {
   configured_ = false;
   design_name_.clear();
-  sim_.reset();
+  load_sim(nullptr);
   resident_sigs_.clear();
   upset_pending_ = false;
   upset_region_ = -1;
@@ -454,7 +456,7 @@ void FpgaDevice::load_state(sim::SnapshotReader& r) {
   if (has_sim) {
     sim_->load_state(r);
   } else {
-    sim_.reset();
+    load_sim(nullptr);
   }
 }
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "chdl/hostif.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/stats.hpp"
 #include "sim/fault.hpp"
@@ -169,6 +170,11 @@ class FpgaDevice {
 
   /// The simulator for the loaded design, if the bitstream carried one.
   chdl::Simulator* sim() { return sim_.get(); }
+  /// The host interface of that simulator, built on first use; nullptr
+  /// when there is no simulator or its design has no host port. Every
+  /// reload that replaces the simulator drops it too, so it never
+  /// outlives the simulator it wraps.
+  chdl::HostInterface* host_if();
 
   /// Time to shift `bits` of configuration data.
   util::Picoseconds config_time(std::int64_t bits) const;
@@ -238,12 +244,16 @@ class FpgaDevice {
   ReconfigOutcome load_regions(int regions, int max_region_attempts,
                                bool differential);
   void install(const Bitstream& bs);
+  /// Replaces the simulator (and drops its host interface): a fresh one
+  /// for `design`, none when it is nullptr.
+  void load_sim(const chdl::Design* design);
 
   std::string name_;
   const FpgaFamily* family_;
   bool configured_ = false;
   std::string design_name_;
   std::unique_ptr<chdl::Simulator> sim_;
+  std::unique_ptr<chdl::HostInterface> host_;  // wraps *sim_; dies first
   std::vector<std::uint64_t> resident_sigs_;
   bool crc_ok_ = true;
   bool upset_pending_ = false;

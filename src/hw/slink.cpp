@@ -47,51 +47,43 @@ bool SlinkChannel::send(const SlinkWord& word) {
   return true;
 }
 
-std::size_t SlinkChannel::send_fragment(
+util::Result<std::size_t> SlinkChannel::send_fragment(
     std::uint32_t event_id, const std::vector<std::uint32_t>& payload) {
+  const auto fail = [&](util::ErrorCode code, const std::string& what) {
+    return util::Result<std::size_t>::failure(
+        code, "slink " + name_ + ": fragment " + std::to_string(event_id) +
+                  what);
+  };
   std::size_t accepted = 0;
-  if (!send({kBeginFragment | (event_id & 0xFFFFF), true})) return accepted;
-  ++accepted;
-  for (const std::uint32_t w : payload) {
-    if (!send({w, false})) return accepted;
+  std::size_t corrupted = 0;
+  // Offers one word; an accepted word is the FIFO's last, LDERR and all.
+  const auto offer = [&](SlinkWord w) {
+    if (!send(w)) return false;
     ++accepted;
+    if (fifo_.back().lderr) ++corrupted;
+    return true;
+  };
+  const auto refused = [&] {
+    return fail(util::ErrorCode::kXoff, " refused by flow control after " +
+                                            std::to_string(accepted) +
+                                            " words");
+  };
+  if (!offer({kBeginFragment | (event_id & 0xFFFFF), true})) return refused();
+  for (const std::uint32_t w : payload) {
+    if (!offer({w, false})) return refused();
   }
   if (injector_ != nullptr &&
       injector_->draw(sim::FaultKind::kSlinkTruncation, fault_site_)) {
     // Truncated frame: the end marker is lost in transit; the receiver
     // only notices when the next begin marker shows up.
     ++truncated_frames_;
-    return accepted;
+    return fail(util::ErrorCode::kTruncatedFrame, " lost its end marker");
   }
-  if (send({kEndFragment | (event_id & 0xFFFFF), true})) ++accepted;
-  return accepted;
-}
-
-util::Result<std::size_t> SlinkChannel::try_send_fragment(
-    std::uint32_t event_id, const std::vector<std::uint32_t>& payload) {
-  const std::uint64_t errors_before = link_errors_;
-  const std::uint64_t truncated_before = truncated_frames_;
-  const std::size_t accepted = send_fragment(event_id, payload);
-  if (accepted < payload.size() + 2 &&
-      truncated_frames_ == truncated_before) {
-    return util::Result<std::size_t>::failure(
-        util::ErrorCode::kXoff, "slink " + name_ + ": fragment " +
-                                    std::to_string(event_id) +
-                                    " refused by flow control after " +
-                                    std::to_string(accepted) + " words");
-  }
-  if (truncated_frames_ > truncated_before) {
-    return util::Result<std::size_t>::failure(
-        util::ErrorCode::kTruncatedFrame,
-        "slink " + name_ + ": fragment " + std::to_string(event_id) +
-            " lost its end marker");
-  }
-  if (link_errors_ > errors_before) {
-    return util::Result<std::size_t>::failure(
-        util::ErrorCode::kLinkError,
-        "slink " + name_ + ": fragment " + std::to_string(event_id) +
-            " carried " + std::to_string(link_errors_ - errors_before) +
-            " corrupted word(s)");
+  if (!offer({kEndFragment | (event_id & 0xFFFFF), true})) return refused();
+  if (corrupted > 0) {
+    return fail(util::ErrorCode::kLinkError,
+                " carried " + std::to_string(corrupted) +
+                    " corrupted word(s)");
   }
   return accepted;
 }

@@ -46,18 +46,12 @@ class SlinkChannel {
   /// Sender side: offers one word; returns false on XOFF (buffer full).
   bool send(const SlinkWord& word);
 
-  /// Convenience: send an event fragment (begin marker, payload, end
-  /// marker). Returns words accepted; stops early on XOFF.
-  std::size_t send_fragment(std::uint32_t event_id,
-                            const std::vector<std::uint32_t>& payload);
-
-  /// Recoverable dual (the try_dma_* convention): the fault outcome of
-  /// one fragment send comes back as an ErrorCode instead of having to
-  /// be reverse-engineered from the counters — kXoff when flow control
-  /// refused words (fragment incomplete), kTruncatedFrame when the end
-  /// marker was lost, kLinkError when a payload word arrived with LDERR
-  /// set. Success carries the words accepted.
-  util::Result<std::size_t> try_send_fragment(
+  /// Sends an event fragment (begin marker, payload, end marker).
+  /// Success carries the words accepted (payload + 2). Failures: kXoff
+  /// when flow control refuses a word (the send stops there),
+  /// kTruncatedFrame when the end marker is lost, kLinkError when a word
+  /// arrived with LDERR set.
+  util::Result<std::size_t> send_fragment(
       std::uint32_t event_id, const std::vector<std::uint32_t>& payload);
 
   /// Receiver side: pops the next word if available.

@@ -23,24 +23,17 @@ ImgHwResult filter_atlantis(int width, int height, const ImgHwConfig& cfg,
   if (driver != nullptr) {
     driver->set_design_clock(cfg.clock_mhz);
     const util::Picoseconds t0 = driver->now();
-    if (cfg.overlap_io) {
-      // The streaming engine filters pixels as the frame arrives; the
-      // result is read back once the pipeline drains.
-      driver->dma_write_async(pixels);
-      r.io_time += driver->board()
-                       .pci()
-                       .transfer(hw::DmaDirection::kWrite, pixels)
-                       .duration;
-      driver->advance(r.compute_time);
-      driver->wait();
-      r.io_time += driver->dma_read(pixels).duration;
-    } else {
-      r.io_time += driver->dma_write(pixels).duration;  // frame in
-      r.io_time += driver->dma_read(pixels).duration;   // result out
-      driver->advance(r.compute_time);
-    }
-    // Timeline span: sequential sum by default, overlapped under
-    // overlap_io, queue-delay inclusive under contention.
+    // Frame in, filter, result out: the read-back starts once the
+    // pipeline that produces it drains.
+    r.io_time += driver->dma(hw::DmaDirection::kWrite, pixels)
+                     .value_or_throw()
+                     .duration;
+    driver->advance(r.compute_time);
+    r.io_time += driver->dma(hw::DmaDirection::kRead, pixels)
+                     .value_or_throw()
+                     .duration;
+    // Timeline span: the sequential sum, queue-delay inclusive under
+    // contention.
     r.total_time = driver->now() - t0;
   } else {
     r.total_time = r.compute_time + r.io_time;

@@ -17,10 +17,6 @@ struct ImgHwConfig {
   int pipeline_latency = 8;  // line-buffer priming handled separately
   /// Filters applied back to back on-board before reading the result.
   int chained_filters = 1;
-  /// Streams the frame in with an asynchronous DMA overlapping the
-  /// filter pipeline (the engine consumes pixels as they arrive).
-  /// Needs a driver; the default is the sequential ledger.
-  bool overlap_io = false;
 };
 
 struct ImgHwResult {

@@ -89,7 +89,7 @@ JobService::JobService(core::AtlantisSystem& system, ServeOptions options)
     state.driver = std::make_unique<core::AtlantisDriver>(system_, i);
     // The switcher wraps the board's host-PCI FPGA and stays UNBOUND:
     // reconfigurations are posted through the driver's cursor
-    // (try_switch_task), so each board has exactly one notion of "now".
+    // (switch_task), so each board has exactly one notion of "now".
     state.switcher =
         std::make_unique<core::TaskSwitcher>(system_.acb(i).fpga(0));
     state.switcher->enable_cache(options_.cache_capacity);
@@ -323,7 +323,7 @@ void JobService::run_batched(util::WorkerPool& pool,
     // cache-hit activation). A switch that cannot complete within the
     // retry policy means the board lost its configuration path: drain it.
     const util::Result<util::Picoseconds> sw =
-        board->driver->try_switch_task(*board->switcher, config);
+        board->driver->switch_task(*board->switcher, config);
     if (!sw.ok()) {
       queues_.push_front(config, batch_);
       lose_board(*board);
@@ -439,7 +439,7 @@ void JobService::ensure_progress(JobId id) {
 bool JobService::start_run(BoardState& board, JobId id) {
   JobRecord& rec = records_[id];
   const util::Result<util::Picoseconds> sw =
-      board.driver->try_switch_task(*board.switcher, rec.config);
+      board.driver->switch_task(*board.switcher, rec.config);
   if (!sw.ok()) {
     queues_.push_front(rec.config, {&id, 1});
     lose_board(board);
@@ -450,8 +450,8 @@ bool JobService::start_run(BoardState& board, JobId id) {
   if (rec.board < 0) start_service(board, rec);  // first dispatch only
   rec.board = board.index;
   if (!prog.input_done && prog.outcome.dma_in_bytes > 0) {
-    const util::Result<hw::DmaTransfer> w =
-        board.driver->try_dma_write(prog.outcome.dma_in_bytes);
+    const util::Result<hw::DmaTransfer> w = board.driver->dma(
+        hw::DmaDirection::kWrite, prog.outcome.dma_in_bytes);
     if (!w.ok()) {
       fail_job(id, w.error(), "input DMA failed");
       return true;  // board stays alive and idle
@@ -525,7 +525,7 @@ void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
     core::AtlantisDriver& drv = *board->driver;
     if (out->dma_out_bytes > 0) {
       const util::Result<hw::DmaTransfer> r =
-          drv.try_dma_read(out->dma_out_bytes);
+          drv.dma(hw::DmaDirection::kRead, out->dma_out_bytes);
       if (!r.ok()) error = r.error();
     }
     rec.finish = drv.now();
@@ -581,8 +581,13 @@ void JobService::serve_batch(BoardState& board, util::WorkerPool& pool) {
     JobRecord& rec = records_[batch_[i]];
     const JobOutcome& out = outcomes_[i];
     start_service(board, rec);
-    // Input streams in while the board computes; join at the max.
-    if (out.dma_in_bytes > 0) drv.dma_write_async(out.dma_in_bytes);
+    // Input streams in while the board computes; join at the max. The
+    // overlapped DMA cannot fail today; .value() makes a future failure
+    // loud.
+    if (out.dma_in_bytes > 0) {
+      drv.dma(hw::DmaDirection::kWrite, out.dma_in_bytes, /*overlap=*/true)
+          .value();
+    }
     if (out.compute_time > 0) {
       drv.advance(out.compute_time, compute_label(rec, false));
     }

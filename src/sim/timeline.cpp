@@ -125,12 +125,6 @@ const Transaction& Timeline::txn(std::uint64_t id) const {
   return txns_[static_cast<std::size_t>(id)];
 }
 
-const std::string& Timeline::resource_name(ResourceId id) const {
-  ATLANTIS_CHECK(id.valid() && id.value < resource_count(),
-                 "unknown resource");
-  return resources_[static_cast<std::size_t>(id.value)].name;
-}
-
 const std::string& Timeline::track_name(TrackId id) const {
   ATLANTIS_CHECK(id.valid() && id.value < track_count(), "unknown track");
   return tracks_[static_cast<std::size_t>(id.value)].name;

@@ -165,7 +165,6 @@ class Timeline : public Snapshottable {
 
   int resource_count() const { return static_cast<int>(resources_.size()); }
   int track_count() const { return static_cast<int>(tracks_.size()); }
-  const std::string& resource_name(ResourceId id) const;
   const std::string& track_name(TrackId id) const;
 
   ResourceStats stats(ResourceId id) const;

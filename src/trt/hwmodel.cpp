@@ -46,23 +46,19 @@ TrtHwResult histogram_atlantis(const PatternBank& bank, const Event& ev,
     // Histogram out: 16-bit counters.
     const std::uint64_t hist_bytes =
         static_cast<std::uint64_t>(bank.pattern_count()) * 2;
-    if (cfg.overlap_io) {
-      // The scan consumes straws as the image streams in: the DMA
-      // occupies the bus while the design clock runs, and the read-back
-      // starts once both are done.
-      driver->dma_write_async(image_bytes);
-      r.io_in_time = driver->board()
-                         .pci()
-                         .transfer(hw::DmaDirection::kWrite, image_bytes)
+    // Image in, scan, histogram out. Under overlap_io the scan consumes
+    // straws as the image streams in: the DMA occupies the bus while the
+    // design clock runs. Either way the read-back starts once the scan
+    // that produces it is done.
+    r.io_in_time = driver->dma(hw::DmaDirection::kWrite, image_bytes,
+                               cfg.overlap_io)
+                       .value_or_throw()
+                       .duration;
+    driver->advance(r.compute_time);
+    driver->wait();
+    r.readout_time = driver->dma(hw::DmaDirection::kRead, hist_bytes)
+                         .value_or_throw()
                          .duration;
-      driver->advance(r.compute_time);
-      driver->wait();
-      r.readout_time = driver->dma_read(hist_bytes).duration;
-    } else {
-      r.io_in_time = driver->dma_write(image_bytes).duration;
-      r.readout_time = driver->dma_read(hist_bytes).duration;
-      driver->advance(r.compute_time);
-    }
     // End-to-end span as the timeline saw it: identical to the scalar
     // sum in the sequential case, max(io, compute) + readout when
     // overlapped, and queue-delay inclusive under bus contention.

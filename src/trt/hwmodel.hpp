@@ -31,7 +31,7 @@ struct TrtHwConfig {
   int pipeline_depth = 8;
   /// Histogram read-back: counters drained one per clock.
   bool include_readout = true;
-  /// Streams the event image with an asynchronous DMA that overlaps the
+  /// Streams the event image with an overlapped DMA that runs under the
   /// LUT scan (the hardware consumes straws as they arrive), instead of
   /// paying image-in and compute back to back. Needs a driver; the
   /// sequential default reproduces the pre-timeline ledger exactly.

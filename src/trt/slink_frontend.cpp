@@ -6,8 +6,8 @@
 
 namespace atlantis::trt {
 
-std::size_t send_event(hw::SlinkChannel& link, const Event& ev,
-                       std::uint32_t event_id) {
+util::Result<std::size_t> send_event(hw::SlinkChannel& link, const Event& ev,
+                                     std::uint32_t event_id) {
   std::vector<std::uint32_t> payload;
   payload.reserve(ev.hits.size());
   for (const std::int32_t s : ev.hits) {

@@ -20,10 +20,10 @@
 namespace atlantis::trt {
 
 /// Sends one event as an S-Link fragment (one 32-bit word per hit straw).
-/// Returns the number of link words accepted (hits + 2 framing words when
-/// nothing is refused by flow control).
-std::size_t send_event(hw::SlinkChannel& link, const Event& ev,
-                       std::uint32_t event_id);
+/// Returns SlinkChannel::send_fragment's outcome: the link words accepted
+/// (hits + 2 framing words), or the link fault that cut the fragment.
+util::Result<std::size_t> send_event(hw::SlinkChannel& link, const Event& ev,
+                                     std::uint32_t event_id);
 
 /// Receives one complete fragment, if available: (event id, hit list).
 /// Returns nullopt when no complete fragment is buffered; throws on a

@@ -67,10 +67,6 @@ inline constexpr int kErrorCodeCount =
 /// Stable lowercase name ("dma_stall", "config_crc", ...).
 const char* error_code_name(ErrorCode code);
 
-/// Alias for error_code_name — the short spelling used by newer call
-/// sites (supervisor reports, bench tables).
-inline const char* error_name(ErrorCode code) { return error_code_name(code); }
-
 /// Value-or-error return for recoverable outcomes (E.2/E.14: types for
 /// errors a caller can handle locally). A Result is either ok() and
 /// carries a T, or carries an ErrorCode plus a human-readable message.
@@ -106,11 +102,11 @@ class [[nodiscard]] Result {
   }
   T value_or(T fallback) const { return ok() ? *value_ : std::move(fallback); }
 
-  /// The one sanctioned bridge back into the throwing world: returns the
-  /// value, or throws util::StateError naming the ErrorCode. Call sites
-  /// that used to rely on an API throwing on misuse (submit() of an
-  /// unregistered configuration, restore of a foreign checkpoint) write
-  /// `.value_or_throw()` instead of keeping per-API throwing variants.
+  /// The one bridge back into the throwing world: returns the value, or
+  /// throws util::StateError naming the ErrorCode. Every recoverable
+  /// operation has a single Result-returning verb (DMA, configuration,
+  /// task switch, self test, S-Link fragment, submit, restore); a caller
+  /// that wants an exception writes `.value_or_throw()`.
   T& value_or_throw() {
     if (!ok()) throw_state_error();
     return *value_;

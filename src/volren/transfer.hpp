@@ -27,7 +27,6 @@ class TransferFunction {
                    double bone_opacity = 0.95, double bone_iso = 180.0);
 
   const std::string& name() const { return name_; }
-  double tissue_opacity() const { return tissue_opacity_; }
   double bone_opacity() const { return bone_opacity_; }
 
   /// Classifies one sample (value in [0,255], gradient magnitude >= 0).

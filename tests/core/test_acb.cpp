@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chdl/builder.hpp"
+#include "sim/fault.hpp"
 
 namespace atlantis::core {
 namespace {
@@ -65,10 +68,34 @@ TEST(Acb, ConfigureAllIsSequential) {
   chdl::Design d("noop");
   d.output("q", chdl::counter(d, "c", 4, d.input("en", 1)));
   const hw::Bitstream bs = hw::Bitstream::from_design(d);
-  const util::Picoseconds total = acb.configure_all(bs);
-  EXPECT_EQ(total, 4 * acb.fpga(0).config_time(
-                           acb.fpga(0).family().config_bits));
+  const util::Result<util::Picoseconds> total = acb.configure_all(bs);
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(total.value(), 4 * acb.fpga(0).config_time(
+                                   acb.fpga(0).family().config_bits));
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(acb.fpga(i).configured());
+}
+
+TEST(Acb, ConfigureAllReportsDeadBoardAndCrcFailure) {
+  const hw::Bitstream bs{"blank", {}, nullptr, 1.0, {}};
+  AcbBoard dead("acb2");
+  dead.set_alive(false);
+  const util::Result<util::Picoseconds> d = dead.configure_all(bs);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.error(), util::ErrorCode::kBoardDead);
+
+  // A CRC failure on the third chip names that chip; the chips before
+  // it stay configured.
+  AcbBoard acb("acb0");
+  sim::FaultPlan plan;
+  plan.inject(sim::FaultKind::kConfigCrc, "fpga/acb0/fpga2", 1);
+  sim::FaultInjector inj(plan);
+  acb.set_fault_injector(&inj);
+  const util::Result<util::Picoseconds> r = acb.configure_all(bs);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), util::ErrorCode::kConfigCrc);
+  EXPECT_NE(r.message().find("acb0/fpga2"), std::string::npos);
+  EXPECT_TRUE(acb.fpga(1).configured());
+  EXPECT_FALSE(acb.fpga(2).configured());
 }
 
 TEST(Acb, BackplaneBandwidthIsGigabytePerSecond) {

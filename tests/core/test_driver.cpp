@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "chdl/builder.hpp"
+#include "core/taskswitch.hpp"
+#include "sim/fault.hpp"
 #include "util/json.hpp"
 
 namespace atlantis::core {
@@ -24,6 +26,27 @@ chdl::Design& echo_design() {
   return d;
 }
 
+// A host-port design with a read-only id register at address 2.
+chdl::Design id_design(const std::string& name, std::uint64_t id) {
+  chdl::Design d(name);
+  chdl::HostRegFile hrf(d);
+  hrf.write_reg("r0", 0, 32);
+  hrf.map_read(2, d.constant(32, id));
+  hrf.finish();
+  return d;
+}
+
+int crc_fail_configures(const sim::Timeline& tl) {
+  int n = 0;
+  for (const sim::Transaction& t : tl.transactions()) {
+    if (t.kind == sim::TxnKind::kReconfig &&
+        t.label.ends_with(" (crc fail)")) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 TEST(Driver, TimeLedgerStartsAtZero) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
@@ -33,7 +56,8 @@ TEST(Driver, TimeLedgerStartsAtZero) {
 TEST(Driver, ConfigureAdvancesLedger) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  drv.configure(0, hw::Bitstream::from_design(echo_design()));
+  ASSERT_TRUE(
+      drv.configure(0, hw::Bitstream::from_design(echo_design())).ok());
   // An ORCA full configuration is ~18.75 ms at 8 bit / 10 MHz.
   EXPECT_NEAR(util::ps_to_ms(drv.now()), 18.75, 0.1);
   EXPECT_TRUE(drv.board().fpga(0).configured());
@@ -42,7 +66,8 @@ TEST(Driver, ConfigureAdvancesLedger) {
 TEST(Driver, RegisterAccessReachesSimulatedDesign) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  drv.configure(0, hw::Bitstream::from_design(echo_design()));
+  ASSERT_TRUE(
+      drv.configure(0, hw::Bitstream::from_design(echo_design())).ok());
   const util::Picoseconds t0 = drv.now();
   drv.reg_write(0, 0, 0xBEEF);
   EXPECT_EQ(drv.reg_read(0, 0), 0xBEEFu);
@@ -61,8 +86,10 @@ TEST(Driver, RegisterAccessWithoutSimStillCostsTime) {
 TEST(Driver, DmaAdvancesLedgerAndPciCounters) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  const hw::DmaTransfer w = drv.dma_write(64 * util::kKiB);
-  const hw::DmaTransfer r = drv.dma_read(64 * util::kKiB);
+  const hw::DmaTransfer w =
+      drv.dma(hw::DmaDirection::kWrite, 64 * util::kKiB).value();
+  const hw::DmaTransfer r =
+      drv.dma(hw::DmaDirection::kRead, 64 * util::kKiB).value();
   EXPECT_EQ(drv.now(), w.duration + r.duration);
   EXPECT_EQ(drv.board().pci().total_bytes(), 128 * util::kKiB);
   EXPECT_GT(w.mbps(), r.mbps());
@@ -81,7 +108,8 @@ TEST(Driver, DesignClockProgrammable) {
 TEST(Driver, DmaToSimDeliversPayload) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  drv.configure(0, hw::Bitstream::from_design(echo_design()));
+  ASSERT_TRUE(
+      drv.configure(0, hw::Bitstream::from_design(echo_design())).ok());
   const std::vector<std::uint64_t> words = {1, 2, 3, 4, 5, 6, 7};
   drv.dma_write_to_sim(0, 0, words);
   // Register 0 holds the last word; the write counter saw all of them.
@@ -96,15 +124,112 @@ TEST(Driver, DmaToSimRequiresHostPort) {
   EXPECT_THROW(drv.dma_write_to_sim(0, 0, words), util::Error);
 }
 
-TEST(Driver, PartialReconfigureFasterThanFull) {
+TEST(Driver, PartialSwitchFasterThanFull) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
-  hw::Bitstream bs = hw::Bitstream::from_design(echo_design());
-  drv.configure(0, bs);
+  TaskSwitcher sw(drv.board().fpga(0));
+  hw::Bitstream full = hw::Bitstream::from_design(echo_design());
+  hw::Bitstream partial = full;
+  partial.name = "echo_partial";
+  partial.fraction = 0.1;
+  sw.add_task(full);
+  sw.add_task(partial);
+  ASSERT_TRUE(drv.switch_task(sw, "echo").ok());
   const util::Picoseconds after_full = drv.now();
-  bs.fraction = 0.1;
-  drv.partial_reconfigure(0, bs);
+  ASSERT_TRUE(drv.switch_task(sw, "echo_partial").ok());
   EXPECT_LT(drv.now() - after_full, after_full / 2);
+}
+
+TEST(Driver, SwitchTaskPostsAtTheDriverCursor) {
+  AtlantisSystem sys("crate");
+  AtlantisDriver drv(sys, sys.add_acb("acb0"));
+  TaskSwitcher sw(sys.acb(0).fpga(0));
+  sw.add_task(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+
+  const util::Picoseconds before = drv.now();
+  const util::Result<util::Picoseconds> r = drv.switch_task(sw, "alpha");
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r.value(), 0);
+  EXPECT_EQ(drv.now(), before + r.value());
+  bool posted = false;
+  for (const sim::Transaction& t : sys.timeline().transactions()) {
+    posted = posted || (t.kind == sim::TxnKind::kReconfig &&
+                        t.label == "switch to alpha");
+  }
+  EXPECT_TRUE(posted);
+}
+
+TEST(Driver, RegisterAccessFollowsTaskSwitches) {
+  // Every switch replaces the device's simulator; a register access
+  // after it must reach the new design, never the freed one.
+  const chdl::Design a = id_design("echo_a", 0xA);
+  const chdl::Design b = id_design("echo_b", 0xB);
+  AtlantisSystem sys("crate");
+  AtlantisDriver drv(sys, sys.add_acb("acb0"));
+  TaskSwitcher sw(drv.board().fpga(0));
+  sw.add_task(hw::Bitstream::from_design(a));
+  sw.add_task(hw::Bitstream::from_design(b));
+  ASSERT_TRUE(drv.switch_task(sw, "echo_a").ok());
+  drv.reg_write(0, 0, 0xBEEF);
+  EXPECT_EQ(drv.reg_read(0, 2), 0xAu);
+  ASSERT_TRUE(drv.switch_task(sw, "echo_b").ok());
+  EXPECT_EQ(drv.reg_read(0, 2), 0xBu);
+  EXPECT_EQ(drv.reg_read(0, 0), 0u);  // a fresh design, out of reset
+}
+
+TEST(Driver, ConfigureRetriesCrcFailures) {
+  // One "(crc fail)" transaction and one retry per failed attempt.
+  const hw::Bitstream bs = hw::Bitstream::from_design(echo_design());
+  {
+    AtlantisSystem sys("crate");
+    sim::FaultPlan plan;
+    plan.inject(sim::FaultKind::kConfigCrc, "fpga/acb0/fpga0", 1)
+        .inject(sim::FaultKind::kConfigCrc, "fpga/acb0/fpga0", 2);
+    sim::FaultInjector inj(plan);
+    sys.set_fault_injector(&inj);
+    AtlantisDriver drv(sys, sys.add_acb("acb0"));
+    const hw::FpgaDevice& dev = drv.board().fpga(0);
+    const util::Picoseconds full = dev.config_time(dev.family().config_bits);
+    const util::Result<util::Picoseconds> r = drv.configure(0, bs);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value(), 3 * full);  // every attempt, the failed ones too
+    EXPECT_EQ(drv.now(), 3 * full);
+    EXPECT_EQ(crc_fail_configures(sys.timeline()), 2);
+    EXPECT_EQ(drv.config_retries(), 2u);
+    EXPECT_EQ(drv.recovery_time(), 2 * full);
+    EXPECT_TRUE(dev.configured());
+  }
+  {
+    AtlantisSystem sys("crate");
+    sim::FaultPlan plan;
+    plan.with_rate(sim::FaultKind::kConfigCrc, 1.0);
+    sim::FaultInjector inj(plan);
+    sys.set_fault_injector(&inj);
+    AtlantisDriver drv(sys, sys.add_acb("acb0"));
+    const util::Result<util::Picoseconds> r = drv.configure(0, bs);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), util::ErrorCode::kConfigCrc);
+    const int attempts = drv.retry_policy().max_attempts;
+    EXPECT_EQ(crc_fail_configures(sys.timeline()), attempts);
+    EXPECT_EQ(drv.config_retries(),
+              static_cast<std::uint64_t>(attempts - 1));
+    EXPECT_FALSE(drv.board().fpga(0).configured());
+  }
+}
+
+TEST(Driver, FailedConfigureDropsHostInterface) {
+  AtlantisSystem sys("crate");
+  AtlantisDriver drv(sys, sys.add_acb("acb0"));
+  const hw::Bitstream bs = hw::Bitstream::from_design(echo_design());
+  ASSERT_TRUE(drv.configure(0, bs).ok());
+  ASSERT_NE(drv.host_if(0), nullptr);
+  sim::FaultPlan plan;
+  plan.with_rate(sim::FaultKind::kConfigCrc, 1.0);
+  sim::FaultInjector inj(plan);
+  sys.set_fault_injector(&inj);
+  EXPECT_EQ(drv.configure(0, bs).error(), util::ErrorCode::kConfigCrc);
+  EXPECT_EQ(drv.host_if(0), nullptr);
+  EXPECT_EQ(drv.reg_read(0, 0), 0u);
 }
 
 TEST(Driver, LedgerBitIdenticalToScalarSum) {
@@ -116,8 +241,8 @@ TEST(Driver, LedgerBitIdenticalToScalarSum) {
   hw::Plx9080 reference;  // pure calculator, identical default params
   util::Picoseconds expected = 0;
   for (const std::uint64_t kb : {1, 7, 64, 300}) {
-    drv.dma_write(kb * util::kKiB);
-    drv.dma_read(kb * util::kKiB);
+    ASSERT_TRUE(drv.dma(hw::DmaDirection::kWrite, kb * util::kKiB).ok());
+    ASSERT_TRUE(drv.dma(hw::DmaDirection::kRead, kb * util::kKiB).ok());
     expected +=
         reference.transfer(hw::DmaDirection::kWrite, kb * util::kKiB).duration;
     expected +=
@@ -142,8 +267,8 @@ TEST(Driver, TwoBoardsContendOnPciSegment) {
       d0.board().pci().transfer(hw::DmaDirection::kWrite, util::kMiB).duration;
   // ...but when both boards post at the same instant, the segment
   // serializes them: one of the two waits a full transfer.
-  d0.dma_write_async(util::kMiB);
-  d1.dma_write_async(util::kMiB);
+  ASSERT_TRUE(d0.dma(hw::DmaDirection::kWrite, util::kMiB, true).ok());
+  ASSERT_TRUE(d1.dma(hw::DmaDirection::kWrite, util::kMiB, true).ok());
   const util::Picoseconds e0 = d0.wait();
   const util::Picoseconds e1 = d1.wait();
   EXPECT_EQ(std::min(e0, e1), solo);
@@ -156,14 +281,17 @@ TEST(Driver, AsyncDmaOverlapsCompute) {
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   drv.set_design_clock(40.0);
   // Serial: transfer then compute.
-  const util::Picoseconds io = drv.dma_write(256 * util::kKiB).duration;
+  const util::Picoseconds io =
+      drv.dma(hw::DmaDirection::kWrite, 256 * util::kKiB).value().duration;
   const util::Picoseconds serial_extra = drv.now();
   EXPECT_EQ(serial_extra, io);
   drv.advance_cycles(1'000'000);
   const util::Picoseconds serial = drv.now();
-  // Overlapped: the async transfer occupies the bus while the design
-  // clock runs; the join is the max, strictly less than the sum.
-  drv.dma_write_async(256 * util::kKiB);
+  // Overlapped: the transfer occupies the bus while the design clock
+  // runs; the join is the max, strictly less than the sum.
+  const hw::DmaTransfer posted =
+      drv.dma(hw::DmaDirection::kWrite, 256 * util::kKiB, true).value();
+  EXPECT_EQ(posted.duration, io);
   EXPECT_EQ(drv.pending_dma(), 1);
   drv.advance_cycles(1'000'000);
   drv.wait();
@@ -181,9 +309,10 @@ TEST(Driver, CrateTraceExportsValidJson) {
   AtlantisSystem sys("crate");
   AtlantisDriver d0(sys, sys.add_acb("acb0"));
   AtlantisDriver d1(sys, sys.add_acb("acb1"));
-  d0.configure(0, hw::Bitstream::from_design(echo_design()));
-  d0.dma_write(16 * util::kKiB);
-  d1.dma_write_async(16 * util::kKiB);
+  ASSERT_TRUE(
+      d0.configure(0, hw::Bitstream::from_design(echo_design())).ok());
+  ASSERT_TRUE(d0.dma(hw::DmaDirection::kWrite, 16 * util::kKiB).ok());
+  ASSERT_TRUE(d1.dma(hw::DmaDirection::kWrite, 16 * util::kKiB, true).ok());
   d1.advance_cycles(1000);
   d1.wait();
   std::ostringstream out;

@@ -45,7 +45,8 @@ TEST(Integration, HardwareTaskSwitchBetweenApplications) {
   switcher.add_task(conv_bs);
 
   // --- Task 1: trigger an event ---------------------------------------
-  const util::Picoseconds full_load = switcher.switch_to("trt_task");
+  const util::Picoseconds full_load =
+      switcher.switch_to("trt_task").value();
   chdl::Simulator* sim = drv.board().fpga(0).sim();
   ASSERT_NE(sim, nullptr);
   {
@@ -65,7 +66,8 @@ TEST(Integration, HardwareTaskSwitchBetweenApplications) {
   }
 
   // --- Task switch: partial reconfiguration ----------------------------
-  const util::Picoseconds switch_time = switcher.switch_to("conv_task");
+  const util::Picoseconds switch_time =
+      switcher.switch_to("conv_task").value();
   EXPECT_LT(switch_time, full_load / 2);
   sim = drv.board().fpga(0).sim();
   ASSERT_NE(sim, nullptr);
@@ -114,7 +116,7 @@ TEST(Integration, HardwareTaskSwitchBetweenApplications) {
   }
 
   // --- Switch back: the trigger state starts fresh ----------------------
-  switcher.switch_to("trt_task");
+  switcher.switch_to("trt_task").value();
   sim = drv.board().fpga(0).sim();
   chdl::HostInterface host(*sim);
   for (int p = 0; p < bank.pattern_count(); ++p) {
@@ -136,10 +138,10 @@ TEST(Integration, SwitchRateSupportsEventLevelMultiplexing) {
   b.name = "b";
   sw.add_task(a);
   sw.add_task(b);
-  sw.switch_to("a");
+  sw.switch_to("a").value();
   util::Picoseconds total = 0;
   for (int i = 0; i < 10; ++i) {
-    total += sw.switch_to(i % 2 == 0 ? "b" : "a");
+    total += sw.switch_to(i % 2 == 0 ? "b" : "a").value();
   }
   const double mean_ms = util::ps_to_ms(total) / 10.0;
   EXPECT_LT(mean_ms, 10.0);

@@ -186,9 +186,9 @@ TEST(PartialReconfig, SwitcherPaysOnlyTheDelta) {
   sw.add_task(b);
 
   const util::Picoseconds full = dev.config_time(dev.family().config_bits);
-  EXPECT_EQ(sw.switch_to("a"), full);
+  EXPECT_EQ(sw.switch_to("a").value(), full);
 
-  const util::Picoseconds t = sw.switch_to("b");
+  const util::Picoseconds t = sw.switch_to("b").value();
   EXPECT_EQ(t, 4 * dev.region_time());
   EXPECT_EQ(sw.partial_switches(), 1u);
   EXPECT_EQ(sw.last_regions_loaded(), 4);
@@ -198,7 +198,7 @@ TEST(PartialReconfig, SwitcherPaysOnlyTheDelta) {
   // Pinned to the legacy scalar path, the same switch pays the
   // fraction-scaled load instead of the region delta.
   sw.set_differential(false);
-  const util::Picoseconds t2 = sw.switch_to("a");
+  const util::Picoseconds t2 = sw.switch_to("a").value();
   EXPECT_EQ(t2, full);
   EXPECT_EQ(sw.partial_switches(), 1u);  // no new differential switch
 }
@@ -226,8 +226,8 @@ TEST(PartialReconfig, SwitcherFallsBackToFullConfigureAfterDiffFailure) {
   sim::FaultInjector inj(plan);
   dev.set_fault_injector(&inj);
 
-  sw.switch_to("a");
-  const util::Result<util::Picoseconds> r = sw.try_switch_to("b");
+  sw.switch_to("a").value();
+  const util::Result<util::Picoseconds> r = sw.switch_to("b");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(dev.configured());
   EXPECT_EQ(sw.current(), "b");
@@ -258,7 +258,7 @@ TEST(PartialReconfig, RegionScrubPreservesLiveSimState) {
   plan.inject(sim::FaultKind::kSeuConfig, "fpga/d0", 1, /*param=*/7);
   sim::FaultInjector inj(plan);
   dev.set_fault_injector(&inj);
-  sw.switch_to("ram_task");
+  sw.switch_to("ram_task").value();
 
   auto drive = [](chdl::Simulator& s, int steps) {
     s.poke("en", 1);
@@ -324,8 +324,8 @@ TEST(PartialReconfig, DifferentialFuzzerMatchesFullConfigurePath) {
   for (int round = 0; round < 40; ++round) {
     const std::size_t pick = rng() % tasks.size();
     const chdl::Design& design = designs[pick];
-    sw_diff.switch_to(tasks[pick].name);
-    sw_full.switch_to(tasks[pick].name);
+    sw_diff.switch_to(tasks[pick].name).value();
+    sw_full.switch_to(tasks[pick].name).value();
 
     chdl::Simulator* a = dev_diff.sim();
     chdl::Simulator* b = dev_full.sim();
@@ -367,7 +367,7 @@ TEST(PartialReconfig, SelfReconfigProtocolThroughDriver) {
   const chdl::Design design = make_self_reconfig_design("selfrc", 5);
   hw::Bitstream bs = hw::Bitstream::from_design(design);
   bs.region_sigs = hw::make_region_signatures("selfrc", 32);
-  drv.configure(0, bs);
+  ASSERT_TRUE(drv.configure(0, bs).ok());
 
   hw::FpgaDevice& dev = drv.board().fpga(0);
   ASSERT_NE(dev.sim(), nullptr);
@@ -415,7 +415,7 @@ TEST(PartialReconfig, SelfReconfigCrcFailureDropsDevice) {
   const chdl::Design design = make_self_reconfig_design("selfrc", 3);
   hw::Bitstream bs = hw::Bitstream::from_design(design);
   bs.region_sigs = hw::make_region_signatures("selfrc", 32);
-  drv.configure(0, bs);
+  ASSERT_TRUE(drv.configure(0, bs).ok());
 
   const util::Result<util::Picoseconds> r = drv.poll_self_reconfig(0);
   ASSERT_FALSE(r.ok());

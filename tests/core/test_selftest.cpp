@@ -9,7 +9,7 @@ TEST(SelfTest, CleanBoardPasses) {
   AcbBoard board("acb0");
   board.attach_memory(0, MemModule::make_trt("trt0"));
   board.attach_memory(1, MemModule::make_image("img0"));
-  const SelfTestReport report = self_test_acb(board);
+  const SelfTestReport report = self_test_acb(board).value();
   EXPECT_TRUE(report.all_passed()) << report.to_string();
   // 4 FPGA steps + 1 TRT bank + 2 image banks + DMA loopback.
   EXPECT_EQ(report.steps.size(), 4u + 1u + 2u + 1u);
@@ -22,12 +22,20 @@ TEST(SelfTest, CleanBoardPasses) {
 
 TEST(SelfTest, ReportListsEveryStep) {
   AcbBoard board("acb0");
-  const SelfTestReport report = self_test_acb(board);
+  const SelfTestReport report = self_test_acb(board).value();
   const std::string text = report.to_string();
   EXPECT_NE(text.find("fpga0 configure/readback"), std::string::npos);
   EXPECT_NE(text.find("fpga3 configure/readback"), std::string::npos);
   EXPECT_NE(text.find("pci dma loopback"), std::string::npos);
   EXPECT_NE(text.find("board self-test PASSED"), std::string::npos);
+}
+
+TEST(SelfTest, DeadBoardReportsBoardDead) {
+  AcbBoard dead("acb1");
+  dead.set_alive(false);
+  const util::Result<SelfTestReport> r = self_test_acb(dead);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), util::ErrorCode::kBoardDead);
 }
 
 TEST(SelfTest, MarchTestCoversPatterns) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "chdl/builder.hpp"
+#include "sim/fault.hpp"
 
 namespace atlantis::core {
 namespace {
@@ -20,7 +21,7 @@ TEST(TaskSwitcher, FirstActivationIsFullConfiguration) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
   sw.add_task(make_task("trt", 0.3));
-  const util::Picoseconds t = sw.switch_to("trt");
+  const util::Picoseconds t = sw.switch_to("trt").value();
   EXPECT_EQ(t, dev.config_time(dev.family().config_bits));
   EXPECT_EQ(sw.current(), "trt");
   EXPECT_EQ(sw.switch_count(), 1u);
@@ -31,8 +32,8 @@ TEST(TaskSwitcher, LaterSwitchesArePartialOnOrca) {
   TaskSwitcher sw(dev);
   sw.add_task(make_task("trt", 0.3));
   sw.add_task(make_task("conv", 0.3));
-  const util::Picoseconds full = sw.switch_to("trt");
-  const util::Picoseconds partial = sw.switch_to("conv");
+  const util::Picoseconds full = sw.switch_to("trt").value();
+  const util::Picoseconds partial = sw.switch_to("conv").value();
   EXPECT_LT(partial, full / 2);
   EXPECT_EQ(sw.last_switch_time(), partial);
   EXPECT_EQ(sw.total_switch_time(), full + partial);
@@ -43,8 +44,8 @@ TEST(TaskSwitcher, VirtexAlwaysReconfiguresFully) {
   TaskSwitcher sw(dev);
   sw.add_task(make_task("a", 0.3));
   sw.add_task(make_task("b", 0.3));
-  const util::Picoseconds first = sw.switch_to("a");
-  const util::Picoseconds second = sw.switch_to("b");
+  const util::Picoseconds first = sw.switch_to("a").value();
+  const util::Picoseconds second = sw.switch_to("b").value();
   EXPECT_EQ(first, second);  // no partial support: both are full loads
 }
 
@@ -52,15 +53,44 @@ TEST(TaskSwitcher, SwitchToResidentTaskIsFree) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
   sw.add_task(make_task("trt", 0.5));
-  sw.switch_to("trt");
-  EXPECT_EQ(sw.switch_to("trt"), 0);
+  sw.switch_to("trt").value();
+  EXPECT_EQ(sw.switch_to("trt").value(), 0);
   EXPECT_EQ(sw.switch_count(), 1u);
+}
+
+TEST(TaskSwitcher, StagedTaskTheDeviceCannotActivateIsACacheMiss) {
+  // The scrub finds an upset and its repair fails CRC, leaving the
+  // device unconfigured. Switching back to the staged task then pays a
+  // full configuration, so it counts as a miss, not a hit.
+  hw::FpgaDevice dev("dev0", hw::orca_3t125());
+  sim::FaultPlan plan;
+  plan.inject(sim::FaultKind::kSeuConfig, "fpga/dev0", 1)
+      .inject(sim::FaultKind::kConfigCrc, "fpga/dev0", 3);
+  sim::FaultInjector inj(plan);
+  dev.set_fault_injector(&inj);
+  TaskSwitcher sw(dev);
+  sw.enable_cache(4);
+  sw.add_task(make_task("alpha", 1.0));
+  sw.add_task(make_task("beta", 1.0));
+  sw.switch_to("alpha").value();  // CRC opportunity 1
+  sw.switch_to("beta").value();   // CRC opportunity 2
+  EXPECT_FALSE(sw.scrub());       // the repair is CRC opportunity 3
+  ASSERT_FALSE(dev.configured());
+
+  const SwitchCounters before = sw.counters();
+  const util::Picoseconds t = sw.switch_to("beta").value();
+  EXPECT_EQ(t, dev.config_time(dev.family().config_bits));
+  const SwitchCounters delta = sw.counters() - before;
+  EXPECT_EQ(delta.hits, 0u);
+  EXPECT_EQ(delta.misses, 1u);
+  EXPECT_EQ(delta.full_reconfigs(), 1u);
+  EXPECT_EQ(sw.cache().contents().front(), "beta");  // the reload staged it
 }
 
 TEST(TaskSwitcher, Validation) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
-  EXPECT_THROW(sw.switch_to("ghost"), util::StateError);
+  EXPECT_THROW((void)sw.switch_to("ghost"), util::StateError);
   sw.add_task(make_task("trt", 0.5));
   EXPECT_THROW(sw.add_task(make_task("trt", 0.5)), util::Error);
   hw::Bitstream unnamed;

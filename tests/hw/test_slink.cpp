@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/fault.hpp"
+
 namespace atlantis::hw {
 namespace {
 
@@ -38,7 +40,7 @@ TEST(Slink, XoffWhenBufferFull) {
 TEST(Slink, FragmentFramedByControlWords) {
   SlinkChannel link("sl0");
   const std::vector<std::uint32_t> payload = {0xAA, 0xBB, 0xCC};
-  EXPECT_EQ(link.send_fragment(0x123, payload), payload.size() + 2);
+  EXPECT_EQ(link.send_fragment(0x123, payload).value(), payload.size() + 2);
   const auto begin = link.receive();
   ASSERT_TRUE(begin.has_value());
   EXPECT_TRUE(begin->control);
@@ -54,7 +56,55 @@ TEST(Slink, FragmentFramedByControlWords) {
 TEST(Slink, FragmentStopsOnXoff) {
   SlinkChannel link("sl0", 3);
   const std::vector<std::uint32_t> payload(10, 7);
-  EXPECT_EQ(link.send_fragment(1, payload), 3u);  // begin + 2 data words
+  const util::Result<std::size_t> r = link.send_fragment(1, payload);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), util::ErrorCode::kXoff);
+  EXPECT_EQ(link.words_sent(), 3u);  // begin + 2 data words
+  EXPECT_EQ(link.words_refused(), 1u);
+}
+
+TEST(Slink, FragmentReportsLinkFaultsAsCodes) {
+  const std::vector<std::uint32_t> payload{1, 2, 3, 4};
+  SlinkChannel link("lvds");
+  const util::Result<std::size_t> ok = link.send_fragment(7, payload);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value(), payload.size() + 2);  // begin + payload + end
+  {
+    // The end marker is lost in transit.
+    sim::FaultPlan plan;
+    plan.inject(sim::FaultKind::kSlinkTruncation, "slink/lvds", 1);
+    sim::FaultInjector inj(plan);
+    link.set_fault_injector(&inj);
+    const util::Result<std::size_t> r = link.send_fragment(8, payload);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), util::ErrorCode::kTruncatedFrame);
+    EXPECT_EQ(link.truncated_frames(), 1u);
+  }
+  {
+    // The third word arrives with LDERR set; the fragment completes.
+    sim::FaultPlan plan;
+    plan.inject(sim::FaultKind::kSlinkError, "slink/lvds", 3);
+    sim::FaultInjector inj(plan);
+    link.set_fault_injector(&inj);
+    const std::uint64_t sent = link.words_sent();
+    const util::Result<std::size_t> r = link.send_fragment(9, payload);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), util::ErrorCode::kLinkError);
+    EXPECT_EQ(link.link_errors(), 1u);
+    EXPECT_EQ(link.words_sent() - sent, payload.size() + 2);
+  }
+  {
+    // An injected XOFF refuses the first payload word.
+    sim::FaultPlan plan;
+    plan.inject(sim::FaultKind::kSlinkXoff, "slink/lvds", 2, /*param=*/1);
+    sim::FaultInjector inj(plan);
+    link.set_fault_injector(&inj);
+    const util::Result<std::size_t> r = link.send_fragment(10, payload);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), util::ErrorCode::kXoff);
+    EXPECT_NE(r.message().find("after 1 words"), std::string::npos);
+  }
+  link.set_fault_injector(nullptr);
 }
 
 TEST(Slink, BandwidthMatchesFootnoteHardware) {

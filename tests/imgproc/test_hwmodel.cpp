@@ -31,6 +31,21 @@ TEST(ImgHw, DriverAddsDmaBothWays) {
   EXPECT_EQ(drv.board().pci().total_bytes(), 2ull * 512 * 512);
 }
 
+TEST(ImgHw, ReadBackStartsAfterTheFilter) {
+  core::AtlantisSystem sys("crate");
+  core::AtlantisDriver drv(sys, sys.add_acb("acb0"));
+  (void)filter_atlantis(256, 256, ImgHwConfig{}, &drv);
+  util::Picoseconds filter_end = -1;
+  util::Picoseconds read_start = -1;
+  for (const sim::Transaction& t : sys.timeline().transactions()) {
+    if (t.kind == sim::TxnKind::kCompute) filter_end = t.end;
+    if (t.label == "dma_read") read_start = t.start;
+  }
+  ASSERT_GE(filter_end, 0);
+  ASSERT_GE(read_start, 0);
+  EXPECT_GE(read_start, filter_end);
+}
+
 TEST(ImgHw, FpgaBeatsHostOnConvolution) {
   // The generic 2-D filtering speedup story: one pixel per 25 ns clock
   // vs ~30 ops per pixel in software.

@@ -77,9 +77,10 @@ TEST_F(CachedSwitcherTest, CacheHitActivatesAtFraction) {
   sw.add_task(alpha_);
   sw.add_task(beta_);
 
-  const util::Picoseconds full = sw.switch_to("alpha");  // full load, insert
-  sw.switch_to("beta");                                  // full load, insert
-  const util::Picoseconds hit = sw.switch_to("alpha");   // cache hit
+  // full load + insert, full load + insert, cache hit
+  const util::Picoseconds full = sw.switch_to("alpha").value();
+  sw.switch_to("beta").value();
+  const util::Picoseconds hit = sw.switch_to("alpha").value();
   EXPECT_GT(full, 0);
   EXPECT_GT(hit, 0);
   // A hit costs the configured fraction of a full configuration, not a
@@ -97,9 +98,9 @@ TEST_F(CachedSwitcherTest, EvictionForcesFullReload) {
   sw.enable_cache(1);  // only the resident task stays staged
   sw.add_task(alpha_);
   sw.add_task(beta_);
-  sw.switch_to("alpha");
-  sw.switch_to("beta");   // evicts alpha
-  sw.switch_to("alpha");  // miss again: full reload
+  sw.switch_to("alpha").value();
+  sw.switch_to("beta").value();   // evicts alpha
+  sw.switch_to("alpha").value();  // miss again: full reload
   EXPECT_EQ(sw.cache_hits(), 0u);
   EXPECT_EQ(sw.cache_misses(), 3u);
   EXPECT_GE(sw.cache_stats().evictions, 1u);
@@ -110,10 +111,10 @@ TEST_F(CachedSwitcherTest, InvalidateDropsStagedConfigs) {
   sw.enable_cache(2);
   sw.add_task(alpha_);
   sw.add_task(beta_);
-  sw.switch_to("alpha");
-  sw.switch_to("beta");
+  sw.switch_to("alpha").value();
+  sw.switch_to("beta").value();
   sw.invalidate_cache();  // board power loss
-  sw.switch_to("alpha");  // must be a miss (full reload)
+  sw.switch_to("alpha").value();  // must be a miss (full reload)
   EXPECT_EQ(sw.cache_hits(), 0u);
 }
 
@@ -129,7 +130,8 @@ TEST_F(CachedSwitcherTest, CapacityZeroIsBitIdenticalToNoCache) {
   disabled.add_task(beta_);
 
   for (const char* name : {"alpha", "beta", "alpha", "beta"}) {
-    EXPECT_EQ(plain.switch_to(name), disabled.switch_to(name));
+    EXPECT_EQ(plain.switch_to(name).value(),
+              disabled.switch_to(name).value());
   }
   EXPECT_EQ(disabled.cache_hits(), 0u);
   EXPECT_EQ(disabled.cache_misses(), 0u);
@@ -148,16 +150,16 @@ TEST_F(CachedSwitcherTest, CacheHitSkipsCrcOpportunity) {
   sw.add_task(beta_);
   const std::string site = "fpga/" + device_.name();
 
-  sw.switch_to("alpha");
-  sw.switch_to("beta");
+  sw.switch_to("alpha").value();
+  sw.switch_to("beta").value();
   const std::uint64_t before =
       inj.opportunities(sim::FaultKind::kConfigCrc, site);
   EXPECT_GT(before, 0u);
-  sw.switch_to("alpha");  // cache hit
+  sw.switch_to("alpha").value();  // cache hit
   EXPECT_EQ(inj.opportunities(sim::FaultKind::kConfigCrc, site), before);
   EXPECT_EQ(sw.cache_hits(), 1u);
   sw.invalidate_cache();
-  sw.switch_to("beta");  // full reload: one more CRC opportunity
+  sw.switch_to("beta").value();  // full reload: one more CRC opportunity
   EXPECT_GT(inj.opportunities(sim::FaultKind::kConfigCrc, site), before);
 }
 

@@ -103,6 +103,30 @@ TEST(TrtHw, DriverAddsIoTime) {
   EXPECT_EQ(drv.now(), r.total_time);
 }
 
+TEST(TrtHw, ReadoutStartsAfterTheScan) {
+  // The histogram exists once the scan ends: with or without an
+  // overlapped image DMA, the read-back starts no earlier than that.
+  PatternBank bank(small_geo(), 176);
+  const Event ev = EventGenerator(bank, EventParams{}).generate();
+  for (const bool overlap : {false, true}) {
+    core::AtlantisSystem sys("crate");
+    core::AtlantisDriver drv(sys, sys.add_acb("acb0"));
+    TrtHwConfig cfg;
+    cfg.overlap_io = overlap;
+    const TrtHwResult r = histogram_atlantis(bank, ev, cfg, &drv);
+    util::Picoseconds scan_end = -1;
+    util::Picoseconds readout_start = -1;
+    for (const sim::Transaction& t : sys.timeline().transactions()) {
+      if (t.kind == sim::TxnKind::kCompute) scan_end = t.end;
+      if (t.label == "dma_read") readout_start = t.start;
+    }
+    ASSERT_GE(scan_end, 0);
+    ASSERT_GE(readout_start, 0);
+    EXPECT_GE(readout_start, scan_end) << "overlap_io=" << overlap;
+    EXPECT_EQ(drv.now(), r.total_time);
+  }
+}
+
 TEST(TrtHw, ReadoutCanBeExcluded) {
   PatternBank bank(small_geo(), 176);
   const Event ev = EventGenerator(bank, EventParams{}).generate();

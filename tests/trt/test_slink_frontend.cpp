@@ -17,8 +17,9 @@ TEST(SlinkFrontend, EventRoundtrip) {
   EventGenerator gen(bank, EventParams{});
   const Event ev = gen.generate();
   hw::SlinkChannel link("det0", 1 << 16);
-  const std::size_t sent = send_event(link, ev, 0x42);
-  EXPECT_EQ(sent, ev.hits.size() + 2);
+  const util::Result<std::size_t> sent = send_event(link, ev, 0x42);
+  ASSERT_TRUE(sent.ok());
+  EXPECT_EQ(sent.value(), ev.hits.size() + 2);
   const auto got = receive_event(link);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->first, 0x42u);
@@ -31,8 +32,8 @@ TEST(SlinkFrontend, MultipleEventsStayFramed) {
   hw::SlinkChannel link("det0", 1 << 16);
   const Event a = gen.generate();
   const Event b = gen.generate();
-  send_event(link, a, 1);
-  send_event(link, b, 2);
+  ASSERT_TRUE(send_event(link, a, 1).ok());
+  ASSERT_TRUE(send_event(link, b, 2).ok());
   EXPECT_EQ(receive_event(link)->second, a.hits);
   const auto second = receive_event(link);
   EXPECT_EQ(second->first, 2u);

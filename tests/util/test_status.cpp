@@ -34,13 +34,17 @@ TEST(ErrorCode, EveryCodeHasAName) {
   // without a name (or without bumping the count) fails here.
   std::set<std::string> seen;
   for (int i = 0; i < kErrorCodeCount; ++i) {
-    const char* name = error_name(static_cast<ErrorCode>(i));
+    const char* name = error_code_name(static_cast<ErrorCode>(i));
     EXPECT_STRNE(name, "unknown") << "ErrorCode " << i << " has no name";
     EXPECT_TRUE(seen.insert(name).second)
         << "duplicate ErrorCode name: " << name;
   }
-  EXPECT_STREQ(error_name(static_cast<ErrorCode>(kErrorCodeCount)),
+  EXPECT_STREQ(error_code_name(static_cast<ErrorCode>(kErrorCodeCount)),
                "unknown");
+}
+
+TEST(ErrorCodes, OverloadedHasStableName) {
+  EXPECT_STREQ(error_code_name(ErrorCode::kOverloaded), "overloaded");
 }
 
 TEST(Result, SuccessCarriesValue) {
