@@ -3,11 +3,14 @@
 // what preemptive scheduling buys on a deadline-heavy mix.
 //
 // Part 1 freezes a two-board crate mid-serve — ledger, queues, per-job
-// progress, per-board driver/switcher state, the timeline and the
-// fault injector, all in one versioned stream — and restores it into an
-// identically assembled twin. The twin must finish the run with a
-// bit-identical schedule and ledger (that is the whole point of the
-// layer: a restore is indistinguishable from never having paused).
+// progress, per-board driver/switcher state, the timeline's scheduler
+// state and the fault injector, all in one versioned stream — and
+// restores it into an identically assembled twin. The twin must finish
+// the run with a bit-identical schedule and ledger (that is the whole
+// point of the layer: a restore is indistinguishable from never having
+// paused). The stream carries no transaction log, so the twin's log
+// starts at the restore point: it must equal the reference's from that
+// transaction on, with identical whole-run resource stats and horizon.
 //
 // Part 2 runs the same staged workload — two 30 ms background jobs,
 // then eight 100 us jobs under a 40 ms deadline — under the batched,
@@ -18,9 +21,11 @@
 //
 // The history rows save and restore a whole-service snapshot after 2k,
 // 8k, 32k and 128k served jobs (500 and 2k under BENCH_SMOKE): the
-// stream carries every ledger record and timeline transaction, so its
-// size grows with history, and save MB/s shows whether the cost per
-// byte stays flat as it does. Writes BENCH_snapshot.json.
+// stream carries every ledger record, so its size grows with history,
+// and save MB/s shows whether the cost per byte stays flat as it does.
+// Each row splits out the "sim/timeline" and "serve/service" section
+// payloads: the timeline's stays the same size, the service's (the
+// ledger) grows. Writes BENCH_snapshot.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -43,14 +48,26 @@ using namespace atlantis;
 
 namespace {
 
-std::string serialize(const sim::Timeline& tl) {
+/// The logged transactions numbered `first` and later.
+std::string serialize(const sim::Timeline& tl, std::uint64_t first = 0) {
   std::ostringstream os;
   for (const sim::Transaction& t : tl.transactions()) {
-    os << sim::txn_kind_name(t.kind) << '|' << t.label << '|'
+    if (t.id < first) continue;
+    os << t.id << '|' << sim::txn_kind_name(t.kind) << '|' << t.label << '|'
        << tl.track_name(t.track) << '|' << t.post << '|' << t.start << '|'
        << t.end << '|' << t.bytes << '\n';
   }
   return os.str();
+}
+
+/// A timeline restored from a snapshot taken after `k` posts replays
+/// `want`: its log holds `want`'s transactions from id k on, and its
+/// whole-run stats and horizon (which carry the history before k) match.
+bool replays(const sim::Timeline& twin, const sim::Timeline& want,
+             std::uint64_t k) {
+  return serialize(twin) == serialize(want, k) &&
+         twin.all_stats() == want.all_stats() &&
+         twin.horizon() == want.horizon();
 }
 
 std::string serialize(const std::vector<serve::JobRecord>& records) {
@@ -117,6 +134,8 @@ void submit_serve_mix(serve::JobService& s, int jobs) {
 struct HistoryRow {
   int jobs = 0;
   std::size_t bytes = 0;
+  std::size_t timeline_bytes = 0;  // "sim/timeline" payload
+  std::size_t service_bytes = 0;   // "serve/service" payload
   double save_us = 0.0;
   double restore_us = 0.0;
 };
@@ -154,6 +173,10 @@ HistoryRow measure_history(int jobs) {
     }
     twin.service->load_state(opened.value());
     const auto t2 = std::chrono::steady_clock::now();
+    opened.value().select("sim/timeline");
+    row.timeline_bytes = opened.value().remaining();
+    opened.value().select("serve/service");
+    row.service_bytes = opened.value().remaining();
     save_us.push_back(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
     restore_us.push_back(
@@ -225,7 +248,6 @@ int main() {
   submit_serve_mix(*ref.service, n_jobs);
   ref.service->run();
   const std::string want_records = serialize(ref.service->jobs());
-  const std::string want_schedule = serialize(ref.sys.timeline());
 
   World live(options, 2, &plan);
   submit_serve_mix(*live.service, n_jobs);
@@ -238,6 +260,7 @@ int main() {
   live.service->save_state(w);
   const std::vector<std::uint8_t> bytes = w.bytes();
   const auto save_end = std::chrono::steady_clock::now();
+  const std::uint64_t saved_posts = live.sys.timeline().transactions().size();
 
   World twin(options, 2, &plan);
   submit_serve_mix(*twin.service, n_jobs);
@@ -256,8 +279,10 @@ int main() {
   const double restore_us =
       std::chrono::duration<double, std::micro>(restore_end - restore_begin)
           .count();
-  const bool identical = serialize(twin.service->jobs()) == want_records &&
-                         serialize(twin.sys.timeline()) == want_schedule;
+  const bool identical =
+      serialize(twin.service->jobs()) == want_records &&
+      replays(twin.sys.timeline(), ref.sys.timeline(), saved_posts) &&
+      twin.injector->log() == ref.injector->log();
 
   util::Table snap("mid-stream snapshot of a 2-board serve run (" +
                    std::to_string(n_jobs) + " jobs, fault plan active)");
@@ -339,6 +364,8 @@ int main() {
     sim::SnapshotWriter ww;
     cold.service->save_state(ww);
     const std::vector<std::uint8_t> genesis = ww.bytes();
+    const std::uint64_t genesis_posts =
+        cold.sys.timeline().transactions().size();
 
     bool regenerated = false;
     {
@@ -378,7 +405,7 @@ int main() {
     warm.service->run();
     const bool warm_identical =
         serialize(warm.service->jobs()) == serialize(cold.service->jobs()) &&
-        serialize(warm.sys.timeline()) == serialize(cold.sys.timeline());
+        replays(warm.sys.timeline(), cold.sys.timeline(), genesis_posts);
 
     util::Table wt("instant warm start: committed genesis snapshot vs "
                    "re-running the warm-up (36 jobs, 6 steps)");
@@ -419,19 +446,26 @@ int main() {
 
   util::Table ht("whole-service snapshot vs served history (2-board crate, "
                  "median of 5)");
-  ht.set_header({"jobs served", "stream (bytes)", "save (us)",
-                 "restore (us)", "save MB/s"});
+  ht.set_header({"jobs served", "stream (bytes)", "timeline (bytes)",
+                 "service (bytes)", "save (us)", "restore (us)",
+                 "save MB/s"});
   std::string history_json = ",\n  \"history\": [";
   for (std::size_t i = 0; i < history.size(); ++i) {
     const HistoryRow& h = history[i];
     const double mb_per_s = static_cast<double>(h.bytes) / h.save_us;
     ht.add_row({std::to_string(h.jobs), std::to_string(h.bytes),
+                std::to_string(h.timeline_bytes),
+                std::to_string(h.service_bytes),
                 util::Table::fmt(h.save_us, 1),
                 util::Table::fmt(h.restore_us, 1),
                 util::Table::fmt(mb_per_s, 0)});
     history_json += std::string(i == 0 ? "" : ",") + "\n    {\"jobs\": " +
                     std::to_string(h.jobs) +
                     ", \"bytes\": " + std::to_string(h.bytes) +
+                    ", \"timeline_bytes\": " +
+                    std::to_string(h.timeline_bytes) +
+                    ", \"service_bytes\": " +
+                    std::to_string(h.service_bytes) +
                     ", \"save_us\": " + std::to_string(h.save_us) +
                     ", \"restore_us\": " + std::to_string(h.restore_us) +
                     ", \"save_mb_per_s\": " + std::to_string(mb_per_s) + "}";

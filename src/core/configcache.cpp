@@ -15,21 +15,19 @@ bool ConfigCache::touch(const std::string& name, bool usable) {
   return hit;
 }
 
-void ConfigCache::insert(const std::string& name,
-                         std::vector<std::uint64_t> sigs) {
+void ConfigCache::insert(const std::string& name) {
   if (!enabled()) return;
   const auto it = index_.find(name);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    if (!sigs.empty()) it->second->sigs = std::move(sigs);
     return;
   }
   if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back().name);
+    index_.erase(lru_.back());
     lru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(Entry{name, std::move(sigs)});
+  lru_.push_front(name);
   index_[name] = lru_.begin();
   ++stats_.insertions;
 }
@@ -47,18 +45,12 @@ void ConfigCache::clear() {
 }
 
 std::vector<std::string> ConfigCache::contents() const {
-  std::vector<std::string> names;
-  names.reserve(lru_.size());
-  for (const Entry& e : lru_) names.push_back(e.name);
-  return names;
+  return {lru_.begin(), lru_.end()};
 }
 
 template <typename Self, typename Stream>
 void ConfigCache::walk(Self& self, Stream& s) {
-  s.seq32(self.lru_, [&](auto& e) {  // MRU -> LRU
-    s.string(e.name);
-    s.words(e.sigs);
-  });
+  s.seq32(self.lru_, [&](auto& name) { s.string(name); });  // MRU -> LRU
   s.u64(self.stats_.hits);
   s.u64(self.stats_.misses);
   s.u64(self.stats_.insertions);
@@ -70,7 +62,7 @@ void ConfigCache::save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
 void ConfigCache::load_state(sim::SnapshotReader& r) {
   walk(*this, r);
   index_.clear();
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) index_[it->name] = it;
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) index_[*it] = it;
 }
 
 }  // namespace atlantis::core

@@ -60,12 +60,7 @@ class ConfigCache {
   /// Stages `name` as most-recently-used, evicting the least-recently-
   /// used entry when the cache is full. Re-inserting a resident entry
   /// only promotes it.
-  void insert(const std::string& name) { insert(name, {}); }
-
-  /// Same, remembering the staged bitstream's per-region content
-  /// signatures (hw::Bitstream::region_sigs). They travel in the snapshot
-  /// stream; no code consults them.
-  void insert(const std::string& name, std::vector<std::uint64_t> sigs);
+  void insert(const std::string& name);
 
   /// Drops one entry (e.g. a bitstream whose staged copy went bad).
   void erase(const std::string& name);
@@ -78,25 +73,20 @@ class ConfigCache {
 
   const ConfigCacheStats& stats() const { return stats_; }
 
-  /// Snapshottable leaf: entries in MRU→LRU order with their region
-  /// signatures, plus the lifetime stats, written into the caller's open
-  /// section. load_state replaces the contents (capacity is construction
-  /// configuration and must already match).
+  /// Snapshottable leaf: entry names in MRU→LRU order, plus the
+  /// lifetime stats, written into the caller's open section. load_state
+  /// replaces the contents (capacity is construction configuration and
+  /// must already match).
   void save_state(sim::SnapshotWriter& w) const;
   void load_state(sim::SnapshotReader& r);
 
  private:
-  struct Entry {
-    std::string name;
-    std::vector<std::uint64_t> sigs;  // region signatures, may be empty
-  };
-
   template <typename Self, typename Stream>
   static void walk(Self& self, Stream& s);
 
   std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::list<std::string> lru_;  // front = most recently used
+  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
   ConfigCacheStats stats_;
 };
 

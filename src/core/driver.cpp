@@ -26,10 +26,6 @@ void AtlantisDriver::post_compute(util::Picoseconds t,
 template <typename Self, typename Stream>
 void AtlantisDriver::walk(Self& self, Stream& s) {
   s.i64(self.now_);
-  // A reserved slot (it held an epoch once): written as 0, ignored on
-  // load, until the next stream version drops it.
-  std::int64_t reserved = 0;
-  s.i64(reserved);
   s.seq32(self.pending_, [&](auto& t) { s.i64(t); });
   s.u64(self.dma_faults_);
   s.u64(self.dma_retries_);

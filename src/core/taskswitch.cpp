@@ -17,11 +17,8 @@ void TaskSwitcher::add_task(const hw::Bitstream& bs) {
   tasks_.emplace(bs.name, bs);
 }
 
-void TaskSwitcher::enable_cache(std::size_t capacity, double hit_fraction) {
-  ATLANTIS_CHECK(hit_fraction > 0.0 && hit_fraction <= 1.0,
-                 "cache hit fraction out of range");
+void TaskSwitcher::enable_cache(std::size_t capacity) {
   cache_ = ConfigCache(capacity);
-  cache_hit_fraction_ = hit_fraction;
 }
 
 bool TaskSwitcher::diff_applicable(const hw::Bitstream& bs) const {
@@ -50,7 +47,7 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
   // full reload path below, which repairs it.
   if (cache_.touch(name, device_.configured() && !device_.upset_pending())) {
     const util::Picoseconds t =
-        device_.activate(it->second, cache_hit_fraction_);
+        device_.activate(it->second, kCacheHitFraction);
     current_ = name;
     ++switches_;
     total_time_ += t;
@@ -103,7 +100,7 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
   last_time_ = total;
   // Both the full load and the differential one leave a complete fresh
   // copy of the configuration staged locally.
-  cache_.insert(name, it->second.region_sigs);
+  cache_.insert(name);
   return total;
 }
 
@@ -175,11 +172,6 @@ void TaskSwitcher::walk(Self& self, Stream& s) {
   s.i64(self.last_regions_);
   s.u64(self.region_scrubs_);
   s.boolean(self.differential_);
-  s.f64(self.cache_hit_fraction_);
-  // A reserved slot (it held a timeline cursor once): written as 0,
-  // ignored on load, until the next stream version drops it.
-  std::int64_t reserved = 0;
-  s.i64(reserved);
   s.state(self.cache_);
 }
 

@@ -105,16 +105,19 @@ class TaskSwitcher {
   bool differential() const { return differential_; }
 
   // --- bitstream/configuration cache ------------------------------------
+  /// The share of a full configuration's time a cache hit pays to
+  /// activate a staged context.
+  static constexpr double kCacheHitFraction = 1.0 / 64.0;
   /// Enables the LRU bitstream cache: up to `capacity` recently used
   /// configurations stay staged in the board's local configuration
   /// store. A switch to a staged task activates the context (paying
-  /// `hit_fraction` of the full configuration time) instead of reloading
-  /// the bitstream — and skips the CRC check, since no configuration
-  /// data moved. Only such an activation counts as a cache hit; on an
-  /// unconfigured or upset device a staged task is a miss and reloads.
-  /// Capacity 0 (the default) disables the cache; behaviour is then
-  /// bit-identical to the pre-cache switcher.
-  void enable_cache(std::size_t capacity, double hit_fraction = 1.0 / 64.0);
+  /// kCacheHitFraction of the full configuration time) instead of
+  /// reloading the bitstream — and skips the CRC check, since no
+  /// configuration data moved. Only such an activation counts as a cache
+  /// hit; on an unconfigured or upset device a staged task is a miss and
+  /// reloads. Capacity 0 (the default) disables the cache; behaviour is
+  /// then bit-identical to the pre-cache switcher.
+  void enable_cache(std::size_t capacity);
   const ConfigCache& cache() const { return cache_; }
   const ConfigCacheStats& cache_stats() const { return cache_.stats(); }
   /// Drops every staged configuration (board power loss / drop-out).
@@ -177,7 +180,6 @@ class TaskSwitcher {
   std::uint64_t region_scrubs_ = 0;
   bool differential_ = true;
   ConfigCache cache_;
-  double cache_hit_fraction_ = 1.0 / 64.0;
   sim::RetryPolicy policy_;
 };
 

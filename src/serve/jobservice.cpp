@@ -753,6 +753,7 @@ void JobService::walk(Self& self, Stream& s) {
   s.expect_u32(self.boards_.size(), "service board count");
   for (auto& b : self.boards_) {
     s.boolean(b.dead);
+    s.boolean(b.quarantined);
     bool has_active = b.active.has_value();
     JobId active = b.active.value_or(0);
     s.boolean(has_active);
@@ -802,16 +803,6 @@ void JobService::save_state(sim::SnapshotWriter& w) const {
   system_.save_state(w);
   w.begin_section("serve/service");
   walk(*this, w);
-  // Appended in minor 1: the quarantine bitmask. Kept at the section
-  // tail so minor-0 readers simply never reach it and minor-0 streams
-  // load with no board quarantined (load_state finds no bytes left).
-  ATLANTIS_CHECK(boards_.size() <= 64,
-                 "quarantine mask carries at most 64 boards");
-  std::uint64_t quarantine_mask = 0;
-  for (std::size_t i = 0; i < boards_.size(); ++i) {
-    if (boards_[i].quarantined) quarantine_mask |= 1ull << i;
-  }
-  w.put_u64(quarantine_mask);
   w.end_section();
 }
 
@@ -819,11 +810,6 @@ void JobService::load_state(sim::SnapshotReader& r) {
   system_.load_state(r);
   r.select("serve/service");
   walk(*this, r);
-  const std::uint64_t quarantine_mask =
-      r.remaining() >= sizeof(std::uint64_t) ? r.get_u64() : 0;
-  for (std::size_t i = 0; i < boards_.size(); ++i) {
-    boards_[i].quarantined = (quarantine_mask & (1ull << i)) != 0;
-  }
 }
 
 void JobService::finalize_report() {

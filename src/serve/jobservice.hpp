@@ -177,7 +177,8 @@ class JobService : public sim::Snapshottable {
   /// Snapshottable composite: the whole serving state — the underlying
   /// system (boards, timeline, injector) via AtlantisSystem::save_state,
   /// then a "serve/service" section with the ledger, queues, per-job
-  /// progress and per-board driver/switcher state. load_state restores
+  /// progress and per-board state (dead and quarantine flags, driver,
+  /// switcher). load_state restores
   /// into a twin service built over an identically assembled system with
   /// the same options, configurations and submissions (work functors
   /// live in the twin's own submissions; they are never serialized).
@@ -309,7 +310,7 @@ class JobService : public sim::Snapshottable {
   void migrate_out(JobId id);
   void fail_remaining(util::ErrorCode code);
   void finalize_report();
-  /// The "serve/service" section up to its minor-1 quarantine tail.
+  /// The "serve/service" section's payload.
   template <typename Self, typename Stream>
   static void walk(Self& self, Stream& s);
 

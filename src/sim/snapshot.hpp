@@ -87,9 +87,11 @@ static_assert(std::endian::native == std::endian::little,
               "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
-inline constexpr std::uint16_t kSnapshotMajor = 1;
-// Minor 1: "serve/service" appends a quarantine bitmask readers may skip.
-inline constexpr std::uint16_t kSnapshotMinor = 1;
+// Major 2: "sim/timeline" carries a posted count instead of the
+// transaction log, and the driver, switcher, config-cache and service
+// layouts dropped their reserved and unread fields.
+inline constexpr std::uint16_t kSnapshotMajor = 2;
+inline constexpr std::uint16_t kSnapshotMinor = 0;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <ostream>
 
 #include "util/status.hpp"
@@ -61,12 +60,6 @@ std::string_view Timeline::Labels::store(std::string_view label) {
   return {at, label.size()};
 }
 
-void Timeline::Labels::adopt(Labels&& other) {
-  chunks_.insert(chunks_.end(), std::make_move_iterator(other.chunks_.begin()),
-                 std::make_move_iterator(other.chunks_.end()));
-  other.chunks_.clear();
-}
-
 const Transaction& Timeline::post(TrackId track, TxnKind kind,
                                   std::string_view label, ResourceId resource,
                                   util::Picoseconds not_before,
@@ -78,7 +71,7 @@ const Transaction& Timeline::post(TrackId track, TxnKind kind,
   ATLANTIS_CHECK(not_before >= 0 && service >= 0,
                  "transaction times must be non-negative");
   Transaction t;
-  t.id = txns_.size();
+  t.id = posted();
   t.kind = kind;
   t.label = labels_.store(label);
   t.track = track;
@@ -121,8 +114,9 @@ util::Picoseconds Timeline::track_horizon(TrackId track) const {
 }
 
 const Transaction& Timeline::txn(std::uint64_t id) const {
-  ATLANTIS_CHECK(id < txns_.size(), "unknown transaction id");
-  return txns_[static_cast<std::size_t>(id)];
+  ATLANTIS_CHECK(id >= first_id_ && id < posted(),
+                 "transaction id outside the log");
+  return txns_[static_cast<std::size_t>(id - first_id_)];
 }
 
 const std::string& Timeline::track_name(TrackId id) const {
@@ -151,8 +145,8 @@ void Timeline::record_retry(ResourceId id, util::Picoseconds recovery) {
   s.retry_time += recovery;
 }
 
-template <typename Self, typename Stream, typename Store>
-void Timeline::walk(Self& self, Stream& s, Store& labels) {
+template <typename Self, typename Stream, typename Count>
+void Timeline::walk(Self& self, Stream& s, Count& posted) {
   s.section("sim/timeline", [&] {
     s.expect_u32(self.resources_.size(), "timeline resource count");
     for (auto& res : self.resources_) {
@@ -179,40 +173,25 @@ void Timeline::walk(Self& self, Stream& s, Store& labels) {
       s.string(t.name);
       s.i64(t.horizon);
     });
-    s.seq64(self.txns_, [&](auto& t) {
-      s.u64(t.id);
-      s.u8(t.kind);
-      if constexpr (Stream::kLoading) {
-        t.label = labels.store(s.get_string_view());
-      } else {
-        s.string(t.label);
-      }
-      s.u32(t.track.value);
-      s.u32(t.resource.value);
-      s.i64(t.post);
-      s.i64(t.start);
-      s.i64(t.end);
-      s.u64(t.bytes);
-      s.u32(t.regions);
-    });
+    s.u64(posted);
     s.i64(self.horizon_);
   });
 }
 
 void Timeline::save_state(SnapshotWriter& w) const {
-  walk(*this, w, labels_);
+  const std::uint64_t posted = this->posted();
+  walk(*this, w, posted);
 }
 
 void Timeline::load_state(SnapshotReader& r) {
-  Labels fresh;
-  try {
-    walk(*this, r, fresh);
-  } catch (...) {
-    // The log may already view labels the failed walk stored.
-    labels_.adopt(std::move(fresh));
-    throw;
+  std::uint64_t k = 0;
+  walk(*this, r, k);
+  if (first_id_ <= k && k <= posted()) {
+    txns_.resize(static_cast<std::size_t>(k - first_id_));  // a rollback
+  } else {
+    txns_.clear();  // a twin: its log starts at the restore point
+    first_id_ = k;
   }
-  labels_ = std::move(fresh);
 }
 
 std::vector<ResourceStats> Timeline::all_stats() const {

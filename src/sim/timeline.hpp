@@ -19,15 +19,24 @@
 // post without advancing the cursor and join at wait(), which is how
 // compute/DMA overlap is expressed.
 //
-// Observability: every transaction is kept; export_chrome_trace() writes
-// Chrome-trace/Perfetto JSON (one track per resource, one per actor) and
-// stats() reports per-resource utilization, queue delay and bytes.
+// Observability: the timeline keeps a log of the transactions it posted
+// itself. The log is a trace, not scheduler state: a snapshot carries
+// each resource's channel free times and stats, the tracks, the horizon
+// and how many transactions were posted, never the log. Loading a
+// snapshot rolls the log back to the restored count when this timeline
+// posted it (a crash restore onto the timeline that took the
+// checkpoint); otherwise (a twin) the log starts empty at that count, so
+// a twin's trace starts at the restore point. export_chrome_trace()
+// writes the log as Chrome-trace/Perfetto JSON (one track per resource,
+// one per actor) and stats() reports per-resource utilization, queue
+// delay and bytes over the whole run.
 //
 // Labels: post() copies each label into chunked storage the timeline
 // owns, and the Transaction holds a view of it. Chunks never move, so a
 // label stays readable for the timeline's life: across growth of the
 // log and across a move of the timeline (copying one is deleted; the
-// copy's views would point into the original).
+// copy's views would point into the original). A load reads no label;
+// the labels of entries a rollback cut stay in their chunks.
 #pragma once
 
 #include <cstdint>
@@ -126,6 +135,7 @@ struct ResourceStats {
     return static_cast<double>(busy) / static_cast<double>(horizon);
   }
   double mbps() const { return util::mb_per_s(bytes, last_end - first_start); }
+  bool operator==(const ResourceStats&) const = default;
 };
 
 class Timeline : public Snapshottable {
@@ -160,8 +170,15 @@ class Timeline : public Snapshottable {
   /// Latest end over one actor's transactions.
   util::Picoseconds track_horizon(TrackId track) const;
 
+  /// The log: this timeline's posts with ids [first_id, posted()) in
+  /// id order (file comment).
   const std::vector<Transaction>& transactions() const { return txns_; }
+  /// The logged transaction numbered `id`; throws for an id outside the
+  /// log.
   const Transaction& txn(std::uint64_t id) const;
+  /// Transactions posted so far, across restores: the id of the next
+  /// post.
+  std::uint64_t posted() const { return first_id_ + txns_.size(); }
 
   int resource_count() const { return static_cast<int>(resources_.size()); }
   int track_count() const { return static_cast<int>(tracks_.size()); }
@@ -178,16 +195,17 @@ class Timeline : public Snapshottable {
   void record_fault(ResourceId id);
   void record_retry(ResourceId id, util::Picoseconds recovery);
 
-  /// Snapshottable: writes/restores the complete timeline — resources
-  /// with their channel free-times and stats, tracks, every transaction
-  /// and the horizon — under a "sim/timeline" section. load_state fully
-  /// replaces the current contents; ResourceId/TrackId handles held by
-  /// callers stay valid only when the restored stream was taken from an
-  /// identically registered timeline (same add_resource/add_track
-  /// order), which load_state verifies by count and name. The restored
-  /// labels go into fresh storage; the old labels are freed only once
-  /// the load succeeded, so a load that throws leaves every label
-  /// readable.
+  /// Snapshottable: writes/restores the scheduler state — resources
+  /// with their channel free-times and stats, tracks with their
+  /// horizons, the posted count and the horizon — under a "sim/timeline"
+  /// section; the log is not in the stream. ResourceId/TrackId handles
+  /// held by callers stay valid only when the restored stream was taken
+  /// from an identically registered timeline (same add_resource/add_track
+  /// order), which load_state verifies by count and name. With k the
+  /// restored count, load_state keeps the logged entries below k when
+  /// the log reaches k, and otherwise empties it so the next post is
+  /// numbered k. The log is cut only after the whole section read, so a
+  /// load that throws leaves the log and every label as they were.
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 
@@ -215,8 +233,6 @@ class Timeline : public Snapshottable {
   class Labels {
    public:
     std::string_view store(std::string_view label);
-    /// Keeps `other`'s chunks alive too.
-    void adopt(Labels&& other);
 
    private:
     struct Chunk {
@@ -229,13 +245,14 @@ class Timeline : public Snapshottable {
     std::vector<Chunk> chunks_;  // the last one takes new labels
   };
 
-  /// `labels` receives the labels a load reads.
-  template <typename Self, typename Stream, typename Store>
-  static void walk(Self& self, Stream& s, Store& labels);
+  /// `posted` is the posted count the stream carries.
+  template <typename Self, typename Stream, typename Count>
+  static void walk(Self& self, Stream& s, Count& posted);
 
   std::vector<Resource> resources_;
   std::vector<Track> tracks_;
   std::vector<Transaction> txns_;
+  std::uint64_t first_id_ = 0;  // id of txns_[0]
   Labels labels_;
   util::Picoseconds horizon_ = 0;
 };

@@ -73,7 +73,7 @@ class CachedSwitcherTest : public ::testing::Test {
 
 TEST_F(CachedSwitcherTest, CacheHitActivatesAtFraction) {
   core::TaskSwitcher sw(device_);
-  sw.enable_cache(2, 1.0 / 64.0);
+  sw.enable_cache(2);
   sw.add_task(alpha_);
   sw.add_task(beta_);
 

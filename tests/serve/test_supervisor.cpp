@@ -1,19 +1,22 @@
 // Supervisor checkpoints across runs: a crash must always restore a
 // checkpoint that holds every job the service has accepted, including
-// jobs submitted between two Supervisor::run() calls. A drain to a
-// spare that refuses some jobs still resolves every one of them. And
-// the report carries the breakers' open and half-open tallies.
+// jobs submitted between two Supervisor::run() calls, and roll the
+// timeline's log back with it. A drain to a spare that refuses some
+// jobs still resolves every one of them. And the report carries the
+// breakers' open and half-open tallies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "core/system.hpp"
 #include "serve/jobservice.hpp"
 #include "serve/supervisor.hpp"
 #include "sim/fault.hpp"
+#include "sim/timeline.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
 
@@ -115,6 +118,45 @@ TEST(Supervisor, CrashAfterSubmitBetweenRunsRestoresEveryJob) {
     EXPECT_EQ(rec.error, util::ErrorCode::kOk) << "job " << rec.id;
   }
   EXPECT_EQ(crashed.served_checksums(), want);
+}
+
+std::string serialize(const sim::Timeline& tl) {
+  std::ostringstream os;
+  for (const sim::Transaction& t : tl.transactions()) {
+    os << t.id << '|' << sim::txn_kind_name(t.kind) << '|' << t.label << '|'
+       << t.track.value << '|' << t.resource.value << '|' << t.post << '|'
+       << t.start << '|' << t.end << '|' << t.bytes << '|' << t.regions
+       << '\n';
+  }
+  return os.str();
+}
+
+TEST(Supervisor, CrashRestoreRollsTheLogBack) {
+  // A crash restore loads the last checkpoint onto the timeline that
+  // took it, so the log rolls back to the checkpoint's posted count and
+  // the replay posts the same transactions again: the crashed run ends
+  // with the log of the run that never crashed.
+  constexpr int kJobs = 400;
+  SupervisedCrate ref{sim::FaultPlan{}};
+  ref.submit(0, kJobs);
+  ref.supervisor->run();
+  ASSERT_EQ(ref.supervisor->report().restores, 0u);
+
+  sim::FaultPlan plan;
+  for (const std::uint64_t tick : {7u, 19u, 31u}) {
+    plan.inject(sim::FaultKind::kServiceCrash, "serve/crate", tick);
+  }
+  SupervisedCrate crashed{plan};
+  crashed.submit(0, kJobs);
+  crashed.supervisor->run();
+  EXPECT_GE(crashed.supervisor->report().restores, 1u);
+  EXPECT_EQ(crashed.served_checksums(), ref.served_checksums());
+
+  const sim::Timeline& want = ref.sys.timeline();
+  const sim::Timeline& got = crashed.sys.timeline();
+  ASSERT_FALSE(want.transactions().empty());
+  EXPECT_EQ(got.posted(), want.posted());
+  EXPECT_EQ(serialize(got), serialize(want));
 }
 
 TEST(Supervisor, DrainToASpareMissingAConfigurationResolvesEveryJob) {
