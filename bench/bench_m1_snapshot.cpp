@@ -113,8 +113,8 @@ struct World {
       sys.set_fault_injector(injector.get());
     }
     service = std::make_unique<serve::JobService>(sys, options);
-    service->register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-    service->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    service->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+    service->register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   }
 
   ~World() { sys.set_fault_injector(nullptr); }

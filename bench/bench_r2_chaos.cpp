@@ -170,8 +170,8 @@ ChaosCell run_mode(const std::string& mode, int n_jobs,
   serve::JobService service(sys, storm_serve_options(n_jobs));
   serve::JobService spare(spare_sys, storm_serve_options(n_jobs));
   for (serve::JobService* s : {&service, &spare}) {
-    s->register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-    s->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    s->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+    s->register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   }
   submit_mix(service, n_jobs);
 

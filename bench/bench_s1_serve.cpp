@@ -6,22 +6,20 @@
 // tiles submitted by two tenants. The naive policy drains the stream in
 // strict submission order with the cache disabled, so nearly every job
 // swaps the FPGA configuration; the batched policy groups same-config
-// jobs and keeps recent bitstreams staged. The three configurations
-// share a common base bitstream and differ in a few of the ORCA's 32
-// configuration regions, so with region-diff loading enabled a cache
-// miss re-shifts a handful of frames instead of the full 18.75 ms load
-// — the hardware task switch the paper's ORCA parts were chosen for.
-// A dropout row drops a board mid-stream and checks the service drains
-// it without losing a job.
+// jobs and keeps recent bitstreams staged. Both register the three
+// configurations without region signatures, so every cache miss is a
+// full configuration. The batched+diff row and the rows after it
+// register them region-signed: the three share a common base bitstream
+// and differ in a few of the ORCA's 32 configuration regions, so a
+// cache miss re-shifts a handful of frames instead of the full 18.75 ms
+// load — the hardware task switch the paper's ORCA parts were chosen
+// for. A dropout row drops a board mid-stream and checks the service
+// drains it without losing a job.
 // Every policy must produce bit-identical job results (the ledger
 // check): reconfiguration policy moves time, never answers.
-//
-// Set S1_DIFF=off to pin every row to the full-configure path (the CI
-// A/B baseline).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -78,11 +76,13 @@ struct Workload {
   std::vector<int> order;  // 0 = TRT, 1 = imgproc blur, 2 = imgproc edge
 };
 
-/// The three serve configurations as region-signed bitstreams: all share
-/// a base; the TRT LUT occupies its own frames, the two image kernels
-/// share their convolution datapath and differ only in coefficient
-/// pages. Switching conv<->edge costs 2 frames, trt<->img costs 8.
-std::vector<hw::Bitstream> make_configs() {
+/// The three serve configurations. With `regions` they are region-signed
+/// bitstreams: all share a base; the TRT LUT occupies its own frames,
+/// the two image kernels share their convolution datapath and differ
+/// only in coefficient pages. Switching conv<->edge costs 2 frames,
+/// trt<->img costs 8. Without, they carry no signatures and every load
+/// is a full configuration.
+std::vector<hw::Bitstream> make_configs(bool regions) {
   const auto base = hw::make_region_signatures("serve_base", kRegions);
   hw::Bitstream trt_lut;
   trt_lut.name = "trt_lut";
@@ -95,7 +95,11 @@ std::vector<hw::Bitstream> make_configs() {
   hw::Bitstream img_edge = img_conv;
   img_edge.name = "img_edge";
   hw::stamp_regions(img_edge.region_sigs, "edge_coeffs", 6, 8);
-  return {trt_lut, img_conv, img_edge};
+  std::vector<hw::Bitstream> configs{trt_lut, img_conv, img_edge};
+  if (!regions) {
+    for (hw::Bitstream& bs : configs) bs.region_sigs.clear();
+  }
+  return configs;
 }
 
 /// Timing-free digest of every job's outcome: policy changes the
@@ -146,7 +150,7 @@ std::uint64_t functional_digest(
 }
 
 ServeCell run_cell(const std::string& name, const Workload& w,
-                   const serve::ServeOptions& options,
+                   const serve::ServeOptions& options, bool regions,
                    const sim::FaultPlan* plan, bool migrate = false) {
   core::AtlantisSystem sys("crate");
   sys.add_acb("acb0");
@@ -155,7 +159,9 @@ ServeCell run_cell(const std::string& name, const Workload& w,
   if (plan != nullptr) sys.set_fault_injector(&injector);
 
   serve::JobService service(sys, options);
-  for (const hw::Bitstream& bs : make_configs()) service.register_config(bs);
+  for (const hw::Bitstream& bs : make_configs(regions)) {
+    service.register_config(bs);
+  }
 
   // Spare crate standing by: with a migration target set, losing the
   // serving capacity drains pending jobs there via migrate_job instead
@@ -165,7 +171,9 @@ ServeCell run_cell(const std::string& name, const Workload& w,
   if (migrate) {
     spare_sys.add_acb("spare0");
     spare = std::make_unique<serve::JobService>(spare_sys, options);
-    for (const hw::Bitstream& bs : make_configs()) spare->register_config(bs);
+    for (const hw::Bitstream& bs : make_configs(regions)) {
+      spare->register_config(bs);
+    }
     service.set_migration_target(spare.get());
   }
 
@@ -262,9 +270,6 @@ int main() {
                       "differential reconfiguration vs reconfigure-per-job");
 
   const int n_jobs = bench::smoke() ? 12 : 48;
-  const char* s1_diff = std::getenv("S1_DIFF");
-  const bool diff_on = s1_diff == nullptr || std::string(s1_diff) != "off";
-  if (!diff_on) std::printf("S1_DIFF=off: differential loading disabled\n");
 
   // --- shared workload (identical stream for every policy) -------------
   // Reduced TRT geometry: a job must cost far less than the ~19 ms full
@@ -312,18 +317,16 @@ int main() {
   naive.max_batch = 1;
   naive.cache_capacity = 0;
   naive.fifo_order = true;
-  naive.differential_reconfig = false;  // the legacy baseline
-  serve::ServeOptions batched;  // defaults: batch 8, cache 4
-  batched.differential_reconfig = false;
-  serve::ServeOptions batched_diff = batched;
-  batched_diff.differential_reconfig = diff_on;
+  const serve::ServeOptions batched;  // defaults: batch 8, cache 4
 
-  const ServeCell n = run_cell("naive fifo", w, naive, nullptr);
-  const ServeCell b = run_cell("batched+cache", w, batched, nullptr);
-  const ServeCell bd = run_cell("batched+diff", w, batched_diff, nullptr);
+  // The baselines register signature-less configurations: no
+  // differential loads.
+  const ServeCell n = run_cell("naive fifo", w, naive, false, nullptr);
+  const ServeCell b = run_cell("batched+cache", w, batched, false, nullptr);
+  const ServeCell bd = run_cell("batched+diff", w, batched, true, nullptr);
   sim::FaultPlan plan;
   plan.inject(sim::FaultKind::kBoardDropout, "board/acb1", /*nth=*/1);
-  const ServeCell d = run_cell("dropout", w, batched_diff, &plan);
+  const ServeCell d = run_cell("dropout", w, batched, true, &plan);
   // Total crate loss with a spare crate standing by: both boards drop
   // on their first dispatch, so every job crosses crates via
   // migrate_job instead of failing with kBoardDead.
@@ -331,7 +334,7 @@ int main() {
   total_loss.inject(sim::FaultKind::kBoardDropout, "board/acb0", /*nth=*/1);
   total_loss.inject(sim::FaultKind::kBoardDropout, "board/acb1", /*nth=*/1);
   const ServeCell m =
-      run_cell("dropout+migrate", w, batched_diff, &total_loss,
+      run_cell("dropout+migrate", w, batched, true, &total_loss,
                /*migrate=*/true);
 
   util::Table table("mixed TRT/imgproc stream, " + std::to_string(n_jobs) +
@@ -357,10 +360,8 @@ int main() {
   const double diff_saving =
       bd.reconfig_ms > 0 ? b.reconfig_ms / bd.reconfig_ms : 0.0;
   std::printf("\nbatched+cache vs naive: %.1fx throughput\n", speedup);
-  if (diff_on) {
-    std::printf("region-diff loading vs full reconfiguration: "
-                "%.1fx less reconfig time\n", diff_saving);
-  }
+  std::printf("region-diff loading vs full reconfiguration: "
+              "%.1fx less reconfig time\n", diff_saving);
 
   bench::expect(n.served == static_cast<std::uint64_t>(n_jobs) &&
                     b.served == static_cast<std::uint64_t>(n_jobs) &&
@@ -389,22 +390,20 @@ int main() {
                 "(no job lost or altered crossing crates)");
   bench::expect(b.p99_ms < n.p99_ms,
                 "batching also cuts tail queue latency, not just throughput");
-  if (diff_on) {
-    bench::expect(bd.partial_reconfigs > 0,
-                  "warm cache misses take the differential path");
-    bench::expect(bd.regions_loaded > 0 &&
-                      bd.regions_loaded < bd.partial_reconfigs * kRegions,
-                  "differential loads move a strict subset of the frames");
-    // The two cold full configurations (one per board) are paid by every
-    // policy; with only a smoke-sized stream they dominate the total, so
-    // the 2x bar only applies to the full run.
-    if (!bench::smoke()) {
-      bench::expect(bd.reconfig_ms * 2.0 <= b.reconfig_ms,
-                    "region-diff loading at least halves total reconfig time");
-    } else {
-      bench::expect(bd.reconfig_ms < b.reconfig_ms,
-                    "region-diff loading cuts total reconfig time");
-    }
+  bench::expect(bd.partial_reconfigs > 0,
+                "warm cache misses take the differential path");
+  bench::expect(bd.regions_loaded > 0 &&
+                    bd.regions_loaded < bd.partial_reconfigs * kRegions,
+                "differential loads move a strict subset of the frames");
+  // The two cold full configurations (one per board) are paid by every
+  // policy; with only a smoke-sized stream they dominate the total, so
+  // the 2x bar only applies to the full run.
+  if (!bench::smoke()) {
+    bench::expect(bd.reconfig_ms * 2.0 <= b.reconfig_ms,
+                  "region-diff loading at least halves total reconfig time");
+  } else {
+    bench::expect(bd.reconfig_ms < b.reconfig_ms,
+                  "region-diff loading cuts total reconfig time");
   }
 
   // --- instant warm start from a committed genesis snapshot ------------
@@ -428,8 +427,8 @@ int main() {
         -> std::unique_ptr<serve::JobService> {
       sys.add_acb("acb0");
       sys.add_acb("acb1");
-      auto service = std::make_unique<serve::JobService>(sys, batched_diff);
-      for (const hw::Bitstream& bs : make_configs()) {
+      auto service = std::make_unique<serve::JobService>(sys, batched);
+      for (const hw::Bitstream& bs : make_configs(true)) {
         service->register_config(bs);
       }
       std::size_t next_event = 0, next_tile = 0;
@@ -522,7 +521,6 @@ int main() {
   // --- artifact --------------------------------------------------------
   std::ofstream json("BENCH_serve.json");
   json << "{\n  \"jobs\": " << n_jobs
-       << ",\n  \"differential\": " << (diff_on ? "true" : "false")
        << ",\n  \"speedup\": " << speedup
        << ",\n  \"diff_reconfig_saving\": " << diff_saving
        << ",\n  \"warm_start\": {\"jobs\": 12, \"cold_setup_us\": "

@@ -1,12 +1,24 @@
 #include "core/configcache.hpp"
 
+#include <algorithm>
+
 namespace atlantis::core {
+
+namespace {
+
+/// Moves a resident entry to the front; false when `name` is absent.
+bool promote(std::vector<std::string>& mru, const std::string& name) {
+  const auto it = std::find(mru.begin(), mru.end(), name);
+  if (it == mru.end()) return false;
+  std::rotate(mru.begin(), it, it + 1);
+  return true;
+}
+
+}  // namespace
 
 bool ConfigCache::touch(const std::string& name, bool usable) {
   if (!enabled()) return false;  // inert: no lookup, no stats
-  const auto it = index_.find(name);
-  if (it != index_.end()) lru_.splice(lru_.begin(), lru_, it->second);
-  const bool hit = it != index_.end() && usable;
+  const bool hit = promote(mru_, name) && usable;
   if (hit) {
     ++stats_.hits;
   } else {
@@ -15,42 +27,25 @@ bool ConfigCache::touch(const std::string& name, bool usable) {
   return hit;
 }
 
+bool ConfigCache::contains(const std::string& name) const {
+  return std::find(mru_.begin(), mru_.end(), name) != mru_.end();
+}
+
 void ConfigCache::insert(const std::string& name) {
-  if (!enabled()) return;
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (lru_.size() >= capacity_) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
+  if (!enabled() || promote(mru_, name)) return;
+  if (mru_.size() >= capacity_) {
+    mru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(name);
-  index_[name] = lru_.begin();
+  mru_.insert(mru_.begin(), name);
   ++stats_.insertions;
 }
 
-void ConfigCache::erase(const std::string& name) {
-  const auto it = index_.find(name);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
-}
-
-void ConfigCache::clear() {
-  lru_.clear();
-  index_.clear();
-}
-
-std::vector<std::string> ConfigCache::contents() const {
-  return {lru_.begin(), lru_.end()};
-}
+void ConfigCache::clear() { mru_.clear(); }
 
 template <typename Self, typename Stream>
 void ConfigCache::walk(Self& self, Stream& s) {
-  s.seq32(self.lru_, [&](auto& name) { s.string(name); });  // MRU -> LRU
+  s.seq32(self.mru_, [&](auto& name) { s.string(name); });  // MRU -> LRU
   s.u64(self.stats_.hits);
   s.u64(self.stats_.misses);
   s.u64(self.stats_.insertions);
@@ -59,10 +54,6 @@ void ConfigCache::walk(Self& self, Stream& s) {
 
 void ConfigCache::save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
 
-void ConfigCache::load_state(sim::SnapshotReader& r) {
-  walk(*this, r);
-  index_.clear();
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) index_[*it] = it;
-}
+void ConfigCache::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 }  // namespace atlantis::core

@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/snapshot.hpp"
@@ -35,15 +33,17 @@ struct ConfigCacheStats {
   }
 };
 
-/// String-keyed LRU set. Capacity 0 disables the cache entirely:
-/// touch() returns false without counting, insert() is a no-op, so a
-/// disabled cache is bit-identical (timing AND stats) to not having one.
+/// String-keyed LRU set: one vector in most-recently-used-first order,
+/// which a linear scan serves best at the few entries a board stages.
+/// Capacity 0 disables the cache entirely: touch() returns false
+/// without counting, insert() is a no-op, so a disabled cache is
+/// bit-identical (timing AND stats) to not having one.
 class ConfigCache {
  public:
   explicit ConfigCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return lru_.size(); }
+  std::size_t size() const { return mru_.size(); }
   bool enabled() const { return capacity_ > 0; }
 
   /// Looks `name` up and promotes it to most-recently-used when it is
@@ -53,23 +53,18 @@ class ConfigCache {
   bool touch(const std::string& name, bool usable = true);
 
   /// True when `name` is resident; no promotion, no stats.
-  bool contains(const std::string& name) const {
-    return index_.find(name) != index_.end();
-  }
+  bool contains(const std::string& name) const;
 
   /// Stages `name` as most-recently-used, evicting the least-recently-
   /// used entry when the cache is full. Re-inserting a resident entry
   /// only promotes it.
   void insert(const std::string& name);
 
-  /// Drops one entry (e.g. a bitstream whose staged copy went bad).
-  void erase(const std::string& name);
-
   /// Drops everything (board power loss clears the staging memory).
   void clear();
 
   /// Entries from most- to least-recently-used (tests and reports).
-  std::vector<std::string> contents() const;
+  const std::vector<std::string>& contents() const { return mru_; }
 
   const ConfigCacheStats& stats() const { return stats_; }
 
@@ -85,8 +80,7 @@ class ConfigCache {
   static void walk(Self& self, Stream& s);
 
   std::size_t capacity_;
-  std::list<std::string> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<std::string>::iterator> index_;
+  std::vector<std::string> mru_;  // front = most recently used
   ConfigCacheStats stats_;
 };
 

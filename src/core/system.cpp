@@ -102,8 +102,6 @@ template <typename Self, typename Stream>
 void AtlantisSystem::walk(Self& self, Stream& s) {
   bool has_injector = self.injector_ != nullptr;
   s.section("system", [&] {
-    std::string name = self.name_;  // informational; twins may be renamed
-    s.string(name);
     s.expect_u32(self.acbs_.size(), "system ACB count");
     s.expect_u32(self.aibs_.size(), "system AIB count");
     s.boolean(has_injector);

@@ -22,8 +22,7 @@ void TaskSwitcher::enable_cache(std::size_t capacity) {
 }
 
 bool TaskSwitcher::diff_applicable(const hw::Bitstream& bs) const {
-  return differential_ && device_.configured() &&
-         device_.family().partial_reconfig && device_.region_count() > 1 &&
+  return device_.configured() && device_.region_count() > 1 &&
          bs.has_regions() &&
          hw::region_diff_count(device_.resident_regions(), bs.region_sigs) >= 0;
 }
@@ -74,9 +73,6 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
         partial_time_ += t;
         last_regions_ = oc.regions_loaded;
       }
-    } else if (device_.configured() && device_.family().partial_reconfig) {
-      t = device_.partial_reconfigure(it->second);
-      ok = device_.config_crc_ok();
     } else {
       t = device_.configure(it->second);
       ok = device_.config_crc_ok();
@@ -84,7 +80,7 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
     total += t;
     if (ok) break;
     // The CRC failure left the device unconfigured: the next attempt is
-    // a full configuration, not a partial one.
+    // a full configuration.
     if (attempt >= policy_.max_attempts) {
       current_.clear();
       return util::Result<util::Picoseconds>::failure(
@@ -111,13 +107,13 @@ bool TaskSwitcher::scrub() {
   (void)device_.readback();
   bool repaired = false;
   if (device_.upset_pending()) {
-    // Readback shows a bitstream mismatch: repair it. With the
-    // differential path available the upset frame is re-shifted alone
-    // and the live design state survives (reconfigure_diff of the
-    // resident bitstream touches only the upset region); otherwise the
-    // current task is reloaded wholesale. Either reload is a CRC
-    // opportunity; a failure there surfaces via the next switch_to(),
-    // which sees an unconfigured device.
+    // Readback shows a bitstream mismatch: repair it. A region-signed
+    // task re-shifts the upset frame alone and the live design state
+    // survives (reconfigure_diff of the resident bitstream touches only
+    // the upset region); otherwise the current task is reconfigured
+    // wholesale. Either reload is a CRC opportunity; a failure there
+    // surfaces via the next switch_to(), which sees an unconfigured
+    // device.
     const auto it = tasks_.find(current_);
     if (it != tasks_.end()) {
       if (diff_applicable(it->second)) {
@@ -132,11 +128,7 @@ bool TaskSwitcher::scrub() {
           current_.clear();
         }
       } else {
-        if (device_.family().partial_reconfig) {
-          device_.partial_reconfigure(it->second);
-        } else {
-          device_.configure(it->second);
-        }
+        device_.configure(it->second);
         if (device_.config_crc_ok()) {
           repaired = true;
           ++upsets_corrected_;
@@ -171,7 +163,6 @@ void TaskSwitcher::walk(Self& self, Stream& s) {
   s.i64(self.partial_time_);
   s.i64(self.last_regions_);
   s.u64(self.region_scrubs_);
-  s.boolean(self.differential_);
   s.state(self.cache_);
 }
 

@@ -1,20 +1,19 @@
-// Hardware task switching via (partial) reconfiguration.
+// Hardware task switching via partial reconfiguration.
 //
 // §2: "In particular the partial reconfiguration is of great interest for
 // co-processing applications involving hardware task switches." The
 // switcher keeps a set of named tasks (bitstreams) for one FPGA and swaps
-// between them, using partial reconfiguration when the device supports it
-// and the incoming task declares the array fraction it touches.
+// between them.
 //
-// Differential switching: tasks whose bitstreams carry per-region content
-// signatures (hw::make_region_signatures) switch by loading only the
-// regions that differ from the resident configuration
+// The bitstream chooses the load. Tasks whose bitstreams carry
+// per-region content signatures (hw::make_region_signatures) switch by
+// loading only the regions that differ from the resident configuration
 // (hw::FpgaDevice::reconfigure_diff) — two TRT variants sharing pattern
 // banks, or imgproc kernels differing only in coefficient pages, pay a
-// few frames instead of the full 18.75 ms ORCA load. The scalar
-// `fraction` path and full configuration remain the fallbacks, and
-// set_differential(false) pins the switcher to them so schedulers can A/B
-// the two policies on identical workloads.
+// few frames instead of the full 18.75 ms ORCA load. A task without
+// signatures, a first load and any load on a monolithic family is a
+// full configuration. A baseline that wants no differential loads is an
+// input, not a setting: it registers signature-less bitstreams.
 #pragma once
 
 #include <cstdint>
@@ -74,35 +73,30 @@ class TaskSwitcher {
   /// Registers a task under its bitstream name.
   void add_task(const hw::Bitstream& bs);
 
-  /// Switches to `name` and returns the reconfiguration time. The first
-  /// activation is always a full configuration; later switches are
-  /// partial when the device allows it. A configuration-CRC failure
-  /// drops the device to the unconfigured state and the switcher retries
-  /// with a full configuration, up to the policy's attempt budget, then
-  /// fails with kConfigCrc. On the differential path the budget applies
-  /// per region first (a failed frame is re-shifted alone). The returned
-  /// time includes every failed attempt. Unknown task names throw — that
-  /// is caller misuse, not a hardware fault.
+  /// Switches to `name` and returns the reconfiguration time. A cache
+  /// hit activates the staged context; a region-signed task on a
+  /// configured multi-region device whose resident configuration is
+  /// comparable loads its differing regions; anything else (the first
+  /// activation included) is a full configuration. A configuration-CRC
+  /// failure drops the device to the unconfigured state and the switcher
+  /// retries with a full configuration, up to the policy's attempt
+  /// budget, then fails with kConfigCrc. On the differential path the
+  /// budget applies per region first (a failed frame is re-shifted
+  /// alone). The returned time includes every failed attempt. Unknown
+  /// task names throw — that is caller misuse, not a hardware fault.
   util::Result<util::Picoseconds> switch_to(const std::string& name);
 
   /// One configuration-SRAM scrub window: gives the injector an SEU
   /// opportunity, reads the configuration back, and repairs an upset by
   /// reloading the current task — a single-frame region scrub when the
-  /// differential path is available (which leaves the live design state
-  /// untouched), a full reload otherwise. Returns true when an upset was
-  /// found and repaired. No-op on an unconfigured device. The readback
-  /// and repair time is not posted on any timeline.
+  /// task is region-signed (which leaves the live design state
+  /// untouched), a full configuration otherwise. Returns true when an
+  /// upset was found and repaired. No-op on an unconfigured device. The
+  /// readback and repair time is not posted on any timeline.
   bool scrub();
 
   void set_retry_policy(const sim::RetryPolicy& policy) { policy_ = policy; }
   const sim::RetryPolicy& retry_policy() const { return policy_; }
-
-  /// Differential region loading on cache misses (default on). Only
-  /// bites when the task and the resident configuration both carry
-  /// region signatures — behaviour is bit-identical to the legacy
-  /// switcher otherwise, so leaving this on is always safe.
-  void set_differential(bool on) { differential_ = on; }
-  bool differential() const { return differential_; }
 
   // --- bitstream/configuration cache ------------------------------------
   /// The share of a full configuration's time a cache hit pays to
@@ -143,19 +137,18 @@ class TaskSwitcher {
     return {switches_,         c.hits,          c.misses,    c.evictions,
             partial_switches_, regions_loaded_, total_time_, partial_time_};
   }
-  /// Regions moved by the most recent switch (0: full/scalar/cached).
+  /// Regions moved by the most recent switch (0: full or cached).
   int last_regions_loaded() const { return last_regions_; }
   /// Upsets repaired by a single-frame region scrub (subset of
   /// upsets_corrected()).
   std::uint64_t region_scrubs() const { return region_scrubs_; }
 
-  /// Snapshottable leaf, written into the caller's open section: the A/B
-  /// pin (differential_), current task, every lifetime counter and the
-  /// staged-bitstream cache. The task
-  /// registry is construction configuration — a restored switcher must
-  /// have the same add_task() calls applied; load_state verifies the
-  /// current task is registered. Device state is saved separately by the
-  /// board that owns the FPGA.
+  /// Snapshottable leaf, written into the caller's open section: the
+  /// current task, every lifetime counter and the staged-bitstream
+  /// cache. The task registry is construction configuration — a
+  /// restored switcher must have the same add_task() calls applied;
+  /// load_state verifies the current task is registered. Device state is
+  /// saved separately by the board that owns the FPGA.
   void save_state(sim::SnapshotWriter& w) const;
   void load_state(sim::SnapshotReader& r);
 
@@ -178,7 +171,6 @@ class TaskSwitcher {
   util::Picoseconds partial_time_ = 0;
   int last_regions_ = 0;
   std::uint64_t region_scrubs_ = 0;
-  bool differential_ = true;
   ConfigCache cache_;
   sim::RetryPolicy policy_;
 };

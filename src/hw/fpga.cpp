@@ -16,7 +16,6 @@ const FpgaFamily& orca_3t125() {
       .config_bits = 1'500'000,
       .config_clock_mhz = 10.0,
       .config_bus_bits = 8,
-      .partial_reconfig = true,
       .readback = true,
       // The ORCA configuration store is addressable in column groups; we
       // model 32 frames (~46.9 kbit each), the granularity of the
@@ -35,7 +34,6 @@ const FpgaFamily& virtex_xcv600() {
       .config_bits = 3'600'000,
       .config_clock_mhz = 33.0,
       .config_bus_bits = 8,
-      .partial_reconfig = false,
       .readback = true,
       .config_regions = 1,  // monolithic: no partial reconfiguration
   };
@@ -143,12 +141,7 @@ bool FpgaDevice::draw_crc_failure() {
   // drops to the unconfigured state; whatever ran before is gone.
   ++crc_failures_;
   crc_ok_ = false;
-  configured_ = false;
-  design_name_.clear();
-  load_sim(nullptr);
-  resident_sigs_.clear();
-  upset_pending_ = false;
-  upset_region_ = -1;
+  deconfigure();
   return true;
 }
 
@@ -209,28 +202,6 @@ util::Picoseconds FpgaDevice::configure(const Bitstream& bs) {
   return config_time(family_->config_bits);
 }
 
-util::Picoseconds FpgaDevice::partial_reconfigure(const Bitstream& bs) {
-  ATLANTIS_CHECK(family_->partial_reconfig,
-                 family_->name + " does not support partial reconfiguration");
-  if (!configured_) {
-    throw util::StateError("partial reconfiguration of unconfigured device " +
-                           name_);
-  }
-  ATLANTIS_CHECK(bs.fraction > 0.0 && bs.fraction <= 1.0,
-                 "bitstream fraction out of range");
-  check_fit(bs.stats);
-  const util::Picoseconds spent = config_time(static_cast<std::int64_t>(
-      static_cast<double>(family_->config_bits) * bs.fraction));
-  if (draw_crc_failure()) return spent;
-  crc_ok_ = true;
-  upset_pending_ = false;
-  upset_region_ = -1;
-  design_name_ = bs.name;
-  load_sim(bs.design);
-  resident_sigs_ = bs.region_sigs;
-  return spent;
-}
-
 ReconfigOutcome FpgaDevice::load_regions(int regions,
                                          int max_region_attempts,
                                          bool differential) {
@@ -264,12 +235,7 @@ ReconfigOutcome FpgaDevice::load_regions(int regions,
       // and drops unconfigured; the caller falls back to a full
       // configure.
       crc_ok_ = false;
-      configured_ = false;
-      design_name_.clear();
-      load_sim(nullptr);
-      resident_sigs_.clear();
-      upset_pending_ = false;
-      upset_region_ = -1;
+      deconfigure();
       outcome.ok = false;
       return outcome;
     }
@@ -282,8 +248,6 @@ ReconfigOutcome FpgaDevice::load_regions(int regions,
 
 ReconfigOutcome FpgaDevice::reconfigure_diff(const Bitstream& bs,
                                              int max_region_attempts) {
-  ATLANTIS_CHECK(family_->partial_reconfig,
-                 family_->name + " does not support partial reconfiguration");
   ATLANTIS_CHECK(family_->config_regions > 1,
                  family_->name + " has a monolithic configuration store");
   ATLANTIS_CHECK(bs.has_regions(), "bitstream carries no region signatures");
@@ -337,8 +301,8 @@ ReconfigOutcome FpgaDevice::reconfigure_diff(const Bitstream& bs,
 
 ReconfigOutcome FpgaDevice::self_reconfigure_region(int region,
                                                     int max_region_attempts) {
-  ATLANTIS_CHECK(family_->partial_reconfig,
-                 family_->name + " does not support partial reconfiguration");
+  ATLANTIS_CHECK(family_->config_regions > 1,
+                 family_->name + " has a monolithic configuration store");
   ATLANTIS_CHECK(region >= 0 && region < family_->config_regions,
                  "self-reconfiguration region out of range");
   if (!configured_) {

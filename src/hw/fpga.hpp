@@ -7,17 +7,19 @@
 // Virtex XCV600 on the AIB. A configured device can carry a CHDL design,
 // in which case it owns a cycle simulator for it.
 //
-// Region model (differential partial reconfiguration): a family with
-// partial-reconfig support exposes its configuration store as
-// `config_regions` independently addressable frames. A Bitstream may
-// carry one content signature per region; the device remembers the
-// signatures of the resident configuration, and reconfigure_diff()
-// loads only the regions whose signatures differ — the hardware task
-// switch the paper's ORCA parts were chosen for, generalized from the
-// scalar `fraction` model. Each region load is its own configuration-CRC
-// fault opportunity, so a CRC failure retries one frame, not the whole
-// bitstream, and a configuration-SRAM upset is pinned to a region that
-// a region scrub can repair without touching live design state.
+// Partial reconfiguration has one model, region frames: a family with
+// more than one `config_regions` exposes its configuration store as that
+// many independently addressable frames. A Bitstream may carry one
+// content signature per region; the device remembers the signatures of
+// the resident configuration, and reconfigure_diff() loads only the
+// regions whose signatures differ — the hardware task switch the
+// paper's ORCA parts were chosen for. The bitstream chooses the load: a
+// region-signed bitstream on a configured multi-region device can load
+// its delta, anything else is a full configure(). Each region load is
+// its own configuration-CRC fault opportunity, so a CRC failure retries
+// one frame, not the whole bitstream, and a configuration-SRAM upset is
+// pinned to a region that a region scrub can repair without touching
+// live design state.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +44,9 @@ struct FpgaFamily {
   std::int64_t config_bits = 0;     // full bitstream size
   double config_clock_mhz = 0.0;    // serial/parallel config clock
   int config_bus_bits = 8;          // bits loaded per config clock
-  bool partial_reconfig = false;
   bool readback = false;
   /// Independently addressable configuration regions (frames). 1 means
-  /// the bitstream is monolithic (no region-level reconfiguration).
+  /// the bitstream is monolithic: no partial reconfiguration.
   int config_regions = 1;
 };
 
@@ -82,10 +83,9 @@ struct Bitstream {
   std::string name;
   chdl::NetlistStats stats;
   const chdl::Design* design = nullptr;  // optional; enables CycleSim
-  double fraction = 1.0;  // fraction of the device the bitstream covers
   /// Per-region content signatures (size = family config_regions).
-  /// Empty: no region model; (partial) reconfiguration falls back to
-  /// the scalar `fraction` path.
+  /// Empty: the bitstream is opaque and every load of it is a full
+  /// configure().
   std::vector<std::uint64_t> region_sigs;
 
   bool has_regions() const { return !region_sigs.empty(); }
@@ -109,7 +109,7 @@ class FpgaDevice {
   FpgaDevice(std::string instance_name, const FpgaFamily& family)
       : name_(std::move(instance_name)), family_(&family) {}
 
-  /// The SimOptions of every simulator configure()/partial_reconfigure()/
+  /// The SimOptions of every simulator configure()/reconfigure_diff()/
   /// activate() builds: the production threaded engine with the netlist
   /// optimizer on (chdl/sim.hpp). Harnesses that build simulators beside
   /// a device use it to run the same engine the device runs; a live
@@ -125,17 +125,11 @@ class FpgaDevice {
   /// gate or pin budget. Returns the configuration time.
   util::Picoseconds configure(const Bitstream& bs);
 
-  /// Partial reconfiguration (hardware task switch), scalar model: the
-  /// load shifts `fraction` of the full bitstream with a single CRC
-  /// opportunity. Only legal on families with partial_reconfig; the
-  /// device must already be configured. Region-aware callers use
-  /// reconfigure_diff instead — the two paths are kept separate so a
-  /// scheduler can A/B them on identical workloads.
-  util::Picoseconds partial_reconfigure(const Bitstream& bs);
-
-  /// Differential partial reconfiguration: loads only the regions whose
-  /// signatures differ from the resident configuration (plus the upset
-  /// region when a configuration upset is pending, which this repairs).
+  /// Differential partial reconfiguration (hardware task switch): loads
+  /// only the regions whose signatures differ from the resident
+  /// configuration (plus the upset region when a configuration upset is
+  /// pending, which this repairs). Needs a multi-region family, a
+  /// bitstream signed for its region count and a configured device.
   /// Each region load is a configuration-CRC opportunity retried up to
   /// `max_region_attempts` times; exhausting the budget on any region
   /// drops the device to the unconfigured state (outcome.ok = false).
@@ -192,10 +186,9 @@ class FpgaDevice {
 
   // --- fault injection --------------------------------------------------
   /// Attaches a fault injector; the injection site is "fpga/<name>".
-  /// configure()/partial_reconfigure() are configuration-CRC
-  /// opportunities (one per monolithic load, one per region frame on the
-  /// differential path); draw_config_upset() is a configuration-SRAM SEU
-  /// opportunity (one per scrub window).
+  /// Loads are configuration-CRC opportunities (one per configure(), one
+  /// per region frame on the differential path); draw_config_upset() is
+  /// a configuration-SRAM SEU opportunity (one per scrub window).
   void set_fault_injector(sim::FaultInjector* injector) {
     injector_ = injector;
     fault_site_ = "fpga/" + name_;

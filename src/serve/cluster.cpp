@@ -303,15 +303,15 @@ util::Result<JobId> Cluster::submit(JobSpec spec) {
   const JobId id = static_cast<JobId>(records_.size());
   ClusterRecord rec;
   rec.id = id;
-  rec.tenant = home.service->job(local.value()).tenant;
-  rec.config = configs_[config].name;
   rec.shard = picked;
   rec.local = local.value();
   rec.attempts = attempts;
   home.set_cluster_id(rec.local, id);
-  if (owner == tenants_.end()) owner = tenant(rec.tenant);
+  if (owner == tenants_.end()) {
+    owner = tenant(home.service->job(rec.local).tenant);
+  }
   ++owner->second.in_flight;
-  records_.push_back(std::move(rec));
+  records_.push_back(rec);
   window_ids_.push_back(id);
   ++home.admitted_window;
   if (attempts > 0) ++window_overflowed_;
@@ -402,7 +402,7 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
       continue;
     }
     ++report_.admitted;  // terminal this window
-    const auto owner = tenants_.find(rec.tenant);
+    const auto owner = tenants_.find(jr.tenant);
     if (owner != tenants_.end() && owner->second.in_flight > 0) {
       --owner->second.in_flight;
     }
@@ -542,8 +542,6 @@ void Cluster::walk(Self& self, Stream& s) {
     }
     // A record's cluster id is its ledger index; it is not stored.
     s.seq64(self.records_, [&](auto& rec) {
-      s.string(rec.tenant);
-      s.string(rec.config);
       s.u32(rec.shard);
       s.u64(rec.local);
       s.u32(rec.attempts);

@@ -144,11 +144,11 @@ struct ClusterReport {
   std::vector<ShardStats> shards;  // live shards, by shard id
 };
 
-/// The cluster's ledger entry for one admitted job: where it lives.
+/// The cluster's ledger entry for one admitted job: where it lives. The
+/// job itself (tenant, configuration, outcome) is the home shard's
+/// record, Cluster::shard_record(id).
 struct ClusterRecord {
   JobId id = 0;  // cluster-level id (dense, in admission order)
-  std::string tenant;
-  std::string config;
   int shard = -1;     // current home shard
   JobId local = 0;    // id on that shard's service
   int attempts = 0;   // ring successors walked before landing (0 = owner)

@@ -93,7 +93,6 @@ JobService::JobService(core::AtlantisSystem& system, ServeOptions options)
     state.switcher =
         std::make_unique<core::TaskSwitcher>(system_.acb(i).fpga(0));
     state.switcher->enable_cache(options_.cache_capacity);
-    state.switcher->set_differential(options_.differential_reconfig);
     boards_.push_back(std::move(state));
   }
 }

@@ -46,18 +46,15 @@ struct ServeOptions {
   /// tenant may hold; submit() past it fails with kOverloaded.
   std::uint64_t max_queued_per_tenant = 1'000'000;
   /// Per-board bitstream cache capacity (0 disables the cache). A hit
-  /// activates the staged context at TaskSwitcher's default fraction
-  /// of a full configuration (1/64).
+  /// activates the staged context at TaskSwitcher::kCacheHitFraction of
+  /// a full configuration (1/64). A miss on a configuration registered
+  /// with region signatures loads only the regions that differ; one
+  /// registered without them pays a full configuration (TaskSwitcher).
   std::size_t cache_capacity = 4;
   /// Serve strictly in submission order instead of draining one
   /// configuration's queue at a time — the reconfigure-per-job baseline
   /// the serving benchmark compares batching against.
   bool fifo_order = false;
-  /// Differential region loading on cache misses (TaskSwitcher
-  /// set_differential). Only bites for configurations registered with
-  /// region signatures; bit-identical to the full-configure path
-  /// otherwise. Off gives the A/B baseline for the serving benchmark.
-  bool differential_reconfig = true;
   /// Scheduling discipline. The preemptive policies ignore fifo_order
   /// (job order is deadline-driven) but keep every other knob.
   Policy policy = Policy::kBatched;

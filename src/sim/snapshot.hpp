@@ -87,10 +87,10 @@ static_assert(std::endian::native == std::endian::little,
               "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
-// Major 2: "sim/timeline" carries a posted count instead of the
-// transaction log, and the driver, switcher, config-cache and service
-// layouts dropped their reserved and unread fields.
-inline constexpr std::uint16_t kSnapshotMajor = 2;
+// Major 3: the switcher's differential pin byte left "serve/service",
+// the cluster ledger's records dropped their tenant and configuration
+// (the shard ledgers carry both), and "system" dropped the crate name.
+inline constexpr std::uint16_t kSnapshotMajor = 3;
 inline constexpr std::uint16_t kSnapshotMinor = 0;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.

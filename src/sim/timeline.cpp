@@ -184,8 +184,18 @@ void Timeline::save_state(SnapshotWriter& w) const {
 }
 
 void Timeline::load_state(SnapshotReader& r) {
+  // The walk fills a staging copy of the scheduler state; nothing is
+  // committed, and the log is not cut, until the whole section read.
+  struct Staged {
+    std::vector<Resource> resources_;
+    std::vector<Track> tracks_;
+    util::Picoseconds horizon_;
+  } staged{resources_, tracks_, horizon_};
   std::uint64_t k = 0;
-  walk(*this, r, k);
+  walk(staged, r, k);
+  resources_ = std::move(staged.resources_);
+  tracks_ = std::move(staged.tracks_);
+  horizon_ = staged.horizon_;
   if (first_id_ <= k && k <= posted()) {
     txns_.resize(static_cast<std::size_t>(k - first_id_));  // a rollback
   } else {

@@ -204,8 +204,10 @@ class Timeline : public Snapshottable {
   /// order), which load_state verifies by count and name. With k the
   /// restored count, load_state keeps the logged entries below k when
   /// the log reaches k, and otherwise empties it so the next post is
-  /// numbered k. The log is cut only after the whole section read, so a
-  /// load that throws leaves the log and every label as they were.
+  /// numbered k. The section is read into a staging copy and committed,
+  /// and the log cut, only after the whole section read, so a load that
+  /// throws leaves the scheduler state, the log and every label as they
+  /// were.
   void save_state(SnapshotWriter& w) const override;
   void load_state(SnapshotReader& r) override;
 

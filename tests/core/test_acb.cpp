@@ -76,7 +76,7 @@ TEST(Acb, ConfigureAllIsSequential) {
 }
 
 TEST(Acb, ConfigureAllReportsDeadBoardAndCrcFailure) {
-  const hw::Bitstream bs{"blank", {}, nullptr, 1.0, {}};
+  const hw::Bitstream bs{"blank", {}, nullptr, {}};
   AcbBoard dead("acb2");
   dead.set_alive(false);
   const util::Result<util::Picoseconds> d = dead.configure_all(bs);

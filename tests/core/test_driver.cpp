@@ -129,9 +129,10 @@ TEST(Driver, PartialSwitchFasterThanFull) {
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   TaskSwitcher sw(drv.board().fpga(0));
   hw::Bitstream full = hw::Bitstream::from_design(echo_design());
-  hw::Bitstream partial = full;
+  full.region_sigs = hw::make_region_signatures("echo", 32);
+  hw::Bitstream partial = full;  // differs from "echo" in 3 of 32 frames
   partial.name = "echo_partial";
-  partial.fraction = 0.1;
+  hw::stamp_regions(partial.region_sigs, "echo_partial", 0, 3);
   sw.add_task(full);
   sw.add_task(partial);
   ASSERT_TRUE(drv.switch_task(sw, "echo").ok());
@@ -144,7 +145,7 @@ TEST(Driver, SwitchTaskPostsAtTheDriverCursor) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
   TaskSwitcher sw(sys.acb(0).fpga(0));
-  sw.add_task(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  sw.add_task(hw::Bitstream{"alpha", {}, nullptr, {}});
 
   const util::Picoseconds before = drv.now();
   const util::Result<util::Picoseconds> r = drv.switch_task(sw, "alpha");

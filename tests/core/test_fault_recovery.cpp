@@ -17,12 +17,11 @@
 namespace atlantis::core {
 namespace {
 
-hw::Bitstream make_task(const std::string& name, double fraction) {
+hw::Bitstream make_task(const std::string& name) {
   hw::Bitstream bs;
   bs.name = name;
   bs.stats.design_name = name;
   bs.stats.gate_equivalents = 50'000;
-  bs.fraction = fraction;
   return bs;
 }
 
@@ -126,7 +125,7 @@ TEST(FaultRecovery, TaskSwitcherRetriesCrcFailure) {
   sim::FaultInjector inj(plan);
   dev.set_fault_injector(&inj);
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("trt", 0.3));
+  sw.add_task(make_task("trt"));
   const util::Result<util::Picoseconds> r = sw.switch_to("trt");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(sw.current(), "trt");
@@ -144,7 +143,7 @@ TEST(FaultRecovery, TaskSwitcherGivesUpAfterAttemptBudget) {
   sim::FaultInjector inj(plan);
   dev.set_fault_injector(&inj);
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("trt", 0.3));
+  sw.add_task(make_task("trt"));
   const util::Result<util::Picoseconds> r = sw.switch_to("trt");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), util::ErrorCode::kConfigCrc);
@@ -159,7 +158,7 @@ TEST(FaultRecovery, ScrubRepairsConfigurationUpset) {
   sim::FaultInjector inj(plan);
   dev.set_fault_injector(&inj);
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("trt", 0.3));
+  sw.add_task(make_task("trt"));
   ASSERT_TRUE(sw.switch_to("trt").ok());
   EXPECT_TRUE(sw.scrub());  // the scheduled upset, found and repaired
   EXPECT_EQ(sw.upsets_corrected(), 1u);

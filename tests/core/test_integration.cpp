@@ -27,18 +27,22 @@ TEST(Integration, HardwareTaskSwitchBetweenApplications) {
   AtlantisSystem sys("crate");
   AtlantisDriver drv(sys, sys.add_acb("acb0"));
 
-  // Two application bitstreams, each claiming a fraction of the array.
+  // Two application bitstreams over a shared base, each owning the same
+  // 12 of the 32 configuration frames.
+  const auto base = hw::make_region_signatures("app_base", 32);
   trt::PatternBank bank(tiny_geo(), 12);
   chdl::Design trt_design("trt_task");
   trt::build_trt_core(trt_design, bank);
   hw::Bitstream trt_bs = hw::Bitstream::from_design(trt_design);
-  trt_bs.fraction = 0.4;
+  trt_bs.region_sigs = base;
+  hw::stamp_regions(trt_bs.region_sigs, "trt_task", 0, 12);
 
   chdl::Design conv_design("conv_task");
   imgproc::build_conv_core(conv_design, 18,
                            imgproc::Kernel3x3::gaussian());
   hw::Bitstream conv_bs = hw::Bitstream::from_design(conv_design);
-  conv_bs.fraction = 0.4;
+  conv_bs.region_sigs = base;
+  hw::stamp_regions(conv_bs.region_sigs, "conv_task", 0, 12);
 
   TaskSwitcher switcher(drv.board().fpga(0));
   switcher.add_task(trt_bs);
@@ -68,6 +72,7 @@ TEST(Integration, HardwareTaskSwitchBetweenApplications) {
   // --- Task switch: partial reconfiguration ----------------------------
   const util::Picoseconds switch_time =
       switcher.switch_to("conv_task").value();
+  EXPECT_EQ(switcher.last_regions_loaded(), 12);
   EXPECT_LT(switch_time, full_load / 2);
   sim = drv.board().fpga(0).sim();
   ASSERT_NE(sim, nullptr);
@@ -126,16 +131,19 @@ TEST(Integration, HardwareTaskSwitchBetweenApplications) {
 }
 
 TEST(Integration, SwitchRateSupportsEventLevelMultiplexing) {
-  // §2: task switching matters for co-processing. A 40% partial
-  // bitstream switches in a few ms — hundreds of switches per second,
-  // enough to time-multiplex two applications at camera frame rates.
+  // §2: task switching matters for co-processing. Two variants that
+  // differ in 12 of the 32 frames (~40% of the array) switch in a few
+  // ms — hundreds of switches per second, enough to time-multiplex two
+  // applications at camera frame rates.
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
   hw::Bitstream a;
   a.name = "a";
-  a.fraction = 0.4;
+  a.region_sigs = hw::make_region_signatures("base", 32);
   hw::Bitstream b = a;
   b.name = "b";
+  hw::stamp_regions(a.region_sigs, "a", 0, 12);
+  hw::stamp_regions(b.region_sigs, "b", 0, 12);
   sw.add_task(a);
   sw.add_task(b);
   sw.switch_to("a").value();

@@ -195,10 +195,13 @@ TEST(PartialReconfig, SwitcherPaysOnlyTheDelta) {
   EXPECT_EQ(sw.regions_loaded(), 4u);
   EXPECT_EQ(sw.partial_switch_time(), t);
 
-  // Pinned to the legacy scalar path, the same switch pays the
-  // fraction-scaled load instead of the region delta.
-  sw.set_differential(false);
-  const util::Picoseconds t2 = sw.switch_to("a").value();
+  // A signature-less copy of "a" is opaque: switching to it pays the
+  // full load instead of the region delta.
+  hw::Bitstream opaque = a;
+  opaque.name = "a_opaque";
+  opaque.region_sigs.clear();
+  sw.add_task(opaque);
+  const util::Picoseconds t2 = sw.switch_to("a_opaque").value();
   EXPECT_EQ(t2, full);
   EXPECT_EQ(sw.partial_switches(), 1u);  // no new differential switch
 }
@@ -310,14 +313,17 @@ TEST(PartialReconfig, DifferentialFuzzerMatchesFullConfigurePath) {
     tasks.push_back(bs);
   }
 
+  // The reference switcher gets signature-less copies, so every one of
+  // its switches is a full configuration.
   hw::FpgaDevice dev_diff("diff", hw::orca_3t125());
   hw::FpgaDevice dev_full("full", hw::orca_3t125());
   TaskSwitcher sw_diff(dev_diff);
   TaskSwitcher sw_full(dev_full);
-  sw_full.set_differential(false);
   for (const hw::Bitstream& bs : tasks) {
     sw_diff.add_task(bs);
-    sw_full.add_task(bs);
+    hw::Bitstream opaque = bs;
+    opaque.region_sigs.clear();
+    sw_full.add_task(opaque);
   }
 
   std::mt19937_64 rng(12345);
@@ -358,6 +364,7 @@ TEST(PartialReconfig, DifferentialFuzzerMatchesFullConfigurePath) {
   // Same functional results, but the differential path moved far less
   // configuration data.
   EXPECT_GT(sw_diff.partial_switches(), 0u);
+  EXPECT_EQ(sw_full.partial_switches(), 0u);
   EXPECT_LT(sw_diff.total_switch_time(), sw_full.total_switch_time());
 }
 

@@ -8,19 +8,27 @@
 namespace atlantis::core {
 namespace {
 
-hw::Bitstream make_task(const std::string& name, double fraction) {
+hw::Bitstream make_task(const std::string& name) {
   hw::Bitstream bs;
   bs.name = name;
   bs.stats.design_name = name;
   bs.stats.gate_equivalents = 50'000;
-  bs.fraction = fraction;
+  return bs;
+}
+
+/// A region-signed variant of a shared ORCA base that differs from it in
+/// regions [0, frames).
+hw::Bitstream make_variant(const std::string& name, int frames) {
+  hw::Bitstream bs = make_task(name);
+  bs.region_sigs = hw::make_region_signatures("base", 32);
+  hw::stamp_regions(bs.region_sigs, name, 0, frames);
   return bs;
 }
 
 TEST(TaskSwitcher, FirstActivationIsFullConfiguration) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("trt", 0.3));
+  sw.add_task(make_variant("trt", 10));
   const util::Picoseconds t = sw.switch_to("trt").value();
   EXPECT_EQ(t, dev.config_time(dev.family().config_bits));
   EXPECT_EQ(sw.current(), "trt");
@@ -30,10 +38,11 @@ TEST(TaskSwitcher, FirstActivationIsFullConfiguration) {
 TEST(TaskSwitcher, LaterSwitchesArePartialOnOrca) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("trt", 0.3));
-  sw.add_task(make_task("conv", 0.3));
+  sw.add_task(make_variant("trt", 10));
+  sw.add_task(make_variant("conv", 10));
   const util::Picoseconds full = sw.switch_to("trt").value();
   const util::Picoseconds partial = sw.switch_to("conv").value();
+  EXPECT_EQ(partial, 10 * dev.region_time());  // the 10 differing frames
   EXPECT_LT(partial, full / 2);
   EXPECT_EQ(sw.last_switch_time(), partial);
   EXPECT_EQ(sw.total_switch_time(), full + partial);
@@ -42,8 +51,8 @@ TEST(TaskSwitcher, LaterSwitchesArePartialOnOrca) {
 TEST(TaskSwitcher, VirtexAlwaysReconfiguresFully) {
   hw::FpgaDevice dev("virtex", hw::virtex_xcv600());
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("a", 0.3));
-  sw.add_task(make_task("b", 0.3));
+  sw.add_task(make_task("a"));
+  sw.add_task(make_task("b"));
   const util::Picoseconds first = sw.switch_to("a").value();
   const util::Picoseconds second = sw.switch_to("b").value();
   EXPECT_EQ(first, second);  // no partial support: both are full loads
@@ -52,7 +61,7 @@ TEST(TaskSwitcher, VirtexAlwaysReconfiguresFully) {
 TEST(TaskSwitcher, SwitchToResidentTaskIsFree) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
-  sw.add_task(make_task("trt", 0.5));
+  sw.add_task(make_task("trt"));
   sw.switch_to("trt").value();
   EXPECT_EQ(sw.switch_to("trt").value(), 0);
   EXPECT_EQ(sw.switch_count(), 1u);
@@ -70,8 +79,8 @@ TEST(TaskSwitcher, StagedTaskTheDeviceCannotActivateIsACacheMiss) {
   dev.set_fault_injector(&inj);
   TaskSwitcher sw(dev);
   sw.enable_cache(4);
-  sw.add_task(make_task("alpha", 1.0));
-  sw.add_task(make_task("beta", 1.0));
+  sw.add_task(make_task("alpha"));
+  sw.add_task(make_task("beta"));
   sw.switch_to("alpha").value();  // CRC opportunity 1
   sw.switch_to("beta").value();   // CRC opportunity 2
   EXPECT_FALSE(sw.scrub());       // the repair is CRC opportunity 3
@@ -91,8 +100,8 @@ TEST(TaskSwitcher, Validation) {
   hw::FpgaDevice dev("orca", hw::orca_3t125());
   TaskSwitcher sw(dev);
   EXPECT_THROW((void)sw.switch_to("ghost"), util::StateError);
-  sw.add_task(make_task("trt", 0.5));
-  EXPECT_THROW(sw.add_task(make_task("trt", 0.5)), util::Error);
+  sw.add_task(make_task("trt"));
+  EXPECT_THROW(sw.add_task(make_task("trt")), util::Error);
   hw::Bitstream unnamed;
   EXPECT_THROW(sw.add_task(unnamed), util::Error);
 }

@@ -23,9 +23,10 @@ TEST(FpgaFamily, PaperFigures) {
   // "more than 100k gates and 400 I/O pins per chip".
   EXPECT_GT(orca_3t125().gate_capacity, 100'000);
   EXPECT_GE(orca_3t125().io_pins, 422);  // the ACB uses 422 signals
-  EXPECT_TRUE(orca_3t125().partial_reconfig);
+  // Partial reconfiguration is a multi-region configuration store.
+  EXPECT_EQ(orca_3t125().config_regions, 32);
   EXPECT_TRUE(orca_3t125().readback);
-  EXPECT_FALSE(virtex_xcv600().partial_reconfig);
+  EXPECT_EQ(virtex_xcv600().config_regions, 1);
   EXPECT_GT(virtex_xcv600().gate_capacity, orca_3t125().gate_capacity);
 }
 
@@ -70,30 +71,38 @@ TEST(FpgaDevice, PinBudgetEnforced) {
 TEST(FpgaDevice, PartialReconfigurationRules) {
   FpgaDevice orca("orca", orca_3t125());
   FpgaDevice virtex("virtex", virtex_xcv600());
-  Bitstream bs = Bitstream::from_design(small_design());
-  bs.fraction = 0.25;
+  Bitstream base = Bitstream::from_design(small_design());
+  base.region_sigs = make_region_signatures("blinky", orca.region_count());
+  Bitstream variant = base;
+  stamp_regions(variant.region_sigs, "variant", 0, 8);
 
   // Must be configured first.
-  EXPECT_THROW(orca.partial_reconfigure(bs), util::StateError);
-  const util::Picoseconds full = orca.configure(bs);
-  const util::Picoseconds partial = orca.partial_reconfigure(bs);
-  EXPECT_LT(partial, full);
-  EXPECT_NEAR(static_cast<double>(partial), static_cast<double>(full) * 0.25,
+  EXPECT_THROW(orca.reconfigure_diff(variant), util::StateError);
+  const util::Picoseconds full = orca.configure(base);
+  const ReconfigOutcome partial = orca.reconfigure_diff(variant);
+  ASSERT_TRUE(partial.ok);
+  EXPECT_EQ(partial.regions_loaded, 8);
+  EXPECT_EQ(partial.time, 8 * orca.region_time());
+  // A quarter of the frames costs a quarter of the full load.
+  EXPECT_NEAR(static_cast<double>(partial.time),
+              static_cast<double>(full) * 0.25,
               static_cast<double>(full) * 0.01);
 
-  // Virtex generation: no partial reconfiguration.
-  virtex.configure(bs);
-  EXPECT_THROW(virtex.partial_reconfigure(bs), util::Error);
+  // Virtex generation: a monolithic store, no partial reconfiguration.
+  virtex.configure(base);
+  EXPECT_THROW(virtex.reconfigure_diff(variant), util::Error);
 }
 
-TEST(FpgaDevice, BadFractionRejected) {
+TEST(FpgaDevice, BadRegionSignaturesRejected) {
   FpgaDevice dev("fpga0", orca_3t125());
   Bitstream bs = Bitstream::from_design(small_design());
   dev.configure(bs);
-  bs.fraction = 0.0;
-  EXPECT_THROW(dev.partial_reconfigure(bs), util::Error);
-  bs.fraction = 1.5;
-  EXPECT_THROW(dev.partial_reconfigure(bs), util::Error);
+  // No signatures: no frames to compare.
+  EXPECT_THROW(dev.reconfigure_diff(bs), util::Error);
+  // Signed for another region count.
+  bs.region_sigs = make_region_signatures("blinky", dev.region_count() / 2);
+  EXPECT_THROW(dev.reconfigure_diff(bs), util::Error);
+  EXPECT_TRUE(dev.configured());
 }
 
 TEST(FpgaDevice, ReadbackRequiresConfiguration) {

@@ -110,8 +110,8 @@ struct ChaosWorld {
     service = std::make_unique<serve::JobService>(sys, storm_options());
     spare = std::make_unique<serve::JobService>(spare_sys, storm_options());
     for (serve::JobService* s : {service.get(), spare.get()}) {
-      s->register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-      s->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+      s->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+      s->register_config(hw::Bitstream{"beta", {}, nullptr, {}});
     }
   }
 

@@ -54,7 +54,7 @@ std::unique_ptr<serve::Cluster> make_cluster(int shards, int configs,
   for (int s = 0; s < shards; ++s) cluster->add_shard();
   for (int c = 0; c < configs; ++c) {
     cluster->register_config(
-        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, 1.0, {}});
+        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, {}});
   }
   return cluster;
 }
@@ -210,12 +210,13 @@ TEST(Cluster, ConsistentHashKeepsConfigurationsHome) {
   // Every job of one configuration must sit on one shard.
   std::map<std::string, int> home;
   for (const serve::ClusterRecord& rec : cluster->jobs()) {
-    const auto it = home.find(rec.config);
+    const std::string& config = cluster->shard_record(rec.id).config;
+    const auto it = home.find(config);
     if (it == home.end()) {
-      home[rec.config] = rec.shard;
+      home[config] = rec.shard;
     } else {
       EXPECT_EQ(it->second, rec.shard)
-          << "config " << rec.config << " split across shards";
+          << "config " << config << " split across shards";
     }
   }
   cluster->run();
@@ -443,7 +444,7 @@ TEST(Cluster, AdmissionCachesFollowTenantsShardsAndRestore) {
     submit(c, "lhcb", 2);  // a third tenant: atlas 19, cms 6, lhcb 6
     submit(c, "atlas", 10);  // atlas stops at 19
     c.run();
-    c.register_config(hw::Bitstream{"cfg6", {}, nullptr, 1.0, {}});
+    c.register_config(hw::Bitstream{"cfg6", {}, nullptr, {}});
     configs = 7;
     submit(c, "lhcb", 3);  // the last one needs cfg6
     c.add_shard();  // 48 slots: atlas 28, cms 9, lhcb 9

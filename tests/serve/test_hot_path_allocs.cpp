@@ -113,7 +113,7 @@ TEST(HotPathAllocations, AWarmClusterSubmitsAndServesWithoutTheHeap) {
   for (int s = 0; s < 2; ++s) cluster.add_shard();
   for (int c = 0; c < kConfigs; ++c) {
     cluster.register_config(
-        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, 1.0, {}});
+        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, {}});
   }
 
   std::uint64_t submit_allocs = 0, run_allocs = 0, jobs = 0;

@@ -87,8 +87,8 @@ RunResult run_workload(int pool_threads, const sim::FaultPlan* plan = nullptr,
     sys.set_fault_injector(injector.get());
   }
   serve::JobService service(sys, options);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-  service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+  service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   for (int i = 0; i < 24; ++i) {
     const std::string tenant =
         i % 3 == 0 ? "atlas" : (i % 3 == 1 ? "cms" : "lhcb");
@@ -168,7 +168,7 @@ TEST(JobService, AdmissionControlRefusesOverload) {
   serve::ServeOptions opt;
   opt.max_queued_per_tenant = 2;
   serve::JobService service(sys, opt);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
   EXPECT_TRUE(service.submit(custom_job("greedy", "alpha", 0, 0)).ok());
   EXPECT_TRUE(service.submit(custom_job("greedy", "alpha", 1, 0)).ok());
   const util::Result<serve::JobId> refused =
@@ -208,7 +208,7 @@ TEST(JobService, AllBoardsDeadFailsRemainingJobs) {
   core::AtlantisSystem sys("crate");
   sys.add_acb("acb0");
   serve::JobService service(sys);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
   for (int i = 0; i < 3; ++i) {
     (void)service.submit(custom_job("t", "alpha", i, 0)).value();
   }
@@ -234,7 +234,7 @@ TEST_P(BoardScan, BoardKilledOutsideTheServiceIsReportedDead) {
   serve::ServeOptions options;
   options.policy = GetParam();
   serve::JobService service(sys, options);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
   for (int i = 0; i < 4; ++i) {
     (void)service.submit(custom_job("t", "alpha", i, 0)).value();
   }
@@ -350,9 +350,11 @@ std::string serialize_results(const std::vector<serve::JobRecord>& records) {
 /// Five configurations sharing a common base: each variant differs from
 /// the base in four of the ORCA's 32 frames, so a switch between any
 /// two of them is an 8-frame (or less) differential load instead of a
-/// full 18.75 ms bitstream.
+/// full 18.75 ms bitstream. With `regions` false the same five register
+/// without signatures, and every cache miss is a full configuration.
 RunResult run_region_workload(int pool_threads, serve::ServeOptions options,
-                              const sim::FaultPlan* plan = nullptr) {
+                              const sim::FaultPlan* plan = nullptr,
+                              bool regions = true) {
   std::unique_ptr<sim::FaultInjector> injector;
   core::AtlantisSystem sys("crate");
   sys.add_acb("acb0");
@@ -363,9 +365,11 @@ RunResult run_region_workload(int pool_threads, serve::ServeOptions options,
   serve::JobService service(sys, options);
   constexpr int kConfigs = 5;
   for (int c = 0; c < kConfigs; ++c) {
-    hw::Bitstream bs{"cfg" + std::to_string(c), {}, nullptr, 1.0, {}};
-    bs.region_sigs = hw::make_region_signatures("shared_base", 32);
-    hw::stamp_regions(bs.region_sigs, bs.name, 4 * c, 4 * c + 4);
+    hw::Bitstream bs{"cfg" + std::to_string(c), {}, nullptr, {}};
+    if (regions) {
+      bs.region_sigs = hw::make_region_signatures("shared_base", 32);
+      hw::stamp_regions(bs.region_sigs, bs.name, 4 * c, 4 * c + 4);
+    }
     service.register_config(bs);
   }
   for (int i = 0; i < 30; ++i) {
@@ -392,15 +396,13 @@ RunResult run_region_workload(int pool_threads, serve::ServeOptions options,
 }
 
 TEST(JobService, DifferentialPathMatchesFullPathResults) {
-  serve::ServeOptions full;
-  full.max_batch = 4;
-  full.cache_capacity = 2;  // 5 configs through 2 slots: misses guaranteed
-  full.differential_reconfig = false;
-  serve::ServeOptions diff = full;
-  diff.differential_reconfig = true;
+  serve::ServeOptions options;
+  options.max_batch = 4;
+  options.cache_capacity = 2;  // 5 configs through 2 slots: misses guaranteed
 
-  const RunResult f = run_region_workload(1, full);
-  const RunResult d = run_region_workload(1, diff);
+  const RunResult f = run_region_workload(1, options, nullptr,
+                                          /*regions=*/false);
+  const RunResult d = run_region_workload(1, options);
 
   // Same jobs, same boards, same outcomes — bit-identical results.
   EXPECT_EQ(f.results, d.results);

@@ -86,7 +86,7 @@ struct World {
       sys.set_fault_injector(injector.get());
     }
     service = std::make_unique<serve::JobService>(sys, options);
-    service->register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+    service->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
   }
 
   ~World() { sys.set_fault_injector(nullptr); }
@@ -237,7 +237,7 @@ TEST(JobMigration, MovesAPendingJobToAnotherService) {
 TEST(JobMigration, FailedRestoreLeavesTheJobPending) {
   World src{preemptive_options(), 1, nullptr, "crateA"};
   World dst{preemptive_options(), 1, nullptr, "crateB"};
-  src.service->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  src.service->register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   submit_deadline_mix(*src.service);
   const serve::JobId id =
       src.service->submit(make_job("rt", "beta", 10, util::kMicrosecond))
@@ -300,7 +300,7 @@ TEST(JobMigration, DropoutDrainsThroughTheMigrationTarget) {
 /// Shared workload for the replay tests: two configurations, three
 /// tenants, a fault plan with recoverable faults and a board drop-out.
 void submit_replay_mix(serve::JobService& s) {
-  s.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  s.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   for (int i = 0; i < 18; ++i) {
     const std::string tenant =
         i % 3 == 0 ? "atlas" : (i % 3 == 1 ? "cms" : "lhcb");

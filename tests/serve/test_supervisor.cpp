@@ -57,8 +57,8 @@ struct SupervisedCrate {
     sys.add_acb("acb1");
     sys.set_fault_injector(&injector);
     service = std::make_unique<serve::JobService>(sys, serve_options);
-    service->register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-    service->register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    service->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+    service->register_config(hw::Bitstream{"beta", {}, nullptr, {}});
     supervisor = std::make_unique<serve::Supervisor>(*service, options);
   }
 
@@ -173,10 +173,10 @@ TEST(Supervisor, DrainToASpareMissingAConfigurationResolvesEveryJob) {
   core::AtlantisSystem spare_sys("spare");
   spare_sys.add_acb("acb0");
   serve::JobService service(sys);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-  service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+  service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   serve::JobService spare(spare_sys);
-  spare.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+  spare.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
   serve::Supervisor supervisor(service);
   supervisor.set_spare(&spare);
   constexpr int kJobs = 24;

@@ -407,8 +407,8 @@ TEST(SnapshotStream, GoldenStreamBytes) {
   // section, and a 2-board service paused mid-run under a fault plan
   // (system, board, timeline, fault and ledger sections). Any change to
   // a byte a save writes — framing, field order, encoding or CRC —
-  // changes them. The constants were recorded at stream major 2.
-  EXPECT_EQ(serve::digest(one_section_stream()), 0xd28ecdb19f0383bbull);
+  // changes them. The constants were recorded at stream major 3.
+  EXPECT_EQ(serve::digest(one_section_stream()), 0x2fd9fc68184cdf4eull);
   EXPECT_EQ(sized(write_one_section), one_section_stream().size());
 
   FaultPlan plan;
@@ -422,8 +422,8 @@ TEST(SnapshotStream, GoldenStreamBytes) {
   std::vector<std::uint8_t> bytes;
   {
     serve::JobService service(sys);
-    service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-    service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+    service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
     for (int i = 0; i < 24; ++i) {
       serve::JobSpec job;
       job.tenant = i % 3 == 0 ? "atlas" : "cms";
@@ -452,8 +452,8 @@ TEST(SnapshotStream, GoldenStreamBytes) {
               bytes.size());
   }
   sys.set_fault_injector(nullptr);
-  EXPECT_EQ(bytes.size(), 6637u);
-  EXPECT_EQ(serve::digest(bytes), 0x1be681a0567b8be6ull);
+  EXPECT_EQ(bytes.size(), 6626u);
+  EXPECT_EQ(serve::digest(bytes), 0x6f4cddfd0b292da8ull);
 }
 
 // The cases below pin the stream layouts GoldenStreamBytes never
@@ -493,8 +493,8 @@ TEST(SnapshotStream, GoldenPreemptiveServiceBytes) {
   options.policy = serve::Policy::kPreemptive;
   options.preempt_slice = 100 * util::kMicrosecond;
   serve::JobService service(sys, options);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-  service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+  service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
   for (int i = 0; i < 10; ++i) {
     (void)service
         .submit(golden_job(i, i % 2 == 0 ? "alpha" : "beta",
@@ -519,10 +519,10 @@ TEST(SnapshotStream, GoldenPreemptiveServiceBytes) {
   EXPECT_EQ(sized([&](SnapshotWriter& s) { service.save_state(s); }),
             bytes.size());
   EXPECT_EQ(bytes.capacity(), bytes.size());  // the root presized exactly
-  EXPECT_EQ(bytes.size(), 4143u);
-  EXPECT_EQ(serve::digest(bytes), 0xf4810ed8da7675a6ull);
+  EXPECT_EQ(bytes.size(), 4132u);
+  EXPECT_EQ(serve::digest(bytes), 0x2a3ce38dd5e06144ull);
   EXPECT_EQ(ckpt.bytes.size(), 142u);
-  EXPECT_EQ(serve::digest(ckpt.bytes), 0x6cf668a6cf459651ull);
+  EXPECT_EQ(serve::digest(ckpt.bytes), 0x66ae2bea32288954ull);
 }
 
 TEST(SnapshotStream, GoldenClusterBytes) {
@@ -532,7 +532,7 @@ TEST(SnapshotStream, GoldenClusterBytes) {
   cluster.add_shard();
   for (int c = 0; c < 4; ++c) {
     cluster.register_config(
-        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, 1.0, {}});
+        hw::Bitstream{"cfg" + std::to_string(c), {}, nullptr, {}});
   }
   for (int i = 0; i < 24; ++i) {
     (void)cluster.submit(golden_job(i, "cfg" + std::to_string(i % 4),
@@ -548,10 +548,10 @@ TEST(SnapshotStream, GoldenClusterBytes) {
   cluster.save_state(w);
   EXPECT_EQ(sized([&](SnapshotWriter& s) { cluster.save_state(s); }),
             w.bytes().size());
-  EXPECT_EQ(w.bytes().size(), 9853u);
-  EXPECT_EQ(serve::digest(w.bytes()), 0xa97463e7a86e7f6eull);
+  EXPECT_EQ(w.bytes().size(), 9437u);
+  EXPECT_EQ(serve::digest(w.bytes()), 0xf62fc423f4936f80ull);
   // The root presized the whole stream, shards included, exactly.
-  EXPECT_EQ(std::move(w).take().capacity(), 9853u);
+  EXPECT_EQ(std::move(w).take().capacity(), 9437u);
 }
 
 // The stream a service saves; a sizing pass must count its exact size.
@@ -595,8 +595,8 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       serve::ServeOptions options;
       options.max_batch = 3;
       serve::JobService service(sys, options);
-      service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-      service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+      service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+      service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
       for (int i = 0; i < 12; ++i) {
         (void)service
             .submit(golden_job(i, i % 2 == 0 ? "alpha" : "beta",
@@ -616,8 +616,8 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       EXPECT_EQ(count_jobs(service, util::ErrorCode::kBoardDead, false), 3u);
       EXPECT_EQ(service.report().failed, 3u);
       const std::vector<std::uint8_t> bytes = saved_stream(service);
-      EXPECT_EQ(bytes.size(), 5233u);
-      EXPECT_EQ(serve::digest(bytes), 0x3fce8c1d786d8595ull);
+      EXPECT_EQ(bytes.size(), 5222u);
+      EXPECT_EQ(serve::digest(bytes), 0xf215fadcde7c5f16ull);
     }
     sys.set_fault_injector(nullptr);
   }
@@ -638,8 +638,8 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       options.policy = serve::Policy::kPreemptive;
       options.preempt_slice = 100 * util::kMicrosecond;
       serve::JobService service(sys, options);
-      service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-      service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+      service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+      service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
       for (int i = 0; i < 2; ++i) {
         (void)service
             .submit(golden_job(i, "alpha", 600 * util::kMicrosecond, 0))
@@ -667,8 +667,8 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       EXPECT_EQ(service.report().served, 4u);
       EXPECT_EQ(service.report().failed, 2u);
       const std::vector<std::uint8_t> bytes = saved_stream(service);
-      EXPECT_EQ(bytes.size(), 3452u);
-      EXPECT_EQ(serve::digest(bytes), 0xf1de96037d499645ull);
+      EXPECT_EQ(bytes.size(), 3442u);
+      EXPECT_EQ(serve::digest(bytes), 0x06698319e30dafe2ull);
     }
     sys.set_fault_injector(nullptr);
   }
@@ -682,12 +682,12 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
     core::AtlantisSystem spare_sys("spare");
     spare_sys.add_acb("acb0");
     serve::JobService spare(spare_sys, options);
-    spare.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
+    spare.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
     core::AtlantisSystem sys("crate");
     sys.add_acb("acb0");
     serve::JobService service(sys, options);
-    service.register_config(hw::Bitstream{"alpha", {}, nullptr, 1.0, {}});
-    service.register_config(hw::Bitstream{"beta", {}, nullptr, 1.0, {}});
+    service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+    service.register_config(hw::Bitstream{"beta", {}, nullptr, {}});
     service.set_migration_target(&spare);
     for (int i = 0; i < 6; ++i) {
       (void)service
@@ -716,11 +716,11 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
     spare.run();
     EXPECT_EQ(spare.report().served, 3u);
     const std::vector<std::uint8_t> bytes = saved_stream(service);
-    EXPECT_EQ(bytes.size(), 2711u);
-    EXPECT_EQ(serve::digest(bytes), 0x7ff2117a0ec3c3d0ull);
+    EXPECT_EQ(bytes.size(), 2701u);
+    EXPECT_EQ(serve::digest(bytes), 0xcb913a5fc7f30238ull);
     const std::vector<std::uint8_t> spare_bytes = saved_stream(spare);
-    EXPECT_EQ(spare_bytes.size(), 2067u);
-    EXPECT_EQ(serve::digest(spare_bytes), 0xae36175256d9dd4dull);
+    EXPECT_EQ(spare_bytes.size(), 2057u);
+    EXPECT_EQ(serve::digest(spare_bytes), 0x2b2c779e1049c3a4ull);
   }
 }
 
@@ -772,7 +772,7 @@ TEST(SnapshotStream, GoldenBoardBytes) {
   save_board(w);
   EXPECT_EQ(sized(save_board), w.bytes().size());
   EXPECT_EQ(w.bytes().size(), 12583937u);
-  EXPECT_EQ(serve::digest(w.bytes()), 0x5a7937f3e7b6af35ull);
+  EXPECT_EQ(serve::digest(w.bytes()), 0x44be7d841ff19292ull);
 }
 
 // --- Timeline ----------------------------------------------------------
@@ -948,6 +948,16 @@ TEST(TimelineSnapshot, LabelsSurviveGrowthMoveAndAFailedLoad) {
   twin.save_state(again);
   EXPECT_EQ(again.bytes(), w.bytes());
 
+  // A load that throws leaves the scheduler state as it was, too.
+  const std::vector<ResourceStats> stats = moved.all_stats();
+  const util::Picoseconds horizon = moved.horizon();
+  const util::Picoseconds track = moved.track_horizon(TrackId{0});
+  const std::uint64_t posted = moved.posted();
+  const auto unchanged = [&](const Timeline& t) {
+    return t.all_stats() == stats && t.horizon() == horizon &&
+           t.track_horizon(TrackId{0}) == track && t.posted() == posted;
+  };
+
   // A stream from a timeline with other resources throws at its census:
   // the log and every label stay readable.
   Timeline other;
@@ -958,10 +968,12 @@ TEST(TimelineSnapshot, LabelsSurviveGrowthMoveAndAFailedLoad) {
   ASSERT_TRUE(foreign.ok());
   EXPECT_THROW(moved.load_state(foreign.value()), util::Error);
   EXPECT_TRUE(reads_back(moved));
+  EXPECT_TRUE(unchanged(moved));
 
   // A stream cut off before its horizon throws after it read a posted
-  // count this log reaches: the log is cut only once the whole section
-  // read, so it keeps every entry.
+  // count this log reaches and another timeline's resources and tracks:
+  // the section commits, and the log is cut, only once the whole section
+  // read, so the timeline keeps its state and every entry.
   Timeline small = registered();
   for (int i = 0; i < 1000; ++i) {
     small.post(TrackId{0}, TxnKind::kCompute, "small#" + std::to_string(i),
@@ -984,6 +996,7 @@ TEST(TimelineSnapshot, LabelsSurviveGrowthMoveAndAFailedLoad) {
   ASSERT_TRUE(truncated.ok());
   EXPECT_THROW(moved.load_state(truncated.value()), util::Error);
   EXPECT_TRUE(reads_back(moved));
+  EXPECT_TRUE(unchanged(moved));
 }
 
 // --- FaultInjector -----------------------------------------------------
