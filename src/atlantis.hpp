@@ -78,7 +78,8 @@
 #include "serve/jobservice.hpp"
 #include "serve/queue.hpp"
 
-// Applications (each ships a serve_adapter.hpp job factory).
+// Applications (TRT and image processing ship a serve_adapter.hpp job
+// factory).
 #include "imgproc/conv_core.hpp"
 #include "imgproc/filters.hpp"
 #include "imgproc/hwmodel.hpp"
@@ -87,7 +88,6 @@
 #include "nbody/force.hpp"
 #include "nbody/integrator.hpp"
 #include "nbody/plummer.hpp"
-#include "nbody/serve_adapter.hpp"
 #include "trt/hwmodel.hpp"
 #include "trt/multiboard.hpp"
 #include "trt/serve_adapter.hpp"
@@ -95,4 +95,3 @@
 #include "trt/trt_core.hpp"
 #include "volren/interp_core.hpp"
 #include "volren/renderer.hpp"
-#include "volren/serve_adapter.hpp"

@@ -62,7 +62,6 @@ void AcbBoard::set_fault_injector(sim::FaultInjector* injector) {
   for (auto& f : fpgas_) f->set_fault_injector(injector);
   for (auto& m : modules_) {
     if (m.sram() != nullptr) m.sram()->set_fault_injector(injector);
-    if (m.sdram() != nullptr) m.sdram()->set_fault_injector(injector);
   }
 }
 
@@ -88,7 +87,6 @@ SelfTestHealth AcbBoard::probe_health() const {
   }
   for (auto& m : modules_) {
     if (m.sram() != nullptr) h.seu_flips += m.sram()->seu_flips();
-    if (m.sdram() != nullptr) h.ecc_corrections += m.sdram()->ecc_corrections();
   }
   return h;
 }
@@ -141,10 +139,8 @@ void AcbBoard::attach_memory(int fpga_index, MemModule module) {
   modules_.push_back(std::move(module));
   module_of_fpga_[static_cast<std::size_t>(fpga_index)] =
       static_cast<int>(modules_.size() - 1);
-  if (injector_ != nullptr) {
-    MemModule& m = modules_.back();
-    if (m.sram() != nullptr) m.sram()->set_fault_injector(injector_);
-    if (m.sdram() != nullptr) m.sdram()->set_fault_injector(injector_);
+  if (injector_ != nullptr && modules_.back().sram() != nullptr) {
+    modules_.back().sram()->set_fault_injector(injector_);
   }
 }
 

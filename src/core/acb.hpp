@@ -40,11 +40,9 @@ struct SelfTestHealth {
   std::uint64_t seu_flips = 0;        // memory-module data upsets
   std::uint64_t config_upsets = 0;    // FPGA configuration upsets
   std::uint64_t crc_failures = 0;     // configuration CRC failures
-  std::uint64_t ecc_corrections = 0;  // SDRAM ECC events
   std::uint64_t total() const {
     return dma_stalls + dma_aborts + slink_errors + truncated_frames +
-           retransmissions + seu_flips + config_upsets + crc_failures +
-           ecc_corrections;
+           retransmissions + seu_flips + config_upsets + crc_failures;
   }
 };
 
@@ -159,9 +157,9 @@ class AcbBoard {
   }
 
   // --- fault injection --------------------------------------------------
-  /// Wires a fault injector through every component on the board (PLX,
-  /// S-Link, FPGAs, attached memory modules); modules attached later are
-  /// wired on attach. nullptr detaches everything.
+  /// Wires a fault injector through every component on the board that
+  /// draws faults (PLX, S-Link, FPGAs, SRAM mezzanines); SRAM modules
+  /// attached later are wired on attach. nullptr detaches everything.
   void set_fault_injector(sim::FaultInjector* injector);
   sim::FaultInjector* fault_injector() const { return injector_; }
 
@@ -176,7 +174,7 @@ class AcbBoard {
   bool draw_dropout();
 
   /// Samples the board's cumulative component fault counters (PLX,
-  /// S-Link, FPGAs, memory modules). Cheap enough for a supervisor to
+  /// S-Link, FPGAs, SRAM mezzanines). Cheap enough for a supervisor to
   /// call every probe window.
   SelfTestHealth probe_health() const;
 

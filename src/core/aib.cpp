@@ -55,20 +55,6 @@ ChannelTrafficResult AibChannel::simulate(const ChannelTrafficParams& p) {
   return r;
 }
 
-const sim::Transaction& AibChannel::post_window(sim::TrackId track,
-                                                std::uint64_t cycles,
-                                                std::uint64_t delivered_words,
-                                                util::Picoseconds not_before,
-                                                std::string label) {
-  ATLANTIS_CHECK(bound(), "AIB channel is not bound to a timeline");
-  if (label.empty()) label = name_ + " window";
-  const util::Picoseconds span =
-      static_cast<util::Picoseconds>(cycles) *
-      util::period_from_mhz(kClockMhz);
-  return timeline_->post(track, sim::TxnKind::kAabChannel, std::move(label),
-                         resource_, not_before, span, delivered_words * 4);
-}
-
 AibBoard::AibBoard(std::string name)
     : name_(std::move(name)), local_clock_(name_ + "/clk_local") {
   for (int i = 0; i < kFpgaCount; ++i) {
@@ -82,9 +68,7 @@ AibBoard::AibBoard(std::string name)
 
 void AibBoard::bind_timeline(sim::Timeline& timeline,
                              sim::ResourceId segment) {
-  timeline_ = &timeline;
   pci_.bind(&timeline, segment);
-  for (AibChannel& ch : channels_) ch.bind(timeline);
 }
 
 hw::FpgaDevice& AibBoard::fpga(int index) {

@@ -8,7 +8,6 @@
 // synchronous-SRAM general-purpose buffer behind it.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "hw/fpga.hpp"
 #include "hw/pci.hpp"
 #include "sim/timeline.hpp"
-#include "util/units.hpp"
 
 namespace atlantis::core {
 
@@ -64,27 +62,8 @@ class AibChannel {
   /// Peak channel bandwidth (the paper's 264 MB/s).
   static double peak_mbps() { return kClockMhz * kDataBits / 8.0; }
 
-  // --- timeline binding ------------------------------------------------
-  /// Registers the mezzanine channel as a timeline resource.
-  void bind(sim::Timeline& timeline) {
-    timeline_ = &timeline;
-    resource_ = timeline.add_resource("aibch/" + name_);
-  }
-  bool bound() const { return timeline_ != nullptr; }
-  sim::ResourceId resource() const { return resource_; }
-
-  /// Posts a simulated traffic window (the wall-clock span of `cycles`
-  /// channel clocks, `delivered_words` moved) onto the timeline.
-  const sim::Transaction& post_window(sim::TrackId track,
-                                      std::uint64_t cycles,
-                                      std::uint64_t delivered_words,
-                                      util::Picoseconds not_before,
-                                      std::string label = {});
-
  private:
   std::string name_;
-  sim::Timeline* timeline_ = nullptr;
-  sim::ResourceId resource_;
 };
 
 class AibBoard {
@@ -106,9 +85,8 @@ class AibBoard {
   hw::ClockGenerator& local_clock() { return local_clock_; }
 
   /// Binds the board into a crate timeline: the PLX joins the shared
-  /// CompactPCI `segment` and every mezzanine channel gets a resource.
+  /// CompactPCI `segment`.
   void bind_timeline(sim::Timeline& timeline, sim::ResourceId segment);
-  sim::Timeline* timeline() const { return timeline_; }
 
   /// Wires a fault injector through the PLX and the control FPGAs.
   void set_fault_injector(sim::FaultInjector* injector) {
@@ -122,7 +100,6 @@ class AibBoard {
   std::vector<AibChannel> channels_;
   hw::Plx9080 pci_;
   hw::ClockGenerator local_clock_;
-  sim::Timeline* timeline_ = nullptr;
 };
 
 }  // namespace atlantis::core

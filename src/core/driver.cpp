@@ -195,17 +195,7 @@ util::Result<hw::DmaTransfer> AtlantisDriver::dma(hw::DmaDirection dir,
           std::string(base) + " on " + board_.name() + " failed after " +
               std::to_string(attempt) + " attempts");
     }
-    // Jitter (when enabled) draws from a pure function of the fault-plan
-    // seed, the board's retry site and the lifetime retry ordinal — no
-    // hidden RNG state, so snapshot restore and replay stay bit-identical.
-    const sim::FaultInjector* inj = system_.fault_injector();
-    const util::Picoseconds wait =
-        policy_.jitter > 0.0
-            ? policy_.backoff(
-                  attempt,
-                  sim::jitter_stream(inj != nullptr ? inj->plan().seed : 0,
-                                     "retry/" + board_.name(), dma_retries_))
-            : policy_.backoff(attempt);
+    const util::Picoseconds wait = policy_.backoff(attempt);
     if (now_ + wait > deadline) {
       recovery_time_ += wasted;
       return util::Result<hw::DmaTransfer>::failure(

@@ -179,8 +179,7 @@ std::string SelfTestReport::to_string() const {
        << " truncated frames, " << health.retransmissions
        << " retransmissions, " << health.seu_flips << " memory upsets, "
        << health.config_upsets << " config upsets, " << health.crc_failures
-       << " crc failures, " << health.ecc_corrections
-       << " ecc corrections\n";
+       << " crc failures\n";
   }
   return os.str();
 }

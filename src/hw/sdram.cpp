@@ -1,10 +1,13 @@
 #include "hw/sdram.hpp"
 
+#include "util/status.hpp"
+
 namespace atlantis::hw {
 
 Sdram::Sdram(std::string name, const SdramConfig& cfg)
     : name_(std::move(name)), cfg_(cfg) {
-  ATLANTIS_CHECK(cfg.banks > 0 && cfg.row_bytes > 0, "invalid SDRAM shape");
+  ATLANTIS_CHECK(cfg.banks > 0 && cfg.row_bytes > 0 && cfg.clock_mhz > 0,
+                 "invalid SDRAM configuration");
   open_row_.assign(static_cast<std::size_t>(cfg.banks), -1);
 }
 
@@ -26,37 +29,6 @@ std::uint64_t Sdram::access(std::uint64_t byte_addr) {
   open_row_[bank] = row;
   const int penalty = (was_open ? cfg_.t_rp : 0) + cfg_.t_rcd + cfg_.t_cas;
   return static_cast<std::uint64_t>(penalty) + 1;
-}
-
-const sim::Transaction& Sdram::post_burst(sim::TrackId track,
-                                          std::uint64_t cycles,
-                                          std::uint64_t bytes,
-                                          util::Picoseconds not_before,
-                                          std::string label) {
-  ATLANTIS_CHECK(bound(), "SDRAM is not bound to a timeline");
-  if (label.empty()) label = name_ + " burst";
-  if (injector_ != nullptr &&
-      injector_->draw(sim::FaultKind::kSeuMemory, fault_site_)) {
-    // A word in the burst was upset; the ECC path re-reads the row and
-    // writes the corrected word back (row cycle + one word per bank).
-    const sim::Transaction& main_burst = timeline_->post(
-        track, sim::TxnKind::kSdramBurst, label, resource_, not_before,
-        cycles_to_time(cycles), bytes);
-    const util::Picoseconds main_end = main_burst.end;
-    const std::uint64_t fix_cycles = static_cast<std::uint64_t>(
-        cfg_.t_rp + cfg_.t_rcd + cfg_.t_cas + cfg_.banks);
-    timeline_->record_fault(resource_);
-    timeline_->record_retry(resource_, cycles_to_time(fix_cycles));
-    ++ecc_corrections_;
-    // post() invalidated `main_burst`; only main_end is used below.
-    return timeline_->post(track, sim::TxnKind::kSdramBurst,
-                           label + " (ecc fix)", resource_, main_end,
-                           cycles_to_time(fix_cycles),
-                           static_cast<std::uint64_t>(cfg_.width_bits) / 8);
-  }
-  return timeline_->post(track, sim::TxnKind::kSdramBurst, std::move(label),
-                         resource_, not_before, cycles_to_time(cycles),
-                         bytes);
 }
 
 void Sdram::reset_counters() {

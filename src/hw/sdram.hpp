@@ -12,17 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "sim/fault.hpp"
-#include "sim/timeline.hpp"
-#include "util/status.hpp"
-#include "util/units.hpp"
+#include "sim/snapshot.hpp"
 
 namespace atlantis::hw {
 
 struct SdramConfig {
   std::int64_t capacity_bytes = 512ll * 1024 * 1024;
   int banks = 8;
-  int width_bits = 64;          // per-bank data width
   double clock_mhz = 100.0;     // "assuming 100 MHz devices"
   std::int64_t row_bytes = 2048;
   int t_rp = 3;                 // precharge, cycles
@@ -43,12 +39,6 @@ class Sdram {
   /// (low-order interleaving so that consecutive rows rotate banks).
   std::uint64_t access(std::uint64_t byte_addr);
 
-  /// Time for `cycles` at the configured clock.
-  util::Picoseconds cycles_to_time(std::uint64_t cycles) const {
-    return static_cast<util::Picoseconds>(cycles) *
-           util::period_from_mhz(cfg_.clock_mhz);
-  }
-
   std::uint64_t total_accesses() const { return accesses_; }
   std::uint64_t row_hits() const { return hits_; }
   std::uint64_t row_misses() const { return accesses_ - hits_; }
@@ -59,39 +49,10 @@ class Sdram {
   }
   void reset_counters();
 
-  /// Snapshottable leaf: per-bank open rows and the access/ECC counters,
+  /// Snapshottable leaf: per-bank open rows and the access counters,
   /// written into the caller's open section.
   void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
   void load_state(sim::SnapshotReader& r) { walk(*this, r); }
-
-  // --- fault injection --------------------------------------------------
-  /// Attaches a fault injector; the injection site is "sdram/<name>".
-  /// Each post_burst() is one SEU opportunity; a hit appends an ECC
-  /// correction burst to the posted transaction.
-  void set_fault_injector(sim::FaultInjector* injector) {
-    injector_ = injector;
-    fault_site_ = "sdram/" + name_;
-  }
-  sim::FaultInjector* fault_injector() const { return injector_; }
-  std::uint64_t ecc_corrections() const { return ecc_corrections_; }
-
-  // --- timeline binding ------------------------------------------------
-  /// Registers the device as a timeline resource with one channel per
-  /// bank ("8 simultaneously accessible banks").
-  void bind(sim::Timeline& timeline) {
-    timeline_ = &timeline;
-    resource_ = timeline.add_resource("sdram/" + name_, cfg_.banks);
-  }
-  bool bound() const { return timeline_ != nullptr; }
-  sim::ResourceId resource() const { return resource_; }
-
-  /// Posts a burst of `cycles` device cycles moving `bytes` onto one
-  /// bank channel no earlier than `not_before`.
-  const sim::Transaction& post_burst(sim::TrackId track,
-                                     std::uint64_t cycles,
-                                     std::uint64_t bytes,
-                                     util::Picoseconds not_before,
-                                     std::string label = {});
 
  private:
   template <typename Self, typename Stream>
@@ -100,7 +61,6 @@ class Sdram {
     for (auto& row : self.open_row_) s.i64(row);
     s.u64(self.accesses_);
     s.u64(self.hits_);
-    s.u64(self.ecc_corrections_);
   }
 
   std::string name_;
@@ -108,11 +68,6 @@ class Sdram {
   std::vector<std::int64_t> open_row_;  // -1 = closed
   std::uint64_t accesses_ = 0;
   std::uint64_t hits_ = 0;
-  std::uint64_t ecc_corrections_ = 0;
-  sim::Timeline* timeline_ = nullptr;
-  sim::ResourceId resource_;
-  sim::FaultInjector* injector_ = nullptr;
-  std::string fault_site_;
 };
 
 }  // namespace atlantis::hw

@@ -12,7 +12,6 @@ double weighted_faults(const HealthDelta& d) {
          2.0 * static_cast<double>(d.seu_flips) +
          1.0 * static_cast<double>(d.dma_faults + d.slink_errors) +
          0.5 * static_cast<double>(d.reconfig_retries) +
-         0.25 * static_cast<double>(d.ecc_corrections) +
          0.1 * static_cast<double>(d.retransmissions) +
          (d.dropped ? 10.0 : 0.0);
 }

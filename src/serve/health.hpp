@@ -45,13 +45,12 @@ struct HealthDelta {
   std::uint64_t slink_errors = 0;      // S-Link: LDERR + truncations
   std::uint64_t retransmissions = 0;   // S-Link: retransmitted words
   std::uint64_t seu_flips = 0;         // memory-module data upsets
-  std::uint64_t ecc_corrections = 0;   // SDRAM ECC events
   bool dropped = false;                // board went !alive this window
 
   std::uint64_t total() const {
     return dma_faults + dma_retries + reconfig_retries + crc_failures +
            config_upsets + slink_errors + retransmissions + seu_flips +
-           ecc_corrections + (dropped ? 1 : 0);
+           (dropped ? 1 : 0);
   }
 };
 

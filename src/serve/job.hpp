@@ -1,12 +1,12 @@
 // Job model of the ATLANTIS serving layer.
 //
 // One crate time-multiplexes heterogeneous workloads — TRT event
-// blocks, image-processing tiles, volume-rendering frames, N-body
-// steps — across the same FPGA boards via the task switcher (the
-// paper's central claim). A job is the unit of that multiplexing: which
-// tenant asked, which configuration (bitstream) it needs resident, how
-// much data moves over PCI, and a pure work functor that produces the
-// functional result plus the modelled compute time.
+// blocks, image-processing tiles and custom jobs — across the same
+// FPGA boards via the task switcher (the paper's central claim). A job
+// is the unit of that multiplexing: which tenant asked, which
+// configuration (bitstream) it needs resident, how much data moves over
+// PCI, and a pure work functor that produces the functional result plus
+// the modelled compute time.
 //
 // The functor contract is what makes the scheduler's determinism
 // guarantee possible: `work` must be a pure function of the values
@@ -30,12 +30,10 @@
 
 namespace atlantis::serve {
 
-/// Workload taxonomy (one per application library, plus custom).
+/// Workload taxonomy (one per application adapter, plus custom).
 enum class JobKind {
-  kTrtEvent,     // one TRT event block through the LUT histogrammer
-  kImgTile,      // one 2-D filtering tile
-  kVolrenFrame,  // one volume-rendered frame
-  kNbodyStep,    // one N-body integration chunk
+  kTrtEvent,  // one TRT event block through the LUT histogrammer
+  kImgTile,   // one 2-D filtering tile
   kCustom,
 };
 
@@ -44,8 +42,6 @@ inline const char* job_kind_name(JobKind kind) {
   switch (kind) {
     case JobKind::kTrtEvent: return "trt_event";
     case JobKind::kImgTile: return "img_tile";
-    case JobKind::kVolrenFrame: return "volren_frame";
-    case JobKind::kNbodyStep: return "nbody_step";
     case JobKind::kCustom: return "custom";
   }
   return "custom";

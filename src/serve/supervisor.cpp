@@ -103,7 +103,6 @@ HealthDelta Supervisor::diff(const CounterBase& base, const CounterBase& cur,
                    sub(c.truncated_frames, b.truncated_frames);
   d.retransmissions = sub(c.retransmissions, b.retransmissions);
   d.seu_flips = sub(c.seu_flips, b.seu_flips);
-  d.ecc_corrections = sub(c.ecc_corrections, b.ecc_corrections);
   d.dropped = dropped;
   return d;
 }
@@ -119,8 +118,7 @@ void Supervisor::mark_up(BoardSupervision& b) {
   const util::Picoseconds t = now();
   const util::Picoseconds span = t > b.down_since ? t - b.down_since : 0;
   report_.downtime += span;
-  report_.mttr += span;  // accumulator; divided by recoveries at the end
-  ++report_.recoveries;
+  ++closed_outages_;
   b.down = false;
 }
 
@@ -448,18 +446,24 @@ const SupervisorReport& Supervisor::run() {
         b.reconfig->half_opens() + b.dma->half_opens();
   }
 
-  // Availability over the supervised crate's own modelled horizon.
+  // Availability over the supervised crate's own modelled horizon. An
+  // outage still open counts up to here and once in the mean, however
+  // many runs it spans.
   const util::Picoseconds horizon = now();
+  std::uint64_t open_outages = 0;
   for (BoardSupervision& b : boards_) {
     if (!b.down) continue;
     const util::Picoseconds span =
         horizon > b.down_since ? horizon - b.down_since : 0;
     report_.downtime += span;
-    report_.mttr += span;  // never recovered: the full remaining horizon
-    ++report_.recoveries;
+    ++open_outages;
     b.down_since = horizon;  // accounted up to here; board stays down
   }
-  if (report_.recoveries > 0) report_.mttr /= report_.recoveries;
+  report_.recoveries = closed_outages_ + open_outages;
+  if (report_.recoveries > 0) {
+    report_.mttr =
+        report_.downtime / static_cast<util::Picoseconds>(report_.recoveries);
+  }
   // Normalize by the cumulative serving time, not the final clock: a
   // crash restore rewinds the clock and the crate re-lives (and
   // re-accounts) the replayed span on both sides of the ratio.

@@ -107,9 +107,12 @@ struct SupervisorReport {
   /// Sum over boards of modelled time spent dead or quarantined.
   util::Picoseconds downtime = 0;
   /// Mean modelled time from a board going down to its re-admission /
-  /// repair; boards never recovered count the full remaining horizon.
+  /// repair: downtime / recoveries. A board still down counts up to the
+  /// end of the last run.
   util::Picoseconds mttr = 0;
-  std::uint64_t recoveries = 0;  // down->up transitions behind mttr
+  /// Outages behind mttr: every down->up transition, plus each board
+  /// still down.
+  std::uint64_t recoveries = 0;
   /// 1 - downtime / (boards * elapsed): the fraction of board-time the
   /// crate could schedule onto.
   double availability = 1.0;
@@ -186,6 +189,7 @@ class Supervisor {
   JobService* spare_ = nullptr;
   std::vector<BoardSupervision> boards_;
   SupervisorReport report_;
+  std::uint64_t closed_outages_ = 0;  // down->up transitions so far
   std::vector<std::uint8_t> checkpoint_;  // last good service snapshot
   std::size_t checkpoint_jobs_ = 0;       // ledger size checkpoint_ holds
   std::uint64_t checkpoint_tick_ = 0;

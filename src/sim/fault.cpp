@@ -67,20 +67,6 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-util::Picoseconds RetryPolicy::backoff(int retry,
-                                       std::uint64_t stream) const {
-  const util::Picoseconds base = backoff(retry);
-  if (jitter <= 0.0) return base;
-  ATLANTIS_CHECK(jitter < 1.0, "backoff jitter must stay below 1");
-  // Map the stream word to u in [0, 1) and scale into [1 - jitter, 1].
-  const double u =
-      static_cast<double>(mix64(stream) >> 11) * 0x1.0p-53;
-  const double scale = 1.0 - jitter * u;
-  const auto wait =
-      static_cast<util::Picoseconds>(static_cast<double>(base) * scale);
-  return std::max<util::Picoseconds>(1, wait);
-}
-
 std::uint64_t jitter_stream(std::uint64_t seed, const std::string& site,
                             std::uint64_t ordinal) {
   std::uint64_t h = 0xcbf29ce484222325ull;

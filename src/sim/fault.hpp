@@ -113,28 +113,17 @@ struct RetryPolicy {
   util::Picoseconds timeout_budget = 50 * util::kMillisecond;
   /// How long a stalled DMA holds the bus before the watchdog aborts it.
   util::Picoseconds stall_watchdog = 500 * util::kMicrosecond;
-  /// Multiplicative backoff jitter in [0, 1): each jittered wait is drawn
-  /// uniformly from [(1 - jitter) * backoff(n), backoff(n)] so concurrent
-  /// retries at different sites desynchronize. 0 (the default) disables
-  /// jitter entirely — backoff(retry, stream) == backoff(retry) and the
-  /// fault-free/jitter-free timing stays bit-identical.
-  double jitter = 0.0;
 
   /// Backoff before retry `retry` (1-based): initial * multiplier^(retry-1),
   /// capped at max_backoff.
   util::Picoseconds backoff(int retry) const;
-
-  /// Jittered variant. `stream` is a deterministic per-draw word (see
-  /// jitter_stream below); the same (policy, retry, stream) always yields
-  /// the same wait, so replay stays bit-identical and nothing about the
-  /// draw needs to live in a snapshot.
-  util::Picoseconds backoff(int retry, std::uint64_t stream) const;
 };
 
-/// Derives the deterministic jitter word for one backoff draw from the
-/// fault-plan seed, the retry site name and the site-local draw ordinal
-/// (e.g. the driver's lifetime retry counter). Same inputs, same word —
-/// across runs, across snapshot restore, across worker-pool sizes.
+/// Derives the deterministic jitter word for one draw from a seed, a site
+/// name and the site-local draw ordinal (serve::CircuitBreaker draws its
+/// open-time jitter from its seed, name and open count). Same inputs,
+/// same word — across runs, across snapshot restore, across worker-pool
+/// sizes.
 std::uint64_t jitter_stream(std::uint64_t seed, const std::string& site,
                             std::uint64_t ordinal);
 

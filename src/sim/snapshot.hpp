@@ -87,10 +87,10 @@ static_assert(std::endian::native == std::endian::little,
               "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
-// Major 3: the switcher's differential pin byte left "serve/service",
-// the cluster ledger's records dropped their tenant and configuration
-// (the shard ledgers carry both), and "system" dropped the crate name.
-inline constexpr std::uint16_t kSnapshotMajor = 3;
+// Major 4: the SDRAM's board bytes dropped the ECC counter, an AIB no
+// longer registers its four channel resources in "sim/timeline", and a
+// ledger record's job kind byte counts two fewer kinds (kCustom is 2).
+inline constexpr std::uint16_t kSnapshotMajor = 4;
 inline constexpr std::uint16_t kSnapshotMinor = 0;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.

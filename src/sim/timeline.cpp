@@ -15,11 +15,8 @@ const char* txn_kind_name(TxnKind kind) {
     case TxnKind::kTargetAccess: return "target_access";
     case TxnKind::kAabChannel: return "aab_channel";
     case TxnKind::kSlinkStream: return "slink_stream";
-    case TxnKind::kSdramBurst: return "sdram_burst";
-    case TxnKind::kSramBurst: return "sram_burst";
     case TxnKind::kReconfig: return "reconfig";
     case TxnKind::kCompute: return "compute";
-    case TxnKind::kHost: return "host";
     case TxnKind::kBackoff: return "backoff";
     case TxnKind::kQueueWait: return "queue_wait";
     case TxnKind::kOther: return "other";

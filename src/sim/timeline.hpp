@@ -59,11 +59,8 @@ enum class TxnKind {
   kTargetAccess,  // single-word PCI target-mode access
   kAabChannel,    // backplane channel burst
   kSlinkStream,   // S-Link word stream
-  kSdramBurst,    // SDRAM bank burst
-  kSramBurst,     // synchronous-SRAM burst
   kReconfig,      // FPGA (partial) reconfiguration
   kCompute,       // design-clock compute on a board
-  kHost,          // host-CPU work
   kBackoff,       // recovery wait between retry attempts
   kQueueWait,     // job waiting in a service queue (serve layer)
   kOther,

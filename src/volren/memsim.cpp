@@ -3,27 +3,32 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/status.hpp"
+
 namespace atlantis::volren {
 
 VoxelMemory::VoxelMemory(const Volume& vol, hw::SdramConfig cfg)
-    : cfg_(cfg), nx_(vol.nx()), ny_(vol.ny()), nz_(vol.nz()) {
+    : sdram_("voxels", cfg), nx_(vol.nx()), ny_(vol.ny()), nz_(vol.nz()) {
+  ATLANTIS_CHECK(cfg.banks == 8,
+                 "the parity interleave needs one bank per corner");
+  ATLANTIS_CHECK(nx_ >= 2 && ny_ >= 2 && nz_ >= 2,
+                 "a trilinear neighbourhood needs 2 voxels on every axis");
   half_nx_ = (nx_ + 1) / 2;
   half_ny_ = (ny_ + 1) / 2;
-  rows_per_bank_words_ = cfg_.row_bytes;  // one byte per voxel
-  reset();
 }
 
 void VoxelMemory::reset() {
-  for (auto& r : open_row_) r = -1;
+  sdram_.reset_counters();
   cycles_ = 0;
   samples_ = 0;
-  hits_ = 0;
 }
 
 std::uint64_t VoxelMemory::sample_access(double x, double y, double z) {
   const int x0 = std::clamp(static_cast<int>(std::floor(x)), 0, nx_ - 2);
   const int y0 = std::clamp(static_cast<int>(std::floor(y)), 0, ny_ - 2);
   const int z0 = std::clamp(static_cast<int>(std::floor(z)), 0, nz_ - 2);
+  const auto row_bytes =
+      static_cast<std::uint64_t>(sdram_.config().row_bytes);
   std::uint64_t worst = 1;
   for (int corner = 0; corner < 8; ++corner) {
     const int cx = x0 + (corner & 1);
@@ -36,18 +41,10 @@ std::uint64_t VoxelMemory::sample_access(double x, double y, double z) {
         (static_cast<std::int64_t>(cz >> 1) * half_ny_ + (cy >> 1)) *
             half_nx_ +
         (cx >> 1);
-    const std::int64_t row = addr / rows_per_bank_words_;
-    if (open_row_[bank] == row) {
-      ++hits_;
-    } else {
-      const bool was_open = open_row_[bank] >= 0;
-      open_row_[bank] = row;
-      const std::uint64_t penalty =
-          static_cast<std::uint64_t>((was_open ? cfg_.t_rp : 0) + cfg_.t_rcd +
-                                     cfg_.t_cas) +
-          1;
-      worst = std::max(worst, penalty);
-    }
+    // One byte per voxel. The SDRAM interleaves rows across banks, so
+    // the first byte of this bank's row decodes back to (bank, row).
+    const auto row = static_cast<std::uint64_t>(addr) / row_bytes;
+    worst = std::max(worst, sdram_.access((row * 8 + bank) * row_bytes));
   }
   ++samples_;
   cycles_ += worst;

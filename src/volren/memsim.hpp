@@ -17,22 +17,22 @@
 
 namespace atlantis::volren {
 
+/// Maps voxels onto (bank, row) of an hw::Sdram it owns, which keeps the
+/// open rows and the hit counters.
 class VoxelMemory {
  public:
+  /// Needs 8 banks (one per neighbourhood corner) and at least 2 voxels
+  /// on every axis (a trilinear neighbourhood spans two).
   VoxelMemory(const Volume& vol, hw::SdramConfig cfg = {});
 
   /// Accounts one trilinear sample at a continuous position; returns the
   /// memory cycles it cost (max over the 8 parallel bank accesses).
   std::uint64_t sample_access(double x, double y, double z);
 
+  const hw::Sdram& sdram() const { return sdram_; }
   std::uint64_t total_cycles() const { return cycles_; }
   std::uint64_t total_samples() const { return samples_; }
-  double hit_rate() const {
-    const std::uint64_t accesses = samples_ * 8;
-    return accesses ? static_cast<double>(hits_) /
-                          static_cast<double>(accesses)
-                    : 0.0;
-  }
+  double hit_rate() const { return sdram_.hit_rate(); }
   double mean_cycles_per_sample() const {
     return samples_ ? static_cast<double>(cycles_) /
                           static_cast<double>(samples_)
@@ -41,14 +41,11 @@ class VoxelMemory {
   void reset();
 
  private:
-  hw::SdramConfig cfg_;
+  hw::Sdram sdram_;
+  int nx_, ny_, nz_;
   int half_nx_, half_ny_;
-  std::int64_t rows_per_bank_words_;  // voxels per row
-  std::int64_t open_row_[8];
   std::uint64_t cycles_ = 0;
   std::uint64_t samples_ = 0;
-  std::uint64_t hits_ = 0;
-  int nx_, ny_, nz_;
 };
 
 }  // namespace atlantis::volren

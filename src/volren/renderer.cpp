@@ -9,8 +9,7 @@ namespace atlantis::volren {
 FpgaVolumeRenderer::FpgaVolumeRenderer(const Volume& volume,
                                        FpgaRendererConfig cfg)
     : volume_(volume), cfg_(cfg) {
-  ATLANTIS_CHECK(cfg.logic_clock_mhz > 0 && cfg.memory_clock_mhz > 0,
-                 "clocks must be positive");
+  ATLANTIS_CHECK(cfg.logic_clock_mhz > 0, "logic clock must be positive");
   ATLANTIS_CHECK(cfg.memory_reuse >= 1.0, "memory reuse factor must be >= 1");
 }
 
@@ -51,8 +50,9 @@ FrameReport FpgaVolumeRenderer::render_frame(const TransferFunction& tf,
     const double frame_s = std::max(logic_s, memory_s);
     return frame_s > 0.0 ? 1.0 / frame_s : 0.0;
   };
-  rep.fps_tech = fps_for(cfg_.memory_clock_mhz, cfg_.memory_clock_mhz);
-  rep.fps_fpga = fps_for(cfg_.logic_clock_mhz, cfg_.memory_clock_mhz);
+  const double memory_mhz = mem.sdram().config().clock_mhz;
+  rep.fps_tech = fps_for(memory_mhz, memory_mhz);
+  rep.fps_fpga = fps_for(cfg_.logic_clock_mhz, memory_mhz);
   return rep;
 }
 

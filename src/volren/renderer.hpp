@@ -15,9 +15,6 @@ namespace atlantis::volren {
 struct FpgaRendererConfig {
   /// The achieved FPGA logic clock (">25 MHz", §3.4).
   double logic_clock_mhz = 25.0;
-  /// The memory-technology clock of the paper's detailed simulations
-  /// ("assuming 100 MHz devices").
-  double memory_clock_mhz = 100.0;
   PipelineParams pipeline{};
   RenderParams render{};
   int image_width = 256;
@@ -42,8 +39,9 @@ struct FrameReport {
   double sdram_hit_rate = 0.0;
   double sample_fraction = 0.0;  // samples / voxels
   double efficiency = 0.0;       // pipeline issue efficiency
-  /// Frame rate with logic and memory both at the 100 MHz technology
-  /// clock (the paper's simulation numbers)...
+  /// Frame rate with logic and memory both at the SDRAM's technology
+  /// clock (the paper's simulation numbers, "assuming 100 MHz
+  /// devices")...
   double fps_tech = 0.0;
   /// ...and with the achieved >25 MHz FPGA logic clock.
   double fps_fpga = 0.0;

@@ -102,6 +102,15 @@ TEST(Sdram, OutOfRangeThrows) {
       util::Error);
 }
 
+TEST(Sdram, InvalidConfigurationThrows) {
+  SdramConfig no_clock;
+  no_clock.clock_mhz = 0.0;  // the renderer divides by it
+  EXPECT_THROW(Sdram("sd", no_clock), util::Error);
+  SdramConfig no_banks;
+  no_banks.banks = 0;
+  EXPECT_THROW(Sdram("sd", no_banks), util::Error);
+}
+
 TEST(Fifo, PushPopOccupancy) {
   Fifo f("f", 4);
   EXPECT_TRUE(f.empty());

@@ -42,7 +42,7 @@ serve::JobSpec make_job(int index) {
   return job;
 }
 
-/// A two-board crate served under a Supervisor.
+/// A crate of `boards` ACBs (two by default) served under a Supervisor.
 struct SupervisedCrate {
   sim::FaultInjector injector;
   core::AtlantisSystem sys;
@@ -51,10 +51,10 @@ struct SupervisedCrate {
 
   explicit SupervisedCrate(const sim::FaultPlan& plan,
                            serve::ServeOptions serve_options = {},
-                           serve::SupervisorOptions options = {})
+                           serve::SupervisorOptions options = {},
+                           int boards = 2)
       : injector(plan), sys("crate") {
-    sys.add_acb("acb0");
-    sys.add_acb("acb1");
+    for (int i = 0; i < boards; ++i) sys.add_acb("acb" + std::to_string(i));
     sys.set_fault_injector(&injector);
     service = std::make_unique<serve::JobService>(sys, serve_options);
     service->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
@@ -230,6 +230,42 @@ TEST(Supervisor, ReportCountsEveryBreakerOpenAndHalfOpen) {
   EXPECT_GT(rep.breaker_opens, 0u);
   EXPECT_LE(rep.breaker_half_opens, rep.breaker_opens);
   EXPECT_EQ(crate.service->pending(), 0u);
+}
+
+TEST(Supervisor, MttrAndRecoveriesHoldAcrossRuns) {
+  // Two boards drop out and are repaired during the first run; a second
+  // run with no new outage leaves every outage figure where it was.
+  sim::FaultPlan plan;
+  plan.inject(sim::FaultKind::kBoardDropout, "board/acb0", 2);
+  plan.inject(sim::FaultKind::kBoardDropout, "board/acb1", 3);
+  SupervisedCrate crate{plan, {}, {}, /*boards=*/3};
+  crate.submit(0, 120);
+  const serve::SupervisorReport first = crate.supervisor->run();
+  ASSERT_EQ(first.recoveries, 2u);
+  ASSERT_GT(first.downtime, 0);
+  EXPECT_EQ(first.mttr, first.downtime / 2);
+  crate.submit(120, 2);
+  const serve::SupervisorReport& second = crate.supervisor->run();
+  EXPECT_EQ(second.recoveries, first.recoveries);
+  EXPECT_EQ(second.downtime, first.downtime);
+  EXPECT_EQ(second.mttr, first.mttr);
+
+  // A board that never comes back is one outage, however many runs it
+  // spans: it counts up to the end of the last run.
+  serve::SupervisorOptions no_repair;
+  no_repair.repair_after = 0;
+  sim::FaultPlan dead_plan;
+  dead_plan.inject(sim::FaultKind::kBoardDropout, "board/acb0", 2);
+  SupervisedCrate dead{dead_plan, {}, no_repair, /*boards=*/3};
+  dead.submit(0, 120);
+  const serve::SupervisorReport once = dead.supervisor->run();
+  ASSERT_EQ(once.recoveries, 1u);
+  EXPECT_EQ(once.mttr, once.downtime);
+  dead.submit(120, 2);
+  const serve::SupervisorReport& twice = dead.supervisor->run();
+  EXPECT_EQ(twice.recoveries, 1u);
+  EXPECT_GT(twice.downtime, once.downtime);
+  EXPECT_EQ(twice.mttr, twice.downtime);
 }
 
 }  // namespace

@@ -107,12 +107,15 @@ TEST(SnapshotStream, HeaderOnlyStreamIsValid) {
 }
 
 TEST(SnapshotStream, RejectsForeignMajorVersion) {
-  std::vector<std::uint8_t> bytes = one_section_stream();
-  // Header: u32 magic | u16 major (offset 4, little-endian) | u16 minor.
-  bytes[4] = static_cast<std::uint8_t>((kSnapshotMajor + 1) & 0xFF);
-  auto r = SnapshotReader::open(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error(), util::ErrorCode::kSnapshotVersion);
+  // An older stream (the previous major) is as foreign as a newer one.
+  for (const int major : {kSnapshotMajor - 1, kSnapshotMajor + 1}) {
+    std::vector<std::uint8_t> bytes = one_section_stream();
+    // Header: u32 magic | u16 major (offset 4, little-endian) | u16 minor.
+    bytes[4] = static_cast<std::uint8_t>(major & 0xFF);
+    auto r = SnapshotReader::open(bytes);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error(), util::ErrorCode::kSnapshotVersion);
+  }
 }
 
 TEST(SnapshotStream, SkipsUnknownSectionsOnMinorBump) {
@@ -407,8 +410,8 @@ TEST(SnapshotStream, GoldenStreamBytes) {
   // section, and a 2-board service paused mid-run under a fault plan
   // (system, board, timeline, fault and ledger sections). Any change to
   // a byte a save writes — framing, field order, encoding or CRC —
-  // changes them. The constants were recorded at stream major 3.
-  EXPECT_EQ(serve::digest(one_section_stream()), 0x2fd9fc68184cdf4eull);
+  // changes them. The constants were recorded at stream major 4.
+  EXPECT_EQ(serve::digest(one_section_stream()), 0x8e0b05728430b8adull);
   EXPECT_EQ(sized(write_one_section), one_section_stream().size());
 
   FaultPlan plan;
@@ -453,7 +456,7 @@ TEST(SnapshotStream, GoldenStreamBytes) {
   }
   sys.set_fault_injector(nullptr);
   EXPECT_EQ(bytes.size(), 6626u);
-  EXPECT_EQ(serve::digest(bytes), 0x6f4cddfd0b292da8ull);
+  EXPECT_EQ(serve::digest(bytes), 0xc3eee415e0c962a9ull);
 }
 
 // The cases below pin the stream layouts GoldenStreamBytes never
@@ -520,9 +523,9 @@ TEST(SnapshotStream, GoldenPreemptiveServiceBytes) {
             bytes.size());
   EXPECT_EQ(bytes.capacity(), bytes.size());  // the root presized exactly
   EXPECT_EQ(bytes.size(), 4132u);
-  EXPECT_EQ(serve::digest(bytes), 0x2a3ce38dd5e06144ull);
+  EXPECT_EQ(serve::digest(bytes), 0xea05c0160dbbe210ull);
   EXPECT_EQ(ckpt.bytes.size(), 142u);
-  EXPECT_EQ(serve::digest(ckpt.bytes), 0x66ae2bea32288954ull);
+  EXPECT_EQ(serve::digest(ckpt.bytes), 0x665cf5df1f88978bull);
 }
 
 TEST(SnapshotStream, GoldenClusterBytes) {
@@ -549,7 +552,7 @@ TEST(SnapshotStream, GoldenClusterBytes) {
   EXPECT_EQ(sized([&](SnapshotWriter& s) { cluster.save_state(s); }),
             w.bytes().size());
   EXPECT_EQ(w.bytes().size(), 9437u);
-  EXPECT_EQ(serve::digest(w.bytes()), 0xf62fc423f4936f80ull);
+  EXPECT_EQ(serve::digest(w.bytes()), 0xfb2a616a95950340ull);
   // The root presized the whole stream, shards included, exactly.
   EXPECT_EQ(std::move(w).take().capacity(), 9437u);
 }
@@ -617,7 +620,7 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       EXPECT_EQ(service.report().failed, 3u);
       const std::vector<std::uint8_t> bytes = saved_stream(service);
       EXPECT_EQ(bytes.size(), 5222u);
-      EXPECT_EQ(serve::digest(bytes), 0xf215fadcde7c5f16ull);
+      EXPECT_EQ(serve::digest(bytes), 0xdef772c4d7abd4d0ull);
     }
     sys.set_fault_injector(nullptr);
   }
@@ -668,7 +671,7 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       EXPECT_EQ(service.report().failed, 2u);
       const std::vector<std::uint8_t> bytes = saved_stream(service);
       EXPECT_EQ(bytes.size(), 3442u);
-      EXPECT_EQ(serve::digest(bytes), 0x06698319e30dafe2ull);
+      EXPECT_EQ(serve::digest(bytes), 0x42eafb4ea4743facull);
     }
     sys.set_fault_injector(nullptr);
   }
@@ -717,10 +720,10 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
     EXPECT_EQ(spare.report().served, 3u);
     const std::vector<std::uint8_t> bytes = saved_stream(service);
     EXPECT_EQ(bytes.size(), 2701u);
-    EXPECT_EQ(serve::digest(bytes), 0xcb913a5fc7f30238ull);
+    EXPECT_EQ(serve::digest(bytes), 0xb67ec36e21e14438ull);
     const std::vector<std::uint8_t> spare_bytes = saved_stream(spare);
     EXPECT_EQ(spare_bytes.size(), 2057u);
-    EXPECT_EQ(serve::digest(spare_bytes), 0x2b2c779e1049c3a4ull);
+    EXPECT_EQ(serve::digest(spare_bytes), 0x9ca1c64d28485d74ull);
   }
 }
 
@@ -771,8 +774,8 @@ TEST(SnapshotStream, GoldenBoardBytes) {
   SnapshotWriter w;
   save_board(w);
   EXPECT_EQ(sized(save_board), w.bytes().size());
-  EXPECT_EQ(w.bytes().size(), 12583937u);
-  EXPECT_EQ(serve::digest(w.bytes()), 0x44be7d841ff19292ull);
+  EXPECT_EQ(w.bytes().size(), 12583929u);
+  EXPECT_EQ(serve::digest(w.bytes()), 0xb241e0a72a01c382ull);
 }
 
 // --- Timeline ----------------------------------------------------------

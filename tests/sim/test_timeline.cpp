@@ -49,14 +49,14 @@ TEST(Timeline, ContentionQueuesFifo) {
 
 TEST(Timeline, MultiChannelResourceServesConcurrently) {
   Timeline tl;
-  const ResourceId banks = tl.add_resource("sdram", 2);
+  const ResourceId pair = tl.add_resource("pair", 2);
   const TrackId t = tl.add_track("actor");
-  const Transaction a = tl.post(t, TxnKind::kSdramBurst, "a", banks, 0, 100);
-  const Transaction b = tl.post(t, TxnKind::kSdramBurst, "b", banks, 0, 100);
-  const Transaction c = tl.post(t, TxnKind::kSdramBurst, "c", banks, 0, 100);
+  const Transaction a = tl.post(t, TxnKind::kOther, "a", pair, 0, 100);
+  const Transaction b = tl.post(t, TxnKind::kOther, "b", pair, 0, 100);
+  const Transaction c = tl.post(t, TxnKind::kOther, "c", pair, 0, 100);
   EXPECT_EQ(a.start, 0);
-  EXPECT_EQ(b.start, 0);    // second bank
-  EXPECT_EQ(c.start, 100);  // both banks busy; earliest-free grant
+  EXPECT_EQ(b.start, 0);    // second channel
+  EXPECT_EQ(c.start, 100);  // both channels busy; earliest-free grant
   EXPECT_EQ(tl.horizon(), 200);
 }
 
@@ -150,8 +150,7 @@ TEST(ChromeTrace, ParsesAndHasCataloguedPhases) {
   // from the transaction-kind catalogue.
   const std::set<std::string> catalogue{
       "pci_dma", "target_access", "aab_channel", "slink_stream",
-      "sdram_burst", "sram_burst", "reconfig", "compute", "host", "backoff",
-      "queue_wait", "other"};
+      "reconfig", "compute", "backoff", "queue_wait", "other"};
   int complete = 0, meta = 0;
   for (const util::JsonValue& e : events) {
     const std::string& ph = e.at("ph").as_string();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
+#include "util/status.hpp"
+#include "volren/renderer.hpp"
 
 namespace atlantis::volren {
 namespace {
@@ -79,6 +81,70 @@ TEST(VoxelMemory, CostBoundedByWorstBankPenalty) {
     EXPECT_GE(c, 1u);
     EXPECT_LE(c, worst);
   }
+}
+
+TEST(VoxelMemory, RejectsShapesTheInterleaveCannotHold) {
+  // A trilinear neighbourhood spans two voxels on every axis...
+  EXPECT_THROW(VoxelMemory(Volume(1, 16, 16)), util::Error);
+  EXPECT_THROW(VoxelMemory(Volume(16, 1, 16)), util::Error);
+  EXPECT_THROW(VoxelMemory(Volume(16, 16, 1)), util::Error);
+  // ...and its 8 corners need 8 banks.
+  hw::SdramConfig four_banks;
+  four_banks.banks = 4;
+  EXPECT_THROW(VoxelMemory(Volume(16, 16, 16), four_banks), util::Error);
+  EXPECT_NO_THROW(VoxelMemory(Volume(2, 2, 2)));
+}
+
+TEST(VoxelMemory, RenderedFramesKeepTheirMemoryAccounting) {
+  // Exact figures of the 8-bank voxel memory behind rendered frames and a
+  // seeded sample stream; any change to the voxel-to-(bank, row) mapping
+  // or to the row-miss cost moves them.
+  struct Frame {
+    ViewDirection view;
+    const char* transfer;
+    bool perspective;
+    std::uint64_t memory_cycles;
+    double sdram_hit_rate;
+  };
+  const Frame frames[] = {
+      {ViewDirection::kFrontal, "opaque", false, 42315u, 0.99981043103243994},
+      {ViewDirection::kFrontal, "opaque", true, 83750u, 0.95805641567857414},
+      {ViewDirection::kFrontal, "semi-high", false, 73126u,
+       0.99989042897058023},
+      {ViewDirection::kFrontal, "semi-high", true, 143902u,
+       0.96960934089917061},
+      {ViewDirection::kOblique, "opaque", false, 79861u, 0.93082340468497582},
+      {ViewDirection::kOblique, "opaque", true, 106601u, 0.9343574897273067},
+      {ViewDirection::kOblique, "semi-high", false, 133055u,
+       0.93917752085467587},
+      {ViewDirection::kOblique, "semi-high", true, 173977u,
+       0.93946327333385926},
+  };
+  const Volume vol = make_ct_phantom(64, 64, 32);
+  FpgaRendererConfig cfg;
+  cfg.render = paper_render_params();
+  cfg.image_width = 64;
+  cfg.image_height = 32;
+  FpgaVolumeRenderer renderer(vol, cfg);
+  for (const Frame& f : frames) {
+    const TransferFunction tf =
+        std::string(f.transfer) == "opaque" ? tf_opaque() : tf_semi_high();
+    const FrameReport rep = renderer.render_frame(tf, f.view, f.perspective);
+    SCOPED_TRACE(rep.view + "/" + rep.transfer +
+                 (f.perspective ? "/perspective" : "/parallel"));
+    EXPECT_EQ(rep.transfer, f.transfer);
+    EXPECT_EQ(rep.memory_cycles, f.memory_cycles);
+    EXPECT_DOUBLE_EQ(rep.sdram_hit_rate, f.sdram_hit_rate);
+  }
+
+  VoxelMemory mem(vol);
+  util::Rng rng(26);
+  for (int i = 0; i < 10000; ++i) {
+    mem.sample_access(rng.uniform(0, 64), rng.uniform(0, 64),
+                      rng.uniform(0, 32));
+  }
+  EXPECT_EQ(mem.total_cycles(), 92689u);
+  EXPECT_DOUBLE_EQ(mem.hit_rate(), 0.1234);
 }
 
 }  // namespace
