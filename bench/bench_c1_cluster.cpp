@@ -276,23 +276,14 @@ ClusterCell run_cell(const std::string& name, int shards,
                                        util::ps_to_s(makespan)
                                  : 0.0;
   // Fleet-wide reconfiguration economics over the whole replay.
-  std::uint64_t switches = 0, hits = 0, misses = 0, partials = 0;
+  core::SwitchCounters fleet;
   for (int s = 0; s < shards; ++s) {
     if (cluster.shard_retired(s)) continue;
-    for (int b = 0; b < cluster.service(s).board_count(); ++b) {
-      const core::TaskSwitcher& sw = cluster.service(s).switcher(b);
-      switches += sw.switch_count();
-      hits += sw.cache_hits();
-      misses += sw.cache_misses();
-      partials += sw.partial_switches();
-    }
+    fleet += cluster.service(s).switch_counters();
   }
-  cell.hit_rate = (hits + misses) == 0
-                      ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(hits + misses);
-  cell.full_reconfigs = switches - hits - partials;
-  cell.partial_reconfigs = partials;
+  cell.hit_rate = fleet.hit_rate();
+  cell.full_reconfigs = fleet.full_reconfigs();
+  cell.partial_reconfigs = fleet.partials;
   cell.schedule_digest = cluster.schedule_digest();
   cell.func_digest = cluster.functional_digest();
   cell.host_ns_per_job =

@@ -179,8 +179,8 @@ ServeCell run_cell(const std::string& name, const Workload& w,
 
   ServeCell cell;
   cell.name = name;
-  std::uint64_t hits = 0, misses = 0;
-  util::Picoseconds makespan = 0, reconfig_time = 0, partial_time = 0;
+  core::SwitchCounters switching;  // summed over the waves
+  util::Picoseconds makespan = 0;
 
   // The stream arrives in bursts: each wave is submitted, then served to
   // completion before the next burst lands. Later waves revisit
@@ -215,14 +215,8 @@ ServeCell run_cell(const std::string& name, const Workload& w,
     const serve::ServiceReport& rep = service.run();
     cell.served += rep.served;
     cell.failed += rep.failed;
-    cell.full_reconfigs += rep.full_reconfigs;
-    cell.partial_reconfigs += rep.partial_reconfigs;
-    cell.regions_loaded += rep.regions_loaded;
     cell.dead_boards += static_cast<int>(rep.dead_boards.size());
-    hits += rep.cache_hits;
-    misses += rep.cache_misses;
-    reconfig_time += rep.reconfig_time;
-    partial_time += rep.partial_reconfig_time;
+    switching += rep.switching;
     makespan = std::max(makespan, rep.makespan);
     cell.migrated += rep.migrated;
     if (spare) {
@@ -234,12 +228,12 @@ ServeCell run_cell(const std::string& name, const Workload& w,
     }
   }
 
-  cell.hit_rate = hits + misses == 0
-                      ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(hits + misses);
-  cell.reconfig_ms = util::ps_to_ms(reconfig_time);
-  cell.partial_reconfig_ms = util::ps_to_ms(partial_time);
+  cell.hit_rate = switching.hit_rate();
+  cell.full_reconfigs = switching.full_reconfigs();
+  cell.partial_reconfigs = switching.partials;
+  cell.regions_loaded = switching.regions;
+  cell.reconfig_ms = util::ps_to_ms(switching.switch_time);
+  cell.partial_reconfig_ms = util::ps_to_ms(switching.partial_time);
   cell.makespan_ms = util::ps_to_ms(makespan);
   if (makespan > 0) {
     cell.jobs_per_s = static_cast<double>(cell.served) /

@@ -100,7 +100,7 @@ int main() {
       "jobs/s\n",
       static_cast<unsigned long long>(rep.served),
       static_cast<unsigned long long>(rep.batches),
-      static_cast<unsigned long long>(rep.full_reconfigs),
+      static_cast<unsigned long long>(rep.switching.full_reconfigs()),
       rep.jobs_per_second);
   for (const serve::TenantStats& tenant : rep.tenants) {
     std::printf("  tenant %-5s: %llu jobs, p99 queue wait %.2f us\n",

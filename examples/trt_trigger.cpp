@@ -83,7 +83,7 @@ int main() {
       "service: %llu jobs, %llu batches, %llu full reconfigs, %.0f jobs/s\n",
       static_cast<unsigned long long>(rep.served),
       static_cast<unsigned long long>(rep.batches),
-      static_cast<unsigned long long>(rep.full_reconfigs),
+      static_cast<unsigned long long>(rep.switching.full_reconfigs()),
       rep.jobs_per_second);
 
   // --- Reduced geometry, gate level ------------------------------------

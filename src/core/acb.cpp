@@ -76,8 +76,6 @@ bool AcbBoard::draw_dropout() {
 
 SelfTestHealth AcbBoard::probe_health() const {
   SelfTestHealth h;
-  h.dma_stalls = pci_.dma_stalls();
-  h.dma_aborts = pci_.dma_aborts();
   h.slink_errors = slink_.link_errors();
   h.truncated_frames = slink_.truncated_frames();
   h.retransmissions = slink_.retransmissions();

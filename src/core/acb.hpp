@@ -30,10 +30,10 @@ namespace atlantis::core {
 
 /// Fault/recovery counters gathered from every component on the board:
 /// the health page of the self-test report, and what a supervisor diffs
-/// every probe window. Cumulative; all zero on a fault-free run.
+/// every probe window. Cumulative; all zero on a fault-free run. DMA
+/// faults are the driver's count (AtlantisDriver::dma_faults), not a
+/// board counter.
 struct SelfTestHealth {
-  std::uint64_t dma_stalls = 0;
-  std::uint64_t dma_aborts = 0;
   std::uint64_t slink_errors = 0;
   std::uint64_t truncated_frames = 0;
   std::uint64_t retransmissions = 0;
@@ -41,8 +41,8 @@ struct SelfTestHealth {
   std::uint64_t config_upsets = 0;    // FPGA configuration upsets
   std::uint64_t crc_failures = 0;     // configuration CRC failures
   std::uint64_t total() const {
-    return dma_stalls + dma_aborts + slink_errors + truncated_frames +
-           retransmissions + seu_flips + config_upsets + crc_failures;
+    return slink_errors + truncated_frames + retransmissions + seu_flips +
+           config_upsets + crc_failures;
   }
 };
 

@@ -61,9 +61,6 @@ AibBoard::AibBoard(std::string name)
     fpgas_.push_back(std::make_unique<hw::FpgaDevice>(
         name_ + "/fpga" + std::to_string(i), hw::virtex_xcv600()));
   }
-  for (int i = 0; i < kChannelCount; ++i) {
-    channels_.emplace_back(name_ + "/ch" + std::to_string(i));
-  }
 }
 
 void AibBoard::bind_timeline(sim::Timeline& timeline,
@@ -74,12 +71,6 @@ void AibBoard::bind_timeline(sim::Timeline& timeline,
 hw::FpgaDevice& AibBoard::fpga(int index) {
   ATLANTIS_CHECK(index >= 0 && index < kFpgaCount, "FPGA index out of range");
   return *fpgas_[static_cast<std::size_t>(index)];
-}
-
-AibChannel& AibBoard::channel(int index) {
-  ATLANTIS_CHECK(index >= 0 && index < kChannelCount,
-                 "channel index out of range");
-  return channels_[static_cast<std::size_t>(index)];
 }
 
 }  // namespace atlantis::core

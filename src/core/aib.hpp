@@ -75,7 +75,6 @@ class AibBoard {
   static constexpr int kChannelCount = 4;
 
   hw::FpgaDevice& fpga(int index);
-  AibChannel& channel(int index);
 
   /// Aggregate I/O bandwidth: 4 x 264 MB/s ~ 1 GB/s, matching the two
   /// backplane ports.
@@ -97,7 +96,6 @@ class AibBoard {
  private:
   std::string name_;
   std::vector<std::unique_ptr<hw::FpgaDevice>> fpgas_;
-  std::vector<AibChannel> channels_;
   hw::Plx9080 pci_;
   hw::ClockGenerator local_clock_;
 };

@@ -16,15 +16,8 @@ bool promote(std::vector<std::string>& mru, const std::string& name) {
 
 }  // namespace
 
-bool ConfigCache::touch(const std::string& name, bool usable) {
-  if (!enabled()) return false;  // inert: no lookup, no stats
-  const bool hit = promote(mru_, name) && usable;
-  if (hit) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-  }
-  return hit;
+bool ConfigCache::touch(const std::string& name) {
+  return enabled() && promote(mru_, name);
 }
 
 bool ConfigCache::contains(const std::string& name) const {
@@ -33,12 +26,8 @@ bool ConfigCache::contains(const std::string& name) const {
 
 void ConfigCache::insert(const std::string& name) {
   if (!enabled() || promote(mru_, name)) return;
-  if (mru_.size() >= capacity_) {
-    mru_.pop_back();
-    ++stats_.evictions;
-  }
+  if (mru_.size() >= capacity_) mru_.pop_back();
   mru_.insert(mru_.begin(), name);
-  ++stats_.insertions;
 }
 
 void ConfigCache::clear() { mru_.clear(); }
@@ -46,10 +35,6 @@ void ConfigCache::clear() { mru_.clear(); }
 template <typename Self, typename Stream>
 void ConfigCache::walk(Self& self, Stream& s) {
   s.seq32(self.mru_, [&](auto& name) { s.string(name); });  // MRU -> LRU
-  s.u64(self.stats_.hits);
-  s.u64(self.stats_.misses);
-  s.u64(self.stats_.insertions);
-  s.u64(self.stats_.evictions);
 }
 
 void ConfigCache::save_state(sim::SnapshotWriter& w) const { walk(*this, w); }

@@ -10,7 +10,7 @@
 // full data reload requires.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -18,26 +18,11 @@
 
 namespace atlantis::core {
 
-/// Lifetime counters of one cache; hit_rate() is over touch() calls.
-struct ConfigCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-
-  double hit_rate() const {
-    const std::uint64_t lookups = hits + misses;
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(hits) /
-                              static_cast<double>(lookups);
-  }
-};
-
 /// String-keyed LRU set: one vector in most-recently-used-first order,
 /// which a linear scan serves best at the few entries a board stages.
-/// Capacity 0 disables the cache entirely: touch() returns false
-/// without counting, insert() is a no-op, so a disabled cache is
-/// bit-identical (timing AND stats) to not having one.
+/// Capacity 0 disables the cache entirely: touch() returns false and
+/// insert() is a no-op. The cache decides residency only; the task
+/// switcher counts its hits and misses.
 class ConfigCache {
  public:
   explicit ConfigCache(std::size_t capacity = 0) : capacity_(capacity) {}
@@ -46,13 +31,11 @@ class ConfigCache {
   std::size_t size() const { return mru_.size(); }
   bool enabled() const { return capacity_ > 0; }
 
-  /// Looks `name` up and promotes it to most-recently-used when it is
-  /// resident. Counts a hit when it is resident and `usable` (the caller
-  /// can serve from the staged copy), one miss otherwise; returns whether
-  /// it counted a hit.
-  bool touch(const std::string& name, bool usable = true);
+  /// Promotes `name` to most-recently-used and returns true when it is
+  /// resident; false when it is not, or the cache is disabled.
+  bool touch(const std::string& name);
 
-  /// True when `name` is resident; no promotion, no stats.
+  /// True when `name` is resident; no promotion.
   bool contains(const std::string& name) const;
 
   /// Stages `name` as most-recently-used, evicting the least-recently-
@@ -66,12 +49,9 @@ class ConfigCache {
   /// Entries from most- to least-recently-used (tests and reports).
   const std::vector<std::string>& contents() const { return mru_; }
 
-  const ConfigCacheStats& stats() const { return stats_; }
-
-  /// Snapshottable leaf: entry names in MRU→LRU order, plus the
-  /// lifetime stats, written into the caller's open section. load_state
-  /// replaces the contents (capacity is construction configuration and
-  /// must already match).
+  /// Snapshottable leaf: entry names in MRU→LRU order, written into the
+  /// caller's open section. load_state replaces the contents (capacity
+  /// is construction configuration and must already match).
   void save_state(sim::SnapshotWriter& w) const;
   void load_state(sim::SnapshotReader& r);
 
@@ -81,7 +61,6 @@ class ConfigCache {
 
   std::size_t capacity_;
   std::vector<std::string> mru_;  // front = most recently used
-  ConfigCacheStats stats_;
 };
 
 }  // namespace atlantis::core

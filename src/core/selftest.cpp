@@ -173,9 +173,8 @@ std::string SelfTestReport::to_string() const {
   os << (all_passed() ? "board self-test PASSED" : "board self-test FAILED")
      << ", total " << util::ps_to_ms(total_time()) << " ms\n";
   if (health.total() > 0) {
-    os << "health: " << health.dma_stalls << " dma stalls, "
-       << health.dma_aborts << " dma aborts, " << health.slink_errors
-       << " link errors, " << health.truncated_frames
+    os << "health: " << health.slink_errors << " link errors, "
+       << health.truncated_frames
        << " truncated frames, " << health.retransmissions
        << " retransmissions, " << health.seu_flips << " memory upsets, "
        << health.config_upsets << " config upsets, " << health.crc_failures

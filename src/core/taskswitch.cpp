@@ -35,7 +35,6 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
   }
   last_regions_ = 0;
   if (current_ == name && device_.configured()) {
-    last_time_ = 0;
     return util::Picoseconds{0};  // already resident
   }
   // Bitstream-cache hit: the configuration data is staged in the local
@@ -44,14 +43,18 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
   // without a CRC opportunity. An upset or unconfigured device cannot
   // activate a staged context: the lookup counts as a miss and takes the
   // full reload path below, which repairs it.
-  if (cache_.touch(name, device_.configured() && !device_.upset_pending())) {
-    const util::Picoseconds t =
-        device_.activate(it->second, kCacheHitFraction);
-    current_ = name;
-    ++switches_;
-    total_time_ += t;
-    last_time_ = t;
-    return t;
+  if (cache_.enabled()) {
+    const bool hit = cache_.touch(name) && device_.configured() &&
+                     !device_.upset_pending();
+    ++(hit ? counters_.hits : counters_.misses);
+    if (hit) {
+      const util::Picoseconds t =
+          device_.activate(it->second, kCacheHitFraction);
+      current_ = name;
+      ++counters_.switches;
+      counters_.switch_time += t;
+      return t;
+    }
   }
   util::Picoseconds total = 0;
   for (int attempt = 1;; ++attempt) {
@@ -68,9 +71,9 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
       ok = oc.ok;
       reconfig_retries_ += static_cast<std::uint64_t>(oc.region_retries);
       if (ok) {
-        ++partial_switches_;
-        regions_loaded_ += static_cast<std::uint64_t>(oc.regions_loaded);
-        partial_time_ += t;
+        ++counters_.partials;
+        counters_.regions += static_cast<std::uint64_t>(oc.regions_loaded);
+        counters_.partial_time += t;
         last_regions_ = oc.regions_loaded;
       }
     } else {
@@ -91,9 +94,8 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
     ++reconfig_retries_;
   }
   current_ = name;
-  ++switches_;
-  total_time_ += total;
-  last_time_ = total;
+  ++counters_.switches;
+  counters_.switch_time += total;
   // Both the full load and the differential one leave a complete fresh
   // copy of the configuration staged locally.
   cache_.insert(name);
@@ -102,42 +104,28 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
 
 bool TaskSwitcher::scrub() {
   if (!device_.configured()) return false;
-  ++scrubs_;
   device_.draw_config_upset();  // one SEU opportunity per scrub window
   (void)device_.readback();
+  if (!device_.upset_pending()) return false;
+  // Readback shows a bitstream mismatch: repair it. A region-signed task
+  // re-shifts the upset frame alone and the live design state survives
+  // (reconfigure_diff of the resident bitstream touches only the upset
+  // region); otherwise the current task is reconfigured wholesale.
+  // Either reload is a CRC opportunity; a failure there surfaces via the
+  // next switch_to(), which sees an unconfigured device.
+  const auto it = tasks_.find(current_);
+  if (it == tasks_.end()) return false;
   bool repaired = false;
-  if (device_.upset_pending()) {
-    // Readback shows a bitstream mismatch: repair it. A region-signed
-    // task re-shifts the upset frame alone and the live design state
-    // survives (reconfigure_diff of the resident bitstream touches only
-    // the upset region); otherwise the current task is reconfigured
-    // wholesale. Either reload is a CRC opportunity; a failure there
-    // surfaces via the next switch_to(), which sees an unconfigured
-    // device.
-    const auto it = tasks_.find(current_);
-    if (it != tasks_.end()) {
-      if (diff_applicable(it->second)) {
-        const hw::ReconfigOutcome oc =
-            device_.reconfigure_diff(it->second, policy_.max_attempts);
-        reconfig_retries_ += static_cast<std::uint64_t>(oc.region_retries);
-        if (oc.ok) {
-          repaired = true;
-          ++upsets_corrected_;
-          ++region_scrubs_;
-        } else {
-          current_.clear();
-        }
-      } else {
-        device_.configure(it->second);
-        if (device_.config_crc_ok()) {
-          repaired = true;
-          ++upsets_corrected_;
-        } else {
-          current_.clear();
-        }
-      }
-    }
+  if (diff_applicable(it->second)) {
+    const hw::ReconfigOutcome oc =
+        device_.reconfigure_diff(it->second, policy_.max_attempts);
+    reconfig_retries_ += static_cast<std::uint64_t>(oc.region_retries);
+    repaired = oc.ok;
+  } else {
+    device_.configure(it->second);
+    repaired = device_.config_crc_ok();
   }
+  if (!repaired) current_.clear();
   return repaired;
 }
 
@@ -152,18 +140,17 @@ void TaskSwitcher::walk(Self& self, Stream& s) {
                            "' is not registered on this switcher");
   }
   if constexpr (Stream::kLoading) self.current_ = std::move(current);
-  s.u64(self.switches_);
-  s.i64(self.total_time_);
-  s.i64(self.last_time_);
+  auto& c = self.counters_;
+  s.u64(c.switches);
+  s.i64(c.switch_time);
   s.u64(self.reconfig_retries_);
-  s.u64(self.scrubs_);
-  s.u64(self.upsets_corrected_);
-  s.u64(self.partial_switches_);
-  s.u64(self.regions_loaded_);
-  s.i64(self.partial_time_);
+  s.u64(c.partials);
+  s.u64(c.regions);
+  s.i64(c.partial_time);
   s.i64(self.last_regions_);
-  s.u64(self.region_scrubs_);
   s.state(self.cache_);
+  s.u64(c.hits);
+  s.u64(c.misses);
 }
 
 void TaskSwitcher::save_state(sim::SnapshotWriter& w) const {

@@ -28,13 +28,13 @@
 
 namespace atlantis::core {
 
-/// A switcher's lifetime switch counters as one value. A run reports the
-/// difference of their sums over its boards, taken before and after.
+/// A switcher's lifetime switch and cache counters: the switcher counts
+/// into one, and a run reports the difference of their sums over its
+/// boards, taken before and after.
 struct SwitchCounters {
   std::uint64_t switches = 0;  // switches that moved context or data
-  std::uint64_t hits = 0;      // cache hits
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
+  std::uint64_t hits = 0;      // cache lookups that activated a staged context
+  std::uint64_t misses = 0;    // cache lookups that reloaded
   std::uint64_t partials = 0;  // differential region loads
   std::uint64_t regions = 0;   // frames moved by those loads
   util::Picoseconds switch_time = 0;
@@ -44,14 +44,17 @@ struct SwitchCounters {
   /// full bitstream load; without region signatures this is
   /// switches - hits.
   std::uint64_t full_reconfigs() const { return switches - hits - partials; }
+  /// Hits over cache lookups; 0 when the cache was never consulted.
   double hit_rate() const {
-    return ConfigCacheStats{.hits = hits, .misses = misses}.hit_rate();
+    const std::uint64_t lookups = hits + misses;
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(hits) /
+                              static_cast<double>(lookups);
   }
   SwitchCounters& operator+=(const SwitchCounters& o) {
     switches += o.switches;
     hits += o.hits;
     misses += o.misses;
-    evictions += o.evictions;
     partials += o.partials;
     regions += o.regions;
     switch_time += o.switch_time;
@@ -60,9 +63,9 @@ struct SwitchCounters {
   }
   SwitchCounters operator-(const SwitchCounters& o) const {
     return {switches - o.switches,       hits - o.hits,
-            misses - o.misses,           evictions - o.evictions,
-            partials - o.partials,       regions - o.regions,
-            switch_time - o.switch_time, partial_time - o.partial_time};
+            misses - o.misses,           partials - o.partials,
+            regions - o.regions,         switch_time - o.switch_time,
+            partial_time - o.partial_time};
   }
 };
 
@@ -109,39 +112,25 @@ class TaskSwitcher {
   /// reloading the bitstream — and skips the CRC check, since no
   /// configuration data moved. Only such an activation counts as a cache
   /// hit; on an unconfigured or upset device a staged task is a miss and
-  /// reloads. Capacity 0 (the default) disables the cache; behaviour is
-  /// then bit-identical to the pre-cache switcher.
+  /// reloads. Capacity 0 (the default) disables the cache, and nothing is
+  /// counted as a hit or a miss.
   void enable_cache(std::size_t capacity);
   const ConfigCache& cache() const { return cache_; }
-  const ConfigCacheStats& cache_stats() const { return cache_.stats(); }
   /// Drops every staged configuration (board power loss / drop-out).
   void invalidate_cache() { cache_.clear(); }
-  std::uint64_t cache_hits() const { return cache_.stats().hits; }
-  std::uint64_t cache_misses() const { return cache_.stats().misses; }
 
   const std::string& current() const { return current_; }
-  std::uint64_t switch_count() const { return switches_; }
-  util::Picoseconds total_switch_time() const { return total_time_; }
-  util::Picoseconds last_switch_time() const { return last_time_; }
   std::uint64_t reconfig_retries() const { return reconfig_retries_; }
-  std::uint64_t scrub_count() const { return scrubs_; }
-  std::uint64_t upsets_corrected() const { return upsets_corrected_; }
-
-  /// Differential-path accounting.
-  std::uint64_t partial_switches() const { return partial_switches_; }
-  std::uint64_t regions_loaded() const { return regions_loaded_; }
-  util::Picoseconds partial_switch_time() const { return partial_time_; }
-  /// The switch and cache counters above, as one value.
-  SwitchCounters counters() const {
-    const ConfigCacheStats& c = cache_.stats();
-    return {switches_,         c.hits,          c.misses,    c.evictions,
-            partial_switches_, regions_loaded_, total_time_, partial_time_};
-  }
+  /// Lifetime switch and cache counters, and one-line reads of them.
+  const SwitchCounters& counters() const { return counters_; }
+  std::uint64_t switch_count() const { return counters_.switches; }
+  util::Picoseconds total_switch_time() const { return counters_.switch_time; }
+  std::uint64_t cache_hits() const { return counters_.hits; }
+  std::uint64_t cache_misses() const { return counters_.misses; }
+  std::uint64_t partial_switches() const { return counters_.partials; }
+  std::uint64_t regions_loaded() const { return counters_.regions; }
   /// Regions moved by the most recent switch (0: full or cached).
   int last_regions_loaded() const { return last_regions_; }
-  /// Upsets repaired by a single-frame region scrub (subset of
-  /// upsets_corrected()).
-  std::uint64_t region_scrubs() const { return region_scrubs_; }
 
   /// Snapshottable leaf, written into the caller's open section: the
   /// current task, every lifetime counter and the staged-bitstream
@@ -160,17 +149,9 @@ class TaskSwitcher {
   hw::FpgaDevice& device_;
   std::map<std::string, hw::Bitstream> tasks_;
   std::string current_;
-  std::uint64_t switches_ = 0;
-  util::Picoseconds total_time_ = 0;
-  util::Picoseconds last_time_ = 0;
+  SwitchCounters counters_;
   std::uint64_t reconfig_retries_ = 0;
-  std::uint64_t scrubs_ = 0;
-  std::uint64_t upsets_corrected_ = 0;
-  std::uint64_t partial_switches_ = 0;
-  std::uint64_t regions_loaded_ = 0;
-  util::Picoseconds partial_time_ = 0;
   int last_regions_ = 0;
-  std::uint64_t region_scrubs_ = 0;
   ConfigCache cache_;
   sim::RetryPolicy policy_;
 };

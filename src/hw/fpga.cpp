@@ -225,10 +225,7 @@ ReconfigOutcome FpgaDevice::load_regions(int regions,
         break;
       }
       ++crc_failures_;
-      if (attempt < max_region_attempts) {
-        ++region_crc_retries_;
-        ++outcome.region_retries;
-      }
+      if (attempt < max_region_attempts) ++outcome.region_retries;
     }
     if (!loaded) {
       // Retry budget exhausted on this frame: the device asserts INIT
@@ -242,7 +239,6 @@ ReconfigOutcome FpgaDevice::load_regions(int regions,
     ++outcome.regions_loaded;
   }
   crc_ok_ = true;
-  regions_loaded_ += static_cast<std::uint64_t>(outcome.regions_loaded);
   return outcome;
 }
 
@@ -291,7 +287,6 @@ ReconfigOutcome FpgaDevice::reconfigure_diff(const Bitstream& bs,
       load_regions(static_cast<int>(changed.size()), max_region_attempts,
                    comparable);
   if (!outcome.ok) return outcome;
-  ++partial_reconfigs_;
   upset_pending_ = false;
   upset_region_ = -1;
   install(bs);
@@ -313,7 +308,6 @@ ReconfigOutcome FpgaDevice::self_reconfigure_region(int region,
   // configuration data. The design (and its live state) stays put.
   ReconfigOutcome outcome = load_regions(1, max_region_attempts, true);
   if (!outcome.ok) return outcome;
-  ++self_reconfigs_;
   if (upset_pending_ && upset_region_ == region) {
     upset_pending_ = false;
     upset_region_ = -1;
@@ -366,10 +360,6 @@ void FpgaDevice::save_state(sim::SnapshotWriter& w) const {
   w.put_i64(upset_region_);
   w.put_u64(crc_failures_);
   w.put_u64(config_upsets_);
-  w.put_u64(partial_reconfigs_);
-  w.put_u64(regions_loaded_);
-  w.put_u64(region_crc_retries_);
-  w.put_u64(self_reconfigs_);
   w.put_bool(sim_ != nullptr);
   if (sim_) sim_->save_state(w);
 }
@@ -383,10 +373,6 @@ void FpgaDevice::load_state(sim::SnapshotReader& r) {
   const int upset_region = static_cast<int>(r.get_i64());
   const std::uint64_t crc_failures = r.get_u64();
   const std::uint64_t config_upsets = r.get_u64();
-  const std::uint64_t partial_reconfigs = r.get_u64();
-  const std::uint64_t regions_loaded = r.get_u64();
-  const std::uint64_t region_crc_retries = r.get_u64();
-  const std::uint64_t self_reconfigs = r.get_u64();
   const bool has_sim = r.get_bool();
   // State restores onto configuration data, it does not carry it: when
   // the snapshot holds live design state (a simulator), the device must
@@ -413,10 +399,6 @@ void FpgaDevice::load_state(sim::SnapshotReader& r) {
   upset_region_ = upset_region;
   crc_failures_ = crc_failures;
   config_upsets_ = config_upsets;
-  partial_reconfigs_ = partial_reconfigs;
-  regions_loaded_ = regions_loaded;
-  region_crc_retries_ = region_crc_retries;
-  self_reconfigs_ = self_reconfigs;
   if (has_sim) {
     sim_->load_state(r);
   } else {

@@ -211,7 +211,7 @@ class FpgaDevice {
 
   /// Snapshottable leaf, written into the caller's open section: the
   /// resident configuration (design name, region signatures, CRC/upset
-  /// flags), the lifetime reconfiguration counters, and — when the
+  /// flags), the health-page counters, and — when the
   /// resident bitstream carried a design — the live simulator's complete
   /// state inline. load_state restores configuration *state*, not
   /// configuration *data*: the caller must have configured the device
@@ -221,13 +221,10 @@ class FpgaDevice {
   void save_state(sim::SnapshotWriter& w) const;
   void load_state(sim::SnapshotReader& r);
 
+  /// Health-page counters. What a load moved and retried is returned in
+  /// its ReconfigOutcome and counted by the caller that asked for it.
   std::uint64_t crc_failures() const { return crc_failures_; }
   std::uint64_t config_upsets() const { return config_upsets_; }
-  /// Differential-path lifetime counters.
-  std::uint64_t partial_reconfigs() const { return partial_reconfigs_; }
-  std::uint64_t regions_loaded() const { return regions_loaded_; }
-  std::uint64_t region_crc_retries() const { return region_crc_retries_; }
-  std::uint64_t self_reconfigs() const { return self_reconfigs_; }
 
  private:
   void check_fit(const chdl::NetlistStats& stats) const;
@@ -253,10 +250,6 @@ class FpgaDevice {
   int upset_region_ = -1;
   std::uint64_t crc_failures_ = 0;
   std::uint64_t config_upsets_ = 0;
-  std::uint64_t partial_reconfigs_ = 0;
-  std::uint64_t regions_loaded_ = 0;
-  std::uint64_t region_crc_retries_ = 0;
-  std::uint64_t self_reconfigs_ = 0;
   sim::FaultInjector* injector_ = nullptr;
   std::string fault_site_;
 };

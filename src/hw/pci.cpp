@@ -49,14 +49,8 @@ std::optional<sim::FaultKind> Plx9080::draw_dma_fault() {
       injector_->draw(sim::FaultKind::kDmaStall, fault_site_).has_value();
   const bool abort =
       injector_->draw(sim::FaultKind::kDmaAbort, fault_site_).has_value();
-  if (stall) {
-    ++dma_stalls_;
-    return sim::FaultKind::kDmaStall;
-  }
-  if (abort) {
-    ++dma_aborts_;
-    return sim::FaultKind::kDmaAbort;
-  }
+  if (stall) return sim::FaultKind::kDmaStall;
+  if (abort) return sim::FaultKind::kDmaAbort;
   return std::nullopt;
 }
 

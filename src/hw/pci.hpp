@@ -103,12 +103,9 @@ class Plx9080 {
   /// One DMA fault opportunity: draws stall and abort (both streams
   /// advance every transfer; a stall takes precedence when both fire).
   /// Returns the fault kind that fired, nullopt on a clean transfer or
-  /// when no injector is attached.
+  /// when no injector is attached. The caller counts the faults it saw
+  /// (AtlantisDriver::dma_faults).
   std::optional<sim::FaultKind> draw_dma_fault();
-
-  /// DMA fault status counters, mirroring the chip's DMA status bits.
-  std::uint64_t dma_stalls() const { return dma_stalls_; }
-  std::uint64_t dma_aborts() const { return dma_aborts_; }
 
   // --- timeline binding ------------------------------------------------
   /// Binds the bridge to the crate timeline. `segment` is the shared
@@ -142,15 +139,11 @@ class Plx9080 {
   static void walk(Self& self, Stream& s) {
     s.u64(self.total_bytes_);
     s.i64(self.total_time_);
-    s.u64(self.dma_stalls_);
-    s.u64(self.dma_aborts_);
   }
 
   PciParams params_;
   std::uint64_t total_bytes_ = 0;
   util::Picoseconds total_time_ = 0;
-  std::uint64_t dma_stalls_ = 0;
-  std::uint64_t dma_aborts_ = 0;
   sim::Timeline* timeline_ = nullptr;
   sim::ResourceId segment_;
   sim::FaultInjector* injector_ = nullptr;

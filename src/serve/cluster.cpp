@@ -433,11 +433,9 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   report_.p999_latency =
       static_cast<util::Picoseconds>(latency.quantile(0.999));
 
-  core::SwitchCounters ran;  // over every live shard
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = shards_[i];
     if (s.retired) continue;
-    const core::SwitchCounters d = s.service->switch_counters() - before[i];
     const Tally& t = tally[i];
     ShardStats stats;
     stats.shard = static_cast<int>(i);
@@ -446,13 +444,10 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
     s.admitted_window = 0;
     stats.served = t.served;
     stats.failed = t.failed;
-    stats.task_switches = d.switches;
-    stats.full_reconfigs = d.full_reconfigs();
-    stats.partial_reconfigs = d.partials;
-    stats.cache_hit_rate = d.hit_rate();
+    stats.switching = s.service->switch_counters() - before[i];
     stats.makespan = t.makespan;
     report_.shards.push_back(stats);
-    ran += d;
+    report_.switching += stats.switching;
 
     // SLO admission feedback: EWMA of this window's mean service time.
     if (t.served > 0) {
@@ -462,12 +457,6 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
           s.ewma_service == 0 ? mean : (s.ewma_service + mean) / 2;
     }
   }
-  report_.task_switches = ran.switches;
-  report_.full_reconfigs = ran.full_reconfigs();
-  report_.partial_reconfigs = ran.partials;
-  report_.cache_hits = ran.hits;
-  report_.cache_misses = ran.misses;
-  report_.cache_hit_rate = ran.hit_rate();
   return report_;
 }
 

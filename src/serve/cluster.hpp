@@ -108,10 +108,7 @@ struct ShardStats {
   std::uint64_t admitted = 0;  // jobs homed here this window
   std::uint64_t served = 0;
   std::uint64_t failed = 0;
-  std::uint64_t task_switches = 0;
-  std::uint64_t full_reconfigs = 0;
-  std::uint64_t partial_reconfigs = 0;
-  double cache_hit_rate = 0.0;
+  core::SwitchCounters switching;  // this shard's, over the window
   util::Picoseconds makespan = 0;
 };
 
@@ -127,12 +124,7 @@ struct ClusterReport {
   std::uint64_t failed = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t drained = 0;  // jobs re-homed by remove_shard
-  std::uint64_t task_switches = 0;
-  std::uint64_t full_reconfigs = 0;
-  std::uint64_t partial_reconfigs = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  double cache_hit_rate = 0.0;
+  core::SwitchCounters switching;  // summed over the live shards
   /// Max over shards (shards run concurrently in the model — each
   /// crate has its own timeline).
   util::Picoseconds makespan = 0;

@@ -262,17 +262,7 @@ const ServiceReport& JobService::run(const RunOptions& options) {
     run_preemptive(options);
   }
 
-  const core::SwitchCounters ran = switch_counters() - before;
-  report_.task_switches = ran.switches;
-  report_.full_reconfigs = ran.full_reconfigs();
-  report_.partial_reconfigs = ran.partials;
-  report_.regions_loaded = ran.regions;
-  report_.cache_hits = ran.hits;
-  report_.cache_misses = ran.misses;
-  report_.cache_evictions = ran.evictions;
-  report_.cache_hit_rate = ran.hit_rate();
-  report_.reconfig_time = ran.switch_time;
-  report_.partial_reconfig_time = ran.partial_time;
+  report_.switching = switch_counters() - before;
   finalize_report();
   return report_;
 }
@@ -822,11 +812,16 @@ void JobService::finalize_report() {
   for (const JobId id : run_ids_) {
     const JobRecord& rec = records_[id];
     TenantSamples& t = tenant_samples_[rec.tenant];
-    if (rec.error != util::ErrorCode::kOk || !rec.outcome.ok) {
+    const bool failed = rec.error != util::ErrorCode::kOk || !rec.outcome.ok;
+    if (failed) {
       ++t.failed;
       if (rec.board < 0) continue;  // never dispatched: no timing sample
     }
     t.waits.push_back(static_cast<double>(rec.queue_wait));
+    // resolve() stamps finish only on a job that produced an outcome; one
+    // that failed before (its input DMA, or a dead crate) has no service
+    // time.
+    if (failed && rec.finish == 0) continue;
     t.services.push_back(static_cast<double>(rec.finish - rec.start));
     report_.makespan = std::max(report_.makespan, rec.finish);
   }
@@ -846,6 +841,8 @@ void JobService::finalize_report() {
       t.p99_wait =
           static_cast<util::Picoseconds>(util::percentile_sorted(w, 0.99));
       t.max_wait = static_cast<util::Picoseconds>(w.back());
+    }
+    if (!samples.services.empty()) {
       double sum = 0.0;
       for (const double v : samples.services) sum += v;
       t.mean_service = static_cast<util::Picoseconds>(

@@ -78,16 +78,8 @@ struct ServiceReport {
   std::uint64_t served = 0;
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;
-  std::uint64_t task_switches = 0;   // switches that moved context or data
-  std::uint64_t full_reconfigs = 0;  // full bitstream loads (cache misses)
-  std::uint64_t partial_reconfigs = 0;  // differential region loads
-  std::uint64_t regions_loaded = 0;     // frames moved by those loads
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  double cache_hit_rate = 0.0;
-  util::Picoseconds reconfig_time = 0;
-  util::Picoseconds partial_reconfig_time = 0;  // subset of reconfig_time
+  /// The run's switch and cache counters, summed over the boards.
+  core::SwitchCounters switching;
   util::Picoseconds makespan = 0;  // latest job finish (modelled)
   double jobs_per_second = 0.0;    // served / makespan
   std::uint64_t preemptions = 0;      // slice preemptions this run

@@ -127,7 +127,6 @@ std::optional<FaultHit> FaultInjector::draw(FaultKind kind,
     }
   }
   if (!fire) return std::nullopt;
-  ++injected_[static_cast<std::size_t>(kind)];
   log_.push_back(FaultRecord{kind, site, st.opportunities, param});
   return FaultHit{param};
 }
@@ -136,16 +135,6 @@ std::uint64_t FaultInjector::opportunities(FaultKind kind,
                                            const std::string& site) const {
   const auto it = sites_.find(SiteKey{static_cast<int>(kind), site});
   return it == sites_.end() ? 0 : it->second.opportunities;
-}
-
-std::uint64_t FaultInjector::injected(FaultKind kind) const {
-  return injected_[static_cast<std::size_t>(kind)];
-}
-
-std::uint64_t FaultInjector::injected_total() const {
-  std::uint64_t total = 0;
-  for (const std::uint64_t n : injected_) total += n;
-  return total;
 }
 
 template <typename Self, typename Stream>
@@ -159,7 +148,6 @@ void FaultInjector::walk(Self& self, Stream& s) {
       s.u64(sf.nth);
       s.u64(sf.param);
     });
-    for (auto& n : self.injected_) s.u64(n);
     s.seq64(self.log_, [&](auto& rec) {
       s.u8(rec.kind);
       s.string(rec.site);

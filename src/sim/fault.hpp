@@ -142,15 +142,15 @@ class FaultInjector : public Snapshottable {
   /// consume that stream's RNG exactly once per opportunity.
   std::optional<FaultHit> draw(FaultKind kind, const std::string& site);
 
-  /// Counters and the replay log.
+  /// Opportunities drawn at one (kind, site).
   std::uint64_t opportunities(FaultKind kind, const std::string& site) const;
-  std::uint64_t injected(FaultKind kind) const;
-  std::uint64_t injected_total() const;
+  /// The replay log: one record per injected fault, in draw order, so
+  /// log().size() is the injected total.
   const std::vector<FaultRecord>& log() const { return log_; }
 
   /// Snapshottable: the complete injector — plan (seed, rates, scheduled
   /// faults), per-(kind, site) opportunity counters and RNG stream
-  /// positions, injected tallies and the replay log — under a
+  /// positions and the replay log — under a
   /// "sim/fault" section. A restored injector continues the exact fault
   /// tail the saved one would have produced.
   void save_state(SnapshotWriter& w) const override;
@@ -169,7 +169,6 @@ class FaultInjector : public Snapshottable {
 
   FaultPlan plan_;
   std::map<SiteKey, SiteState> sites_;
-  std::array<std::uint64_t, kFaultKindCount> injected_{};
   std::vector<FaultRecord> log_;
 };
 

@@ -87,10 +87,13 @@ static_assert(std::endian::native == std::endian::little,
               "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
-// Major 4: the SDRAM's board bytes dropped the ECC counter, an AIB no
-// longer registers its four channel resources in "sim/timeline", and a
-// ledger record's job kind byte counts two fewer kinds (kCustom is 2).
-inline constexpr std::uint16_t kSnapshotMajor = 4;
+// Major 5: every event is counted once, by the component that decides
+// it. A board's PLX drops its DMA stall and abort counts and each FPGA
+// its four reconfiguration counts; a task switcher drops its last-switch
+// time and scrub counts and takes over the cache's hits and misses; the
+// cache keeps only its entries; "sim/fault" drops the per-kind injected
+// tallies its log already holds.
+inline constexpr std::uint16_t kSnapshotMajor = 5;
 inline constexpr std::uint16_t kSnapshotMinor = 0;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.

@@ -15,6 +15,14 @@ VoxelMemory::VoxelMemory(const Volume& vol, hw::SdramConfig cfg)
                  "a trilinear neighbourhood needs 2 voxels on every axis");
   half_nx_ = (nx_ + 1) / 2;
   half_ny_ = (ny_ + 1) / 2;
+  // The highest parity address sits at the far corner; its bank row and
+  // the seven rows interleaved beside it must lie inside the SDRAM.
+  const std::int64_t last_addr =
+      static_cast<std::int64_t>((nz_ + 1) / 2) * half_ny_ * half_nx_ - 1;
+  const std::int64_t last_row = last_addr / cfg.row_bytes;
+  ATLANTIS_CHECK((last_row + 1) * cfg.banks * cfg.row_bytes <=
+                     cfg.capacity_bytes,
+                 "the volume does not fit the SDRAM");
 }
 
 void VoxelMemory::reset() {

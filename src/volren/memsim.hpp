@@ -21,8 +21,9 @@ namespace atlantis::volren {
 /// open rows and the hit counters.
 class VoxelMemory {
  public:
-  /// Needs 8 banks (one per neighbourhood corner) and at least 2 voxels
-  /// on every axis (a trilinear neighbourhood spans two).
+  /// Needs 8 banks (one per neighbourhood corner), at least 2 voxels on
+  /// every axis (a trilinear neighbourhood spans two), and an SDRAM large
+  /// enough for every bank row the volume reaches.
   VoxelMemory(const Volume& vol, hw::SdramConfig cfg = {});
 
   /// Accounts one trilinear sample at a continuous position; returns the

@@ -11,7 +11,6 @@ TEST(Aib, BoardShape) {
   EXPECT_EQ(AibBoard::kChannelCount, 4);
   EXPECT_EQ(aib.fpga(0).family().name, "Virtex XCV600");
   EXPECT_THROW(aib.fpga(2), util::Error);
-  EXPECT_THROW(aib.channel(4), util::Error);
 }
 
 TEST(Aib, ChannelBandwidthMatchesPaper) {

@@ -49,7 +49,7 @@ TEST(FaultRecovery, EmptyPlanIsBitIdenticalToNoInjector) {
   const auto bound = run(&idle);
   EXPECT_EQ(bare.first, bound.first);
   EXPECT_EQ(bare.second, bound.second);
-  EXPECT_EQ(idle.injected_total(), 0u);
+  EXPECT_TRUE(idle.log().empty());
   EXPECT_GT(idle.opportunities(sim::FaultKind::kDmaStall, "pci/acb0"), 0u);
 }
 
@@ -161,11 +161,10 @@ TEST(FaultRecovery, ScrubRepairsConfigurationUpset) {
   sw.add_task(make_task("trt"));
   ASSERT_TRUE(sw.switch_to("trt").ok());
   EXPECT_TRUE(sw.scrub());  // the scheduled upset, found and repaired
-  EXPECT_EQ(sw.upsets_corrected(), 1u);
   EXPECT_EQ(dev.config_upsets(), 1u);
   EXPECT_FALSE(dev.upset_pending());
   EXPECT_FALSE(sw.scrub());  // clean window
-  EXPECT_EQ(sw.scrub_count(), 2u);
+  EXPECT_EQ(inj.opportunities(sim::FaultKind::kSeuConfig, "fpga/orca"), 2u);
   EXPECT_EQ(sw.current(), "trt");
 }
 

@@ -155,11 +155,12 @@ TEST(JobService, BatchingAndCacheBeatReconfigurePerJob) {
   const RunResult b = run_workload(1, nullptr, batched, /*board_count=*/1);
   EXPECT_EQ(n.report.served, 24u);
   EXPECT_EQ(b.report.served, 24u);
-  EXPECT_LT(b.report.full_reconfigs, n.report.full_reconfigs);
-  EXPECT_LT(b.report.reconfig_time, n.report.reconfig_time);
+  EXPECT_LT(b.report.switching.full_reconfigs(),
+            n.report.switching.full_reconfigs());
+  EXPECT_LT(b.report.switching.switch_time, n.report.switching.switch_time);
   EXPECT_LT(b.report.makespan, n.report.makespan);
   EXPECT_GT(b.report.jobs_per_second, n.report.jobs_per_second);
-  EXPECT_GT(b.report.cache_hits + b.report.cache_misses, 0u);
+  EXPECT_GT(b.report.switching.hits + b.report.switching.misses, 0u);
 }
 
 TEST(JobService, AdmissionControlRefusesOverload) {
@@ -267,6 +268,39 @@ TEST(JobService, TenantStatsAndQueueWaitTracks) {
   // Queue waits were posted on per-tenant tracks.
   EXPECT_NE(rr.schedule.find("queue_wait"), std::string::npos);
   EXPECT_NE(rr.schedule.find("tenant/atlas"), std::string::npos);
+}
+
+TEST(JobService, JobFailedBeforeItsResultAddsNoServiceTime) {
+  // The first job's input DMA stalls on all four attempts, so it fails
+  // after dispatch without a result; it keeps its queue-wait sample but
+  // must not add a service time to its tenant's mean.
+  sim::FaultPlan plan;
+  for (std::uint64_t nth = 1; nth <= 4; ++nth) {
+    plan.inject(sim::FaultKind::kDmaStall, "pci/acb0", nth);
+  }
+  sim::FaultInjector injector(plan);
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  sys.set_fault_injector(&injector);
+  {
+    serve::ServeOptions options;
+    options.policy = serve::Policy::kPreemptive;
+    serve::JobService service(sys, options);
+    service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
+    for (int i = 0; i < 2; ++i) {
+      (void)service.submit(custom_job("atlas", "alpha", i, 0)).value();
+    }
+    const serve::ServiceReport& rep = service.run();
+    EXPECT_EQ(rep.failed, 1u);
+    EXPECT_EQ(service.job(0).error, util::ErrorCode::kRetriesExhausted);
+    const serve::JobRecord& served = service.job(1);
+    ASSERT_EQ(served.error, util::ErrorCode::kOk);
+    ASSERT_EQ(rep.tenants.size(), 1u);
+    EXPECT_EQ(rep.tenants[0].jobs, 2u);
+    EXPECT_EQ(rep.tenants[0].failed, 1u);
+    EXPECT_EQ(rep.tenants[0].mean_service, served.finish - served.start);
+  }
+  sys.set_fault_injector(nullptr);
 }
 
 TEST(ConfigQueues, EmptiedQueuesStayInvisible) {
@@ -411,12 +445,14 @@ TEST(JobService, DifferentialPathMatchesFullPathResults) {
   EXPECT_EQ(f.report.failed, d.report.failed);
 
   // But the differential runs paid frames, not bitstreams.
-  EXPECT_EQ(f.report.partial_reconfigs, 0u);
-  EXPECT_GT(d.report.partial_reconfigs, 0u);
-  EXPECT_GT(d.report.regions_loaded, 0u);
-  EXPECT_GT(d.report.partial_reconfig_time, 0);
-  EXPECT_LE(d.report.partial_reconfig_time, d.report.reconfig_time);
-  EXPECT_LT(d.report.reconfig_time, f.report.reconfig_time);
+  const core::SwitchCounters& fs = f.report.switching;
+  const core::SwitchCounters& ds = d.report.switching;
+  EXPECT_EQ(fs.partials, 0u);
+  EXPECT_GT(ds.partials, 0u);
+  EXPECT_GT(ds.regions, 0u);
+  EXPECT_GT(ds.partial_time, 0);
+  EXPECT_LE(ds.partial_time, ds.switch_time);
+  EXPECT_LT(ds.switch_time, fs.switch_time);
   EXPECT_LT(d.report.makespan, f.report.makespan);
 }
 

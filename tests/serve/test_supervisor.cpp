@@ -2,8 +2,9 @@
 // checkpoint that holds every job the service has accepted, including
 // jobs submitted between two Supervisor::run() calls, and roll the
 // timeline's log back with it. A drain to a spare that refuses some
-// jobs still resolves every one of them. And the report carries the
-// breakers' open and half-open tallies.
+// jobs still resolves every one of them. The report carries the
+// breakers' open and half-open tallies, and every tally of a faulted,
+// supervised crate is pinned exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,8 +12,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/system.hpp"
+#include "hw/fpga.hpp"
 #include "serve/jobservice.hpp"
 #include "serve/supervisor.hpp"
 #include "sim/fault.hpp"
@@ -266,6 +269,117 @@ TEST(Supervisor, MttrAndRecoveriesHoldAcrossRuns) {
   EXPECT_EQ(twice.recoveries, 1u);
   EXPECT_GT(twice.downtime, once.downtime);
   EXPECT_EQ(twice.mttr, twice.downtime);
+}
+
+TEST(Supervisor, FaultedCrateTalliesArePinned) {
+  // Every tally of a supervised crate under DMA stalls, configuration
+  // CRC failures and configuration upsets plus one service crash, pinned
+  // exactly: a counter that changes owner must keep its value. Served
+  // in submission order, the jobs cycle through three region-signed
+  // configurations that share all but four frames each, and a two-entry
+  // cache cannot stage all three, so most switches load regions.
+  sim::FaultPlan plan;
+  plan.seed = 20261019;
+  plan.with_rate(sim::FaultKind::kDmaStall, 0.03)
+      .with_rate(sim::FaultKind::kConfigCrc, 0.01)
+      .with_rate(sim::FaultKind::kSeuConfig, 0.30);
+  plan.inject(sim::FaultKind::kServiceCrash, "serve/crate", 40);
+  sim::FaultInjector injector(plan);
+  core::AtlantisSystem sys("crate");
+  sys.add_acb("acb0");
+  sys.add_acb("acb1");
+  sys.set_fault_injector(&injector);
+  {
+    serve::ServeOptions serve_options;
+    serve_options.max_batch = 1;
+    serve_options.cache_capacity = 2;
+    serve_options.fifo_order = true;
+    serve::JobService service(sys, serve_options);
+    const std::vector<std::uint64_t> shared =
+        hw::make_region_signatures("shared", 32);
+    const std::string configs[] = {"trt", "conv", "sobel"};
+    for (int c = 0; c < 3; ++c) {
+      hw::Bitstream bs{configs[c], {}, nullptr, shared};
+      hw::stamp_regions(bs.region_sigs, configs[c], 4 * c, 4 * c + 4);
+      service.register_config(bs);
+    }
+    serve::Supervisor supervisor(service);
+    for (int i = 0; i < 300; ++i) {
+      serve::JobSpec job = make_job(i);
+      job.config = configs[i % 3];
+      (void)service.submit(std::move(job)).value();
+    }
+    const serve::SupervisorReport& rep = supervisor.run();
+    EXPECT_EQ(service.pending(), 0u);
+
+    EXPECT_EQ(rep.ticks, 150u);
+    EXPECT_EQ(rep.checkpoints, 19u);
+    EXPECT_EQ(rep.crashes, 1u);
+    EXPECT_EQ(rep.restores, 1u);
+    EXPECT_EQ(rep.quarantines, 12u);
+    EXPECT_EQ(rep.readmissions, 12u);
+    EXPECT_EQ(rep.repairs, 0u);
+    EXPECT_EQ(rep.scrubs, 62u);
+    EXPECT_EQ(rep.job_retries, 0u);
+    EXPECT_EQ(rep.drained_jobs, 0u);
+    EXPECT_EQ(rep.breaker_opens, 3u);
+    EXPECT_EQ(rep.breaker_half_opens, 3u);
+    EXPECT_EQ(rep.elapsed, 808146973980);
+    EXPECT_EQ(rep.downtime, 288050200940);
+    EXPECT_EQ(rep.mttr, 24004183411);
+    EXPECT_EQ(rep.recoveries, 12u);
+
+    struct BoardTallies {
+      std::uint64_t switches, hits, misses, partials, regions;
+      util::Picoseconds switch_time, partial_time;
+      std::uint64_t reconfig_retries, dma_faults, dma_retries, config_retries;
+      std::uint64_t slink_errors, truncated_frames, retransmissions,
+          seu_flips, config_upsets, crc_failures;
+    };
+    const BoardTallies want[] = {
+        {133, 8, 125, 124, 992, 608852000000, 587758000000, 11, 5, 5, 0, 0, 0,
+         0, 0, 11, 11},
+        {163, 18, 145, 144, 1152, 706128000000, 682104000000, 12, 7, 7, 0, 0,
+         0, 0, 0, 5, 12},
+    };
+    const std::vector<core::SelfTestHealth> pages = sys.probe_health();
+    std::uint64_t partials = 0;
+    std::uint64_t dma_faults = 0;
+    for (int b = 0; b < 2; ++b) {
+      SCOPED_TRACE("board " + std::to_string(b));
+      const BoardTallies& w = want[b];
+      const core::SwitchCounters c = service.switcher(b).counters();
+      EXPECT_EQ(c.switches, w.switches);
+      EXPECT_EQ(c.hits, w.hits);
+      EXPECT_EQ(c.misses, w.misses);
+      EXPECT_EQ(c.partials, w.partials);
+      EXPECT_EQ(c.regions, w.regions);
+      EXPECT_EQ(c.switch_time, w.switch_time);
+      EXPECT_EQ(c.partial_time, w.partial_time);
+      EXPECT_EQ(service.switcher(b).reconfig_retries(), w.reconfig_retries);
+      const core::AtlantisDriver& drv = service.driver(b);
+      EXPECT_EQ(drv.dma_faults(), w.dma_faults);
+      EXPECT_EQ(drv.dma_retries(), w.dma_retries);
+      EXPECT_EQ(drv.config_retries(), w.config_retries);
+      const core::SelfTestHealth& h = pages[static_cast<std::size_t>(b)];
+      EXPECT_EQ(h.slink_errors, w.slink_errors);
+      EXPECT_EQ(h.truncated_frames, w.truncated_frames);
+      EXPECT_EQ(h.retransmissions, w.retransmissions);
+      EXPECT_EQ(h.seu_flips, w.seu_flips);
+      EXPECT_EQ(h.config_upsets, w.config_upsets);
+      EXPECT_EQ(h.crc_failures, w.crc_failures);
+      partials += c.partials;
+      dma_faults += drv.dma_faults();
+    }
+    EXPECT_EQ(injector.log().size(), 52u);
+
+    // The run exercised every path the tallies above count.
+    EXPECT_GT(rep.scrubs, 0u);
+    EXPECT_GT(partials, 0u);
+    EXPECT_GT(dma_faults, 0u);
+    EXPECT_EQ(rep.restores, 1u);
+  }
+  sys.set_fault_injector(nullptr);
 }
 
 }  // namespace

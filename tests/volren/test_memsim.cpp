@@ -92,6 +92,13 @@ TEST(VoxelMemory, RejectsShapesTheInterleaveCannotHold) {
   hw::SdramConfig four_banks;
   four_banks.banks = 4;
   EXPECT_THROW(VoxelMemory(Volume(16, 16, 16), four_banks), util::Error);
+  // ...and every bank row the volume reaches must lie inside the SDRAM:
+  // 64 x 64 x 32 voxels per bank fill 64 rows of 2 KiB in each of the 8
+  // banks, 1 MiB, so a 64 KiB part is refused at construction.
+  hw::SdramConfig small;
+  small.capacity_bytes = 64 * 1024;
+  EXPECT_THROW(VoxelMemory(Volume(128, 128, 64), small), util::Error);
+  EXPECT_NO_THROW(VoxelMemory(Volume(8, 8, 8), small));
   EXPECT_NO_THROW(VoxelMemory(Volume(2, 2, 2)));
 }
 
