@@ -114,6 +114,8 @@ struct Row {
   std::uint64_t cycles = 0;
   std::uint64_t comp_evals = 0;  // per round (identical across rounds)
   std::size_t tape_ops = 0;
+  std::int32_t regions = 0;  // threaded engine's region plan shape
+  std::int32_t max_level = 0;
   OptimizeReport opt;  // empty when the optimizer is off
   bool optimized = false;
   bool consistent = true;  // every round observed the same results
@@ -135,6 +137,8 @@ void run_round(const Core& core, const Config& config, Row& row) {
   row.cycles = cycles;
   row.comp_evals = sim.activity().comp_evals;
   row.tape_ops = sim.tape_ops();
+  row.regions = sim.region_plan().region_count();
+  row.max_level = sim.region_plan().max_level;
   if (sim.optimize_report() != nullptr) {
     row.opt = *sim.optimize_report();
     row.optimized = true;
@@ -345,8 +349,12 @@ int main() {
            << ", \"cps_q1\": " << r.quantile(0.25)
            << ", \"cps_q3\": " << r.quantile(0.75)
            << ", \"evals\": " << r.comp_evals
-           << ", \"tape_ops\": " << r.tape_ops
-           << ", \"optimized\": " << (r.optimized ? "true" : "false") << "}"
+           << ", \"tape_ops\": " << r.tape_ops;
+      if (k != kFull) {
+        json << ", \"regions\": " << r.regions
+             << ", \"max_level\": " << r.max_level;
+      }
+      json << ", \"optimized\": " << (r.optimized ? "true" : "false") << "}"
            << (k + 1 < std::size(kConfigs) ? ",\n" : "\n");
     }
     json << "  ]},\n";

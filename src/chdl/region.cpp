@@ -43,19 +43,37 @@ RegionPlan build_region_plan(const RegionGraph& graph) {
   std::vector<std::int32_t> tail;
   std::vector<std::int32_t> size;
   std::vector<std::int32_t> level;
+  // Per wire: the region of the op placed last among its readers.
+  std::vector<std::int32_t> last_reader(n_wires, -1);
   for (std::int32_t t = 0; t < n_ops; ++t) {
-    // Chain rule: join the producer's region if that producer is still
-    // the region tail and this op is its only tape consumer.
+    const auto ins = inputs(t);
+    // Rule 1 (region.hpp): chain onto the deepest producing tail whose
+    // only tape consumer is this op.
     std::int32_t target = -1;
-    for (const std::int32_t w : inputs(t)) {
+    for (const std::int32_t w : ins) {
       const std::int32_t p = producer[static_cast<std::size_t>(w)];
       if (p < 0 || sole_consumer[static_cast<std::size_t>(w)] != t) continue;
       const auto r = static_cast<std::size_t>(
           plan.op_region[static_cast<std::size_t>(p)]);
-      if (tail[r] == p && size[r] < kMaxRegionOps) {
+      if (tail[r] == p && size[r] < kMaxRegionOps &&
+          (target < 0 ||
+           level[r] > level[static_cast<std::size_t>(target)])) {
         target = static_cast<std::int32_t>(r);
-        break;
       }
+    }
+    // Rule 2 (region.hpp): join the region that last read every input,
+    // if its tail feeds no tape op.
+    const std::int32_t reader =
+        ins.empty() ? -1 : last_reader[static_cast<std::size_t>(ins[0])];
+    if (target < 0 && reader >= 0 &&
+        size[static_cast<std::size_t>(reader)] < kMaxRegionOps &&
+        sole_consumer[static_cast<std::size_t>(graph.out_wire[
+            static_cast<std::size_t>(tail[static_cast<std::size_t>(
+                reader)])])] == -1 &&
+        std::all_of(ins.begin(), ins.end(), [&](std::int32_t w) {
+          return last_reader[static_cast<std::size_t>(w)] == reader;
+        })) {
+      target = reader;
     }
     if (target < 0) {
       target = static_cast<std::int32_t>(tail.size());
@@ -70,7 +88,8 @@ RegionPlan build_region_plan(const RegionGraph& graph) {
     // Region level: one past every producing region. Producing regions
     // are closed by construction (their tail's output already has an
     // external consumer), so their levels are final here.
-    for (const std::int32_t w : inputs(t)) {
+    for (const std::int32_t w : ins) {
+      last_reader[static_cast<std::size_t>(w)] = target;
       const std::int32_t p = producer[static_cast<std::size_t>(w)];
       if (p < 0) continue;
       const std::int32_t pr = plan.op_region[static_cast<std::size_t>(p)];

@@ -1,23 +1,33 @@
 // Region compiler for the threaded execution engine (chdl/threaded.hpp).
 //
 // Rather than scheduling the op tape one opcode at a time, the threaded
-// engine executes whole *regions* — single-entry cones of
+// engine executes whole *regions* — single-exit groups of
 // combinational logic between register / RAM / port boundaries — as
 // straight-line superop blocks. This header holds the region
 // partitioning itself, kept free of Simulator internals so the
 // invariants are unit-testable on plain graphs.
 //
-// Partitioning rule (deterministic, derived from the tape fanout table):
-// walking the tape in topological order, an op joins its producer's
-// region exactly when that producer is the region's current tail and the
-// producer's output has no other tape consumer; otherwise it opens a new
-// region. Regions are therefore maximal single-consumer chains (capped
-// at `kMaxRegionOps`), which gives two structural guarantees:
+// Partitioning rules (deterministic, derived from the tape fanout table),
+// walking the tape in topological order; regions hold `kMaxRegionOps` ops
+// at most, and an op that no rule places opens a new region:
+//
+//   1. chain the deepest input: an op joins a producer's region when that
+//      producer is the region's current tail and the op is its only tape
+//      consumer; of several such regions, the highest-level one (ties: the
+//      earlier input), so a mux chain stays one chain of regions;
+//   2. group the sibling readers of one wire: otherwise an op joins the
+//      region that last read every one of its inputs, when that region's
+//      tail feeds no tape op (only registers, RAM ports or outputs).
+//
+// This gives three structural guarantees:
 //
 //   * single entry / single exit: only the tail op's output is ever
 //     consumed by another region, so a region can be executed start to
 //     finish with no interior change checks, and inter-region dirtiness
 //     can be tracked by diffing region outputs only;
+//   * no new wake-up input: a grouped sibling reads only wires its region
+//     already read, so it changes neither the region's level nor the
+//     wire changes that wake it;
 //   * the region DAG is acyclic and region levels (longest inter-region
 //     path) strictly increase along every edge, so a level-bucketed
 //     dirty worklist drains in one pass.

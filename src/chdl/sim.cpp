@@ -196,16 +196,24 @@ std::vector<TOp> Simulator::compile_tape() {
     op.out = out.offset;
     op.mask = width_mask(out.width);
     // Single-word fast path: output and every input fit one word and the
-    // operand layout maps onto the fixed in0/in1/in2 offsets. Anything
-    // else runs eval_comp's general path (TCode::kWide).
+    // operand layout maps onto the fixed in0/in1/in2 offsets. A slice of
+    // a wider input qualifies too when its bits lie inside one input word,
+    // which it then reads directly. Anything else runs eval_comp's general
+    // path (TCode::kWide).
     bool single = out.words == 1;
-    for (std::size_t k = 0; k < n_ins; ++k) {
-      single = single && slots_[static_cast<std::size_t>(ins[k])].words == 1;
+    if (c.kind == CompKind::kSlice) {
+      single = single && c.a / 64 == (c.a + out.width - 1) / 64;
+    } else {
+      for (std::size_t k = 0; k < n_ins; ++k) {
+        single = single && slots_[static_cast<std::size_t>(ins[k])].words == 1;
+      }
     }
     if (single) {
       op.code = single_code(c.kind);
       switch (c.kind) {
         case CompKind::kSlice:
+          op.a = c.a % 64;
+          break;
         case CompKind::kShl:
         case CompKind::kShr:
           // c.a >= 64 would make the word shift UB; the general path
@@ -235,7 +243,7 @@ std::vector<TOp> Simulator::compile_tape() {
       const auto off = [&](std::size_t k) {
         return k < n_ins ? slots_[static_cast<std::size_t>(ins[k])].offset : 0;
       };
-      op.in0 = off(0);
+      op.in0 = off(0) + (c.kind == CompKind::kSlice ? c.a / 64 : 0);
       op.in1 = off(1);
       op.in2 = off(2);
     }

@@ -6,7 +6,8 @@
 // QEMU-TCG-style:
 //
 //  * flat opcode space — one `code` byte per TOp covers the
-//    single-word fast paths and the general multi-word path (kWide,
+//    single-word fast paths (a slice inside one word of a wider input
+//    reads that word directly) and the general multi-word path (kWide,
 //    Simulator::eval_comp), so dispatch is one indirection and the
 //    single-word semantics are written once (ATLANTIS_THREADED_OPS in
 //    threaded.cpp);
@@ -16,9 +17,10 @@
 //    ATLANTIS_THREADED_FORCE_SWITCH is defined, a portable switch loop
 //    executes the identical handler bodies;
 //  * region superops — chdl/region.hpp partitions the tape into
-//    single-entry chains executed as straight-line blocks: no per-op
-//    queue flags, one change check at the region outputs (diffed
-//    against a shadow copy of the last value each consumer saw);
+//    single-exit regions (chains through each op's deepest input, plus
+//    the sibling readers of one wire) executed as straight-line blocks:
+//    no per-op queue flags, one change check at the region outputs
+//    (diffed against a shadow copy of the last value each consumer saw);
 //  * an event-driven edge tape — sequential components are compiled
 //    into SeqOp records and latched only when marked dirty by a fanin
 //    change (registers are idempotent once their inputs are stable; an

@@ -20,10 +20,6 @@ bool ConfigCache::touch(const std::string& name) {
   return enabled() && promote(mru_, name);
 }
 
-bool ConfigCache::contains(const std::string& name) const {
-  return std::find(mru_.begin(), mru_.end(), name) != mru_.end();
-}
-
 void ConfigCache::insert(const std::string& name) {
   if (!enabled() || promote(mru_, name)) return;
   if (mru_.size() >= capacity_) mru_.pop_back();

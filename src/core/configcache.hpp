@@ -27,16 +27,11 @@ class ConfigCache {
  public:
   explicit ConfigCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return mru_.size(); }
   bool enabled() const { return capacity_ > 0; }
 
   /// Promotes `name` to most-recently-used and returns true when it is
   /// resident; false when it is not, or the cache is disabled.
   bool touch(const std::string& name);
-
-  /// True when `name` is resident; no promotion.
-  bool contains(const std::string& name) const;
 
   /// Stages `name` as most-recently-used, evicting the least-recently-
   /// used entry when the cache is full. Re-inserting a resident entry

@@ -1,6 +1,7 @@
-// Threaded engine: region partitioning invariants, region-output
-// diffing, the set_eval_mode/reset contract, multi-port RAM write
-// ordering, and the quiescent cost on the real TRT core. The
+// Threaded engine: region partitioning invariants, the plan shapes the
+// placement rules give, word-local slices, region-output diffing, the
+// set_eval_mode/reset contract, multi-port RAM write ordering, and the
+// quiescent cost on the real TRT core. The
 // bit-exactness of the engine itself is proven by the three-way
 // differential fuzz in test_fuzz.cpp; these tests pin the structural
 // properties the executor's correctness argument rests on.
@@ -337,6 +338,138 @@ TEST(Threaded, QuiescentTrtCycleCostMatchesEventMode) {
   host.idle(1000);  // measured region: pure idle cycles
   EXPECT_EQ(sim.activity().comp_evals, 0u);
   EXPECT_EQ(sim.activity().edges, 1000u);
+}
+
+/// The default three-way backend check over `cycles` random cycles.
+void expect_backends_agree(const Design& d, int cycles) {
+  BackendCheckOptions opts;
+  opts.cycles = cycles;
+  const BackendCheckReport rep = check_backends(d, opts);
+  EXPECT_TRUE(rep) << rep.mismatch;
+}
+
+// Rule 1: the host read-back mux is a chain of mux(eq(addr, k), value,
+// rdata). Each mux chains onto rdata, its deepest input, not onto its
+// select, so 200 mapped reads run as ceil(200/64) regions deep instead of
+// one level per read.
+TEST(Region, ReadMuxChainsThroughItsDeepestInput) {
+  Design d("regfile");
+  HostRegFile hrf(d, /*addr_bits=*/8, /*data_bits=*/32);
+  Wire stage = d.input("x", 16);
+  for (int i = 0; i < 200; ++i) {
+    stage = d.reg("r" + std::to_string(i), stage);  // a 200-stage shifter
+    hrf.map_read(static_cast<std::uint32_t>(i), stage);
+  }
+  hrf.finish();
+  Simulator sim(d);
+  EXPECT_LE(sim.region_plan().max_level,
+            (200 + kMaxRegionOps - 1) / kMaxRegionOps + 3);
+  expect_backends_agree(d, 200);
+}
+
+// Rule 2: the readers of one wire share regions. The 100 {slice, and}
+// enables of a LUT-row-style bank fill 4 regions (64 + 64 + 64 + 8 ops)
+// instead of 100. The raw tape keeps all 200 ops (the optimizer would
+// merge the slices that repeat a row bit).
+TEST(Region, SiblingReadersOfOneWireShareRegions) {
+  Design d("siblings");
+  const Wire row = d.input("row", 64);
+  const Wire valid = d.input("valid", 1);
+  const Wire data = d.input("data", 8);
+  for (int i = 0; i < 100; ++i) {
+    RegOpts opts;
+    opts.enable = d.band(valid, d.bit(row, i % 64));
+    d.reg("q" + std::to_string(i), data, opts);
+  }
+  Simulator sim(d, SimOptions{.optimize = false});
+  ASSERT_EQ(sim.tape_ops(), 200u);
+  std::vector<std::int32_t> sizes;
+  for (const Region& r : sim.region_plan().regions) {
+    sizes.push_back(r.ops_end - r.ops_begin);
+  }
+  EXPECT_EQ(sizes, (std::vector<std::int32_t>{64, 64, 64, 8}));
+  EXPECT_EQ(sim.region_plan().max_level, 0);
+  expect_backends_agree(d, 200);
+}
+
+// Rule 2 adds no wake-up input: an op joins a sibling region only when
+// that region already reads every one of its inputs. Each add(q_i, k)
+// reads its own q_i, so the adds stay one region each, and a change of
+// one q_i evaluates one op. Odd adds list the shared k first.
+TEST(Region, SiblingRuleAddsNoWakeUpInput) {
+  Design d("no_wakeup");
+  const Wire k = d.input("k", 16);
+  for (int i = 0; i < 100; ++i) {
+    const std::string n = std::to_string(i);
+    const Wire q = d.reg("q" + n, d.input("d" + n, 16));
+    d.output("y" + n, i % 2 == 0 ? d.add(q, k) : d.add(k, q));
+  }
+  Simulator sim(d);
+  EXPECT_EQ(sim.region_plan().region_count(), 100);
+  sim.poke("k", 3);
+  sim.step();
+  sim.peek_u64("y0");
+  sim.reset_activity();
+  sim.poke("d7", 41);
+  sim.step();
+  EXPECT_EQ(sim.peek_u64("y7"), 44u);
+  EXPECT_EQ(sim.activity().comp_evals, 1u);
+  expect_backends_agree(d, 200);
+}
+
+// The three rules on the TRT core as the gate-level serving workload
+// builds it (16 x 64 straws, 256 patterns): its read mux and its 256
+// LUT-row readers no longer cost one region level or one region each.
+TEST(Region, GateTrtCorePlanIsShallow) {
+  trt::DetectorGeometry geo;
+  geo.layers = 16;
+  geo.straws_per_layer = 64;
+  const trt::PatternBank bank(geo, 256);
+  Design d("gate_trt");
+  trt::build_trt_core(d, bank);
+  Simulator sim(d);
+  EXPECT_LE(sim.region_plan().max_level, 16);
+  EXPECT_LE(sim.region_plan().region_count(), 1100);
+  expect_backends_agree(d, 200);
+}
+
+// A slice whose bits lie inside one word of a wider input reads that
+// word directly; one that straddles a word boundary takes the general
+// path. Every lo of a 200-bit input at widths 1, 13 and 64 covers both,
+// plus the partial top word.
+TEST(Threaded, WordLocalSlicesMatchTheReference) {
+  constexpr int kWidth = 200;
+  Design d("slices");
+  const Wire x = d.input("x", kWidth);
+  struct Cut {
+    int lo;
+    int width;
+    Wire wire;
+  };
+  std::vector<Cut> cuts;
+  for (const int width : {1, 13, 64}) {
+    for (int lo = 0; lo + width <= kWidth; ++lo) {
+      const std::string n = std::to_string(width) + "_" + std::to_string(lo);
+      const Wire s = d.slice(x, lo, width);
+      d.output("s" + n, s);
+      d.reg("r" + n, s);
+      cuts.push_back({lo, width, s});
+    }
+  }
+  expect_backends_agree(d, 300);
+
+  Simulator sim(d);
+  util::Rng rng(5);
+  for (int round = 0; round < 4; ++round) {
+    BitVec v(kWidth);
+    for (auto& word : v.words()) word = rng.next_u64();
+    v = v & BitVec::ones(kWidth);
+    sim.poke(x, v);
+    for (const Cut& c : cuts) {
+      ASSERT_EQ(sim.peek(c.wire), v.slice(c.lo, c.width))
+          << "slice at " << c.lo << ", width " << c.width;
+    }
+  }
 }
 
 TEST(Verify, CheckBackendsReportsDivergentWireByName) {
