@@ -172,7 +172,8 @@ int main() {
   bench::expect(heavy.recovery_ms > 0.0 && heavy.mbps < reference.mbps,
                 "recovery overhead shows up as lost effective bandwidth");
 
-  // Retries land on the timeline, not just in driver counters.
+  // The driver counts the fault, the retry and the recovery time; the
+  // timeline carries the stalled attempt on the segment and the backoff.
   {
     core::AtlantisSystem sys("crate");
     sim::FaultPlan plan;
@@ -181,10 +182,23 @@ int main() {
     sys.set_fault_injector(&inj);
     core::AtlantisDriver drv(sys, sys.add_acb("acb0"));
     (void)drv.dma(hw::DmaDirection::kWrite, bytes);
-    const sim::ResourceStats st = sys.timeline().stats(sys.pci_segment());
-    bench::expect(st.faults == 1 && st.retries == 1 && st.retry_time > 0,
-                  "fault, retry and recovery time visible in the "
-                  "timeline's per-resource stats");
+    int stalls = 0;
+    int backoffs = 0;
+    util::Picoseconds lost = 0;
+    for (const sim::Transaction& t : sys.timeline().transactions()) {
+      const bool stall = t.kind == sim::TxnKind::kPciDma &&
+                         t.resource == sys.pci_segment() &&
+                         t.label.ends_with("(stall)");
+      const bool backoff = t.kind == sim::TxnKind::kBackoff;
+      stalls += stall ? 1 : 0;
+      backoffs += backoff ? 1 : 0;
+      if (stall || backoff) lost += t.duration();
+    }
+    bench::expect(drv.dma_faults() == 1 && drv.dma_retries() == 1 &&
+                      stalls == 1 && backoffs == 1 && lost > 0 &&
+                      drv.recovery_time() == lost,
+                  "fault, retry and recovery time counted by the driver, "
+                  "with the stall and backoff on the timeline");
     std::ostringstream trace;
     sys.timeline().export_chrome_trace(trace);
     bench::expect(trace.str().find("backoff") != std::string::npos,

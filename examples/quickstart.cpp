@@ -11,6 +11,9 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "chdl/builder.hpp"
 #include "chdl/hostif.hpp"
@@ -20,6 +23,7 @@
 #include "core/system.hpp"
 #include "hw/fpga.hpp"
 #include "serve/jobservice.hpp"
+#include "util/stats.hpp"
 
 using namespace atlantis;
 
@@ -95,18 +99,19 @@ int main() {
     (void)service.submit(std::move(job)).value();
   }
   const serve::ServiceReport& rep = service.run();
-  std::printf(
-      "served %llu jobs in %llu batches (%llu full reconfigs) -> %.0f "
-      "jobs/s\n",
-      static_cast<unsigned long long>(rep.served),
-      static_cast<unsigned long long>(rep.batches),
-      static_cast<unsigned long long>(rep.switching.full_reconfigs()),
-      rep.jobs_per_second);
-  for (const serve::TenantStats& tenant : rep.tenants) {
-    std::printf("  tenant %-5s: %llu jobs, p99 queue wait %.2f us\n",
-                tenant.tenant.c_str(),
-                static_cast<unsigned long long>(tenant.jobs),
-                static_cast<double>(tenant.p99_wait) / 1e6);
+  std::printf("served %llu jobs (%llu full reconfigs) -> %.0f jobs/s\n",
+              static_cast<unsigned long long>(rep.served),
+              static_cast<unsigned long long>(rep.switching.full_reconfigs()),
+              static_cast<double>(rep.served) /
+                  (static_cast<double>(rep.makespan) / 1e12));
+  // Per-tenant queue waits come from the ledger.
+  std::map<std::string, std::vector<double>> waits;
+  for (const serve::JobRecord& rec : service.jobs()) {
+    waits[rec.tenant].push_back(static_cast<double>(rec.queue_wait));
+  }
+  for (const auto& [tenant, w] : waits) {
+    std::printf("  tenant %-5s: %zu jobs, p99 queue wait %.2f us\n",
+                tenant.c_str(), w.size(), util::percentile(w, 0.99) / 1e6);
   }
   std::printf("waveforms written to quickstart.vcd\n");
   return 0;

@@ -79,12 +79,11 @@ int main() {
   }
   std::printf("mean efficiency %.3f, mean purity %.3f over %d events\n",
               eff_sum / kEvents, pur_sum / kEvents, kEvents);
-  std::printf(
-      "service: %llu jobs, %llu batches, %llu full reconfigs, %.0f jobs/s\n",
-      static_cast<unsigned long long>(rep.served),
-      static_cast<unsigned long long>(rep.batches),
-      static_cast<unsigned long long>(rep.switching.full_reconfigs()),
-      rep.jobs_per_second);
+  std::printf("service: %llu jobs, %llu full reconfigs, %.0f jobs/s\n",
+              static_cast<unsigned long long>(rep.served),
+              static_cast<unsigned long long>(rep.switching.full_reconfigs()),
+              static_cast<double>(rep.served) /
+                  (static_cast<double>(rep.makespan) / 1e12));
 
   // --- Reduced geometry, gate level ------------------------------------
   trt::DetectorGeometry tiny;

@@ -28,6 +28,7 @@
 #include "util/bitops.hpp"
 #include "util/cfloat.hpp"
 #include "util/fixed_point.hpp"
+#include "util/fnv.hpp"
 #include "util/image.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/fnv.hpp"
 #include "util/status.hpp"
 
 namespace atlantis::chdl {
@@ -303,12 +304,9 @@ void Pipeline::cse_pass(OptimizePassStats& stats) {
   // Hash-consing table: structural key -> representative output wire.
   struct VecHash {
     std::size_t operator()(const std::vector<std::int64_t>& v) const {
-      std::size_t h = 0xcbf29ce484222325ull;
-      for (const std::int64_t x : v) {
-        h ^= static_cast<std::size_t>(x);
-        h *= 0x100000001b3ull;
-      }
-      return h;
+      util::Fnv h;
+      for (const std::int64_t x : v) h.mix(static_cast<std::uint64_t>(x));
+      return static_cast<std::size_t>(h.h);
     }
   };
   std::unordered_map<std::vector<std::int64_t>, std::int32_t, VecHash> seen;

@@ -249,7 +249,6 @@ void AcbBoard::walk(Self& self, Stream& s) {
   walk_clock(self.local_clock_, s);
   s.expect_u32(self.io_clocks_.size(), "board I/O clock count");
   for (auto& c : self.io_clocks_) walk_clock(c, s);
-  s.state(self.pci_);
   s.state(self.slink_);
   for (auto& f : self.fpgas_) s.state(*f);
   s.expect_u32(self.modules_.size(), "board memory module count");

@@ -173,14 +173,14 @@ class AcbBoard {
   /// when a drop-out fired now (the board also goes !alive()).
   bool draw_dropout();
 
-  /// Samples the board's cumulative component fault counters (PLX,
-  /// S-Link, FPGAs, SRAM mezzanines). Cheap enough for a supervisor to
-  /// call every probe window.
+  /// Samples the board's cumulative component fault counters (S-Link,
+  /// FPGAs, SRAM mezzanines). Cheap enough for a supervisor to call
+  /// every probe window.
   SelfTestHealth probe_health() const;
 
   /// Snapshottable leaf, written into the caller's open section (the
   /// system opens one "board/<name>" section per ACB): health, clock
-  /// programming, the PLX/S-Link devices, all four FPGAs (with resident
+  /// programming, the S-Link device, all four FPGAs (with resident
   /// simulator state inline) and every attached memory module. load_state
   /// requires an identically assembled board (same modules attached to
   /// the same ports, same designs configured).

@@ -41,6 +41,9 @@ void AtlantisDriver::load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
 util::Result<util::Picoseconds> AtlantisDriver::switch_task(
     TaskSwitcher& switcher, const std::string& name) {
+  // A switch makes at most one differential load, so the switcher's
+  // region count moves by exactly the frames this switch loaded.
+  const std::uint64_t regions_before = switcher.regions_loaded();
   util::Result<util::Picoseconds> r = switcher.switch_to(name);
   if (!r.ok()) return r;
   if (r.value() > 0) {
@@ -49,7 +52,7 @@ util::Result<util::Picoseconds> AtlantisDriver::switch_task(
         timeline().post(track_, sim::TxnKind::kReconfig, switch_label_,
                         sim::ResourceId{}, now_, r.value(), 0,
                         static_cast<std::uint32_t>(
-                            switcher.last_regions_loaded()));
+                            switcher.regions_loaded() - regions_before));
     now_ = txn.end;
   }
   return r;
@@ -187,7 +190,6 @@ util::Result<hw::DmaTransfer> AtlantisDriver::dma(hw::DmaDirection dir,
         now_, wasted, /*bytes=*/0);
     now_ = bad.end;
     ++dma_faults_;
-    timeline().record_fault(pci.segment());
     if (attempt >= policy_.max_attempts) {
       recovery_time_ += wasted;
       return util::Result<hw::DmaTransfer>::failure(
@@ -209,7 +211,6 @@ util::Result<hw::DmaTransfer> AtlantisDriver::dma(hw::DmaDirection dir,
     now_ = backoff.end;
     ++dma_retries_;
     recovery_time_ += wasted + wait;
-    timeline().record_retry(pci.segment(), wasted + wait);
   }
 }
 

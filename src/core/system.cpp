@@ -79,13 +79,6 @@ int AtlantisSystem::aib_slot(int index) const {
   return aib_slots_[static_cast<std::size_t>(index)];
 }
 
-std::vector<SelfTestHealth> AtlantisSystem::probe_health() const {
-  std::vector<SelfTestHealth> pages;
-  pages.reserve(acbs_.size());
-  for (const auto& b : acbs_) pages.push_back(b->probe_health());
-  return pages;
-}
-
 std::uint64_t AtlantisSystem::step_acbs(int cycles) {
   ATLANTIS_CHECK(cycles >= 0, "negative cycle count");
   std::uint64_t edges = 0;

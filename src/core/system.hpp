@@ -39,10 +39,6 @@ class AtlantisSystem : public sim::Snapshottable {
   int acb_slot(int index) const;
   int aib_slot(int index) const;
 
-  /// One health page per computing board, indexed like acb(): the
-  /// crate-wide observation a supervisor diffs every probe window.
-  std::vector<SelfTestHealth> probe_health() const;
-
   Backplane& backplane() { return backplane_; }
   const hw::HostCpuModel& host() const { return host_; }
 

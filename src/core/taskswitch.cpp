@@ -33,7 +33,6 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
   if (it == tasks_.end()) {
     throw util::StateError("unknown task '" + name + "'");
   }
-  last_regions_ = 0;
   if (current_ == name && device_.configured()) {
     return util::Picoseconds{0};  // already resident
   }
@@ -74,7 +73,6 @@ util::Result<util::Picoseconds> TaskSwitcher::switch_to(
         ++counters_.partials;
         counters_.regions += static_cast<std::uint64_t>(oc.regions_loaded);
         counters_.partial_time += t;
-        last_regions_ = oc.regions_loaded;
       }
     } else {
       t = device_.configure(it->second);
@@ -147,7 +145,6 @@ void TaskSwitcher::walk(Self& self, Stream& s) {
   s.u64(c.partials);
   s.u64(c.regions);
   s.i64(c.partial_time);
-  s.i64(self.last_regions_);
   s.state(self.cache_);
   s.u64(c.hits);
   s.u64(c.misses);

@@ -129,8 +129,6 @@ class TaskSwitcher {
   std::uint64_t cache_misses() const { return counters_.misses; }
   std::uint64_t partial_switches() const { return counters_.partials; }
   std::uint64_t regions_loaded() const { return counters_.regions; }
-  /// Regions moved by the most recent switch (0: full or cached).
-  int last_regions_loaded() const { return last_regions_; }
 
   /// Snapshottable leaf, written into the caller's open section: the
   /// current task, every lifetime counter and the staged-bitstream
@@ -151,7 +149,6 @@ class TaskSwitcher {
   std::string current_;
   SwitchCounters counters_;
   std::uint64_t reconfig_retries_ = 0;
-  int last_regions_ = 0;
   ConfigCache cache_;
   sim::RetryPolicy policy_;
 };

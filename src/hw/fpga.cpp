@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/fnv.hpp"
 #include "util/status.hpp"
 
 namespace atlantis::hw {
@@ -42,21 +43,13 @@ const FpgaFamily& virtex_xcv600() {
 
 namespace {
 
-std::uint64_t fnv1a64(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
+/// FNV-1a over the tag's bytes, then the region number's eight bytes.
 std::uint64_t region_signature(const std::string& tag, int region) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnv1a64(h, tag.data(), tag.size());
+  util::Fnv h;
+  h.mix(tag);
   const auto r = static_cast<std::uint64_t>(region);
-  h = fnv1a64(h, &r, sizeof(r));
-  return h;
+  h.mix(std::string_view(reinterpret_cast<const char*>(&r), sizeof(r)));
+  return h.h;
 }
 
 }  // namespace

@@ -33,9 +33,6 @@ const sim::Transaction& Plx9080::post_transfer(
   const DmaTransfer t = transfer(dir, bytes);
   const util::Picoseconds service =
       service_override >= 0 ? service_override : t.duration;
-  DmaTransfer recorded = t;
-  recorded.duration = service;
-  record(recorded);
   if (label.empty()) {
     label = dir == DmaDirection::kWrite ? "dma_write" : "dma_read";
   }

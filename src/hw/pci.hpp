@@ -59,8 +59,9 @@ struct DmaTransfer {
   double mbps() const { return util::mb_per_s(bytes, duration); }
 };
 
-/// The PLX 9080 bridge: computes transfer timing and keeps lifetime
-/// counters, like the chip's own DMA status registers.
+/// The PLX 9080 bridge: computes transfer timing and posts transfers on
+/// the crate timeline. It keeps no traffic counters: the segment's
+/// ResourceStats hold every byte and picosecond it posted.
 class Plx9080 {
  public:
   explicit Plx9080(PciParams params = {}) : params_(params) {}
@@ -76,20 +77,6 @@ class Plx9080 {
     // Address + turnaround + data phases, ~10 bus clocks through a bridge.
     return 10 * util::period_from_mhz(params_.bus_clock_mhz);
   }
-
-  /// Aggregate statistics (updated by record()).
-  std::uint64_t total_bytes() const { return total_bytes_; }
-  util::Picoseconds total_time() const { return total_time_; }
-  void record(const DmaTransfer& t) {
-    total_bytes_ += t.bytes;
-    total_time_ += t.duration;
-  }
-
-  /// Snapshottable leaf: the lifetime DMA counters, written into the
-  /// caller's open section (bindings and the injector are wiring, not
-  /// state).
-  void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
-  void load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
   // --- fault injection --------------------------------------------------
   /// Attaches a fault injector. `site` names this bridge's injection
@@ -120,10 +107,9 @@ class Plx9080 {
 
   /// Posts one block DMA onto the bound timeline no earlier than
   /// `not_before`; arbitration against other boards on the shared
-  /// segment happens there. Records the transfer in the lifetime
-  /// counters. The posted service time is transfer()'s duration unless
-  /// `service_override` >= 0 (used when bus burst and design-side drain
-  /// overlap and the modelled occupancy is their max).
+  /// segment happens there. The posted service time is transfer()'s
+  /// duration unless `service_override` >= 0 (used when bus burst and
+  /// design-side drain overlap and the modelled occupancy is their max).
   const sim::Transaction& post_transfer(
       sim::TrackId track, DmaDirection dir, std::uint64_t bytes,
       util::Picoseconds not_before, std::string_view label = {},
@@ -135,15 +121,7 @@ class Plx9080 {
                                              std::string_view label = {});
 
  private:
-  template <typename Self, typename Stream>
-  static void walk(Self& self, Stream& s) {
-    s.u64(self.total_bytes_);
-    s.i64(self.total_time_);
-  }
-
   PciParams params_;
-  std::uint64_t total_bytes_ = 0;
-  util::Picoseconds total_time_ = 0;
   sim::Timeline* timeline_ = nullptr;
   sim::ResourceId segment_;
   sim::FaultInjector* injector_ = nullptr;

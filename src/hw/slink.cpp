@@ -108,16 +108,13 @@ const sim::Transaction& SlinkChannel::post_stream(sim::TrackId track,
   if (injector_ != nullptr &&
       injector_->draw(sim::FaultKind::kSlinkError, fault_site_)) {
     // A transmission error somewhere in the stream: the whole block is
-    // retransmitted (S-Link has no partial-retry granularity). The wasted
-    // first pass shows up as retry time on the link resource.
+    // retransmitted (S-Link has no partial-retry granularity), so each
+    // retransmission wastes one transfer_time(words) pass.
     const sim::Transaction& bad =
         timeline_->post(track, sim::TxnKind::kSlinkStream, label + " (lderr)",
                         resource_, not_before, transfer_time(words),
                         words * 4);
     const util::Picoseconds bad_end = bad.end;
-    const util::Picoseconds wasted = bad.duration();
-    timeline_->record_fault(resource_);
-    timeline_->record_retry(resource_, wasted);
     ++link_errors_;
     ++retransmissions_;
     // post() invalidates `bad`; only the captured times are used below.

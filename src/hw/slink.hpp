@@ -107,7 +107,6 @@ class SlinkChannel {
     resource_ = timeline.add_resource("slink/" + name_);
   }
   bool bound() const { return timeline_ != nullptr; }
-  sim::ResourceId resource() const { return resource_; }
 
   /// Posts a `words`-long stream (one word per link clock) onto the
   /// bound timeline no earlier than `not_before`.

@@ -6,26 +6,12 @@
 #include <cmath>
 #include <string_view>
 
-#include "util/stats.hpp"
+#include "util/fnv.hpp"
 #include "util/worker_pool.hpp"
 
 namespace atlantis::serve {
 
 namespace {
-
-/// FNV-1a accumulator shared by the two cluster digests.
-struct Fnv {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
-  void mix(const std::string& s) {
-    for (const char c : s) {
-      mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-  }
-};
 
 /// True once the shard-side ledger entry reached a terminal state.
 bool job_done(const JobRecord& rec) {
@@ -105,7 +91,6 @@ void Cluster::remove_shard(int shard) {
     rec.shard = home;
     rec.local = moved.value();
     target.set_cluster_id(rec.local, rec.id);
-    ++window_drained_;
   }
 }
 
@@ -239,7 +224,6 @@ util::Result<JobId> Cluster::refuse(util::ErrorCode code,
 
 util::Result<JobId> Cluster::submit(JobSpec spec) {
   ATLANTIS_CHECK(!live_.empty(), "submit to a cluster with no shards");
-  ++window_submitted_;
 
   const std::size_t config = config_index(spec.config);
   if (config == configs_.size()) {
@@ -313,7 +297,6 @@ util::Result<JobId> Cluster::submit(JobSpec spec) {
   ++owner->second.in_flight;
   records_.push_back(rec);
   window_ids_.push_back(id);
-  ++home.admitted_window;
   if (attempts > 0) ++window_overflowed_;
   return id;
 }
@@ -347,24 +330,12 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
   }
 
   report_ = ClusterReport{};
-  report_.submitted = window_submitted_;
   report_.rejected_admission = window_rejected_;
   report_.shed_overload = window_shed_;
   report_.overflowed = window_overflowed_;
-  report_.drained = window_drained_;
-  window_submitted_ = 0;
   window_rejected_ = 0;
   window_shed_ = 0;
   window_overflowed_ = 0;
-  window_drained_ = 0;
-
-  // Baselines over the cumulative switcher counters, so supervised
-  // shards (whose Supervisor::run issues many service runs) and plain
-  // shards report through one code path.
-  std::vector<core::SwitchCounters> before(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i].retired) before[i] = shards_[i].service->switch_counters();
-  }
 
   // Drain the live shards concurrently, one pool task each. Each crate
   // has its own timeline, so neither the order nor the threads the pool
@@ -382,80 +353,41 @@ const ClusterReport& Cluster::run(const RunOptions& options) {
     }
   });
 
-  // Merge the window: job-level outcomes from the ledgers, crate-level
-  // reconfiguration traffic from the counter deltas.
-  util::LogHistogram latency;
+  // Merge the window's job outcomes from the ledgers.
   std::size_t carried = 0;  // window_ids_ compacts in place
-  struct Tally {
-    util::Picoseconds service_sum = 0;
-    std::uint64_t served = 0;
-    std::uint64_t failed = 0;
-    util::Picoseconds makespan = 0;
-  };
-  std::vector<Tally> tally(shards_.size());  // by shard id
   for (const JobId id : window_ids_) {
     const ClusterRecord& rec = records_[id];
-    const JobRecord& jr =
-        shards_[static_cast<std::size_t>(rec.shard)].service->job(rec.local);
+    Shard& home = shards_[static_cast<std::size_t>(rec.shard)];
+    const JobRecord& jr = home.service->job(rec.local);
     if (!job_done(jr)) {
       window_ids_[carried++] = id;  // bounded run left it queued
       continue;
     }
-    ++report_.admitted;  // terminal this window
     const auto owner = tenants_.find(jr.tenant);
     if (owner != tenants_.end() && owner->second.in_flight > 0) {
       --owner->second.in_flight;
     }
-    Tally& t = tally[static_cast<std::size_t>(rec.shard)];
     if (jr.error == util::ErrorCode::kOk) {
       ++report_.served;
-      // Sojourn floored at the pure service time: a job the scheduler
-      // reached before its modelled arrival waited zero, not negative.
-      latency.add(static_cast<double>(std::max(jr.finish - jr.arrival,
-                                               jr.finish - jr.start)));
-      report_.makespan = std::max(report_.makespan, jr.finish);
-      if (jr.deadline > 0 && jr.finish > jr.deadline) {
-        ++report_.deadline_misses;
-      }
-      t.service_sum += jr.finish - jr.start;
-      ++t.served;
-      t.makespan = std::max(t.makespan, jr.finish);
+      home.window_service += jr.finish - jr.start;
+      ++home.window_served;
     } else {
       ++report_.failed;
-      ++t.failed;
     }
   }
   window_ids_.resize(carried);
-  report_.p50_latency =
-      static_cast<util::Picoseconds>(latency.quantile(0.50));
-  report_.p99_latency =
-      static_cast<util::Picoseconds>(latency.quantile(0.99));
-  report_.p999_latency =
-      static_cast<util::Picoseconds>(latency.quantile(0.999));
 
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = shards_[i];
-    if (s.retired) continue;
-    const Tally& t = tally[i];
-    ShardStats stats;
-    stats.shard = static_cast<int>(i);
-    stats.name = s.name;
-    stats.admitted = s.admitted_window;
-    s.admitted_window = 0;
-    stats.served = t.served;
-    stats.failed = t.failed;
-    stats.switching = s.service->switch_counters() - before[i];
-    stats.makespan = t.makespan;
-    report_.shards.push_back(stats);
-    report_.switching += stats.switching;
-
-    // SLO admission feedback: EWMA of this window's mean service time.
-    if (t.served > 0) {
+  // SLO admission feedback: EWMA of each shard's mean service time over
+  // the window.
+  for (Shard& s : shards_) {
+    if (s.window_served > 0) {
       const util::Picoseconds mean =
-          t.service_sum / static_cast<util::Picoseconds>(t.served);
+          s.window_service / static_cast<util::Picoseconds>(s.window_served);
       s.ewma_service =
           s.ewma_service == 0 ? mean : (s.ewma_service + mean) / 2;
     }
+    s.window_service = 0;
+    s.window_served = 0;
   }
   return report_;
 }
@@ -475,7 +407,7 @@ std::size_t Cluster::pending() const {
 }
 
 std::uint64_t Cluster::schedule_digest() const {
-  Fnv acc;
+  util::Fnv acc;
   acc.mix(static_cast<std::uint64_t>(records_.size()));
   for (const ClusterRecord& rec : records_) {
     acc.mix(static_cast<std::uint64_t>(rec.shard));
@@ -508,7 +440,7 @@ std::uint64_t Cluster::functional_digest() const {
       if (jr.migrated || !job_done(jr) || jr.error != util::ErrorCode::kOk) {
         continue;
       }
-      Fnv one;
+      util::Fnv one;
       one.mix(jr.tenant);
       one.mix(jr.config);
       one.mix(jr.outcome.checksum);
@@ -527,7 +459,6 @@ void Cluster::walk(Self& self, Stream& s) {
       s.expect_string(shard.name, "cluster shard name");
       s.expect_u8(shard.retired, "cluster shard retirement");
       s.i64(shard.ewma_service);
-      s.u64(shard.admitted_window);
     }
     // A record's cluster id is its ledger index; it is not stored.
     s.seq64(self.records_, [&](auto& rec) {
@@ -541,11 +472,9 @@ void Cluster::walk(Self& self, Stream& s) {
       s.u64(tenant.second.in_flight);
     });
     s.seq64(self.window_ids_, [&](auto& id) { s.u64(id); });
-    s.u64(self.window_submitted_);
     s.u64(self.window_rejected_);
     s.u64(self.window_shed_);
     s.u64(self.window_overflowed_);
-    s.u64(self.window_drained_);
     s.u64(self.spray_counter_);
   });
 }

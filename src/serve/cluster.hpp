@@ -101,39 +101,16 @@ struct ClusterOptions {
   SupervisorOptions supervisor;
 };
 
-/// Per-shard slice of one cluster run.
-struct ShardStats {
-  int shard = -1;
-  std::string name;
-  std::uint64_t admitted = 0;  // jobs homed here this window
-  std::uint64_t served = 0;
-  std::uint64_t failed = 0;
-  core::SwitchCounters switching;  // this shard's, over the window
-  util::Picoseconds makespan = 0;
-};
-
-/// Everything one Cluster::run() did, plus the admission verdicts
-/// issued since the previous run (submit happens between runs).
+/// One Cluster::run()'s verdicts: the admission refusals issued since
+/// the previous run (submit happens between runs) and the window's jobs
+/// that reached a terminal state. Latencies and switch traffic come
+/// from the ledger (shard_record) and the shards' services.
 struct ClusterReport {
-  std::uint64_t submitted = 0;  // submit() calls in the window
-  std::uint64_t admitted = 0;
   std::uint64_t rejected_admission = 0;  // QoS / SLO refusals
   std::uint64_t shed_overload = 0;       // every candidate shard full
   std::uint64_t overflowed = 0;  // admitted on a successor, not the owner
   std::uint64_t served = 0;
   std::uint64_t failed = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t drained = 0;  // jobs re-homed by remove_shard
-  core::SwitchCounters switching;  // summed over the live shards
-  /// Max over shards (shards run concurrently in the model — each
-  /// crate has its own timeline).
-  util::Picoseconds makespan = 0;
-  /// Sojourn (arrival -> result DMA complete) quantiles over the
-  /// window's served jobs, estimated on a log-bucketed histogram.
-  util::Picoseconds p50_latency = 0;
-  util::Picoseconds p99_latency = 0;
-  util::Picoseconds p999_latency = 0;
-  std::vector<ShardStats> shards;  // live shards, by shard id
 };
 
 /// The cluster's ledger entry for one admitted job: where it lives. The
@@ -242,9 +219,11 @@ class Cluster : public sim::Snapshottable {
       if (cluster_id.size() <= local) cluster_id.resize(local + 1, kNoJob);
       cluster_id[local] = cluster;
     }
-    /// EWMA of observed per-job service time (SLO admission).
+    /// EWMA of observed per-job service time (SLO admission), fed by
+    /// each run()'s served jobs, which the two window fields tally.
     util::Picoseconds ewma_service = 0;
-    std::uint64_t admitted_window = 0;  // since the last run()
+    util::Picoseconds window_service = 0;
+    std::uint64_t window_served = 0;
   };
 
   /// A tenant the front door has seen: its jobs admitted and not yet
@@ -293,11 +272,9 @@ class Cluster : public sim::Snapshottable {
   /// Cluster ids admitted since the last run() (the report window).
   std::vector<JobId> window_ids_;
   /// Admission counters accrued since the last run().
-  std::uint64_t window_submitted_ = 0;
   std::uint64_t window_rejected_ = 0;
   std::uint64_t window_shed_ = 0;
   std::uint64_t window_overflowed_ = 0;
-  std::uint64_t window_drained_ = 0;
   std::uint64_t spray_counter_ = 0;  // kRandom placement ordinal
   ClusterReport report_;
 };

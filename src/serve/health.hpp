@@ -32,10 +32,10 @@
 
 namespace atlantis::serve {
 
-/// Counter deltas over one probe window, attributable to one board.
-/// Assembled by the supervisor from the board's core::SelfTestHealth
-/// page, its driver's DMA/config counters and the switcher's reconfig
-/// counters.
+/// One board's fault counters: the supervisor samples them cumulatively
+/// from the board's core::SelfTestHealth page, its driver's DMA/config
+/// counters and the switcher's reconfig counters, and a probe window is
+/// the difference of two samples.
 struct HealthDelta {
   std::uint64_t dma_faults = 0;        // driver: stalls + aborts drawn
   std::uint64_t dma_retries = 0;       // driver: backoff retries issued
@@ -47,10 +47,17 @@ struct HealthDelta {
   std::uint64_t seu_flips = 0;         // memory-module data upsets
   bool dropped = false;                // board went !alive this window
 
-  std::uint64_t total() const {
-    return dma_faults + dma_retries + reconfig_retries + crc_failures +
-           config_upsets + slink_errors + retransmissions + seu_flips +
-           (dropped ? 1 : 0);
+  /// The window from sample `o` to this one. Every counter only grows
+  /// between restores; `dropped` is not a counter and stays false.
+  HealthDelta operator-(const HealthDelta& o) const {
+    return {dma_faults - o.dma_faults,
+            dma_retries - o.dma_retries,
+            reconfig_retries - o.reconfig_retries,
+            crc_failures - o.crc_failures,
+            config_upsets - o.config_upsets,
+            slink_errors - o.slink_errors,
+            retransmissions - o.retransmissions,
+            seu_flips - o.seu_flips};
   }
 };
 

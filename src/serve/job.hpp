@@ -25,6 +25,7 @@
 #include <functional>
 #include <string>
 
+#include "util/fnv.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
 
@@ -67,12 +68,9 @@ using JobId = std::uint64_t;
 /// is one number the determinism tests can compare.
 template <typename Container>
 std::uint64_t digest(const Container& values) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const auto& v : values) {
-    h ^= static_cast<std::uint64_t>(v);
-    h *= 1099511628211ull;
-  }
-  return h;
+  util::Fnv acc;
+  for (const auto& v : values) acc.mix(static_cast<std::uint64_t>(v));
+  return acc.h;
 }
 
 /// One submitted job. `config` names the bitstream that must be

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/worker_pool.hpp"
 
@@ -252,7 +251,6 @@ const ServiceReport& JobService::run(const RunOptions& options) {
   util::WorkerPool& workers =
       options.pool != nullptr ? *options.pool : util::WorkerPool::shared();
   report_ = ServiceReport{};
-  run_ids_.clear();
   // Repeated run() calls report only their own switches.
   const core::SwitchCounters before = switch_counters();
 
@@ -263,7 +261,6 @@ const ServiceReport& JobService::run(const RunOptions& options) {
   }
 
   report_.switching = switch_counters() - before;
-  finalize_report();
   return report_;
 }
 
@@ -320,7 +317,6 @@ void JobService::run_batched(util::WorkerPool& pool,
     }
 
     serve_batch(*board, pool);
-    ++report_.batches;
   }
 }
 
@@ -464,7 +460,6 @@ void JobService::preempt(BoardState& board) {
   board.active.reset();
   JobProgress& prog = progress_.at(id);
   ++prog.preemptions;
-  ++report_.preemptions;
   if (options_.policy == Policy::kAbortRerun) {
     // The baseline without checkpointing: all progress is lost, the
     // input payload must be streamed again.
@@ -519,6 +514,7 @@ void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
     }
     rec.finish = drv.now();
     rec.outcome = *out;
+    report_.makespan = std::max(report_.makespan, rec.finish);
   } else {
     rec.outcome.ok = false;
     rec.outcome.detail = detail;
@@ -529,11 +525,7 @@ void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
   } else {
     ++report_.failed;
   }
-  if (rec.deadline > 0 && rec.finish > rec.deadline) {
-    ++report_.deadline_misses;
-  }
   --pending_by_tenant_[rec.tenant];
-  run_ids_.push_back(id);
   progress_.erase(id);  // last: `out` may live here; restored jobs carry one
 }
 
@@ -799,61 +791,6 @@ void JobService::load_state(sim::SnapshotReader& r) {
   system_.load_state(r);
   r.select("serve/service");
   walk(*this, r);
-}
-
-void JobService::finalize_report() {
-  // Per-tenant quality, from this run's records only. The sample
-  // buffers persist across runs, so a run reuses their storage.
-  for (auto& [tenant, t] : tenant_samples_) {
-    t.waits.clear();
-    t.services.clear();
-    t.failed = 0;
-  }
-  for (const JobId id : run_ids_) {
-    const JobRecord& rec = records_[id];
-    TenantSamples& t = tenant_samples_[rec.tenant];
-    const bool failed = rec.error != util::ErrorCode::kOk || !rec.outcome.ok;
-    if (failed) {
-      ++t.failed;
-      if (rec.board < 0) continue;  // never dispatched: no timing sample
-    }
-    t.waits.push_back(static_cast<double>(rec.queue_wait));
-    // resolve() stamps finish only on a job that produced an outcome; one
-    // that failed before (its input DMA, or a dead crate) has no service
-    // time.
-    if (failed && rec.finish == 0) continue;
-    t.services.push_back(static_cast<double>(rec.finish - rec.start));
-    report_.makespan = std::max(report_.makespan, rec.finish);
-  }
-  // In tenant-name order; tenants that only ever failed undispatched
-  // still get a row.
-  for (auto& [tenant, samples] : tenant_samples_) {
-    if (samples.waits.empty() && samples.failed == 0) continue;
-    TenantStats t;
-    t.tenant = tenant;
-    t.failed = samples.failed;
-    std::vector<double>& w = samples.waits;
-    if (!w.empty()) {
-      t.jobs = w.size();
-      std::sort(w.begin(), w.end());
-      t.p50_wait =
-          static_cast<util::Picoseconds>(util::percentile_sorted(w, 0.50));
-      t.p99_wait =
-          static_cast<util::Picoseconds>(util::percentile_sorted(w, 0.99));
-      t.max_wait = static_cast<util::Picoseconds>(w.back());
-    }
-    if (!samples.services.empty()) {
-      double sum = 0.0;
-      for (const double v : samples.services) sum += v;
-      t.mean_service = static_cast<util::Picoseconds>(
-          sum / static_cast<double>(samples.services.size()));
-    }
-    report_.tenants.push_back(std::move(t));
-  }
-  if (report_.makespan > 0) {
-    report_.jobs_per_second = static_cast<double>(report_.served) /
-                              (static_cast<double>(report_.makespan) / 1e12);
-  }
 }
 
 }  // namespace atlantis::serve

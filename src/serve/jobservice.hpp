@@ -61,32 +61,18 @@ struct RunOptions {
   util::WorkerPool* pool = nullptr;  // nullptr = the shared pool
 };
 
-/// Per-tenant service quality over one run() — the numbers a
-/// "millions of users" operator actually watches.
-struct TenantStats {
-  std::string tenant;
-  std::uint64_t jobs = 0;
-  std::uint64_t failed = 0;
-  util::Picoseconds p50_wait = 0;
-  util::Picoseconds p99_wait = 0;
-  util::Picoseconds max_wait = 0;
-  util::Picoseconds mean_service = 0;  // start -> finish
-};
-
-/// Everything one run() did, in aggregate.
+/// What one run() did, in aggregate. Per-job figures (queue waits,
+/// preemptions, deadlines) live in the ledger, jobs().
 struct ServiceReport {
   std::uint64_t served = 0;
   std::uint64_t failed = 0;
-  std::uint64_t batches = 0;
   /// The run's switch and cache counters, summed over the boards.
   core::SwitchCounters switching;
-  util::Picoseconds makespan = 0;  // latest job finish (modelled)
-  double jobs_per_second = 0.0;    // served / makespan
-  std::uint64_t preemptions = 0;      // slice preemptions this run
-  std::uint64_t deadline_misses = 0;  // jobs finished past their deadline
-  std::uint64_t migrated = 0;         // jobs checkpointed out to a target
-  std::vector<TenantStats> tenants;       // sorted by tenant name
-  std::vector<int> dead_boards;           // ACB indices lost to drop-outs
+  /// Latest finish among the run's jobs that completed with an outcome
+  /// (modelled).
+  util::Picoseconds makespan = 0;
+  std::uint64_t migrated = 0;     // jobs checkpointed out to a target
+  std::vector<int> dead_boards;   // ACB indices lost to drop-outs
 };
 
 /// A job frozen mid-service: the versioned snapshot stream (section
@@ -250,13 +236,6 @@ class JobService : public sim::Snapshottable {
     std::uint32_t preemptions = 0;
   };
 
-  /// One tenant's samples for finalize_report, kept across runs.
-  struct TenantSamples {
-    std::vector<double> waits;
-    std::vector<double> services;
-    std::uint64_t failed = 0;
-  };
-
   sim::TrackId tenant_track(const std::string& tenant);
   /// The one board scan of both policies: the alive, enabled board with
   /// the smallest cursor that has a job mid-compute or, when idle, work
@@ -301,7 +280,6 @@ class JobService : public sim::Snapshottable {
   /// Migrates an already-detached pending job to the migration target.
   void migrate_out(JobId id);
   void fail_remaining(util::ErrorCode code);
-  void finalize_report();
   /// The "serve/service" section's payload.
   template <typename Self, typename Stream>
   static void walk(Self& self, Stream& s);
@@ -317,7 +295,6 @@ class JobService : public sim::Snapshottable {
   /// service keeps (the ledger holds the rest).
   std::vector<std::function<JobOutcome()>> work_;
   std::vector<JobRecord> records_;  // by JobId
-  std::vector<JobId> run_ids_;      // jobs resolved by the current run()
   std::map<JobId, JobProgress> progress_;  // jobs touched, not yet resolved
   std::set<JobId> checkpointed_out_;
   JobService* migration_target_ = nullptr;
@@ -328,7 +305,6 @@ class JobService : public sim::Snapshottable {
   std::string label_;                 // the timeline label being built
   std::vector<JobId> batch_;          // run_batched's current batch
   std::vector<JobOutcome> outcomes_;  // its evaluated functors
-  std::map<std::string, TenantSamples, std::less<>> tenant_samples_;
 };
 
 }  // namespace atlantis::serve

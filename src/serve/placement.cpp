@@ -2,16 +2,15 @@
 
 #include <algorithm>
 
+#include "util/fnv.hpp"
 #include "util/status.hpp"
 
 namespace atlantis::serve {
 
 std::uint64_t placement_hash(std::string_view key) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : key) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ull;
-  }
+  util::Fnv acc;
+  acc.mix(key);
+  std::uint64_t h = acc.h;
   // Raw FNV-1a has weak avalanche on short keys: "cfg0".."cfg9" differ
   // only in the low bytes, so their hashes share the top bits and land
   // on the same ring arc — collapsing the ring to one effective shard.

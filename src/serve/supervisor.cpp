@@ -10,10 +10,6 @@
 namespace atlantis::serve {
 namespace {
 
-std::uint64_t sub(std::uint64_t a, std::uint64_t b) {
-  return a >= b ? a - b : 0;
-}
-
 bool transient(util::ErrorCode code) {
   switch (code) {
     case util::ErrorCode::kDmaStall:
@@ -74,36 +70,20 @@ util::Picoseconds Supervisor::now() const {
   return service_.system().timeline().horizon();
 }
 
-Supervisor::CounterBase Supervisor::sample(
-    int board_index, const core::SelfTestHealth& health) const {
-  CounterBase base;
-  base.health = health;
+HealthDelta Supervisor::sample(int board_index) const {
+  const core::SelfTestHealth h =
+      service_.system().acb(board_index).probe_health();
   const core::AtlantisDriver& drv = service_.driver(board_index);
-  base.dma_faults = drv.dma_faults();
-  base.dma_retries = drv.dma_retries();
-  base.config_retries = drv.config_retries();
-  const core::TaskSwitcher& sw = service_.switcher(board_index);
-  base.reconfig_retries = sw.reconfig_retries();
-  base.switches = sw.switch_count();
-  return base;
-}
-
-HealthDelta Supervisor::diff(const CounterBase& base, const CounterBase& cur,
-                             bool dropped) const {
-  const core::SelfTestHealth& b = base.health;
-  const core::SelfTestHealth& c = cur.health;
   HealthDelta d;
-  d.dma_faults = sub(cur.dma_faults, base.dma_faults);
-  d.dma_retries = sub(cur.dma_retries, base.dma_retries);
-  d.reconfig_retries = sub(cur.reconfig_retries, base.reconfig_retries) +
-                       sub(cur.config_retries, base.config_retries);
-  d.crc_failures = sub(c.crc_failures, b.crc_failures);
-  d.config_upsets = sub(c.config_upsets, b.config_upsets);
-  d.slink_errors = sub(c.slink_errors, b.slink_errors) +
-                   sub(c.truncated_frames, b.truncated_frames);
-  d.retransmissions = sub(c.retransmissions, b.retransmissions);
-  d.seu_flips = sub(c.seu_flips, b.seu_flips);
-  d.dropped = dropped;
+  d.dma_faults = drv.dma_faults();
+  d.dma_retries = drv.dma_retries();
+  d.reconfig_retries = service_.switcher(board_index).reconfig_retries() +
+                       drv.config_retries();
+  d.crc_failures = h.crc_failures;
+  d.config_upsets = h.config_upsets;
+  d.slink_errors = h.slink_errors + h.truncated_frames;
+  d.retransmissions = h.retransmissions;
+  d.seu_flips = h.seu_flips;
   return d;
 }
 
@@ -209,11 +189,10 @@ void Supervisor::rebaseline() {
   // Counters may have rewound (checkpoint restore) — re-sample every
   // baseline, re-sync conditions with the service's flags and forget
   // breaker windows (tallies survive; they are the report's numbers).
-  const std::vector<core::SelfTestHealth> pages =
-      service_.system().probe_health();
   for (int i = 0; i < static_cast<int>(boards_.size()); ++i) {
     BoardSupervision& b = boards_[static_cast<std::size_t>(i)];
-    b.base = sample(i, pages[static_cast<std::size_t>(i)]);
+    b.base = sample(i);
+    b.switches = service_.switcher(i).switch_count();
     b.reconfig->reset();
     b.dma->reset();
     if (service_.board_dead(i)) {
@@ -263,18 +242,19 @@ void Supervisor::tick() {
   if (service_.report().migrated > 0) migrated_since_checkpoint_ = true;
 
   // 2-6. Probe every board and run its supervision state machine.
-  const std::vector<core::SelfTestHealth> pages =
-      service_.system().probe_health();
   for (int i = 0; i < static_cast<int>(boards_.size()); ++i) {
     BoardSupervision& b = boards_[static_cast<std::size_t>(i)];
-    const CounterBase cur = sample(i, pages[static_cast<std::size_t>(i)]);
+    const HealthDelta cur = sample(i);
     const bool dead_now = service_.board_dead(i);
     const bool dropped = dead_now && b.condition != BoardCondition::kDead;
-    const HealthDelta d = diff(b.base, cur, dropped);
+    HealthDelta d = cur - b.base;
+    d.dropped = dropped;
     // The success signal for both breakers is the window's completed
     // task switches: reconfiguration and DMA both ride every switch.
-    const std::uint64_t traffic = sub(cur.switches, b.base.switches);
+    const std::uint64_t switches = service_.switcher(i).switch_count();
+    const std::uint64_t traffic = switches - b.switches;
     b.base = cur;
+    b.switches = switches;
 
     if (options_.enable_breakers) {
       b.reconfig->observe(d.reconfig_retries + d.crc_failures, traffic);

@@ -10,8 +10,8 @@
 //     1. let the service make a bounded amount of progress
 //        (JobService::run with max_dispatches = `dispatches_per_tick`);
 //     2. probe every board (its core::SelfTestHealth page plus the
-//        driver and switcher counters) and diff against the previous
-//        window;
+//        driver and switcher counters) and subtract the previous
+//        window's sample;
 //     3. feed the per-board reconfig and DMA circuit breakers
 //        (serve/health.hpp) with the window's failure/success counts;
 //     4. update each board's health score; escalate configuration
@@ -47,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "core/acb.hpp"
 #include "serve/health.hpp"
 #include "serve/jobservice.hpp"
 #include "util/units.hpp"
@@ -145,20 +144,11 @@ class Supervisor {
   double board_health(int board_index) const;
 
  private:
-  /// Counter snapshot one probe window diffs against.
-  struct CounterBase {
-    core::SelfTestHealth health;
-    std::uint64_t dma_faults = 0;
-    std::uint64_t dma_retries = 0;
-    std::uint64_t config_retries = 0;
-    std::uint64_t reconfig_retries = 0;
-    std::uint64_t switches = 0;
-  };
-
   struct BoardSupervision {
     BoardCondition condition = BoardCondition::kActive;
     HealthScore score;
-    CounterBase base;
+    HealthDelta base;            // the previous window's sample
+    std::uint64_t switches = 0;  // the switcher's count at that sample
     int clean_streak = 0;     // consecutive clean windows (quarantine)
     int probation_left = 0;   // clean windows still owed in probation
     int sick_windows = 0;     // scrub-escalation ladder
@@ -170,9 +160,10 @@ class Supervisor {
   };
 
   util::Picoseconds now() const;
-  CounterBase sample(int board_index, const core::SelfTestHealth& health) const;
-  HealthDelta diff(const CounterBase& base, const CounterBase& cur,
-                   bool dropped) const;
+  /// The board's cumulative fault counters: S-Link errors merge with
+  /// truncated frames, and switcher reconfig retries with the driver's
+  /// configuration retries.
+  HealthDelta sample(int board_index) const;
   void mark_down(BoardSupervision& b);
   void mark_up(BoardSupervision& b);
   bool any_schedulable(int excluding = -1) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/fnv.hpp"
 #include "util/status.hpp"
 
 namespace atlantis::sim {
@@ -69,12 +70,9 @@ std::uint64_t mix64(std::uint64_t x) {
 
 std::uint64_t jitter_stream(std::uint64_t seed, const std::string& site,
                             std::uint64_t ordinal) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return mix64(h ^ mix64(seed) ^ (ordinal * 0x9E3779B97F4A7C15ull));
+  util::Fnv h;
+  h.mix(site);
+  return mix64(h.h ^ mix64(seed) ^ (ordinal * 0x9E3779B97F4A7C15ull));
 }
 
 namespace {
@@ -83,13 +81,10 @@ namespace {
 /// (kind, site) stream is independent of every other.
 std::uint64_t site_hash(std::uint64_t seed, int kind,
                         const std::string& site) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  h ^= seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(kind + 1);
-  return h;
+  util::Fnv h;
+  h.mix(site);
+  return h.h ^
+         (seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(kind + 1));
 }
 
 }  // namespace

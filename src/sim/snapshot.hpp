@@ -87,13 +87,15 @@ static_assert(std::endian::native == std::endian::little,
               "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
-// Major 5: every event is counted once, by the component that decides
-// it. A board's PLX drops its DMA stall and abort counts and each FPGA
-// its four reconfiguration counts; a task switcher drops its last-switch
-// time and scrub counts and takes over the cache's hits and misses; the
-// cache keeps only its entries; "sim/fault" drops the per-kind injected
-// tallies its log already holds.
-inline constexpr std::uint16_t kSnapshotMajor = 5;
+// Major 6: no stream field repeats another component's count or feeds
+// only a report nobody reads. "sim/timeline" drops each resource's
+// first start, last end and fault, retry and retry-time tallies (the
+// driver and the S-Link channel count those) and each track's horizon;
+// a board drops its PLX's byte and time totals (the segment's stats hold
+// them); a task switcher drops its last switch's region count; and
+// "serve/cluster" drops each shard's admitted-this-window count and the
+// window's submit and drain counts.
+inline constexpr std::uint16_t kSnapshotMajor = 6;
 inline constexpr std::uint16_t kSnapshotMinor = 0;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.

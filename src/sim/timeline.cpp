@@ -36,7 +36,7 @@ ResourceId Timeline::add_resource(std::string name, int channels) {
 }
 
 TrackId Timeline::add_track(std::string name) {
-  tracks_.push_back(Track{std::move(name), 0});
+  tracks_.push_back(std::move(name));
   return TrackId{static_cast<int>(tracks_.size() - 1)};
 }
 
@@ -86,9 +86,6 @@ const Transaction& Timeline::post(TrackId track, TxnKind kind,
     t.end = t.start + service;
     *ch = t.end;
     ResourceStats& s = r.stats;
-    if (s.transactions == 0) s.first_start = t.start;
-    s.first_start = std::min(s.first_start, t.start);
-    s.last_end = std::max(s.last_end, t.end);
     s.busy += service;
     s.queue_delay += t.queue_delay();
     s.bytes += bytes;
@@ -98,16 +95,8 @@ const Transaction& Timeline::post(TrackId track, TxnKind kind,
     t.end = t.start + service;
   }
   horizon_ = std::max(horizon_, t.end);
-  Track& tr = tracks_[static_cast<std::size_t>(track.value)];
-  tr.horizon = std::max(tr.horizon, t.end);
   txns_.push_back(t);
   return txns_.back();
-}
-
-util::Picoseconds Timeline::track_horizon(TrackId track) const {
-  ATLANTIS_CHECK(track.valid() && track.value < track_count(),
-                 "unknown track");
-  return tracks_[static_cast<std::size_t>(track.value)].horizon;
 }
 
 const Transaction& Timeline::txn(std::uint64_t id) const {
@@ -118,28 +107,13 @@ const Transaction& Timeline::txn(std::uint64_t id) const {
 
 const std::string& Timeline::track_name(TrackId id) const {
   ATLANTIS_CHECK(id.valid() && id.value < track_count(), "unknown track");
-  return tracks_[static_cast<std::size_t>(id.value)].name;
+  return tracks_[static_cast<std::size_t>(id.value)];
 }
 
 ResourceStats Timeline::stats(ResourceId id) const {
   ATLANTIS_CHECK(id.valid() && id.value < resource_count(),
                  "unknown resource");
   return resources_[static_cast<std::size_t>(id.value)].stats;
-}
-
-void Timeline::record_fault(ResourceId id) {
-  ATLANTIS_CHECK(id.valid() && id.value < resource_count(),
-                 "unknown resource");
-  ++resources_[static_cast<std::size_t>(id.value)].stats.faults;
-}
-
-void Timeline::record_retry(ResourceId id, util::Picoseconds recovery) {
-  ATLANTIS_CHECK(id.valid() && id.value < resource_count(),
-                 "unknown resource");
-  ATLANTIS_CHECK(recovery >= 0, "recovery time must be non-negative");
-  ResourceStats& s = resources_[static_cast<std::size_t>(id.value)].stats;
-  ++s.retries;
-  s.retry_time += recovery;
 }
 
 template <typename Self, typename Stream, typename Count>
@@ -155,21 +129,13 @@ void Timeline::walk(Self& self, Stream& s, Count& posted) {
       s.u64(st.bytes);
       s.i64(st.busy);
       s.i64(st.queue_delay);
-      s.i64(st.first_start);
-      s.i64(st.last_end);
-      s.u64(st.faults);
-      s.u64(st.retries);
-      s.i64(st.retry_time);
     }
     // Tracks grow lazily (tenant tracks appear at first dispatch), so a
     // snapshot may carry more tracks than the twin has created — and a
     // rollback restore may carry fewer than the live timeline grew
     // since the checkpoint. Both directions resize; components that own
     // late track ids restore them from the same stream.
-    s.seq32(self.tracks_, [&](auto& t) {
-      s.string(t.name);
-      s.i64(t.horizon);
-    });
+    s.seq32(self.tracks_, [&](auto& name) { s.string(name); });
     s.u64(posted);
     s.i64(self.horizon_);
   });
@@ -185,7 +151,7 @@ void Timeline::load_state(SnapshotReader& r) {
   // committed, and the log is not cut, until the whole section read.
   struct Staged {
     std::vector<Resource> resources_;
-    std::vector<Track> tracks_;
+    std::vector<std::string> tracks_;
     util::Picoseconds horizon_;
   } staged{resources_, tracks_, horizon_};
   std::uint64_t k = 0;
@@ -257,7 +223,7 @@ void Timeline::export_chrome_trace(std::ostream& out) const {
     sep();
     out << "  {\"ph\": \"M\", \"pid\": 1, \"tid\": " << (track_base + t)
         << ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-    write_json_string(out, "actor:" + tracks_[static_cast<std::size_t>(t)].name);
+    write_json_string(out, "actor:" + tracks_[static_cast<std::size_t>(t)]);
     out << "}}";
   }
   // Complete events, sorted by start so every track is monotonic.

@@ -21,8 +21,8 @@
 //
 // Observability: the timeline keeps a log of the transactions it posted
 // itself. The log is a trace, not scheduler state: a snapshot carries
-// each resource's channel free times and stats, the tracks, the horizon
-// and how many transactions were posted, never the log. Loading a
+// each resource's channel free times and stats, the track names, the
+// horizon and how many transactions were posted, never the log. Loading a
 // snapshot rolls the log back to the restored count when this timeline
 // posted it (a crash restore onto the timeline that took the
 // checkpoint); otherwise (a twin) the log starts empty at that count, so
@@ -106,7 +106,9 @@ struct Transaction {
 // The log grows by memmove.
 static_assert(std::is_trivially_copyable_v<Transaction>);
 
-/// Aggregate view of one resource over the whole run.
+/// Aggregate view of one resource over the whole run. Faults and
+/// retries are counted by the component that decides them (the driver
+/// for DMA, the S-Link channel for its streams), not here.
 struct ResourceStats {
   std::string name;
   int channels = 1;
@@ -114,16 +116,6 @@ struct ResourceStats {
   std::uint64_t bytes = 0;
   util::Picoseconds busy = 0;         // sum of service durations
   util::Picoseconds queue_delay = 0;  // sum of start - post
-  util::Picoseconds first_start = 0;
-  util::Picoseconds last_end = 0;
-
-  // Fault/recovery accounting (populated by record_fault/record_retry):
-  // how often transactions on this resource faulted, how many retries the
-  // recovery layer issued, and the time those retries waited in backoff
-  // plus retransmission.
-  std::uint64_t faults = 0;
-  std::uint64_t retries = 0;
-  util::Picoseconds retry_time = 0;
 
   /// Busy fraction of one channel over [0, horizon] (can exceed 1 for
   /// multi-channel resources; divide by `channels` for the mean).
@@ -131,7 +123,6 @@ struct ResourceStats {
     if (horizon <= 0) return 0.0;
     return static_cast<double>(busy) / static_cast<double>(horizon);
   }
-  double mbps() const { return util::mb_per_s(bytes, last_end - first_start); }
   bool operator==(const ResourceStats&) const = default;
 };
 
@@ -164,8 +155,6 @@ class Timeline : public Snapshottable {
 
   /// Latest end over all transactions (the crate-wide makespan).
   util::Picoseconds horizon() const { return horizon_; }
-  /// Latest end over one actor's transactions.
-  util::Picoseconds track_horizon(TrackId track) const;
 
   /// The log: this timeline's posts with ids [first_id, posted()) in
   /// id order (file comment).
@@ -184,17 +173,9 @@ class Timeline : public Snapshottable {
   ResourceStats stats(ResourceId id) const;
   std::vector<ResourceStats> all_stats() const;
 
-  /// Fault/recovery bookkeeping: a transaction on `id` faulted, or a
-  /// retry was issued and spent `recovery` (backoff + retransmission)
-  /// recovering. The recovery layer calls these next to the transactions
-  /// it posts, so a fault sweep's stats() table shows where the recovery
-  /// time went per resource.
-  void record_fault(ResourceId id);
-  void record_retry(ResourceId id, util::Picoseconds recovery);
-
   /// Snapshottable: writes/restores the scheduler state — resources
-  /// with their channel free-times and stats, tracks with their
-  /// horizons, the posted count and the horizon — under a "sim/timeline"
+  /// with their channel free-times and stats, the track names, the
+  /// posted count and the horizon — under a "sim/timeline"
   /// section; the log is not in the stream. ResourceId/TrackId handles
   /// held by callers stay valid only when the restored stream was taken
   /// from an identically registered timeline (same add_resource/add_track
@@ -223,10 +204,6 @@ class Timeline : public Snapshottable {
     std::vector<util::Picoseconds> free_at;
     ResourceStats stats;
   };
-  struct Track {
-    std::string name;
-    util::Picoseconds horizon = 0;
-  };
   /// Append-only label storage. Chunks start at a few KiB, so a small
   /// crate stays small, and double up to a cap.
   class Labels {
@@ -249,7 +226,7 @@ class Timeline : public Snapshottable {
   static void walk(Self& self, Stream& s, Count& posted);
 
   std::vector<Resource> resources_;
-  std::vector<Track> tracks_;
+  std::vector<std::string> tracks_;  // actor names, by TrackId
   std::vector<Transaction> txns_;
   std::uint64_t first_id_ = 0;  // id of txns_[0]
   Labels labels_;

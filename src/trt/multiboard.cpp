@@ -103,15 +103,16 @@ MultiBoardResult histogram_multiboard(const PatternBank& bank,
     tracks.push_back(tl.add_track("trt/" + system.acb(b).name()));
   }
 
-  // Per-run S-Link recovery accounting: the counters are lifetime, so
-  // capture them before the streams are posted and report the delta.
+  // Per-run S-Link recovery accounting: the link's retransmission count
+  // is lifetime, so capture it before the streams are posted and report
+  // the delta. A detector-fed board's stream is the event's hit words
+  // between a begin and an end marker.
+  const std::uint64_t stream_words =
+      static_cast<std::uint64_t>(ev.hits.size()) + 2;
   std::vector<std::uint64_t> retrans_before;
-  std::vector<util::Picoseconds> retry_time_before;
   if (cfg.detector_fed) {
     for (const int b : alive) {
-      hw::SlinkChannel& link = system.acb(b).slink();
-      retrans_before.push_back(link.retransmissions());
-      retry_time_before.push_back(tl.stats(link.resource()).retry_time);
+      retrans_before.push_back(system.acb(b).slink().retransmissions());
     }
   }
 
@@ -176,8 +177,7 @@ MultiBoardResult histogram_multiboard(const PatternBank& bank,
       // completion out by the wasted link time.
       const sim::Transaction& stream =
           system.acb(b).slink().post_stream(
-              tracks[static_cast<std::size_t>(k)],
-              static_cast<std::uint64_t>(ev.hits.size()) + 2, epoch,
+              tracks[static_cast<std::size_t>(k)], stream_words, epoch,
               "detector feed");
       done[static_cast<std::size_t>(k)] =
           std::max(done[static_cast<std::size_t>(k)], stream.end);
@@ -201,13 +201,16 @@ MultiBoardResult histogram_multiboard(const PatternBank& bank,
   }
 
   if (cfg.detector_fed) {
+    // Each board posted one stream this run, and a retransmission wastes
+    // exactly one pass of it.
     for (int k = 0; k < active; ++k) {
       hw::SlinkChannel& link =
           system.acb(alive[static_cast<std::size_t>(k)]).slink();
-      r.slink_retransmits += link.retransmissions() -
-                             retrans_before[static_cast<std::size_t>(k)];
-      r.recovery_time += tl.stats(link.resource()).retry_time -
-                         retry_time_before[static_cast<std::size_t>(k)];
+      const std::uint64_t retransmits =
+          link.retransmissions() - retrans_before[static_cast<std::size_t>(k)];
+      r.slink_retransmits += retransmits;
+      r.recovery_time += static_cast<util::Picoseconds>(retransmits) *
+                         link.transfer_time(stream_words);
     }
   }
 

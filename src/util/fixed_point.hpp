@@ -1,7 +1,8 @@
-// Signed fixed-point arithmetic (Q-format) used by the volume-rendering
-// and image-processing hardware cores. FPGA datapaths in the paper's era
-// were fixed-point almost without exception; this type makes the bit
-// behaviour of those datapaths explicit and testable.
+// Signed fixed-point arithmetic (Q-format). FPGA datapaths in the
+// paper's era were fixed-point almost without exception; this type makes
+// the bit behaviour of such a datapath explicit and testable. No core in
+// src/ uses it: the volume-rendering and image-processing cores are
+// CHDL designs with their own bit widths.
 #pragma once
 
 #include <cmath>

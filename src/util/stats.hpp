@@ -13,15 +13,14 @@
 
 namespace atlantis::util {
 
-/// Welford single-pass accumulator: mean/variance/min/max without storing
-/// the samples. Numerically stable for long benchmark runs.
+/// Single-pass accumulator: running mean, min, max and sum without
+/// storing the samples.
 class Accumulator {
  public:
   void add(double x) {
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
     sum_ += x;
@@ -33,53 +32,24 @@ class Accumulator {
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-
-  void merge(const Accumulator& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double total = static_cast<double>(n_ + other.n_);
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / total;
-    mean_ += delta * static_cast<double>(other.n_) / total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact nearest-rank percentile (q in [0,1]) over samples already
-/// sorted ascending; nothing is copied.
-inline double percentile_sorted(const std::vector<double>& sorted,
-                                double q) {
-  if (sorted.empty()) return 0.0;
+/// Exact nearest-rank percentile (q in [0,1]) over an unsorted sample
+/// set; sorts a copy. Deterministic — p50/p99 queue waits read from the
+/// ledger come from here, so they must not depend on sample order.
+inline double percentile(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
   q = std::clamp(q, 0.0, 1.0);
   const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[rank];
-}
-/// Exact nearest-rank percentile (q in [0,1]) over an unsorted sample
-/// set; sorts a copy. Deterministic — the serving layer's p50/p99 queue
-/// latencies come from here, so they must not depend on sample order.
-inline double percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  return percentile_sorted(samples, q);
+      q * static_cast<double>(samples.size() - 1) + 0.5);
+  return samples[rank];
 }
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples land in the
@@ -152,10 +122,6 @@ class LogHistogram {
     ++counts_[index(x)];
     ++total_;
   }
-  void add(double x, std::uint64_t n) {
-    counts_[index(x)] += n;
-    total_ += n;
-  }
 
   std::uint64_t count() const { return total_; }
 
@@ -173,18 +139,6 @@ class LogHistogram {
       if (seen > target) return midpoint(i);
     }
     return midpoint(counts_.size() - 1);
-  }
-
-  /// Merge per-shard histograms into the cluster-wide distribution.
-  /// Requires identical bucket geometry.
-  void merge(const LogHistogram& other) {
-    ATLANTIS_CHECK(counts_.size() == other.counts_.size() &&
-                       bins_per_decade_ == other.bins_per_decade_,
-                   "merging log histograms needs identical geometry");
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
-    total_ += other.total_;
   }
 
  private:

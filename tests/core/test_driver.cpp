@@ -91,7 +91,9 @@ TEST(Driver, DmaAdvancesLedgerAndPciCounters) {
   const hw::DmaTransfer r =
       drv.dma(hw::DmaDirection::kRead, 64 * util::kKiB).value();
   EXPECT_EQ(drv.now(), w.duration + r.duration);
-  EXPECT_EQ(drv.board().pci().total_bytes(), 128 * util::kKiB);
+  const sim::ResourceStats seg = sys.timeline().stats(sys.pci_segment());
+  EXPECT_EQ(seg.bytes, 128 * util::kKiB);
+  EXPECT_EQ(seg.busy, w.duration + r.duration);
   EXPECT_GT(w.mbps(), r.mbps());
 }
 
@@ -158,6 +160,82 @@ TEST(Driver, SwitchTaskPostsAtTheDriverCursor) {
                         t.label == "switch to alpha");
   }
   EXPECT_TRUE(posted);
+}
+
+TEST(Driver, SwitchPostsTheRegionsItLoaded) {
+  // Every kReconfig a switch posts carries the configuration regions
+  // that switch loaded: the switcher's region count moves by exactly
+  // that much across the call.
+  AtlantisSystem sys("crate");
+  sim::FaultPlan plan;
+  // CRC opportunities on FPGA 0: 1 is the full load of "a", 2-4 the
+  // three frames of "b"; 5 and 6 fail both attempts at the one frame of
+  // "c", and 7 is the full load that recovers it.
+  plan.inject(sim::FaultKind::kConfigCrc, "fpga/acb0/fpga0", 5);
+  plan.inject(sim::FaultKind::kConfigCrc, "fpga/acb0/fpga0", 6);
+  sim::FaultInjector inj(plan);
+  sys.set_fault_injector(&inj);
+  AtlantisDriver drv(sys, sys.add_acb("acb0"));
+  TaskSwitcher sw(drv.board().fpga(0));
+  sim::RetryPolicy policy;
+  policy.max_attempts = 2;
+  sw.set_retry_policy(policy);
+  sw.enable_cache(4);
+  const auto task = [](const std::string& name, int from, int to) {
+    hw::Bitstream bs;
+    bs.name = name;
+    bs.region_sigs = hw::make_region_signatures("base", 32);
+    if (to > from) hw::stamp_regions(bs.region_sigs, name, from, to);
+    return bs;
+  };
+  sw.add_task(task("a", 0, 0));
+  sw.add_task(task("b", 8, 11));
+  sw.add_task(task("c", 0, 1));
+
+  struct Posted {
+    int posts = 0;
+    std::uint32_t regions = 0;  // of the last kReconfig posted
+    std::uint64_t loaded = 0;   // the switcher's region-count delta
+  };
+  const auto switch_to = [&](const std::string& name) {
+    Posted p;
+    const std::uint64_t regions_before = sw.counters().regions;
+    const std::uint64_t first = sys.timeline().posted();
+    EXPECT_TRUE(drv.switch_task(sw, name).ok()) << name;
+    for (std::uint64_t id = first; id < sys.timeline().posted(); ++id) {
+      const sim::Transaction& t = sys.timeline().txn(id);
+      if (t.kind != sim::TxnKind::kReconfig) continue;
+      ++p.posts;
+      p.regions = t.regions;
+    }
+    p.loaded = sw.counters().regions - regions_before;
+    EXPECT_EQ(p.regions, p.loaded) << name;
+    return p;
+  };
+
+  const Posted first_load = switch_to("a");
+  EXPECT_EQ(first_load.posts, 1);
+  EXPECT_EQ(first_load.regions, 0u);
+  const Posted differential = switch_to("b");
+  EXPECT_EQ(differential.posts, 1);
+  EXPECT_EQ(differential.regions, 3u);
+  const Posted resident = switch_to("b");
+  EXPECT_EQ(resident.posts, 0);
+  EXPECT_EQ(resident.loaded, 0u);
+  const Posted cache_hit = switch_to("a");
+  EXPECT_EQ(cache_hit.posts, 1);
+  EXPECT_EQ(cache_hit.regions, 0u);
+  EXPECT_EQ(sw.cache_hits(), 1u);
+  const Posted fallback = switch_to("c");
+  EXPECT_EQ(fallback.posts, 1);
+  EXPECT_EQ(fallback.regions, 0u);
+  EXPECT_EQ(sw.current(), "c");
+  // One per-region retry inside the differential load, one full load
+  // after it exhausted; only "b" loaded differentially.
+  EXPECT_EQ(sw.reconfig_retries(), 2u);
+  EXPECT_EQ(sw.partial_switches(), 1u);
+  EXPECT_EQ(drv.board().fpga(0).crc_failures(), 2u);
+  sys.set_fault_injector(nullptr);
 }
 
 TEST(Driver, RegisterAccessFollowsTaskSwitches) {

@@ -188,7 +188,6 @@ TEST(PartialReconfig, SwitcherPaysOnlyTheDelta) {
   const util::Picoseconds t = sw.switch_to("b").value();
   EXPECT_EQ(t, 4 * dev.region_time());
   EXPECT_EQ(sw.partial_switches(), 1u);
-  EXPECT_EQ(sw.last_regions_loaded(), 4);
   EXPECT_EQ(sw.regions_loaded(), 4u);
   EXPECT_EQ(sw.counters().partial_time, t);
 

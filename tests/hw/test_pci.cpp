@@ -77,16 +77,6 @@ TEST(Pci, TargetAccessIsTenBusClocks) {
   EXPECT_EQ(plx.target_access(), 10 * util::period_from_mhz(33.0));
 }
 
-TEST(Pci, RecordAccumulates) {
-  Plx9080 plx;
-  const DmaTransfer a = plx.transfer(DmaDirection::kWrite, 1000);
-  const DmaTransfer b = plx.transfer(DmaDirection::kRead, 2000);
-  plx.record(a);
-  plx.record(b);
-  EXPECT_EQ(plx.total_bytes(), 3000u);
-  EXPECT_EQ(plx.total_time(), a.duration + b.duration);
-}
-
 // Parameterized shape check across directions.
 class DmaSweep : public ::testing::TestWithParam<DmaDirection> {};
 

@@ -28,7 +28,7 @@ TEST(ImgHw, DriverAddsDmaBothWays) {
   const ImgHwResult r = filter_atlantis(512, 512, ImgHwConfig{}, &drv);
   EXPECT_GT(r.io_time, 0);
   EXPECT_EQ(r.total_time, r.compute_time + r.io_time);
-  EXPECT_EQ(drv.board().pci().total_bytes(), 2ull * 512 * 512);
+  EXPECT_EQ(sys.timeline().stats(sys.pci_segment()).bytes, 2ull * 512 * 512);
 }
 
 TEST(ImgHw, ReadBackStartsAfterTheFilter) {

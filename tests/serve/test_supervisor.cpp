@@ -342,7 +342,6 @@ TEST(Supervisor, FaultedCrateTalliesArePinned) {
         {163, 18, 145, 144, 1152, 706128000000, 682104000000, 12, 7, 7, 0, 0,
          0, 0, 0, 5, 12},
     };
-    const std::vector<core::SelfTestHealth> pages = sys.probe_health();
     std::uint64_t partials = 0;
     std::uint64_t dma_faults = 0;
     for (int b = 0; b < 2; ++b) {
@@ -361,7 +360,7 @@ TEST(Supervisor, FaultedCrateTalliesArePinned) {
       EXPECT_EQ(drv.dma_faults(), w.dma_faults);
       EXPECT_EQ(drv.dma_retries(), w.dma_retries);
       EXPECT_EQ(drv.config_retries(), w.config_retries);
-      const core::SelfTestHealth& h = pages[static_cast<std::size_t>(b)];
+      const core::SelfTestHealth h = sys.acb(b).probe_health();
       EXPECT_EQ(h.slink_errors, w.slink_errors);
       EXPECT_EQ(h.truncated_frames, w.truncated_frames);
       EXPECT_EQ(h.retransmissions, w.retransmissions);

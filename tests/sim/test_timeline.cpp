@@ -83,7 +83,7 @@ TEST(Timeline, OverlapJoinsAtMaxNotSum) {
   const util::Picoseconds join = std::max(dma.end, scan.end);
   EXPECT_EQ(join, 100);
   EXPECT_LT(join, dma.duration() + scan.duration());
-  EXPECT_EQ(tl.track_horizon(t), 100);
+  EXPECT_EQ(tl.horizon(), 100);
 }
 
 TEST(Timeline, StatsAccumulateBytesAndUtilization) {
@@ -94,8 +94,8 @@ TEST(Timeline, StatsAccumulateBytesAndUtilization) {
   tl.post(t, TxnKind::kPciDma, "b", bus, 250, 750, 3000);
   const ResourceStats s = tl.stats(bus);
   EXPECT_EQ(s.bytes, 4000u);
-  EXPECT_EQ(s.first_start, 0);
-  EXPECT_EQ(s.last_end, 1000);
+  EXPECT_EQ(s.transactions, 2u);
+  EXPECT_EQ(s.busy, 1000);
   EXPECT_DOUBLE_EQ(s.utilization(tl.horizon()), 1.0);
 }
 

@@ -15,7 +15,8 @@ TEST(Accumulator, EmptyIsZero) {
   Accumulator a;
   EXPECT_EQ(a.count(), 0u);
   EXPECT_EQ(a.mean(), 0.0);
-  EXPECT_EQ(a.stddev(), 0.0);
+  EXPECT_EQ(a.min(), 0.0);
+  EXPECT_EQ(a.max(), 0.0);
 }
 
 TEST(Accumulator, MatchesDirectComputation) {
@@ -26,50 +27,10 @@ TEST(Accumulator, MatchesDirectComputation) {
     a.add(x);
     sum += x;
   }
-  const double mean = sum / 5.0;
-  double var = 0.0;
-  for (const double x : xs) var += (x - mean) * (x - mean);
-  var /= 4.0;
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  EXPECT_NEAR(a.variance(), var, 1e-12);
+  EXPECT_DOUBLE_EQ(a.mean(), sum / 5.0);
   EXPECT_DOUBLE_EQ(a.min(), 1.0);
   EXPECT_DOUBLE_EQ(a.max(), 16.0);
   EXPECT_DOUBLE_EQ(a.sum(), sum);
-}
-
-TEST(Accumulator, MergeEqualsSinglePass) {
-  Rng rng(17);
-  Accumulator whole, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal() * 3.0 + 1.0;
-    whole.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmptyIsIdentity) {
-  Accumulator a, empty;
-  a.add(3.0);
-  a.add(5.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  EXPECT_EQ(a.count(), 2u);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
-
-TEST(Accumulator, SingleSampleHasZeroVariance) {
-  Accumulator a;
-  a.add(42.0);
-  EXPECT_EQ(a.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(a.mean(), 42.0);
 }
 
 TEST(Histogram, RejectsBadShape) {
@@ -129,21 +90,6 @@ TEST(LogHistogram, TinyAndHugeSamplesLandInTheEdgeBins) {
   EXPECT_EQ(h.count(), 3u);
   EXPECT_LE(h.quantile(0.0), 1.0);
   EXPECT_GE(h.quantile(1.0), 1e6 * 0.9);
-}
-
-TEST(LogHistogram, MergeMatchesPooledSamples) {
-  LogHistogram a, b, pooled;
-  Rng rng(31);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = std::pow(10.0, rng.uniform(2.0, 8.0));
-    (i % 2 == 0 ? a : b).add(x);
-    pooled.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), pooled.count());
-  for (const double q : {0.5, 0.99, 0.999}) {
-    EXPECT_DOUBLE_EQ(a.quantile(q), pooled.quantile(q)) << "q=" << q;
-  }
 }
 
 }  // namespace
