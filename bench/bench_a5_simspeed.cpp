@@ -27,7 +27,6 @@
 #include "chdl/hostif.hpp"
 #include "chdl/sim.hpp"
 #include "chdl/stats.hpp"
-#include "chdl/threaded.hpp"
 #include "core/acb.hpp"
 #include "hw/fpga.hpp"
 #include "imgproc/conv_core.hpp"
@@ -311,19 +310,14 @@ int main() {
   }
   t.add_row({"ACB 2x2 matrix (full sweep)", count(matrix_cps), "-", "-", "-",
              "-", "-"});
-  t.add_note("threaded = region-superop engine (" +
-             std::string(chdl::threaded_uses_computed_goto()
-                             ? "computed-goto"
-                             : "switch") +
-             " dispatch) with the optimizer, the production default; "
+  t.add_note("threaded = region-superop engine (computed-goto dispatch) "
+             "with the optimizer, the production default; "
              "threaded raw = the same engine without it");
   t.add_note("tape ops column: comb ops as elaborated -> ops compiled after "
              "fold + CSE; fold/cse column counts ops each pass removed");
   t.print();
 
   std::ofstream json("BENCH_simspeed.json");
-  const char* dispatch =
-      chdl::threaded_uses_computed_goto() ? "computed_goto" : "switch";
   json << "{\n  \"rounds\": " << kRounds << ",\n";
   for (std::size_t c = 0; c < cores.size(); ++c) {
     const Row& full = rows[c][kFull];
@@ -334,7 +328,6 @@ int main() {
          << ", \"threaded_raw_cps\": " << raw.median()
          << ", \"threaded_cps\": " << thr.median()
          << ", \"speedup\": " << thr.median() / full.median()
-         << ", \"dispatch\": \"" << dispatch << "\""
          << ", \"full_evals\": " << full.comp_evals
          << ", \"threaded_evals\": " << thr.comp_evals
          << ", \"tape_ops_before\": " << thr.opt.ops_before

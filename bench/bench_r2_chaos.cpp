@@ -85,11 +85,10 @@ sim::FaultPlan storm_plan() {
   return plan;
 }
 
-serve::ServeOptions storm_serve_options(int n_jobs) {
+serve::ServeOptions storm_serve_options() {
   serve::ServeOptions options;
   options.policy = serve::Policy::kPreemptive;
   options.preempt_slice = util::kMillisecond;
-  options.max_queued_per_tenant = static_cast<std::size_t>(n_jobs);
   return options;
 }
 
@@ -167,8 +166,8 @@ ChaosCell run_mode(const std::string& mode, int n_jobs,
   for (int i = 0; i < 3; ++i) sys.add_acb("acb" + std::to_string(i));
   spare_sys.add_acb("spare0");
   sys.set_fault_injector(&injector);
-  serve::JobService service(sys, storm_serve_options(n_jobs));
-  serve::JobService spare(spare_sys, storm_serve_options(n_jobs));
+  serve::JobService service(sys, storm_serve_options());
+  serve::JobService spare(spare_sys, storm_serve_options());
   for (serve::JobService* s : {&service, &spare}) {
     s->register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
     s->register_config(hw::Bitstream{"beta", {}, nullptr, {}});

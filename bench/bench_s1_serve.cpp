@@ -34,6 +34,7 @@
 #include "sim/snapshot.hpp"
 #include "trt/hwmodel.hpp"
 #include "trt/serve_adapter.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -105,18 +106,14 @@ std::vector<hw::Bitstream> make_configs(bool regions) {
 /// Timing-free digest of every job's outcome: policy changes the
 /// schedule, never the answers.
 std::uint64_t hash_results(const std::vector<serve::JobRecord>& records) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
+  util::Fnv acc;
   for (const serve::JobRecord& r : records) {
-    mix(r.id);
-    mix(static_cast<std::uint64_t>(r.error));
-    mix(r.outcome.checksum);
-    for (const char c : r.config) mix(static_cast<std::uint64_t>(c));
+    acc.mix(r.id);
+    acc.mix(static_cast<std::uint64_t>(r.error));
+    acc.mix(r.outcome.checksum);
+    acc.mix(r.config);
   }
-  return h;
+  return acc.h;
 }
 
 /// Id-free digest of what was actually served, summed over any number
@@ -129,24 +126,17 @@ std::uint64_t functional_digest(
   for (const auto* records : ledgers) {
     for (const serve::JobRecord& r : *records) {
       if (r.error != util::ErrorCode::kOk || r.migrated) continue;
-      std::uint64_t h = 1469598103934665603ull;
-      auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 1099511628211ull;
-      };
-      for (const char c : r.tenant) mix(static_cast<std::uint64_t>(c));
-      for (const char c : r.config) mix(static_cast<std::uint64_t>(c));
-      mix(r.outcome.checksum);
-      entries.push_back(h);
+      util::Fnv entry;
+      entry.mix(r.tenant);
+      entry.mix(r.config);
+      entry.mix(r.outcome.checksum);
+      entries.push_back(entry.h);
     }
   }
   std::sort(entries.begin(), entries.end());
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t e : entries) {
-    h ^= e;
-    h *= 1099511628211ull;
-  }
-  return h;
+  util::Fnv acc;
+  for (const std::uint64_t e : entries) acc.mix(e);
+  return acc.h;
 }
 
 ServeCell run_cell(const std::string& name, const Workload& w,
@@ -241,7 +231,7 @@ ServeCell run_cell(const std::string& name, const Workload& w,
   }
   std::vector<double> waits;
   for (const serve::JobRecord& rec : service.jobs()) {
-    if (rec.board >= 0) waits.push_back(static_cast<double>(rec.queue_wait));
+    if (rec.board >= 0) waits.push_back(static_cast<double>(rec.queue_wait()));
   }
   if (!waits.empty()) {
     cell.p50_ms = util::ps_to_ms(

@@ -107,7 +107,7 @@ int main() {
   // Per-tenant queue waits come from the ledger.
   std::map<std::string, std::vector<double>> waits;
   for (const serve::JobRecord& rec : service.jobs()) {
-    waits[rec.tenant].push_back(static_cast<double>(rec.queue_wait));
+    waits[rec.tenant].push_back(static_cast<double>(rec.queue_wait()));
   }
   for (const auto& [tenant, w] : waits) {
     std::printf("  tenant %-5s: %zu jobs, p99 queue wait %.2f us\n",

@@ -27,7 +27,6 @@
 // Foundation: statuses, units, math, containers.
 #include "util/bitops.hpp"
 #include "util/cfloat.hpp"
-#include "util/fixed_point.hpp"
 #include "util/fnv.hpp"
 #include "util/image.hpp"
 #include "util/rng.hpp"

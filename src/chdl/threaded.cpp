@@ -6,30 +6,12 @@
 #include "chdl/sim.hpp"
 #include "util/status.hpp"
 
-// Dispatch selection. GCC and Clang support taking the address of a
-// label (&&label) and jumping through it, which turns per-op dispatch
-// into a single indirect branch at the end of each handler;
-// ATLANTIS_THREADED_FORCE_SWITCH pins the portable switch loop so CI
-// can prove both paths are bit-identical on the same compiler.
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(ATLANTIS_THREADED_FORCE_SWITCH)
-#define ATLANTIS_THREADED_COMPUTED_GOTO 1
-#else
-#define ATLANTIS_THREADED_COMPUTED_GOTO 0
-#endif
-
 namespace atlantis::chdl {
 
-bool threaded_uses_computed_goto() {
-  return ATLANTIS_THREADED_COMPUTED_GOTO != 0;
-}
-
-// Single-word handler bodies, written once and expanded into both the
-// computed-goto handlers and the switch cases so the two dispatch paths
-// cannot drift. Each body is the one-word form of what
-// Simulator::eval_comp computes for the corresponding component kind;
-// order must match TCode (the label table is static_assert'd against
-// TCode::kCount_).
+// Single-word handler bodies, expanded into the computed-goto handlers.
+// Each body is the one-word form of what Simulator::eval_comp computes
+// for the corresponding component kind; order must match TCode (the
+// label table is static_assert'd against TCode::kCount_).
 #define ATLANTIS_THREADED_OPS(X)                                         \
   X(kNot, ~v[op->in0] & op->mask)                                        \
   X(kAnd, v[op->in0] & v[op->in1])                                       \
@@ -222,7 +204,9 @@ void ThreadedBackend::execute_region(std::int32_t r) {
   std::uint64_t* const v = sim_.values_.data();
   const auto& comps = sim_.design_.components();
 
-#if ATLANTIS_THREADED_COMPUTED_GOTO
+  // Computed goto (GCC and Clang, the project's compilers): each handler
+  // ends in one indirect branch through the label table, predicted per
+  // opcode.
 #define ATLANTIS_LABEL_ENTRY(name, body) &&L_##name,
   static const void* const kDispatch[] = {
       &&L_End,
@@ -247,28 +231,6 @@ L_Wide:
   ATLANTIS_DISPATCH();
 L_End:;
 #undef ATLANTIS_DISPATCH
-#else
-  // Portable fallback: same handler bodies behind a switch loop.
-  for (bool running = true; running;) {
-    switch (op->code) {
-#define ATLANTIS_SWITCH_HANDLER(name, body) \
-  case TCode::name:                         \
-    v[op->out] = (body);                    \
-    ++op;                                   \
-    break;
-      ATLANTIS_THREADED_OPS(ATLANTIS_SWITCH_HANDLER)
-#undef ATLANTIS_SWITCH_HANDLER
-      case TCode::kWide:
-        sim_.eval_comp(comps[static_cast<std::size_t>(op->comp)], v + op->out);
-        ++op;
-        break;
-      case TCode::kEnd:
-      default:
-        running = false;
-        break;
-    }
-  }
-#endif
 
   sim_.activity_.comp_evals +=
       static_cast<std::uint64_t>(region.ops_end - region.ops_begin);

@@ -11,11 +11,9 @@
 //    Simulator::eval_comp), so dispatch is one indirection and the
 //    single-word semantics are written once (ATLANTIS_THREADED_OPS in
 //    threaded.cpp);
-//  * computed-goto dispatch — on GCC/Clang each opcode's handler jumps
-//    straight to the next op through a `&&label` table (one indirect
-//    branch per op, predicted per-opcode); elsewhere, or when
-//    ATLANTIS_THREADED_FORCE_SWITCH is defined, a portable switch loop
-//    executes the identical handler bodies;
+//  * computed-goto dispatch — each opcode's handler jumps straight to
+//    the next op through a `&&label` table (one indirect branch per op,
+//    predicted per-opcode; the project builds with GCC or Clang only);
 //  * region superops — chdl/region.hpp partitions the tape into
 //    single-exit regions (chains through each op's deepest input, plus
 //    the sibling readers of one wire) executed as straight-line blocks:
@@ -44,11 +42,6 @@
 namespace atlantis::chdl {
 
 class Simulator;
-
-/// True when this build dispatches through the computed-goto label
-/// table; false on non-GNU compilers or when the portable switch loop
-/// was forced with -DATLANTIS_THREADED_FORCE_SWITCH (CI builds both).
-bool threaded_uses_computed_goto();
 
 /// Flat opcode space: one byte selects the handler directly. Order must
 /// match the label table in threaded.cpp (static_assert'd there).

@@ -32,8 +32,6 @@ class Fifo {
   std::uint64_t push(std::uint64_t words) {
     const std::uint64_t accepted = std::min(words, free());
     size_ += accepted;
-    pushed_ += accepted;
-    rejected_ += words - accepted;
     return accepted;
   }
 
@@ -41,16 +39,11 @@ class Fifo {
   std::uint64_t pop(std::uint64_t words) {
     const std::uint64_t taken = std::min(words, size_);
     size_ -= taken;
-    popped_ += taken;
     return taken;
   }
 
   void clear() { size_ = 0; }
 
-  std::uint64_t total_pushed() const { return pushed_; }
-  std::uint64_t total_popped() const { return popped_; }
-  /// Words that arrived while full (lost or stalled upstream).
-  std::uint64_t total_rejected() const { return rejected_; }
   std::uint64_t high_watermark() const { return watermark_; }
 
   /// Call once per modelled cycle to track occupancy statistics.
@@ -60,9 +53,6 @@ class Fifo {
   std::string name_;
   std::uint64_t depth_;
   std::uint64_t size_ = 0;
-  std::uint64_t pushed_ = 0;
-  std::uint64_t popped_ = 0;
-  std::uint64_t rejected_ = 0;
   std::uint64_t watermark_ = 0;
 };
 

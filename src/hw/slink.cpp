@@ -23,14 +23,10 @@ bool SlinkChannel::send(const SlinkWord& word) {
     }
     if (forced_xoff_ > 0) {
       --forced_xoff_;
-      ++refused_;
       return false;
     }
   }
-  if (xoff()) {
-    ++refused_;
-    return false;
-  }
+  if (xoff()) return false;
   SlinkWord delivered = word;
   if (injector_ != nullptr) {
     if (const auto hit =
@@ -43,7 +39,6 @@ bool SlinkChannel::send(const SlinkWord& word) {
     }
   }
   fifo_.push_back(delivered);
-  ++sent_;
   return true;
 }
 

@@ -61,14 +61,13 @@ class SlinkChannel {
   std::size_t buffered() const { return fifo_.size() - head_; }
 
   /// Snapshottable leaf: FIFO contents (compacted from head_) plus the
-  /// link counters and any in-progress injected XOFF burst, written into
-  /// the caller's open section.
+  /// link fault counters and any in-progress injected XOFF burst, written
+  /// into the caller's open section.
   void save_state(sim::SnapshotWriter& w) const { walk(*this, w); }
   void load_state(sim::SnapshotReader& r) { walk(*this, r); }
 
-  /// Link-level statistics.
-  std::uint64_t words_sent() const { return sent_; }
-  std::uint64_t words_refused() const { return refused_; }
+  /// Link fault statistics. Accepted and refused words are send()'s
+  /// results, counted by the caller.
   std::uint64_t link_errors() const { return link_errors_; }
   std::uint64_t truncated_frames() const { return truncated_frames_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
@@ -134,8 +133,6 @@ class SlinkChannel {
     } else {
       s.seq64(std::span(self.fifo_).subspan(self.head_), each_word);
     }
-    s.u64(self.sent_);
-    s.u64(self.refused_);
     s.u64(self.link_errors_);
     s.u64(self.truncated_frames_);
     s.u64(self.retransmissions_);
@@ -147,8 +144,6 @@ class SlinkChannel {
   double clock_mhz_;
   std::vector<SlinkWord> fifo_;  // simple FIFO; front at index head_
   std::size_t head_ = 0;
-  std::uint64_t sent_ = 0;
-  std::uint64_t refused_ = 0;
   std::uint64_t link_errors_ = 0;
   std::uint64_t truncated_frames_ = 0;
   std::uint64_t retransmissions_ = 0;

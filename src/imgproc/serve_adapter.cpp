@@ -17,9 +17,6 @@ serve::JobSpec make_filter_job(Gray8 tile, Kernel3x3 kernel, ImgHwConfig cfg,
     const std::uint64_t pixels =
         static_cast<std::uint64_t>(tile.width()) *
         static_cast<std::uint64_t>(tile.height());
-    out.value = static_cast<double>(pixels);
-    out.detail = std::to_string(tile.width()) + "x" +
-                 std::to_string(tile.height()) + " tile";
     const ImgHwResult r =
         filter_atlantis(tile.width(), tile.height(), cfg, nullptr);
     out.compute_time = r.compute_time;

@@ -279,8 +279,8 @@ util::Result<JobId> Cluster::submit(JobSpec spec) {
 
   util::Result<JobId> local = home.service->submit(std::move(spec));
   if (!local.ok()) {
-    // The shard's own admission (per-tenant quota) refused; surface the
-    // verdict through the same refusal ledger.
+    // A shard refuses only an unregistered configuration, which the
+    // front door checked above; any refusal still lands in the ledger.
     return refuse(local.error(), local.message());
   }
 

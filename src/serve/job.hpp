@@ -52,10 +52,7 @@ inline const char* job_kind_name(JobKind kind) {
 /// and the modelled hardware cost the scheduler turns into timeline
 /// transactions.
 struct JobOutcome {
-  bool ok = true;
-  std::string detail;             // human-readable result summary
   std::uint64_t checksum = 0;     // digest of the functional output
-  double value = 0.0;             // kind-specific figure (tracks, fps, ...)
   util::Picoseconds compute_time = 0;  // modelled on-board compute
   std::uint64_t dma_in_bytes = 0;      // host -> board payload
   std::uint64_t dma_out_bytes = 0;     // board -> host result
@@ -90,9 +87,9 @@ struct JobSpec {
 };
 
 /// The service's ledger entry for one job, filled as it moves through
-/// queue -> batch -> board.
+/// queue -> batch -> board. A failed job's reason is its `error`.
 struct JobRecord {
-  JobId id = 0;
+  JobId id = 0;  // its index in the ledger
   std::string tenant;
   JobKind kind = JobKind::kCustom;
   std::string config;
@@ -100,12 +97,16 @@ struct JobRecord {
   util::Picoseconds arrival = 0;
   util::Picoseconds start = 0;   // service start on the board
   util::Picoseconds finish = 0;  // result DMA complete
-  util::Picoseconds queue_wait = 0;
   util::Picoseconds deadline = 0;  // from the spec; 0 = none
   std::uint32_t preemptions = 0;   // times this job was slice-preempted
   bool migrated = false;  // checkpointed out and restored on another service
   util::ErrorCode error = util::ErrorCode::kOk;  // kOk when served
   JobOutcome outcome;
+
+  /// Time from arrival to service start; 0 before the first dispatch.
+  util::Picoseconds queue_wait() const {
+    return start > arrival ? start - arrival : 0;
+  }
 };
 
 }  // namespace atlantis::serve

@@ -16,10 +16,7 @@ namespace {
 
 template <typename Outcome, typename Stream>
 void walk_outcome(Outcome& o, Stream& s) {
-  s.boolean(o.ok);
-  s.string(o.detail);
   s.u64(o.checksum);
-  s.f64(o.value);
   s.i64(o.compute_time);
   s.u64(o.dma_in_bytes);
   s.u64(o.dma_out_bytes);
@@ -36,10 +33,10 @@ void walk_progress(Progress& p, Stream& s) {
 }
 
 /// One ledger entry. A twin replays the same submissions, so the
-/// reader checks the entry's identity instead of taking it.
+/// reader checks the entry's tenant and configuration instead of taking
+/// them; its id is its ledger index and is not stored.
 template <typename Record, typename Stream>
 void walk_record(Record& rec, Stream& s) {
-  s.expect_u64(rec.id, "ledger job id");
   s.expect_string(rec.tenant, "ledger job tenant");
   s.u8(rec.kind);
   s.expect_string(rec.config, "ledger job configuration");
@@ -47,7 +44,6 @@ void walk_record(Record& rec, Stream& s) {
   s.i64(rec.arrival);
   s.i64(rec.start);
   s.i64(rec.finish);
-  s.i64(rec.queue_wait);
   s.i64(rec.deadline);
   s.u32(rec.preemptions);
   s.boolean(rec.migrated);
@@ -68,6 +64,12 @@ void walk_checkpoint(Record& rec, Progress& prog, Stream& s) {
     s.i64(rec.deadline);
     walk_progress(prog, s);
   });
+}
+
+/// A job's deadline for EDF ordering: none (0) sorts last.
+util::Picoseconds effective_deadline(const JobRecord& rec) {
+  return rec.deadline > 0 ? rec.deadline
+                          : std::numeric_limits<util::Picoseconds>::max();
 }
 
 }  // namespace
@@ -110,13 +112,6 @@ util::Result<JobId> JobService::submit(JobSpec spec) {
   }
   ATLANTIS_CHECK(static_cast<bool>(spec.work),
                  "a job needs a work functor");
-  std::uint64_t& pending = pending_by_tenant_[spec.tenant];
-  if (pending >= options_.max_queued_per_tenant) {
-    return util::Result<JobId>::failure(
-        util::ErrorCode::kOverloaded,
-        "tenant '" + spec.tenant + "' already holds " +
-            std::to_string(pending) + " queued jobs");
-  }
   const JobId id = static_cast<JobId>(records_.size());
   JobRecord rec;
   rec.id = id;
@@ -128,7 +123,6 @@ util::Result<JobId> JobService::submit(JobSpec spec) {
   queues_.push_back(rec.config, id);
   records_.push_back(std::move(rec));
   work_.push_back(std::move(spec.work));
-  ++pending;
   return id;
 }
 
@@ -177,7 +171,8 @@ bool JobService::scrub_board(int board_index) {
 
 std::vector<JobId> JobService::pending_ids() const {
   std::vector<JobId> ids;
-  for (const auto& [config, id] : queues_.all()) ids.push_back(id);
+  ids.reserve(queues_.total());
+  queues_.for_each([&](JobId id) { ids.push_back(id); });
   return ids;
 }
 
@@ -201,9 +196,7 @@ util::Result<JobId> JobService::retry_job(JobId id) {
   rec.board = -1;
   rec.start = 0;
   rec.finish = 0;
-  rec.queue_wait = 0;
   queues_.push_back(rec.config, id);
-  ++pending_by_tenant_[rec.tenant];
   return id;
 }
 
@@ -370,55 +363,47 @@ void JobService::run_preemptive(const RunOptions& options) {
     // to preempt, always preemptible).
     const std::optional<util::Picoseconds> waiting =
         earliest_waiting_deadline();
-    const JobRecord& active_rec = records_[*board->active];
-    const util::Picoseconds active_deadline =
-        active_rec.deadline > 0 ? active_rec.deadline
-                                : std::numeric_limits<util::Picoseconds>::max();
-    if (waiting && *waiting < active_deadline) preempt(*board);
+    if (waiting && *waiting < effective_deadline(records_[*board->active])) {
+      preempt(*board);
+    }
   }
 }
 
 std::optional<JobId> JobService::edf_pick() {
   std::optional<JobId> best;
-  std::string best_config;
   util::Picoseconds best_deadline = 0;
-  for (const auto& [config, id] : queues_.all()) {
-    const util::Picoseconds d =
-        records_[id].deadline > 0
-            ? records_[id].deadline
-            : std::numeric_limits<util::Picoseconds>::max();
+  queues_.for_each([&](JobId id) {
+    const util::Picoseconds d = effective_deadline(records_[id]);
     if (!best || d < best_deadline || (d == best_deadline && id < *best)) {
       best = id;
-      best_config = config;
       best_deadline = d;
     }
-  }
-  if (best) queues_.erase(best_config, *best);
+  });
+  if (best) queues_.erase(records_[*best].config, *best);
   return best;
 }
 
 std::optional<util::Picoseconds> JobService::earliest_waiting_deadline()
     const {
   std::optional<util::Picoseconds> best;
-  for (const auto& [config, id] : queues_.all()) {
-    const util::Picoseconds d =
-        records_[id].deadline > 0
-            ? records_[id].deadline
-            : std::numeric_limits<util::Picoseconds>::max();
+  queues_.for_each([&](JobId id) {
+    const util::Picoseconds d = effective_deadline(records_[id]);
     if (!best || d < *best) best = d;
-  }
+  });
   return best;
 }
 
-void JobService::ensure_progress(JobId id) {
-  JobProgress& prog = progress_[id];
-  if (prog.outcome_ready) return;
+JobService::JobProgress& JobService::ensure_progress(JobId id) {
+  const auto it = progress_.find(id);
+  if (it != progress_.end()) return it->second;
   // The pure functor is evaluated once, inline on the scheduling thread:
   // from here on the job is fully described by data, which is what makes
-  // checkpoints portable without the functor.
+  // checkpoints portable without the functor. The entry is made after
+  // the call, so a throwing functor leaves none.
+  JobProgress prog;
   prog.outcome = work_[id]();
-  prog.outcome_ready = true;
   prog.remaining = prog.outcome.compute_time;
+  return progress_.emplace(id, std::move(prog)).first->second;
 }
 
 bool JobService::start_run(BoardState& board, JobId id) {
@@ -430,15 +415,14 @@ bool JobService::start_run(BoardState& board, JobId id) {
     lose_board(board);
     return false;
   }
-  ensure_progress(id);
-  JobProgress& prog = progress_.at(id);
+  JobProgress& prog = ensure_progress(id);
   if (rec.board < 0) start_service(board, rec);  // first dispatch only
   rec.board = board.index;
   if (!prog.input_done && prog.outcome.dma_in_bytes > 0) {
     const util::Result<hw::DmaTransfer> w = board.driver->dma(
         hw::DmaDirection::kWrite, prog.outcome.dma_in_bytes);
     if (!w.ok()) {
-      fail_job(id, w.error(), "input DMA failed");
+      fail_job(id, w.error());
       return true;  // board stays alive and idle
     }
   }
@@ -469,16 +453,14 @@ void JobService::preempt(BoardState& board) {
   queues_.push_front(records_[id].config, {&id, 1});
 }
 
-void JobService::fail_job(JobId id, util::ErrorCode code,
-                          const std::string& detail) {
-  resolve(id, nullptr, nullptr, code, detail);
+void JobService::fail_job(JobId id, util::ErrorCode code) {
+  resolve(id, nullptr, nullptr, code);
 }
 
 void JobService::start_service(BoardState& board, JobRecord& rec) {
   core::AtlantisDriver& drv = *board.driver;
   rec.board = board.index;
   rec.start = drv.now();
-  rec.queue_wait = std::max<util::Picoseconds>(0, rec.start - rec.arrival);
   // The wait lands on the tenant's own track, so a trace shows each
   // tenant's queueing.
   label_.assign(job_kind_name(rec.kind))
@@ -486,7 +468,7 @@ void JobService::start_service(BoardState& board, JobRecord& rec) {
       .append(rec.config)
       .append("]");
   drv.timeline().post(tenant_track(rec.tenant), sim::TxnKind::kQueueWait,
-                      label_, sim::ResourceId{}, rec.arrival, rec.queue_wait);
+                      label_, sim::ResourceId{}, rec.arrival, rec.queue_wait());
 }
 
 std::string_view JobService::compute_label(const JobRecord& rec,
@@ -503,7 +485,7 @@ std::string_view JobService::compute_label(const JobRecord& rec,
 }
 
 void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
-                         util::ErrorCode error, const std::string& detail) {
+                         util::ErrorCode error) {
   JobRecord& rec = records_[id];
   if (out != nullptr) {
     core::AtlantisDriver& drv = *board->driver;
@@ -515,9 +497,6 @@ void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
     rec.finish = drv.now();
     rec.outcome = *out;
     report_.makespan = std::max(report_.makespan, rec.finish);
-  } else {
-    rec.outcome.ok = false;
-    rec.outcome.detail = detail;
   }
   rec.error = error;
   if (error == util::ErrorCode::kOk) {
@@ -525,7 +504,6 @@ void JobService::resolve(JobId id, BoardState* board, const JobOutcome* out,
   } else {
     ++report_.failed;
   }
-  --pending_by_tenant_[rec.tenant];
   progress_.erase(id);  // last: `out` may live here; restored jobs carry one
 }
 
@@ -586,22 +564,16 @@ void JobService::fail_remaining(util::ErrorCode code) {
       // service instead of completing with kBoardDead.
       migrate_out(id);
     } else {
-      fail_job(id, code, "no alive board to serve the job");
+      fail_job(id, code);
     }
   }
 }
 
 JobCheckpoint JobService::make_checkpoint(JobId id) {
-  ensure_progress(id);
-  const JobRecord& rec = records_[id];
+  const JobProgress& prog = ensure_progress(id);
   sim::SnapshotWriter w;
-  walk_checkpoint(rec, std::as_const(progress_).at(id), w);
-  JobCheckpoint ckpt;
-  ckpt.id = rec.id;
-  ckpt.tenant = rec.tenant;
-  ckpt.config = rec.config;
-  ckpt.bytes = w.bytes();
-  return ckpt;
+  walk_checkpoint(records_[id], prog, w);
+  return JobCheckpoint{w.bytes()};
 }
 
 util::Result<JobCheckpoint> JobService::checkpoint_job(JobId id) {
@@ -610,7 +582,7 @@ util::Result<JobCheckpoint> JobService::checkpoint_job(JobId id) {
                                                 "unknown job id " +
                                                     std::to_string(id));
   }
-  JobRecord& rec = records_[id];
+  const JobRecord& rec = records_[id];
   if (checkpointed_out_.count(id) != 0) {
     return util::Result<JobCheckpoint>::failure(
         util::ErrorCode::kJobNotPending,
@@ -633,7 +605,6 @@ util::Result<JobCheckpoint> JobService::checkpoint_job(JobId id) {
   }
   JobCheckpoint ckpt = make_checkpoint(id);
   checkpointed_out_.insert(id);
-  --pending_by_tenant_[rec.tenant];
   return ckpt;
 }
 
@@ -656,7 +627,6 @@ util::Result<JobId> JobService::restore_job(const JobCheckpoint& ckpt) {
   JobRecord rec;
   JobProgress prog;
   walk_checkpoint(rec, prog, r);
-  prog.outcome_ready = true;  // a checkpoint always carries the outcome
   if (configs_.count(rec.config) == 0) {
     return util::Result<JobId>::failure(
         util::ErrorCode::kAdmissionReject,
@@ -674,17 +644,9 @@ util::Result<JobId> JobService::restore_job(const JobCheckpoint& ckpt) {
     records_[saved_id].migrated = false;
     progress_[saved_id] = std::move(prog);
     queues_.push_back(rec.config, saved_id);
-    ++pending_by_tenant_[rec.tenant];
     return saved_id;
   }
 
-  std::uint64_t& pending = pending_by_tenant_[rec.tenant];
-  if (pending >= options_.max_queued_per_tenant) {
-    return util::Result<JobId>::failure(
-        util::ErrorCode::kOverloaded,
-        "tenant '" + rec.tenant + "' already holds " +
-            std::to_string(pending) + " queued jobs");
-  }
   const JobId id = static_cast<JobId>(records_.size());
   // The data replaces the functor.
   work_.push_back([outcome = prog.outcome] { return outcome; });
@@ -693,7 +655,6 @@ util::Result<JobId> JobService::restore_job(const JobCheckpoint& ckpt) {
   queues_.push_back(rec.config, id);
   records_.push_back(std::move(rec));
   progress_[id] = std::move(prog);
-  ++pending;
   return id;
 }
 
@@ -719,13 +680,11 @@ void JobService::migrate_out(JobId id) {
   const util::Result<JobId> restored =
       migration_target_->restore_job(make_checkpoint(id));
   if (!restored.ok()) {
-    fail_job(id, restored.error(), "migration failed: " + restored.message());
+    fail_job(id, restored.error());
     return;
   }
-  JobRecord& rec = records_[id];
-  --pending_by_tenant_[rec.tenant];
   progress_.erase(id);
-  rec.migrated = true;
+  records_[id].migrated = true;
   ++report_.migrated;
 }
 
@@ -749,22 +708,23 @@ void JobService::walk(Self& self, Stream& s) {
                "service ledger size (a twin replays the same submissions "
                "before load_state)");
   for (auto& rec : self.records_) walk_record(rec, s);
-  // The queues travel as (configuration, job) pairs in queue order; the
-  // reader rebuilds the per-configuration FIFOs from them.
-  std::vector<std::pair<std::string, JobId>> queued;
-  if constexpr (!Stream::kLoading) queued = self.queues_.all();
-  s.seq64(queued, [&](auto& q) {
-    s.string(q.first);
-    s.u64(q.second);
-  });
+  // The queues travel as job ids in queue order; the reader rebuilds the
+  // per-configuration FIFOs from each job's ledger entry.
+  std::vector<JobId> queued;
+  if constexpr (!Stream::kLoading) queued = self.pending_ids();
+  s.seq64(queued, [&](auto& id) { s.u64(id); });
   if constexpr (Stream::kLoading) {
     self.queues_ = ConfigQueues{};
-    for (const auto& [config, id] : queued) self.queues_.push_back(config, id);
+    for (const JobId id : queued) {
+      if (id >= self.records_.size()) {
+        throw util::StateError("queued job " + std::to_string(id) +
+                               " is past the ledger's " +
+                               std::to_string(self.records_.size()) +
+                               " jobs");
+      }
+      self.queues_.push_back(self.records_[id].config, id);
+    }
   }
-  s.seq32(self.pending_by_tenant_, [&](auto& tenant) {
-    s.string(tenant.first);
-    s.u64(tenant.second);
-  });
   // Tenant tracks are created lazily on the shared timeline; the mapping
   // must survive so a restored twin keeps posting on the same tracks.
   s.seq32(self.tenant_tracks_, [&](auto& tenant) {
@@ -773,7 +733,6 @@ void JobService::walk(Self& self, Stream& s) {
   });
   s.seq32(self.progress_, [&](auto& job) {
     s.u64(job.first);
-    s.boolean(job.second.outcome_ready);
     walk_progress(job.second, s);
   });
   s.seq32(self.checkpointed_out_, [&](auto& id) { s.u64(id); });

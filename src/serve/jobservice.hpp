@@ -1,8 +1,8 @@
 // JobService: the multi-tenant batch scheduler over an AtlantisSystem.
 //
 // This is the one documented front door for running work on the crate:
-// clients submit jobs (serve/job.hpp), the service admission-controls
-// them into per-configuration queues (serve/queue.hpp) and schedules
+// clients submit jobs (serve/job.hpp), the service admits them into
+// per-configuration queues (serve/queue.hpp) and schedules
 // them across every computing board — batching same-configuration jobs
 // to amortize FPGA reconfiguration, activating recently used bitstreams
 // from each board's LRU configuration cache (core/configcache.hpp), and
@@ -78,12 +78,8 @@ struct ServiceReport {
 /// A job frozen mid-service: the versioned snapshot stream (section
 /// "serve/job") carrying the job's identity, its already-evaluated
 /// functional outcome and its compute progress — everything another
-/// JobService needs to finish it without the work functor. The
-/// convenience fields mirror the stream for inspection.
+/// JobService needs to finish it without the work functor.
 struct JobCheckpoint {
-  JobId id = 0;
-  std::string tenant;
-  std::string config;
   std::vector<std::uint8_t> bytes;
 };
 
@@ -102,11 +98,10 @@ class JobService : public sim::Snapshottable {
   /// Must precede the first submit() of that configuration.
   void register_config(const hw::Bitstream& bs);
 
-  /// Admits one job. Fails with kOverloaded when the tenant already
-  /// holds max_queued_per_tenant pending jobs, and with kAdmissionReject
-  /// when the configuration was never registered — every recoverable
-  /// refusal travels through the Result, never an exception; callers
-  /// that want the old throwing behaviour write .value_or_throw().
+  /// Admits one job. Fails with kAdmissionReject when the configuration
+  /// was never registered — a recoverable refusal travels through the
+  /// Result, never an exception; callers that want the old throwing
+  /// behaviour write .value_or_throw().
   util::Result<JobId> submit(JobSpec spec);
 
   /// THE one entry point for making progress: drains every queue across
@@ -134,8 +129,8 @@ class JobService : public sim::Snapshottable {
   /// checkpoint the original JobId is revived; on any other service a
   /// new id is issued. Compute progress is honoured by the preemptive
   /// policies (the job only pays its remaining compute). Fails with
-  /// kOverloaded past the tenant quota, kSnapshot* on a bad stream and
-  /// kAdmissionReject when the configuration is not registered here.
+  /// kSnapshot* on a bad stream and kAdmissionReject when the
+  /// configuration is not registered here.
   util::Result<JobId> restore_job(const JobCheckpoint& ckpt);
 
   /// checkpoint_job + target.restore_job in one step: moves a pending
@@ -226,11 +221,10 @@ class JobService : public sim::Snapshottable {
 
   /// What the service knows about a job once it has been touched by the
   /// scheduler: its (once-evaluated) pure outcome and how much of the
-  /// modelled compute is still owed. This — not the functor — is what a
-  /// checkpoint carries.
+  /// modelled compute is still owed. An entry exists only with its
+  /// outcome. This — not the functor — is what a checkpoint carries.
   struct JobProgress {
     JobOutcome outcome;
-    bool outcome_ready = false;
     util::Picoseconds remaining = 0;
     bool input_done = false;
     std::uint32_t preemptions = 0;
@@ -254,7 +248,8 @@ class JobService : public sim::Snapshottable {
   std::optional<JobId> edf_pick();
   /// Earliest effective deadline among queued jobs, or nullopt.
   std::optional<util::Picoseconds> earliest_waiting_deadline() const;
-  void ensure_progress(JobId id);
+  /// The job's progress entry, evaluating its functor on first touch.
+  JobProgress& ensure_progress(JobId id);
   /// The one service-start point: the job's queue wait ends now on
   /// `board` and is posted on its tenant's track.
   void start_service(BoardState& board, JobRecord& rec);
@@ -268,11 +263,10 @@ class JobService : public sim::Snapshottable {
   /// pending. A job that ran to completion on `board` with outcome `out`
   /// reads its result back over the board's driver and is served, or
   /// fails with the read's error. A job without an outcome (`out` null)
-  /// fails with `error`, and its ledger outcome carries `detail`.
+  /// fails with `error`.
   void resolve(JobId id, BoardState* board, const JobOutcome* out,
-               util::ErrorCode error = util::ErrorCode::kOk,
-               const std::string& detail = {});
-  void fail_job(JobId id, util::ErrorCode code, const std::string& detail);
+               util::ErrorCode error = util::ErrorCode::kOk);
+  void fail_job(JobId id, util::ErrorCode code);
   /// Marks a board dead (drop-out / lost configuration path); its active
   /// job is re-queued — or migrated when a target is set.
   void lose_board(BoardState& board);
@@ -289,7 +283,6 @@ class JobService : public sim::Snapshottable {
   std::vector<BoardState> boards_;
   std::map<std::string, hw::Bitstream> configs_;
   ConfigQueues queues_;
-  std::map<std::string, std::uint64_t> pending_by_tenant_;
   std::map<std::string, sim::TrackId> tenant_tracks_;
   /// Each job's pure functor, by JobId: the only part of a JobSpec the
   /// service keeps (the ledger holds the rest).

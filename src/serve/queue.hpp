@@ -1,20 +1,16 @@
-// Admission control and per-configuration queues of the serving layer.
+// Per-configuration queues of the serving layer.
 //
-// Jobs are admitted against a per-tenant backlog quota (the crate must
-// not let one tenant starve the rest of queue memory), then parked in
-// the FIFO queue of the configuration they need. The scheduler drains
-// whole batches from one queue at a time — that is what amortizes the
-// FPGA reconfiguration a queue switch costs.
+// An admitted job is parked in the FIFO queue of the configuration it
+// needs. The scheduler drains whole batches from one queue at a time —
+// that is what amortizes the FPGA reconfiguration a queue switch costs.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <map>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "serve/job.hpp"
 #include "util/units.hpp"
@@ -42,9 +38,6 @@ struct ServeOptions {
   /// Jobs of one configuration dispatched per board visit, at least 1.
   /// 1 disables batching (every alternating job pays a reconfiguration).
   int max_batch = 8;
-  /// Admission control: pending (queued, not yet dispatched) jobs one
-  /// tenant may hold; submit() past it fails with kOverloaded.
-  std::uint64_t max_queued_per_tenant = 1'000'000;
   /// Per-board bitstream cache capacity (0 disables the cache). A hit
   /// activates the staged context at TaskSwitcher::kCacheHitFraction of
   /// a full configuration (1/64). A miss on a configuration registered
@@ -104,15 +97,14 @@ class ConfigQueues {
     return true;
   }
 
-  /// Every queued job with its configuration, in (configuration, FIFO)
-  /// order — the candidate list the EDF picker scans.
-  std::vector<std::pair<std::string, JobId>> all() const {
-    std::vector<std::pair<std::string, JobId>> out;
-    out.reserve(total());
+  /// Calls `fn(id)` for every queued job in (configuration, FIFO) order —
+  /// the candidates the EDF picker scans. A job's configuration is its
+  /// ledger entry's.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
     for (const auto& [config, q] : queues_) {
-      for (const JobId id : q) out.emplace_back(config, id);
+      for (const JobId id : q) fn(id);
     }
-    return out;
   }
 
   bool empty() const { return total_ == 0; }

@@ -87,15 +87,15 @@ static_assert(std::endian::native == std::endian::little,
               "little-endian stream encoding");
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x534C5441u;  // "ATLS"
-// Major 6: no stream field repeats another component's count or feeds
-// only a report nobody reads. "sim/timeline" drops each resource's
-// first start, last end and fault, retry and retry-time tallies (the
-// driver and the S-Link channel count those) and each track's horizon;
-// a board drops its PLX's byte and time totals (the segment's stats hold
-// them); a task switcher drops its last switch's region count; and
-// "serve/cluster" drops each shard's admitted-this-window count and the
-// window's submit and drain counts.
-inline constexpr std::uint16_t kSnapshotMajor = 6;
+// Major 7: a job fact is stored once. "serve/service" drops each
+// ledger record's id (its index) and queue wait (start minus arrival),
+// each outcome's ok flag, value and detail text (a failed job's reason
+// is its error code), each progress entry's outcome-ready flag (an
+// entry always has its outcome), each queued job's configuration name
+// (its ledger entry names it) and the per-tenant backlog counts; a
+// "serve/job" checkpoint drops the same outcome fields; and a board's
+// S-Link channel drops its sent and refused word counts.
+inline constexpr std::uint16_t kSnapshotMajor = 7;
 inline constexpr std::uint16_t kSnapshotMinor = 0;
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), the framing checksum.

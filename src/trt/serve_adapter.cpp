@@ -16,11 +16,7 @@ serve::JobSpec make_histogram_job(const PatternBank& bank, const Event& ev,
   spec.work = [&bank, &ev, cfg]() {
     serve::JobOutcome out;
     const TrtHwResult r = histogram_atlantis(bank, ev, cfg, nullptr);
-    const int threshold = default_threshold(bank.geometry());
-    const auto tracks = r.histogram.tracks_above(threshold);
     out.checksum = serve::digest(r.histogram.counts);
-    out.value = static_cast<double>(tracks.size());
-    out.detail = std::to_string(tracks.size()) + " tracks";
     out.compute_time = r.compute_time;
     // Event image in (one bit per straw, packed), 16-bit counters out —
     // the same byte model histogram_atlantis applies when driven live.

@@ -10,8 +10,7 @@ namespace atlantis::trt {
 
 /// Builds a serving-layer job that histograms one event through the
 /// ATLANTIS execution model. `bank` and `ev` are captured by reference
-/// and must outlive the service run. The job's value is the number of
-/// tracks above the default threshold; its checksum digests the full
+/// and must outlive the service run. The checksum digests the full
 /// histogram, so bit-identical results are one comparison.
 serve::JobSpec make_histogram_job(const PatternBank& bank, const Event& ev,
                                   const TrtHwConfig& cfg, std::string tenant,

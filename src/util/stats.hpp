@@ -52,52 +52,6 @@ inline double percentile(std::vector<double> samples, double q) {
   return samples[rank];
 }
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples land in the
-/// first/last bin. Used for track histograms and latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {
-    ATLANTIS_CHECK(bins > 0, "histogram needs at least one bin");
-    ATLANTIS_CHECK(hi > lo, "histogram range must be non-empty");
-  }
-
-  void add(double x) {
-    double t = (x - lo_) / (hi_ - lo_);
-    t = std::clamp(t, 0.0, 1.0);
-    auto idx = static_cast<std::size_t>(t * static_cast<double>(counts_.size()));
-    if (idx >= counts_.size()) idx = counts_.size() - 1;
-    ++counts_[idx];
-    ++total_;
-  }
-
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t total() const { return total_; }
-
-  /// Approximate quantile from the binned counts (q in [0,1]).
-  double quantile(double q) const {
-    if (total_ == 0) return lo_;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(total_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      seen += counts_[i];
-      if (seen >= target) {
-        const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-        return lo_ + width * (static_cast<double>(i) + 0.5);
-      }
-    }
-    return hi_;
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Log-bucketed latency histogram (HdrHistogram-style): geometric bins
 /// spanning [1, max_value] with `bins_per_decade` buckets per factor of
 /// ten, so p50 and p999 carry the same ~relative error no matter how

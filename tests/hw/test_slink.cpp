@@ -7,6 +7,17 @@
 namespace atlantis::hw {
 namespace {
 
+/// The sending link card's view of a link: each send() result, counted.
+struct SendTally {
+  std::uint64_t sent = 0;
+  std::uint64_t refused = 0;
+  bool send(SlinkChannel& link, const SlinkWord& word) {
+    const bool accepted = link.send(word);
+    ++(accepted ? sent : refused);
+    return accepted;
+  }
+};
+
 TEST(Slink, WordsArriveInOrder) {
   SlinkChannel link("sl0");
   EXPECT_TRUE(link.send({1, false}));
@@ -29,8 +40,9 @@ TEST(Slink, XoffWhenBufferFull) {
     EXPECT_TRUE(link.send({static_cast<std::uint32_t>(i), false}));
   }
   EXPECT_TRUE(link.xoff());
-  EXPECT_FALSE(link.send({99, false}));
-  EXPECT_EQ(link.words_refused(), 1u);
+  SendTally tally;
+  EXPECT_FALSE(tally.send(link, {99, false}));
+  EXPECT_EQ(tally.refused, 1u);
   // Draining reopens the link.
   link.receive();
   EXPECT_FALSE(link.xoff());
@@ -59,8 +71,11 @@ TEST(Slink, FragmentStopsOnXoff) {
   const util::Result<std::size_t> r = link.send_fragment(1, payload);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error(), util::ErrorCode::kXoff);
-  EXPECT_EQ(link.words_sent(), 3u);  // begin + 2 data words
-  EXPECT_EQ(link.words_refused(), 1u);
+  // The first refusal ends the fragment: begin + 2 data words landed.
+  EXPECT_NE(r.message().find("after 3 words"), std::string::npos)
+      << r.message();
+  EXPECT_EQ(link.buffered(), 3u);
+  EXPECT_TRUE(link.xoff());
 }
 
 TEST(Slink, FragmentReportsLinkFaultsAsCodes) {
@@ -86,12 +101,12 @@ TEST(Slink, FragmentReportsLinkFaultsAsCodes) {
     plan.inject(sim::FaultKind::kSlinkError, "slink/lvds", 3);
     sim::FaultInjector inj(plan);
     link.set_fault_injector(&inj);
-    const std::uint64_t sent = link.words_sent();
+    const std::size_t buffered = link.buffered();
     const util::Result<std::size_t> r = link.send_fragment(9, payload);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error(), util::ErrorCode::kLinkError);
     EXPECT_EQ(link.link_errors(), 1u);
-    EXPECT_EQ(link.words_sent() - sent, payload.size() + 2);
+    EXPECT_EQ(link.buffered() - buffered, payload.size() + 2);
   }
   {
     // An injected XOFF refuses the first payload word.
@@ -125,13 +140,14 @@ TEST(Slink, SelfTestPasses) {
 
 TEST(Slink, LongStreamCompactsInternally) {
   SlinkChannel link("sl0", 64);
+  SendTally tally;
   for (int round = 0; round < 2000; ++round) {
-    ASSERT_TRUE(link.send({static_cast<std::uint32_t>(round), false}));
+    ASSERT_TRUE(tally.send(link, {static_cast<std::uint32_t>(round), false}));
     const auto w = link.receive();
     ASSERT_TRUE(w.has_value());
     EXPECT_EQ(w->payload, static_cast<std::uint32_t>(round));
   }
-  EXPECT_EQ(link.words_sent(), 2000u);
+  EXPECT_EQ(tally.sent, 2000u);
   EXPECT_EQ(link.buffered(), 0u);
 }
 
@@ -142,11 +158,12 @@ TEST(Slink, CompactionPastHeadThresholdPreservesStream) {
   // checks nothing is lost, reordered or double-counted across the
   // compactions.
   SlinkChannel link("sl0", /*fifo_words=*/8192);
+  SendTally tally;
   std::uint32_t next_send = 0, next_recv = 0;
   // Keep ~1500 words in flight while pushing 20k words through: head_
   // repeatedly crosses 4096 with a non-empty tail to move.
   for (int round = 0; round < 20'000; ++round) {
-    ASSERT_TRUE(link.send({next_send++, false}));
+    ASSERT_TRUE(tally.send(link, {next_send++, false}));
     if (link.buffered() > 1500) {
       const auto w = link.receive();
       ASSERT_TRUE(w.has_value());
@@ -158,32 +175,33 @@ TEST(Slink, CompactionPastHeadThresholdPreservesStream) {
   }
   EXPECT_EQ(next_recv, next_send);
   EXPECT_EQ(link.buffered(), 0u);
-  EXPECT_EQ(link.words_sent(), 20'000u);
-  EXPECT_EQ(link.words_refused(), 0u);
+  EXPECT_EQ(tally.sent, 20'000u);
+  EXPECT_EQ(tally.refused, 0u);
 }
 
 TEST(Slink, XoffRetryAccounting) {
   // The S-Link sender card retries words refused under XOFF; every
-  // attempt during back-pressure counts in words_refused, every accepted
-  // word (including the successful retry) in words_sent.
+  // attempt during back-pressure is a refused send(), every accepted
+  // word (including the successful retry) an accepted one.
   SlinkChannel link("sl0", /*fifo_words=*/8);
+  SendTally tally;
   for (std::uint32_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(link.send({i, false}));
+    ASSERT_TRUE(tally.send(link, {i, false}));
   }
   ASSERT_TRUE(link.xoff());
   // Three retries of the same word while the receiver stalls.
   for (int attempt = 0; attempt < 3; ++attempt) {
-    EXPECT_FALSE(link.send({100, false}));
+    EXPECT_FALSE(tally.send(link, {100, false}));
   }
-  EXPECT_EQ(link.words_refused(), 3u);
-  EXPECT_EQ(link.words_sent(), 8u);
+  EXPECT_EQ(tally.refused, 3u);
+  EXPECT_EQ(tally.sent, 8u);
   // Receiver frees one slot; the retry goes through, the stream stays
   // in order and no refused attempt left a duplicate behind.
   EXPECT_EQ(link.receive()->payload, 0u);
   EXPECT_FALSE(link.xoff());
-  EXPECT_TRUE(link.send({100, false}));
-  EXPECT_EQ(link.words_sent(), 9u);
-  EXPECT_EQ(link.words_refused(), 3u);
+  EXPECT_TRUE(tally.send(link, {100, false}));
+  EXPECT_EQ(tally.sent, 9u);
+  EXPECT_EQ(tally.refused, 3u);
   std::vector<std::uint32_t> drained;
   while (const auto w = link.receive()) drained.push_back(w->payload);
   EXPECT_EQ(drained,

@@ -78,7 +78,6 @@ serve::ServeOptions storm_options() {
   serve::ServeOptions options;
   options.policy = serve::Policy::kPreemptive;
   options.preempt_slice = util::kMillisecond;
-  options.max_queued_per_tenant = kJobs;
   return options;
 }
 

@@ -44,7 +44,7 @@ std::string serialize(const std::vector<serve::JobRecord>& records) {
   for (const serve::JobRecord& r : records) {
     os << r.id << '|' << r.tenant << '|' << r.config << '|' << r.board << '|'
        << r.arrival << '|' << r.start << '|' << r.finish << '|'
-       << r.queue_wait << '|' << util::error_code_name(r.error) << '|'
+       << r.queue_wait() << '|' << util::error_code_name(r.error) << '|'
        << r.outcome.checksum << '\n';
   }
   return os.str();
@@ -168,25 +168,6 @@ TEST(JobService, BatchingAndCacheBeatReconfigurePerJob) {
   EXPECT_GT(b.report.switching.hits + b.report.switching.misses, 0u);
 }
 
-TEST(JobService, AdmissionControlRefusesOverload) {
-  core::AtlantisSystem sys("crate");
-  sys.add_acb("acb0");
-  serve::ServeOptions opt;
-  opt.max_queued_per_tenant = 2;
-  serve::JobService service(sys, opt);
-  service.register_config(hw::Bitstream{"alpha", {}, nullptr, {}});
-  EXPECT_TRUE(service.submit(custom_job("greedy", "alpha", 0, 0)).ok());
-  EXPECT_TRUE(service.submit(custom_job("greedy", "alpha", 1, 0)).ok());
-  const util::Result<serve::JobId> refused =
-      service.submit(custom_job("greedy", "alpha", 2, 0));
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error(), util::ErrorCode::kOverloaded);
-  // Other tenants are unaffected, and serving frees the quota.
-  EXPECT_TRUE(service.submit(custom_job("modest", "alpha", 3, 0)).ok());
-  service.run();
-  EXPECT_TRUE(service.submit(custom_job("greedy", "alpha", 4, 0)).ok());
-}
-
 TEST(JobService, RejectsOptionsThatCannotMakeProgress) {
   // An empty batch dispatches forever without serving anything, and a
   // slice of no time would never finish a job.
@@ -277,7 +258,7 @@ TEST(JobService, TenantStatsAndQueueWaitTracks) {
   std::map<std::string, std::vector<util::Picoseconds>> traced;
   for (const serve::JobRecord& rec : service.jobs()) {
     EXPECT_GT(rec.finish - rec.start, 0);
-    ledger["tenant/" + rec.tenant].push_back(rec.queue_wait);
+    ledger["tenant/" + rec.tenant].push_back(rec.queue_wait());
   }
   const sim::Timeline& tl = sys.timeline();
   for (const sim::Transaction& t : tl.transactions()) {
@@ -333,20 +314,28 @@ TEST(JobService, JobFailedBeforeItsResultAddsNoServiceTime) {
 TEST(ConfigQueues, EmptiedQueuesStayInvisible) {
   // A drained queue stays in the map for the next wave; no query may
   // tell it from a queue that was never there.
+  const auto ids = [](const serve::ConfigQueues& q) {
+    std::vector<serve::JobId> out;
+    q.for_each([&](serve::JobId id) { out.push_back(id); });
+    return out;
+  };
   const auto fill = [](serve::ConfigQueues& q) {
     q.push_back("b", 3);
     q.push_back("a", 1);
     q.push_back("b", 4);
     q.push_back("c", 2);
   };
-  const auto same = [](const serve::ConfigQueues& x,
-                       const serve::ConfigQueues& y) {
+  const auto same = [&ids](const serve::ConfigQueues& x,
+                           const serve::ConfigQueues& y) {
     EXPECT_EQ(x.total(), y.total());
     EXPECT_EQ(x.empty(), y.empty());
-    EXPECT_EQ(x.all(), y.all());
+    // The ids in (configuration, FIFO) order and each queue's depth
+    // pin every (configuration, job) pair.
+    EXPECT_EQ(ids(x), ids(y));
     EXPECT_EQ(x.pick_fifo(), y.pick_fifo());
-    for (const char* resident : {"", "a", "b", "c", "d"}) {
-      EXPECT_EQ(x.pick(resident), y.pick(resident)) << resident;
+    for (const char* config : {"", "a", "b", "c", "d"}) {
+      EXPECT_EQ(x.depth(config), y.depth(config)) << config;
+      EXPECT_EQ(x.pick(config), y.pick(config)) << config;
     }
   };
   serve::ConfigQueues fresh;
@@ -361,7 +350,7 @@ TEST(ConfigQueues, EmptiedQueuesStayInvisible) {
   EXPECT_EQ(reused.pop_front("b"), 4u);
   EXPECT_TRUE(reused.empty());
   EXPECT_EQ(reused.total(), 0u);
-  EXPECT_TRUE(reused.all().empty());
+  EXPECT_TRUE(ids(reused).empty());
   EXPECT_EQ(reused.pick("b"), "");
   EXPECT_EQ(reused.pick_fifo(), "");
   EXPECT_FALSE(reused.erase("b", 4));

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <set>
@@ -200,9 +201,6 @@ TEST(JobCheckpoint, RoundTripsOnTheSameService) {
 
   auto ckpt = world.service->checkpoint_job(5);
   ASSERT_TRUE(ckpt.ok()) << ckpt.message();
-  EXPECT_EQ(ckpt.value().id, 5u);
-  EXPECT_EQ(ckpt.value().tenant, "rt");
-  EXPECT_EQ(ckpt.value().config, "alpha");
   EXPECT_EQ(world.service->pending(), before - 1);
   // Already checkpointed out: not pending any more.
   EXPECT_EQ(world.service->checkpoint_job(5).error(),
@@ -212,6 +210,15 @@ TEST(JobCheckpoint, RoundTripsOnTheSameService) {
   ASSERT_TRUE(revived.ok()) << revived.message();
   EXPECT_EQ(revived.value(), 5u);  // same service -> original id revived
   EXPECT_EQ(world.service->pending(), before);
+  // The stream's id, tenant and configuration matched the ledger entry
+  // (restore_job revives only then): the entry is back, no new one was
+  // issued.
+  EXPECT_EQ(world.service->jobs().size(), 10u);
+  const serve::JobRecord& rec = world.service->job(5);
+  EXPECT_EQ(rec.id, 5u);
+  EXPECT_EQ(rec.tenant, "rt");
+  EXPECT_EQ(rec.config, "alpha");
+  EXPECT_FALSE(rec.migrated);
 
   world.service->run();
   EXPECT_EQ(world.service->report().served, 10u);
@@ -457,6 +464,103 @@ TEST(ServiceSnapshot, LoadRejectsAMismatchedTwin) {
   ASSERT_TRUE(opened.ok());
   sim::SnapshotReader r = std::move(opened.value());
   EXPECT_THROW(twin.service->load_state(r), util::StateError);
+}
+
+/// Ten one-microsecond jobs on a service that knows "alpha" and "beta":
+/// job 4 names `tenant` and `config`, every other job "rt" and "alpha".
+void submit_with_job4(World& world, const std::string& tenant,
+                      const std::string& config) {
+  world.service->register_config(hw::Bitstream{"beta", {}, nullptr, {}});
+  for (int i = 0; i < 10; ++i) {
+    (void)world.service
+        ->submit(make_job(i == 4 ? tenant : "rt", i == 4 ? config : "alpha",
+                          i, util::kMicrosecond))
+        .value();
+  }
+}
+
+TEST(ServiceSnapshot, LoadRejectsATwinWhoseRecordDiffers) {
+  // The twin's ledger is as long as the live one, so only a record's
+  // own tenant and configuration can tell it apart.
+  World live{serve::ServeOptions{}};
+  submit_with_job4(live, "rt", "alpha");
+  sim::SnapshotWriter w;
+  live.service->save_state(w);
+
+  struct Case {
+    const char* tenant;
+    const char* config;
+    const char* field;  // what the refusal names
+  };
+  for (const Case c : {Case{"rt", "beta", "ledger job configuration"},
+                       Case{"batch", "alpha", "ledger job tenant"}}) {
+    World twin{serve::ServeOptions{}};
+    submit_with_job4(twin, c.tenant, c.config);
+    auto opened = sim::SnapshotReader::open(w.bytes());
+    ASSERT_TRUE(opened.ok());
+    try {
+      twin.service->load_state(opened.value());
+      ADD_FAILURE() << "a twin whose job 4 has another " << c.field
+                    << " loaded";
+    } catch (const util::StateError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServiceSnapshot, LoadRejectsAQueuedIdPastTheLedger) {
+  World live{serve::ServeOptions{}};
+  submit_deadline_mix(*live.service);  // all ten jobs stay queued
+  sim::SnapshotWriter w;
+  live.service->save_state(w);
+  std::vector<std::uint8_t> bytes = w.bytes();
+
+  // "serve/service" ends with the queued ids (job 9 last) and three
+  // empty u32-counted sequences: tenant tracks, progress entries and
+  // checkpointed-out jobs. Forge job 9's id to 99, past the ten-job
+  // ledger, and re-frame the section so its CRC still holds.
+  bool forged = false;
+  for (std::size_t at = 12; at < bytes.size() && !forged;) {
+    const std::size_t frame_at = at;
+    std::uint32_t tag_len = 0;
+    std::memcpy(&tag_len, bytes.data() + at, sizeof(tag_len));
+    const std::string tag(reinterpret_cast<const char*>(bytes.data() + at + 4),
+                          tag_len);
+    at += 4 + tag_len;
+    std::uint64_t payload_len = 0;
+    std::memcpy(&payload_len, bytes.data() + at, sizeof(payload_len));
+    at += 8;
+    if (tag == "serve/service") {
+      const std::size_t last_id = at + payload_len - 3 * 4 - 8;
+      std::uint64_t id = 0;
+      std::memcpy(&id, bytes.data() + last_id, sizeof(id));
+      ASSERT_EQ(id, 9u);
+      id = 99;
+      std::memcpy(bytes.data() + last_id, &id, sizeof(id));
+      const std::uint32_t crc =
+          sim::crc32(bytes.data() + frame_at, at + payload_len - frame_at);
+      std::memcpy(bytes.data() + at + payload_len, &crc, sizeof(crc));
+      forged = true;
+    }
+    at += payload_len + 4;
+  }
+  ASSERT_TRUE(forged);
+
+  // The intact stream loads into a twin; the forged one is refused.
+  World twin{serve::ServeOptions{}};
+  submit_deadline_mix(*twin.service);
+  auto intact = sim::SnapshotReader::open(w.bytes());
+  ASSERT_TRUE(intact.ok());
+  twin.service->load_state(intact.value());
+  EXPECT_EQ(twin.service->pending_ids(), live.service->pending_ids());
+
+  World forged_twin{serve::ServeOptions{}};
+  submit_deadline_mix(*forged_twin.service);
+  auto opened = sim::SnapshotReader::open(bytes);
+  ASSERT_TRUE(opened.ok()) << opened.message();
+  EXPECT_THROW(forged_twin.service->load_state(opened.value()),
+               util::StateError);
 }
 
 }  // namespace

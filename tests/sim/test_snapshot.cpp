@@ -410,8 +410,8 @@ TEST(SnapshotStream, GoldenStreamBytes) {
   // section, and a 2-board service paused mid-run under a fault plan
   // (system, board, timeline, fault and ledger sections). Any change to
   // a byte a save writes — framing, field order, encoding or CRC —
-  // changes them. The constants were recorded at stream major 6.
-  EXPECT_EQ(serve::digest(one_section_stream()), 0x573d8c17f42cf3afull);
+  // changes them. The constants were recorded at stream major 7.
+  EXPECT_EQ(serve::digest(one_section_stream()), 0xc9455b459e7b2632ull);
   EXPECT_EQ(sized(write_one_section), one_section_stream().size());
 
   FaultPlan plan;
@@ -435,9 +435,7 @@ TEST(SnapshotStream, GoldenStreamBytes) {
       job.deadline = i % 4 == 0 ? 2 * util::kMillisecond : 0;
       job.work = [i] {
         serve::JobOutcome out;
-        out.detail = "job " + std::to_string(i);
         out.checksum = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
-        out.value = 0.25 * i;
         out.compute_time = (i % 5 + 1) * util::kMicrosecond;
         out.dma_in_bytes = 1024;
         out.dma_out_bytes = 256;
@@ -455,8 +453,8 @@ TEST(SnapshotStream, GoldenStreamBytes) {
               bytes.size());
   }
   sys.set_fault_injector(nullptr);
-  EXPECT_EQ(bytes.size(), 5722u);
-  EXPECT_EQ(serve::digest(bytes), 0x20126e061ed0bec0ull);
+  EXPECT_EQ(bytes.size(), 4816u);
+  EXPECT_EQ(serve::digest(bytes), 0x14e1e7c9b91e7b4aull);
 }
 
 // The cases below pin the stream layouts GoldenStreamBytes never
@@ -475,9 +473,7 @@ serve::JobSpec golden_job(int i, const std::string& config,
   job.deadline = deadline;
   job.work = [i, compute] {
     serve::JobOutcome out;
-    out.detail = "job " + std::to_string(i);
     out.checksum = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
-    out.value = 0.5 * i;
     out.compute_time = compute;
     out.dma_in_bytes = 512u * static_cast<std::uint64_t>(i % 3 + 1);
     out.dma_out_bytes = 128;
@@ -522,10 +518,10 @@ TEST(SnapshotStream, GoldenPreemptiveServiceBytes) {
   EXPECT_EQ(sized([&](SnapshotWriter& s) { service.save_state(s); }),
             bytes.size());
   EXPECT_EQ(bytes.capacity(), bytes.size());  // the root presized exactly
-  EXPECT_EQ(bytes.size(), 3316u);
-  EXPECT_EQ(serve::digest(bytes), 0xc8be2c183ab3cd31ull);
-  EXPECT_EQ(ckpt.bytes.size(), 142u);
-  EXPECT_EQ(serve::digest(ckpt.bytes), 0x55d7111f9d023949ull);
+  EXPECT_EQ(bytes.size(), 2832u);
+  EXPECT_EQ(serve::digest(bytes), 0x814562db740ca3aaull);
+  EXPECT_EQ(ckpt.bytes.size(), 124u);
+  EXPECT_EQ(serve::digest(ckpt.bytes), 0xab31dd835afc1658ull);
 }
 
 TEST(SnapshotStream, GoldenClusterBytes) {
@@ -551,10 +547,10 @@ TEST(SnapshotStream, GoldenClusterBytes) {
   cluster.save_state(w);
   EXPECT_EQ(sized([&](SnapshotWriter& s) { cluster.save_state(s); }),
             w.bytes().size());
-  EXPECT_EQ(w.bytes().size(), 7773u);
-  EXPECT_EQ(serve::digest(w.bytes()), 0xc962312d5b88886bull);
+  EXPECT_EQ(w.bytes().size(), 6811u);
+  EXPECT_EQ(serve::digest(w.bytes()), 0x1f99735095b2dc67ull);
   // The root presized the whole stream, shards included, exactly.
-  EXPECT_EQ(std::move(w).take().capacity(), 7773u);
+  EXPECT_EQ(std::move(w).take().capacity(), 6811u);
 }
 
 // The stream a service saves; a sizing pass must count its exact size.
@@ -619,8 +615,8 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       EXPECT_EQ(count_jobs(service, util::ErrorCode::kBoardDead, false), 3u);
       EXPECT_EQ(service.report().failed, 3u);
       const std::vector<std::uint8_t> bytes = saved_stream(service);
-      EXPECT_EQ(bytes.size(), 4318u);
-      EXPECT_EQ(serve::digest(bytes), 0xb2b3a3c0ab539cb4ull);
+      EXPECT_EQ(bytes.size(), 3763u);
+      EXPECT_EQ(serve::digest(bytes), 0xfbe00933031b946eull);
     }
     sys.set_fault_injector(nullptr);
   }
@@ -663,14 +659,13 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
       EXPECT_EQ(service.job(0).error, util::ErrorCode::kOk);
       EXPECT_EQ(service.job(2).error, util::ErrorCode::kRetriesExhausted);
       EXPECT_EQ(service.job(2).finish, 0);
-      EXPECT_EQ(service.job(2).outcome.detail, "input DMA failed");
       EXPECT_EQ(service.job(3).error, util::ErrorCode::kRetriesExhausted);
       EXPECT_GT(service.job(3).finish, 0);
       EXPECT_EQ(service.report().served, 4u);
       EXPECT_EQ(service.report().failed, 2u);
       const std::vector<std::uint8_t> bytes = saved_stream(service);
-      EXPECT_EQ(bytes.size(), 2842u);
-      EXPECT_EQ(serve::digest(bytes), 0x7c04a81cba1605a8ull);
+      EXPECT_EQ(bytes.size(), 2575u);
+      EXPECT_EQ(serve::digest(bytes), 0xeb7102730ecb3595ull);
     }
     sys.set_fault_injector(nullptr);
   }
@@ -711,18 +706,17 @@ TEST(SnapshotStream, GoldenResolutionPathsBytes) {
         continue;
       }
       EXPECT_EQ(rec.error, util::ErrorCode::kAdmissionReject);
-      EXPECT_FALSE(rec.outcome.ok);
-      EXPECT_EQ(rec.outcome.detail.rfind("migration failed: ", 0), 0u)
-          << rec.outcome.detail;
+      EXPECT_FALSE(rec.migrated);
+      EXPECT_EQ(rec.finish, 0);
     }
     spare.run();
     EXPECT_EQ(spare.report().served, 3u);
     const std::vector<std::uint8_t> bytes = saved_stream(service);
-    EXPECT_EQ(bytes.size(), 2189u);
-    EXPECT_EQ(serve::digest(bytes), 0x9b772f55190ab97dull);
+    EXPECT_EQ(bytes.size(), 1642u);
+    EXPECT_EQ(serve::digest(bytes), 0x7992011c0792c631ull);
     const std::vector<std::uint8_t> spare_bytes = saved_stream(spare);
-    EXPECT_EQ(spare_bytes.size(), 1537u);
-    EXPECT_EQ(serve::digest(spare_bytes), 0x9e123ae2786f56d1ull);
+    EXPECT_EQ(spare_bytes.size(), 1383u);
+    EXPECT_EQ(serve::digest(spare_bytes), 0xbb1c6f5b35a54c03ull);
   }
 }
 
@@ -773,8 +767,8 @@ TEST(SnapshotStream, GoldenBoardBytes) {
   SnapshotWriter w;
   save_board(w);
   EXPECT_EQ(sized(save_board), w.bytes().size());
-  EXPECT_EQ(w.bytes().size(), 12583769u);
-  EXPECT_EQ(serve::digest(w.bytes()), 0x10cc9e45f3fb2a71ull);
+  EXPECT_EQ(w.bytes().size(), 12583753u);
+  EXPECT_EQ(serve::digest(w.bytes()), 0x8a0194eb8c8dc785ull);
 }
 
 // --- Timeline ----------------------------------------------------------

@@ -33,35 +33,6 @@ TEST(Accumulator, MatchesDirectComputation) {
   EXPECT_DOUBLE_EQ(a.sum(), sum);
 }
 
-TEST(Histogram, RejectsBadShape) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), Error);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), Error);
-}
-
-TEST(Histogram, BinsAndTotals) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < h.bins(); ++b) EXPECT_EQ(h.bin(b), 1u);
-}
-
-TEST(Histogram, OutOfRangeClampsToEdgeBins) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(7.0);
-  EXPECT_EQ(h.bin(0), 1u);
-  EXPECT_EQ(h.bin(3), 1u);
-}
-
-TEST(Histogram, QuantileApproximatesMedian) {
-  Histogram h(0.0, 100.0, 100);
-  Rng rng(23);
-  for (int i = 0; i < 10000; ++i) h.add(rng.uniform(0.0, 100.0));
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 3.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 3.0);
-}
-
 TEST(LogHistogram, QuantilesTrackADistributionSpanningDecades) {
   // Latencies spanning 1e3..1e9 — a linear histogram would put nearly
   // everything in one bin; the log buckets keep ~2.6% relative error.
